@@ -36,20 +36,31 @@ func benchOpts() experiments.Options {
 	}
 }
 
-func preparePairs(b *testing.B) []*experiments.Pair {
+func preparePairs(b *testing.B, opts experiments.Options) []*experiments.Pair {
 	b.Helper()
-	pairs, err := experiments.Prepare(benchOpts())
+	pairs, err := experiments.Prepare(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return pairs
 }
 
+// freshPairs prepares a new set of pairs for one iteration with the
+// timer stopped. Pairs memoize their simulation results, so an iteration
+// that reused the previous one's pairs would time memo hits instead of
+// simulation work.
+func freshPairs(b *testing.B, opts experiments.Options) []*experiments.Pair {
+	b.Helper()
+	b.StopTimer()
+	defer b.StartTimer()
+	return preparePairs(b, opts)
+}
+
 // BenchmarkFig3StrideCoverage regenerates Figure 3: per-benchmark
 // single-stride coverage of dynamic memory references.
 func BenchmarkFig3StrideCoverage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pairs := preparePairs(b)
+		pairs := preparePairs(b, benchOpts())
 		rows := experiments.Fig3(pairs)
 		var cov []float64
 		for _, r := range rows {
@@ -62,9 +73,8 @@ func BenchmarkFig3StrideCoverage(b *testing.B) {
 // BenchmarkFig4CacheTracking regenerates Figure 4: Pearson correlation of
 // real-vs-clone misses-per-instruction across the 28 cache configurations.
 func BenchmarkFig4CacheTracking(b *testing.B) {
-	pairs := preparePairs(b)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		pairs := freshPairs(b, benchOpts())
 		rows, err := experiments.Fig4(pairs, benchOpts())
 		if err != nil {
 			b.Fatal(err)
@@ -80,9 +90,8 @@ func BenchmarkFig4CacheTracking(b *testing.B) {
 // BenchmarkFig5Rankings regenerates Figure 5: the rank agreement of the 28
 // cache configurations.
 func BenchmarkFig5Rankings(b *testing.B) {
-	pairs := preparePairs(b)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		pairs := freshPairs(b, benchOpts())
 		rows, err := experiments.Fig4(pairs, benchOpts())
 		if err != nil {
 			b.Fatal(err)
@@ -107,9 +116,8 @@ func BenchmarkFig5Rankings(b *testing.B) {
 // BenchmarkFig6BaseIPC regenerates Figure 6: absolute IPC error of the
 // clones on the base configuration.
 func BenchmarkFig6BaseIPC(b *testing.B) {
-	pairs := preparePairs(b)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		pairs := freshPairs(b, benchOpts())
 		rows, err := experiments.Fig6and7(pairs, benchOpts())
 		if err != nil {
 			b.Fatal(err)
@@ -125,9 +133,8 @@ func BenchmarkFig6BaseIPC(b *testing.B) {
 // BenchmarkFig7BasePower regenerates Figure 7: absolute power error of
 // the clones on the base configuration.
 func BenchmarkFig7BasePower(b *testing.B) {
-	pairs := preparePairs(b)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		pairs := freshPairs(b, benchOpts())
 		rows, err := experiments.Fig6and7(pairs, benchOpts())
 		if err != nil {
 			b.Fatal(err)
@@ -143,9 +150,8 @@ func BenchmarkFig7BasePower(b *testing.B) {
 // BenchmarkTable3DesignChanges regenerates Table 3: relative IPC/power
 // error across the five design changes.
 func BenchmarkTable3DesignChanges(b *testing.B) {
-	pairs := preparePairs(b)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		pairs := freshPairs(b, benchOpts())
 		_, sums, err := experiments.Table3(pairs, benchOpts())
 		if err != nil {
 			b.Fatal(err)
@@ -163,9 +169,8 @@ func BenchmarkTable3DesignChanges(b *testing.B) {
 // BenchmarkFig8and9DoubleWidth regenerates Figures 8 and 9: speedup and
 // power growth when doubling the machine width, real vs clone.
 func BenchmarkFig8and9DoubleWidth(b *testing.B) {
-	pairs := preparePairs(b)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		pairs := freshPairs(b, benchOpts())
 		rows, _, err := experiments.Table3(pairs, benchOpts())
 		if err != nil {
 			b.Fatal(err)
@@ -185,12 +190,8 @@ func BenchmarkFig8and9DoubleWidth(b *testing.B) {
 func BenchmarkAblationBaseline(b *testing.B) {
 	opts := benchOpts()
 	opts.Workloads = []string{"crc32", "gsm"}
-	pairs, err := experiments.Prepare(opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		pairs := freshPairs(b, opts)
 		rows, err := experiments.Ablation(pairs, opts)
 		if err != nil {
 			b.Fatal(err)

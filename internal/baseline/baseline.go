@@ -15,6 +15,7 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -24,6 +25,7 @@ import (
 	"perfclone/internal/funcsim"
 	"perfclone/internal/profile"
 	"perfclone/internal/prog"
+	"perfclone/internal/supervise"
 	"perfclone/internal/synth"
 )
 
@@ -69,24 +71,44 @@ func MeasureTargets(p *prog.Program, t TrainingConfig) (Targets, error) {
 	if err != nil {
 		return Targets{}, err
 	}
-	var bLook, bMiss uint64
-	obs := func(ev *funcsim.Event) error {
-		if ev.Inst.Op.IsMem() {
-			c.Access(ev.Addr, ev.Inst.Op.IsStore())
-		}
-		if ev.Inst.Op.IsBranch() {
-			bLook++
-			if pred.Predict(ev.PC) != ev.Taken {
-				bMiss++
-			}
-			pred.Update(ev.PC, ev.Taken)
-		}
-		return nil
-	}
-	if _, err := funcsim.RunProgram(p, funcsim.Limits{MaxInsts: t.MaxInsts}, obs); err != nil {
+	return Measure(p, c, pred, t.MaxInsts)
+}
+
+// Measure executes p for up to maxInsts instructions, feeding every data
+// reference to c and every conditional branch to pred, and returns c's
+// miss rate and pred's misprediction rate over the run. A nil c or pred
+// skips that half (its rate reads 0). Events arrive from the functional
+// simulator a chunk at a time, so nothing is called per instruction.
+func Measure(p *prog.Program, c *cache.Cache, pred bpred.Predictor, maxInsts uint64) (Targets, error) {
+	m, err := funcsim.New(p)
+	if err != nil {
 		return Targets{}, err
 	}
-	out := Targets{MissRate: c.Stats().MissRate()}
+	var bLook, bMiss uint64
+	_, err = m.RunBatch(funcsim.Limits{MaxInsts: maxInsts}, func(events []funcsim.Event) error {
+		for i := range events {
+			ev := &events[i]
+			op := ev.Inst.Op
+			if c != nil && op.IsMem() {
+				c.Access(ev.Addr, op.IsStore())
+			}
+			if pred != nil && op.IsBranch() {
+				bLook++
+				if pred.Predict(ev.PC) != ev.Taken {
+					bMiss++
+				}
+				pred.Update(ev.PC, ev.Taken)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return Targets{}, err
+	}
+	var out Targets
+	if c != nil {
+		out.MissRate = c.Stats().MissRate()
+	}
 	if bLook > 0 {
 		out.MispredRate = float64(bMiss) / float64(bLook)
 	}
@@ -94,56 +116,60 @@ func MeasureTargets(p *prog.Program, t TrainingConfig) (Targets, error) {
 }
 
 // Generate builds a microarchitecture-dependent clone of p calibrated
-// against the training configuration.
+// against the training configuration: it measures the training targets
+// by executing p, then runs the footprint search (Calibrate).
 func Generate(p *prog.Program, prof *profile.Profile, t TrainingConfig, cfg synth.Config) (*synth.Clone, Targets, error) {
-	t = t.withDefaults()
 	targets, err := MeasureTargets(p, t)
 	if err != nil {
 		return nil, Targets{}, err
 	}
+	clone, _, err := Calibrate(context.Background(), prof, targets, t, cfg)
+	if err != nil {
+		return nil, targets, err
+	}
+	return clone, targets, nil
+}
 
-	// Footprint search: find the walked footprint whose line-stride
-	// clone reproduces the training miss rate on the training cache.
+// Calibrate is the footprint search: it finds the walked footprint whose
+// line-stride clone reproduces targets.MissRate on the training cache,
+// and returns that clone with the rewritten profile it was generated
+// from (synthesizing the profile again yields the same program). Each of
+// the candidates costs a synthesis and a functional run, so ctx is
+// checked, and its heartbeat ticked, once per candidate: a cancelled
+// search returns the cancellation cause within one candidate.
+func Calibrate(ctx context.Context, prof *profile.Profile, targets Targets, t TrainingConfig, cfg synth.Config) (*synth.Clone, *profile.Profile, error) {
+	t = t.withDefaults()
 	line := int64(t.Cache.LineSize)
 	var best *synth.Clone
+	var bestProf *profile.Profile
 	bestErr := math.Inf(1)
 	for f := uint64(2 << 10); f <= 4<<20; f *= 2 {
+		if err := supervise.Cause(ctx); err != nil {
+			return nil, nil, err
+		}
+		supervise.Beat(ctx)
 		rewritten := rewriteProfile(prof, line, f, targets.MispredRate)
-		clone, err := synth.Generate(rewritten, cfg)
+		clone, err := synth.GenerateContext(ctx, rewritten, cfg)
 		if err != nil {
-			return nil, targets, err
+			return nil, nil, err
 		}
-		mr, err := cloneMissRate(clone.Program, t)
+		c, err := cache.New(t.Cache)
 		if err != nil {
-			return nil, targets, err
+			return nil, nil, err
 		}
-		if e := math.Abs(mr - targets.MissRate); e < bestErr {
+		got, err := Measure(clone.Program, c, nil, t.MaxInsts)
+		if err != nil {
+			return nil, nil, err
+		}
+		if e := math.Abs(got.MissRate - targets.MissRate); e < bestErr {
 			bestErr = e
-			best = clone
+			best, bestProf = clone, rewritten
 		}
 	}
 	if best == nil {
-		return nil, targets, fmt.Errorf("baseline: footprint search failed for %s", p.Name)
+		return nil, nil, fmt.Errorf("baseline: footprint search failed for %s", prof.Name)
 	}
-	return best, targets, nil
-}
-
-// cloneMissRate replays the clone's data stream on the training cache.
-func cloneMissRate(p *prog.Program, t TrainingConfig) (float64, error) {
-	c, err := cache.New(t.Cache)
-	if err != nil {
-		return 0, err
-	}
-	obs := func(ev *funcsim.Event) error {
-		if ev.Inst.Op.IsMem() {
-			c.Access(ev.Addr, ev.Inst.Op.IsStore())
-		}
-		return nil
-	}
-	if _, err := funcsim.RunProgram(p, funcsim.Limits{MaxInsts: t.MaxInsts}, obs); err != nil {
-		return 0, err
-	}
-	return c.Stats().MissRate(), nil
+	return best, bestProf, nil
 }
 
 // rewriteProfile replaces the microarchitecture-independent memory and

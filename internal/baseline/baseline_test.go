@@ -1,11 +1,15 @@
 package baseline
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"perfclone/internal/cache"
 	"perfclone/internal/profile"
+	"perfclone/internal/prog"
+	"perfclone/internal/supervise"
 	"perfclone/internal/synth"
 	"perfclone/internal/workloads"
 )
@@ -29,15 +33,22 @@ func prep(t *testing.T, name string) (*profile.Profile, TrainingConfig, *synth.C
 	return prof, train.withDefaults(), clone, targets
 }
 
+// missRate executes p on the training cache alone.
+func missRate(t *testing.T, p *prog.Program, train TrainingConfig) float64 {
+	t.Helper()
+	got, err := Measure(p, cache.MustNew(train.Cache), nil, train.MaxInsts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got.MissRate
+}
+
 func TestBaselineMatchesTrainingMissRate(t *testing.T) {
 	for _, name := range []string{"crc32", "dijkstra"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			_, train, clone, targets := prep(t, name)
-			mr, err := cloneMissRate(clone.Program, train)
-			if err != nil {
-				t.Fatal(err)
-			}
+			mr := missRate(t, clone.Program, train)
 			// The footprint search quantizes in powers of two; within a
 			// few percentage points is what Bell & John style synthesis
 			// achieves at its training point.
@@ -135,18 +146,75 @@ func TestBaselineDriftsOffTrainingPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indepTiny, err := cloneMissRate(indep.Program, tiny.withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	blTiny, err := cloneMissRate(bl.Program, tiny.withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
+	indepTiny := missRate(t, indep.Program, tiny.withDefaults())
+	blTiny := missRate(t, bl.Program, tiny.withDefaults())
 	indepErr := math.Abs(indepTiny - realTiny.MissRate)
 	blErr := math.Abs(blTiny - realTiny.MissRate)
 	t.Logf("256B cache: real %.3f indep %.3f baseline %.3f", realTiny.MissRate, indepTiny, blTiny)
 	if blErr < indepErr/2 {
 		t.Errorf("baseline tracked the off-training point better (%f) than the clone (%f)?", blErr, indepErr)
+	}
+}
+
+// TestCalibrateCancelledWithinOneCandidate pins the footprint search's
+// cancellation contract: the context is checked before every candidate,
+// so a search cancelled while its first candidate runs returns the cause
+// without starting a second one, and the watchdog heartbeat ticks once
+// per candidate.
+func TestCalibrateCancelledWithinOneCandidate(t *testing.T) {
+	w, err := workloads.ByName("crc32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.Build()
+	prof, err := profile.Collect(p, profile.Options{MaxInsts: 200_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	train := TrainingConfig{MaxInsts: 200_000}
+	targets, err := MeasureTargets(p, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	beats := 0
+	ctx = supervise.WithTicker(ctx, func() {
+		beats++
+		cancel() // cancel while the first candidate runs
+	})
+	clone, _, err := Calibrate(ctx, prof, targets, train, synth.Config{})
+	if !errors.Is(err, context.Canceled) || clone != nil {
+		t.Fatalf("cancelled search returned clone %v, err %v; want context.Canceled", clone != nil, err)
+	}
+	if beats != 1 {
+		t.Fatalf("search ran %d candidates after cancellation, want 1", beats)
+	}
+
+	// A live search ticks once per candidate (2 KB .. 4 MB: 12 of them)
+	// and returns the clone Generate returns.
+	beats = 0
+	live := supervise.WithTicker(context.Background(), func() { beats++ })
+	clone, rewritten, err := Calibrate(live, prof, targets, train, synth.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if beats < 12 {
+		t.Fatalf("live search ticked %d times, want >= 12 (one per candidate)", beats)
+	}
+	again, err := synth.Generate(rewritten, synth.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Program.DumpAsm() != clone.Program.DumpAsm() {
+		t.Fatal("re-synthesizing the returned profile gives a different program")
+	}
+	want, _, err := Generate(p, prof, train, synth.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Program.DumpAsm() != clone.Program.DumpAsm() {
+		t.Fatal("Calibrate and Generate disagree")
 	}
 }

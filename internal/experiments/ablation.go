@@ -2,14 +2,16 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 
 	"perfclone/internal/baseline"
 	"perfclone/internal/bpred"
 	"perfclone/internal/cache"
 	"perfclone/internal/dyntrace"
-	"perfclone/internal/funcsim"
+	"perfclone/internal/profile"
 	"perfclone/internal/prog"
 	"perfclone/internal/stats"
+	"perfclone/internal/store"
 	"perfclone/internal/supervise"
 	"perfclone/internal/synth"
 )
@@ -41,24 +43,8 @@ func mispredUnder(p *prog.Program, predName string, maxInsts uint64) (float64, e
 	if err != nil {
 		return 0, err
 	}
-	var look, miss uint64
-	obs := func(ev *funcsim.Event) error {
-		if ev.Inst.Op.IsBranch() {
-			look++
-			if pred.Predict(ev.PC) != ev.Taken {
-				miss++
-			}
-			pred.Update(ev.PC, ev.Taken)
-		}
-		return nil
-	}
-	if _, err := funcsim.RunProgram(p, funcsim.Limits{MaxInsts: maxInsts}, obs); err != nil {
-		return 0, err
-	}
-	if look == 0 {
-		return 0, nil
-	}
-	return float64(miss) / float64(look), nil
+	got, err := baseline.Measure(p, nil, pred, maxInsts)
+	return got.MispredRate, err
 }
 
 // mispredFromTrace is mispredUnder over a captured trace: it walks the
@@ -129,29 +115,31 @@ func AblationContext(ctx context.Context, pairs []*Pair, opts Options) ([]Ablati
 	}
 	defer sr.close()
 	rows := make([]AblationRow, len(pairs))
+	budget := opts.TimingInsts * 2
 	err = forEach(ctx, opts, len(pairs), func(i int) error {
 		pr := pairs[i]
 		return stageCell(ctx, sr, pr.Name, &rows[i], func(tctx context.Context) error {
-			bl, targets, err := baseline.Generate(pr.Real, pr.Profile, train, synth.Config{})
+			targets, err := trainingTargets(pr, train)
 			if err != nil {
 				return err
 			}
-			// The baseline clone is generated here, so its trace is captured
-			// here too — once, then shared by the cache sweep, the predictor
-			// sweep, and the training-point check below.
-			blTrace, err := dyntrace.CaptureContext(tctx, bl.Program, traceBudget(opts))
+			// The baseline clone and its trace are built (or loaded) here,
+			// then shared by the cache sweep, the predictor sweep, and the
+			// training-point check below.
+			bl, blTrace, err := baselineClone(tctx, pr, targets, train, opts)
 			if err != nil {
 				return err
 			}
-			realMPI, err := cacheMPIFor(tctx, pr.Real, pr.RealTrace, cfgs, opts.TimingInsts*2)
+			defer blTrace.Close()
+			realMPI, err := sweep28(tctx, pr, false, budget)
 			if err != nil {
 				return err
 			}
-			cloneMPI, err := cacheMPIFor(tctx, pr.Clone.Program, pr.CloneTrace, cfgs, opts.TimingInsts*2)
+			cloneMPI, err := sweep28(tctx, pr, true, budget)
 			if err != nil {
 				return err
 			}
-			blMPI, err := cacheMPIFor(tctx, bl.Program, blTrace, cfgs, opts.TimingInsts*2)
+			blMPI, err := cacheMPIFor(tctx, bl.Program, blTrace, cfgs, budget)
 			if err != nil {
 				return err
 			}
@@ -216,41 +204,106 @@ func AblationContext(ctx context.Context, pairs []*Pair, opts Options) ([]Ablati
 	return rows, err
 }
 
-// cloneMissRateOn replays a program's data stream on one cache config by
-// executing it.
-func cloneMissRateOn(p *prog.Program, cfg cache.Config, maxInsts uint64) (float64, error) {
-	c, err := cache.New(cfg)
-	if err != nil {
-		return 0, err
-	}
-	obs := func(ev *funcsim.Event) error {
-		if ev.Inst.Op.IsMem() {
-			c.Access(ev.Addr, ev.Inst.Op.IsStore())
-		}
-		return nil
-	}
-	if _, err := funcsim.RunProgram(p, funcsim.Limits{MaxInsts: maxInsts}, obs); err != nil {
-		return 0, err
-	}
-	return c.Stats().MissRate(), nil
-}
-
 // missRateFor computes the single-config miss rate from the captured
 // trace's packed reference stream when it covers the budget, else by
 // execution.
 func missRateFor(p *prog.Program, t *dyntrace.Trace, cfg cache.Config, maxInsts uint64) (float64, error) {
-	if !traceCovers(t, maxInsts) {
-		return cloneMissRateOn(p, cfg, maxInsts)
-	}
 	c, err := cache.New(cfg)
 	if err != nil {
 		return 0, err
+	}
+	if !traceCovers(t, maxInsts) {
+		got, err := baseline.Measure(p, c, nil, maxInsts)
+		return got.MissRate, err
 	}
 	addrs, stores := t.Mem(maxInsts)
 	for i, a := range addrs {
 		c.Access(a, stores[i>>6]>>(uint(i)&63)&1 == 1)
 	}
 	return c.Stats().MissRate(), nil
+}
+
+// trainingTargets measures the baseline's training targets on the real
+// program by walking its captured trace: the same data references and
+// branch outcomes, in the same order, as baseline.MeasureTargets
+// executing the program, so the targets are bit-identical without the
+// interpreter.
+func trainingTargets(pr *Pair, train baseline.TrainingConfig) (baseline.Targets, error) {
+	if !traceCovers(pr.RealTrace, train.MaxInsts) {
+		return baseline.MeasureTargets(pr.Real, train)
+	}
+	miss, err := missRateFor(pr.Real, pr.RealTrace, train.Cache, train.MaxInsts)
+	if err != nil {
+		return baseline.Targets{}, err
+	}
+	mispred, err := mispredFromTrace(pr.RealTrace, train.Predictor, train.MaxInsts)
+	if err != nil {
+		return baseline.Targets{}, err
+	}
+	return baseline.Targets{MissRate: miss, MispredRate: mispred}, nil
+}
+
+// baselineLabel names a pair's baseline artifacts in the store. The
+// profile's key adds the real program's hash and the profiling budget;
+// the label carries the rest of what calibration depends on — the timing
+// budget and the training cache and predictor — in a file-name-safe form.
+func baselineLabel(name string, train baseline.TrainingConfig) string {
+	c := train.Cache
+	return fmt.Sprintf("%s-baseline-t%d-c%d_%d_%d%s-%s", name, train.MaxInsts,
+		c.Size, c.Assoc, c.LineSize, c.Replacement, train.Predictor)
+}
+
+// baselineClone returns pr's calibrated baseline clone and its captured
+// trace; the caller closes the trace. Without a store it runs the
+// footprint search and captures the clone. With one, the calibrated
+// profile and the trace are ordinary profile and trace artifacts under
+// baselineLabel, so a warm run regenerates the clone from the stored
+// profile and maps its trace, with no search and no capture. A corrupt
+// artifact is quarantined and recomputed like any other.
+func baselineClone(ctx context.Context, pr *Pair, targets baseline.Targets, train baseline.TrainingConfig, opts Options) (*synth.Clone, *dyntrace.Trace, error) {
+	st := opts.Store
+	label := baselineLabel(pr.Name, train)
+	var hash string
+	var prof *profile.Profile
+	if st != nil {
+		hash = store.ProgramHash(pr.Real)
+		var err error
+		if prof, _, err = st.LoadProfile(label, hash, opts.ProfileInsts); err != nil {
+			return nil, nil, err
+		}
+	}
+	var bl *synth.Clone
+	var err error
+	if prof != nil {
+		bl, err = synth.GenerateContext(ctx, prof, synth.Config{})
+	} else {
+		bl, prof, err = baseline.Calibrate(ctx, pr.Profile, targets, train, synth.Config{})
+		if err == nil && st != nil {
+			err = st.SaveProfile(label, hash, opts.ProfileInsts, prof)
+		}
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+
+	budget := traceBudget(opts)
+	if st != nil {
+		t, ok, err := st.LoadTrace(label, bl.Program, budget)
+		if err != nil || ok {
+			return bl, t, err
+		}
+	}
+	supervise.Beat(ctx)
+	t, err := dyntrace.CaptureContext(ctx, bl.Program, budget)
+	if err != nil {
+		return nil, nil, err
+	}
+	if st != nil {
+		if err := st.SaveTrace(label, t, budget); err != nil {
+			return nil, nil, err
+		}
+	}
+	return bl, t, nil
 }
 
 func absF(v float64) float64 {

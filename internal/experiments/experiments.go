@@ -165,6 +165,10 @@ type Pair struct {
 	// study — the interpreter never re-runs for these programs.
 	RealTrace  *dyntrace.Trace
 	CloneTrace *dyntrace.Trace
+
+	// memo holds the pair's finished timing results and cache sweeps,
+	// shared by every stage that runs on the pair (see memo.go).
+	memo memo
 }
 
 // traceBudget is the capture length: the largest dynamic-stream prefix
@@ -179,40 +183,6 @@ func traceBudget(opts Options) uint64 { return opts.TimingInsts * 2 }
 // or options asking for more instructions than Prepare captured).
 func traceCovers(t *dyntrace.Trace, maxInsts uint64) bool {
 	return t != nil && (t.Halted() || (maxInsts > 0 && t.Insts() >= maxInsts))
-}
-
-// runTimed times a program on cfg, replaying its captured trace when it
-// covers the requested window and executing otherwise. Replay is
-// bit-identical to execution (see uarch.Replay). Cancelling ctx aborts
-// within one pipeline chunk.
-func runTimed(ctx context.Context, p *prog.Program, t *dyntrace.Trace, cfg uarch.Config, lim uarch.Limits) (uarch.Stats, error) {
-	if traceCovers(t, lim.MaxInsts) {
-		return uarch.ReplayContext(ctx, t, cfg, lim)
-	}
-	return uarch.RunLimitsContext(ctx, p, cfg, lim)
-}
-
-// runTimedMulti times a program on every configuration in cfgs. When the
-// captured trace covers the window, the whole sweep fuses into a single
-// trace walk (uarch.ReplayMultiWorkers): the stream is decoded once and
-// feeds all pipelines, with the configurations striped across workers
-// goroutines (1 = fully serial). Otherwise it falls back to serial
-// execution-driven runs. Either way the results are bit-identical to
-// len(cfgs) serial runTimed calls for every worker count, so
-// checkpointed rows from older runs stay valid.
-func runTimedMulti(ctx context.Context, p *prog.Program, t *dyntrace.Trace, cfgs []uarch.Config, lim uarch.Limits, workers int) ([]uarch.Stats, error) {
-	if traceCovers(t, lim.MaxInsts) {
-		return uarch.ReplayMultiWorkers(ctx, t, cfgs, lim, workers)
-	}
-	out := make([]uarch.Stats, len(cfgs))
-	for i, cfg := range cfgs {
-		st, err := uarch.RunLimitsContext(ctx, p, cfg, lim)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = st
-	}
-	return out, nil
 }
 
 // Prepare profiles each selected workload, generates its clone, and
@@ -770,11 +740,11 @@ func Fig4Context(ctx context.Context, pairs []*Pair, opts Options) ([]Fig4Row, e
 	err = forEach(ctx, opts, len(pairs), func(i int) error {
 		pr := pairs[i]
 		return stageCell(ctx, sr, pr.Name, &rows[i], func(tctx context.Context) error {
-			real, err := cacheMPIFor(tctx, pr.Real, pr.RealTrace, cfgs, opts.TimingInsts*2)
+			real, err := sweep28(tctx, pr, false, opts.TimingInsts*2)
 			if err != nil {
 				return err
 			}
-			clone, err := cacheMPIFor(tctx, pr.Clone.Program, pr.CloneTrace, cfgs, opts.TimingInsts*2)
+			clone, err := sweep28(tctx, pr, true, opts.TimingInsts*2)
 			if err != nil {
 				return err
 			}
@@ -870,11 +840,11 @@ func Fig6and7Context(ctx context.Context, pairs []*Pair, opts Options) ([]BaseRo
 	err = forEach(ctx, opts, len(pairs), func(i int) error {
 		pr := pairs[i]
 		return stageCell(ctx, sr, pr.Name, &rows[i], func(tctx context.Context) error {
-			str, err := runTimed(tctx, pr.Real, pr.RealTrace, base, lim)
+			str, err := runTimed(tctx, pr, false, base, lim)
 			if err != nil {
 				return err
 			}
-			sts, err := runTimed(tctx, pr.Clone.Program, pr.CloneTrace, base, lim)
+			sts, err := runTimed(tctx, pr, true, base, lim)
 			if err != nil {
 				return err
 			}
@@ -984,11 +954,11 @@ func Table3Context(ctx context.Context, pairs []*Pair, opts Options) ([]DesignRo
 	if err := forEach(ctx, fopts, len(pairs), func(i int) error {
 		pr := pairs[i]
 		return stageCell(ctx, sr, pr.Name, &cells[i], func(tctx context.Context) error {
-			str, err := runTimedMulti(tctx, pr.Real, pr.RealTrace, cfgs, lim, inner)
+			str, err := runTimedMulti(tctx, pr, false, cfgs, lim, inner)
 			if err != nil {
 				return err
 			}
-			sts, err := runTimedMulti(tctx, pr.Clone.Program, pr.CloneTrace, cfgs, lim, inner)
+			sts, err := runTimedMulti(tctx, pr, true, cfgs, lim, inner)
 			if err != nil {
 				return err
 			}

@@ -64,11 +64,11 @@ func PredictorSweepContext(ctx context.Context, pairs []*Pair, opts Options) ([]
 	err = forEach(ctx, fopts, len(pairs), func(i int) error {
 		pr := pairs[i]
 		return stageCell(ctx, sr, pr.Name, &cells[i], func(tctx context.Context) error {
-			str, err := runTimedMulti(tctx, pr.Real, pr.RealTrace, cfgs, lim, inner)
+			str, err := runTimedMulti(tctx, pr, false, cfgs, lim, inner)
 			if err != nil {
 				return err
 			}
-			sts, err := runTimedMulti(tctx, pr.Clone.Program, pr.CloneTrace, cfgs, lim, inner)
+			sts, err := runTimedMulti(tctx, pr, true, cfgs, lim, inner)
 			if err != nil {
 				return err
 			}
@@ -166,11 +166,11 @@ func PrefetchStudyContext(ctx context.Context, pairs []*Pair, opts Options) ([]P
 	err = forEach(ctx, fopts, len(pairs), func(i int) error {
 		pr := pairs[i]
 		return stageCell(ctx, sr, pr.Name, &rows[i], func(tctx context.Context) error {
-			r, err := runTimedMulti(tctx, pr.Real, pr.RealTrace, cfgs, lim, inner)
+			r, err := runTimedMulti(tctx, pr, false, cfgs, lim, inner)
 			if err != nil {
 				return err
 			}
-			c, err := runTimedMulti(tctx, pr.Clone.Program, pr.CloneTrace, cfgs, lim, inner)
+			c, err := runTimedMulti(tctx, pr, true, cfgs, lim, inner)
 			if err != nil {
 				return err
 			}
@@ -247,11 +247,11 @@ func L2SweepContext(ctx context.Context, pairs []*Pair, opts Options) ([]L2Row, 
 	err = forEach(ctx, fopts, len(pairs), func(i int) error {
 		pr := pairs[i]
 		return stageCell(ctx, sr, pr.Name, &cells[i], func(tctx context.Context) error {
-			str, err := runTimedMulti(tctx, pr.Real, pr.RealTrace, cfgs, lim, inner)
+			str, err := runTimedMulti(tctx, pr, false, cfgs, lim, inner)
 			if err != nil {
 				return err
 			}
-			sts, err := runTimedMulti(tctx, pr.Clone.Program, pr.CloneTrace, cfgs, lim, inner)
+			sts, err := runTimedMulti(tctx, pr, true, cfgs, lim, inner)
 			if err != nil {
 				return err
 			}

@@ -45,11 +45,11 @@ func StatsimComparisonContext(ctx context.Context, pairs []*Pair, opts Options) 
 	err = forEach(ctx, opts, len(pairs), func(i int) error {
 		pr := pairs[i]
 		return stageCell(ctx, sr, pr.Name, &rows[i], func(tctx context.Context) error {
-			detailed, err := runTimed(tctx, pr.Real, pr.RealTrace, base, lim)
+			detailed, err := runTimed(tctx, pr, false, base, lim)
 			if err != nil {
 				return err
 			}
-			clone, err := runTimed(tctx, pr.Clone.Program, pr.CloneTrace, base, lim)
+			clone, err := runTimed(tctx, pr, true, base, lim)
 			if err != nil {
 				return err
 			}
