@@ -6,6 +6,8 @@ package cache
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 
 	"perfclone/internal/supervise"
 )
@@ -108,92 +110,11 @@ type line struct {
 	lru   uint64
 }
 
-// indexedAssoc is the associativity at which lookups switch from a
-// linear way scan to a per-set tag→way hash index. The paper's sweep
-// includes fully associative caches up to 512 ways, where a linear scan
-// averages hundreds of probes per access; one hash probe replaces it.
-// Below the threshold a short scan is cheaper than hashing.
-const indexedAssoc = 16
-
-// recList tracks one set's recency order for indexed LRU/FIFO caches: an
-// intrusive doubly-linked list over way indices with the most recent at
-// head. It makes hit-promotion and victim selection O(1) where the lru
-// timestamp scan is O(ways); the orders are identical (timestamps are
-// unique), so the statistics do not change.
-type recList struct {
-	prev, next []int32
-	head, tail int32
-	// filled counts ways ever inserted; until it reaches the
-	// associativity the next victim is the first invalid way, matching
-	// the scan path (ways only fill in index order and are never
-	// invalidated except by Reset).
-	filled int32
-}
-
-func (r *recList) init(assoc int) {
-	r.prev = make([]int32, assoc)
-	r.next = make([]int32, assoc)
-	r.head, r.tail, r.filled = -1, -1, 0
-}
-
-func (r *recList) reset() {
-	r.head, r.tail, r.filled = -1, -1, 0
-}
-
-func (r *recList) pushFront(wi int32) {
-	r.prev[wi] = -1
-	r.next[wi] = r.head
-	if r.head >= 0 {
-		r.prev[r.head] = wi
-	} else {
-		r.tail = wi
-	}
-	r.head = wi
-}
-
-func (r *recList) unlink(wi int32) {
-	p, n := r.prev[wi], r.next[wi]
-	if p >= 0 {
-		r.next[p] = n
-	} else {
-		r.head = n
-	}
-	if n >= 0 {
-		r.prev[n] = p
-	} else {
-		r.tail = p
-	}
-}
-
-func (r *recList) moveFront(wi int32) {
-	if r.head == wi {
-		return
-	}
-	r.unlink(wi)
-	r.pushFront(wi)
-}
-
-// take returns the way to fill next — the first never-filled way while
-// the set is cold, else the least recent way (unlinked from the list; the
-// caller re-links it at the front after the fill).
-func (r *recList) take() int32 {
-	if int(r.filled) < len(r.prev) {
-		wi := r.filled
-		r.filled++
-		return wi
-	}
-	wi := r.tail
-	r.unlink(wi)
-	return wi
-}
-
 // Cache is one level of set-associative cache with true-LRU replacement
 // (the policy the paper fixes for all 28 configurations).
 type Cache struct {
 	cfg       Config
 	sets      [][]line
-	idx       []map[uint64]int32 // per-set tag→way, nil below indexedAssoc
-	rec       []recList          // per-set recency lists, nil unless idx != nil and LRU/FIFO
 	setMask   uint64
 	lineShift uint
 	clock     uint64
@@ -206,12 +127,7 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	lines := cfg.Size / cfg.LineSize
-	assoc := cfg.Assoc
-	if assoc == 0 {
-		assoc = lines
-	}
-	nsets := lines / assoc
+	nsets, ways := cfg.geometry()
 	c := &Cache{
 		cfg:       cfg,
 		sets:      make([][]line, nsets),
@@ -220,21 +136,20 @@ func New(cfg Config) (*Cache, error) {
 		rng:       0x9e3779b97f4a7c15,
 	}
 	for i := range c.sets {
-		c.sets[i] = make([]line, assoc)
-	}
-	if assoc >= indexedAssoc {
-		c.idx = make([]map[uint64]int32, nsets)
-		for i := range c.idx {
-			c.idx[i] = make(map[uint64]int32, assoc)
-		}
-		if cfg.Replacement != PolicyRandom {
-			c.rec = make([]recList, nsets)
-			for i := range c.rec {
-				c.rec[i].init(assoc)
-			}
-		}
+		c.sets[i] = make([]line, ways)
 	}
 	return c, nil
+}
+
+// geometry returns a valid configuration's set count and associativity
+// (a fully associative cache is one set of every line).
+func (c Config) geometry() (sets, ways int) {
+	lines := c.Size / c.LineSize
+	ways = c.Assoc
+	if ways == 0 {
+		ways = lines
+	}
+	return lines / ways, ways
 }
 
 // MustNew is New that panics on invalid configurations (for statically
@@ -268,31 +183,15 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			c.sets[si][wi] = line{}
-		}
-		if c.idx != nil {
-			clear(c.idx[si])
-		}
-		if c.rec != nil {
-			c.rec[si].reset()
-		}
+	for _, set := range c.sets {
+		clear(set)
 	}
 	c.clock = 0
 	c.stats = Stats{}
 }
 
-// lookup finds the way holding tag in set si, or -1. High-associativity
-// sets use the hash index; the rest use a linear scan.
-func (c *Cache) lookup(si uint64, tag uint64) int {
-	if c.idx != nil {
-		if wi, ok := c.idx[si][tag]; ok {
-			return int(wi)
-		}
-		return -1
-	}
-	set := c.sets[si]
+// lookup finds the way of set holding tag, or -1.
+func lookup(set []line, tag uint64) int {
 	for wi := range set {
 		if set[wi].valid && set[wi].tag == tag {
 			return wi
@@ -304,25 +203,13 @@ func (c *Cache) lookup(si uint64, tag uint64) int {
 // Access simulates one access. It returns true on hit. A miss allocates
 // the line (write-allocate); dirty evictions count as writebacks.
 func (c *Cache) Access(addr uint64, write bool) bool {
-	tag := addr >> c.lineShift
-	return c.accessTagSet(tag, tag&c.setMask, write)
-}
-
-// accessTagSet is Access with the index/tag math already done — the
-// stateful replacement walk. The batched stream replay (AccessStream)
-// precomputes tag and set for a whole lane block and feeds them here, so
-// the pure shift/mask arithmetic stays in a vectorizable loop separate
-// from this branchy part; the statistics are identical either way.
-func (c *Cache) accessTagSet(tag, si uint64, write bool) bool {
 	c.clock++
 	c.stats.Accesses++
-	set := c.sets[si]
-	if wi := c.lookup(si, tag); wi >= 0 {
+	tag := addr >> c.lineShift
+	set := c.sets[tag&c.setMask]
+	if wi := lookup(set, tag); wi >= 0 {
 		if c.cfg.Replacement != PolicyFIFO {
 			set[wi].lru = c.clock // FIFO ignores recency on hits
-			if c.rec != nil {
-				c.rec[si].moveFront(int32(wi))
-			}
 		}
 		if write {
 			set[wi].dirty = true
@@ -330,26 +217,18 @@ func (c *Cache) accessTagSet(tag, si uint64, write bool) bool {
 		return true
 	}
 	c.stats.Misses++
-	var victim int
-	if c.rec != nil {
-		victim = int(c.rec[si].take())
-		c.rec[si].pushFront(int32(victim))
-	} else {
-		victim = c.victim(set)
-	}
-	if set[victim].valid {
-		if set[victim].dirty {
-			c.stats.Writebacks++
-		}
-		if c.idx != nil {
-			delete(c.idx[si], set[victim].tag)
-		}
-	}
-	set[victim] = line{tag: tag, valid: true, dirty: write, lru: c.clock}
-	if c.idx != nil {
-		c.idx[si][tag] = int32(victim)
-	}
+	c.fill(set, tag, write)
 	return false
+}
+
+// fill puts tag's line in set's victim way, counting a writeback when the
+// line it replaces is dirty.
+func (c *Cache) fill(set []line, tag uint64, dirty bool) {
+	victim := c.victim(set)
+	if set[victim].valid && set[victim].dirty {
+		c.stats.Writebacks++
+	}
+	set[victim] = line{tag: tag, valid: true, dirty: dirty, lru: c.clock}
 }
 
 // victim picks the way to replace: an invalid way if any, else per the
@@ -382,36 +261,14 @@ func (c *Cache) victim(set []line) int {
 func (c *Cache) Prefetch(addr uint64) bool {
 	c.clock++
 	tag := addr >> c.lineShift
-	si := tag & c.setMask
-	set := c.sets[si]
-	if wi := c.lookup(si, tag); wi >= 0 {
+	set := c.sets[tag&c.setMask]
+	if wi := lookup(set, tag); wi >= 0 {
 		if c.cfg.Replacement != PolicyFIFO {
 			set[wi].lru = c.clock
-			if c.rec != nil {
-				c.rec[si].moveFront(int32(wi))
-			}
 		}
 		return true
 	}
-	var victim int
-	if c.rec != nil {
-		victim = int(c.rec[si].take())
-		c.rec[si].pushFront(int32(victim))
-	} else {
-		victim = c.victim(set)
-	}
-	if set[victim].valid {
-		if set[victim].dirty {
-			c.stats.Writebacks++
-		}
-		if c.idx != nil {
-			delete(c.idx[si], set[victim].tag)
-		}
-	}
-	set[victim] = line{tag: tag, valid: true, lru: c.clock}
-	if c.idx != nil {
-		c.idx[si][tag] = int32(victim)
-	}
+	c.fill(set, tag, false)
 	return false
 }
 
@@ -430,41 +287,219 @@ func Sweep28() []Config {
 	return out
 }
 
-// ReplaySet simulates one address stream against many configurations at
-// once — the workhorse of the Figure 4/5 experiments, which need 28 cache
-// simulations per program.
+// ReplaySet simulates one address stream against many LRU configurations
+// at once — the workhorse of the Figure 4/5 experiments, which need 28
+// cache simulations per program.
+//
+// It does not keep a cache per configuration. LRU has the inclusion
+// property (Mattson et al., 1970): the lines resident in a set of an
+// A-way LRU cache are exactly the A most recently used lines that map to
+// that set. Configurations that share a line size and a set count
+// therefore differ only in how deep they cut one per-set recency stack,
+// and one walk of that stack serves them all (Hill & Smith, 1989).
+// NewReplaySet groups the configurations by (line size, set count) —
+// Sweep28's 28 caches form 10 groups — and each reference is found once
+// per group, at stack depth d: it hits in every A-way cache with A > d
+// and misses in the rest.
+//
+// Writebacks are exact too. A line dirty in an A-way cache is dirty in
+// every larger cache of its group, since the larger cache has held it at
+// least as long and so has seen every store the smaller one saw. Each
+// stacked line therefore carries dirtyFrom, the smallest associativity
+// in which it is dirty: a store sets it to 1, a load at depth d raises
+// it to at least d+1 (caches of at most d ways refilled the line clean),
+// and when the line sinks from depth A-1 to A — its eviction from the
+// A-way cache — that cache writes it back if dirtyFrom ≤ A.
+//
+// Every configuration's Stats are bit-identical to those of a Cache fed
+// the same stream. Only LRU has the inclusion property, so FIFO and
+// random configurations are rejected.
 type ReplaySet struct {
-	caches []*Cache
+	groups []*stackGroup
+	slots  []slot // one per configuration, in input order
 }
 
-// NewReplaySet builds caches for every configuration.
+// slot locates one configuration's counters: its group, and the index of
+// its associativity in the group's ways.
+type slot struct{ group, way int }
+
+// stackGroup is the LRU stack of every configuration with one line size
+// and set count.
+type stackGroup struct {
+	lineShift uint
+	setMask   uint64
+	depth     int   // stack depth per set: the largest associativity
+	ways      []int // the associativities, ascending and distinct
+	// stack holds set s's lines, most recent first, at
+	// [s*depth, s*depth+fill[s]).
+	stack []stacked
+	fill  []int32
+	// resident holds every stacked tag when depth > shallowDepth, so a
+	// reference found in none of a set's top shallowDepth lines is looked
+	// up instead of scanned for.
+	resident map[uint64]struct{}
+	// depthHist[d] counts references found at depth d; depthHist[depth]
+	// counts those not stacked at all.
+	depthHist  []uint64
+	writebacks []uint64 // per ways entry
+}
+
+// stacked is one line in a set's LRU stack.
+type stacked struct {
+	tag uint64
+	// dirtyFrom is the smallest associativity whose cache holds the line
+	// dirty; clean when none does.
+	dirtyFrom int32
+}
+
+// shallowDepth is how many lines of a set's stack are scanned before the
+// residency map is consulted: hits cluster near the top, and below this
+// depth a scan is cheaper than hashing.
+const shallowDepth = 16
+
+// clean is dirtyFrom for a line dirty in no configuration.
+const clean = math.MaxInt32
+
+// NewReplaySet groups the LRU configurations cfgs by line size and set
+// count. It rejects invalid configurations and other replacement
+// policies.
 func NewReplaySet(cfgs []Config) (*ReplaySet, error) {
-	rs := &ReplaySet{}
-	for _, cfg := range cfgs {
-		c, err := New(cfg)
-		if err != nil {
+	type geom struct{ line, sets int }
+	byGeom := map[geom]int{}
+	rs := &ReplaySet{slots: make([]slot, len(cfgs))}
+	for i, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
-		rs.caches = append(rs.caches, c)
+		if cfg.Replacement != PolicyLRU {
+			return nil, fmt.Errorf("cache: replay set simulates LRU only, %s uses %q", cfg, cfg.Replacement)
+		}
+		sets, ways := cfg.geometry()
+		key := geom{cfg.LineSize, sets}
+		gi, ok := byGeom[key]
+		if !ok {
+			gi = len(rs.groups)
+			byGeom[key] = gi
+			rs.groups = append(rs.groups, &stackGroup{
+				lineShift: log2(uint64(cfg.LineSize)),
+				setMask:   uint64(sets - 1),
+			})
+		}
+		g := rs.groups[gi]
+		if !slices.Contains(g.ways, ways) {
+			g.ways = append(g.ways, ways)
+		}
+		rs.slots[i] = slot{group: gi, way: ways} // way becomes an index below
+	}
+	for _, g := range rs.groups {
+		slices.Sort(g.ways)
+		g.depth = g.ways[len(g.ways)-1]
+		sets := int(g.setMask) + 1
+		g.stack = make([]stacked, sets*g.depth)
+		g.fill = make([]int32, sets)
+		if g.depth > shallowDepth {
+			g.resident = make(map[uint64]struct{}, sets*g.depth)
+		}
+		g.depthHist = make([]uint64, g.depth+1)
+		g.writebacks = make([]uint64, len(g.ways))
+	}
+	for i, s := range rs.slots {
+		rs.slots[i].way = slices.Index(rs.groups[s.group].ways, s.way)
 	}
 	return rs, nil
 }
 
-// Access feeds one reference to every cache.
+// access moves addr's line to the top of its set's stack, counting the
+// reference's depth and the writebacks of the dirty lines it pushes out
+// of each configuration.
+func (g *stackGroup) access(addr uint64, write bool) {
+	tag := addr >> g.lineShift
+	set := int(tag & g.setMask)
+	n := int(g.fill[set])
+	st := g.stack[set*g.depth : (set+1)*g.depth]
+	if n > 0 && st[0].tag == tag {
+		// The most recent line again: it hits everywhere and nothing
+		// moves. dirtyFrom is already at least 1.
+		g.depthHist[0]++
+		if write {
+			st[0].dirtyFrom = 1
+		}
+		return
+	}
+	d := g.depthOf(st[:n], tag)
+
+	// The lines above depth d each sink one place; the one crossing from
+	// depth A-1 to A leaves the A-way cache.
+	for k, a := range g.ways {
+		if a > d {
+			break
+		}
+		if st[a-1].dirtyFrom <= int32(a) {
+			g.writebacks[k]++
+		}
+	}
+	from := int32(clean)
+	sink := d
+	switch {
+	case d < n:
+		g.depthHist[d]++
+		from = max(st[d].dirtyFrom, int32(d+1))
+	case n == g.depth:
+		g.depthHist[g.depth]++
+		sink = n - 1 // the bottom line leaves the stack
+		if g.resident != nil {
+			delete(g.resident, st[sink].tag)
+		}
+	default:
+		g.depthHist[g.depth]++
+		g.fill[set]++
+	}
+	if d == n && g.resident != nil {
+		g.resident[tag] = struct{}{}
+	}
+	copy(st[1:sink+1], st[:sink])
+	if write {
+		from = 1
+	}
+	st[0] = stacked{tag: tag, dirtyFrom: from}
+}
+
+// depthOf returns tag's depth in the stack st, or len(st) when absent.
+func (g *stackGroup) depthOf(st []stacked, tag uint64) int {
+	top := st[:min(len(st), shallowDepth)]
+	for i := range top {
+		if top[i].tag == tag {
+			return i
+		}
+	}
+	if len(st) == len(top) {
+		return len(st)
+	}
+	if _, ok := g.resident[tag]; !ok {
+		return len(st)
+	}
+	for i := len(top); ; i++ {
+		if st[i].tag == tag {
+			return i
+		}
+	}
+}
+
+// Access feeds one reference to every configuration.
 func (rs *ReplaySet) Access(addr uint64, write bool) {
-	for _, c := range rs.caches {
-		c.Access(addr, write)
+	for _, g := range rs.groups {
+		g.access(addr, write)
 	}
 }
 
 // AccessStream feeds a packed reference stream — a parallel address
 // slice and store bitset (bit i set when addrs[i] is a store), as
-// produced by dyntrace.Trace.Mem — to every cache. It iterates
-// cache-major so each cache's sets stay hot while it consumes the whole
-// stream; the caches are independent, so the statistics are identical to
-// interleaved delivery via Access. A bitset too short for the address
-// slice is an error, not a panic — trace files arrive from disk and may
-// be damaged.
+// produced by dyntrace.Trace.Mem — to every configuration. It walks the
+// stream group by group, so each group's stacks stay hot while it
+// consumes the whole stream; the groups are independent, so the
+// statistics are identical to interleaved delivery via Access. A bitset
+// too short for the address slice is an error, not a panic — trace files
+// arrive from disk and may be damaged.
 func (rs *ReplaySet) AccessStream(addrs []uint64, storeBits []uint64) error {
 	return rs.AccessStreamContext(context.Background(), addrs, storeBits)
 }
@@ -475,83 +510,48 @@ func (rs *ReplaySet) AccessStream(addrs []uint64, storeBits []uint64) error {
 // sweep within milliseconds.
 const accessStreamCheckEvery = 1 << 16
 
-// tagBatch is the lane count of the batched index/tag pass in
-// AccessStreamContext: a multiple of 64 (so store-bit words never
-// straddle a block) that divides accessStreamCheckEvery (so the
-// cancellation cadence is unchanged), small enough that the three
-// scratch arrays stay L1-resident.
-const tagBatch = 512
-
 // AccessStreamContext is AccessStream with cooperative cancellation: a
-// full sweep replays len(addrs)×len(caches) references, so long grids
-// poll ctx every accessStreamCheckEvery references and abandon the sweep
-// (returning the context's cancellation cause) once it is cancelled.
-// The same cadence ticks any supervision heartbeat carried by ctx.
-//
-// Each cache's replay runs in tagBatch-lane blocks: the pure per-address
-// math — tag extraction, set indexing, store-bit expansion — fills
-// scratch lanes in tight branch-free loops (SIMD-style, amenable to
-// unrolling and vectorization), and the branchy stateful replacement
-// walk then consumes the precomputed lanes. Access order and arithmetic
-// are unchanged, so the statistics are bit-identical to the unbatched
-// loop.
+// sweep replays the stream once per group, polling ctx every
+// accessStreamCheckEvery references and abandoning the sweep (returning
+// the context's cancellation cause) once it is cancelled. The same
+// cadence ticks any supervision heartbeat carried by ctx.
 func (rs *ReplaySet) AccessStreamContext(ctx context.Context, addrs []uint64, storeBits []uint64) error {
 	if need := (len(addrs) + 63) / 64; len(storeBits) < need {
 		return fmt.Errorf("cache: store bitset has %d words for %d references, need %d", len(storeBits), len(addrs), need)
 	}
 	done := ctx.Done()
 	tick := supervise.TickerFrom(ctx)
-	var tags, sets [tagBatch]uint64
-	var writes [tagBatch]bool
-	for _, c := range rs.caches {
-		shift, mask := c.lineShift, c.setMask
-		for base := 0; base < len(addrs); base += tagBatch {
-			if base%accessStreamCheckEvery == 0 {
-				if done != nil && ctx.Err() != nil {
-					return supervise.Cause(ctx)
-				}
-				if tick != nil {
-					tick()
-				}
+	for _, g := range rs.groups {
+		for base := 0; base < len(addrs); base += accessStreamCheckEvery {
+			if done != nil && ctx.Err() != nil {
+				return supervise.Cause(ctx)
 			}
-			blk := addrs[base:]
-			if len(blk) > tagBatch {
-				blk = blk[:tagBatch]
+			if tick != nil {
+				tick()
 			}
-			for i, a := range blk {
-				t := a >> shift
-				tags[i] = t
-				sets[i] = t & mask
-			}
-			// base is a multiple of 64, so each group of 64 lanes shares
-			// one store-bit word.
-			wbase := base >> 6
-			for i := 0; i < len(blk); i += 64 {
-				w := storeBits[wbase+i>>6]
-				end := i + 64
-				if end > len(blk) {
-					end = len(blk)
-				}
-				for j := i; j < end; j++ {
-					writes[j] = w>>(uint(j)&63)&1 == 1
-				}
-			}
-			for i := range blk {
-				c.accessTagSet(tags[i], sets[i], writes[i])
+			end := min(base+accessStreamCheckEvery, len(addrs))
+			for i := base; i < end; i++ {
+				g.access(addrs[i], storeBits[i>>6]>>(uint(i)&63)&1 == 1)
 			}
 		}
 	}
 	return nil
 }
 
-// Stats returns per-configuration statistics, in input order.
+// Stats returns per-configuration statistics, in input order. An A-way
+// configuration misses on every reference found at depth A or deeper.
 func (rs *ReplaySet) Stats() []Stats {
-	out := make([]Stats, len(rs.caches))
-	for i, c := range rs.caches {
-		out[i] = c.Stats()
+	out := make([]Stats, len(rs.slots))
+	for i, s := range rs.slots {
+		g := rs.groups[s.group]
+		ways := g.ways[s.way]
+		for d, n := range g.depthHist {
+			out[i].Accesses += n
+			if d >= ways {
+				out[i].Misses += n
+			}
+		}
+		out[i].Writebacks = g.writebacks[s.way]
 	}
 	return out
 }
-
-// Caches exposes the underlying caches (read-only use).
-func (rs *ReplaySet) Caches() []*Cache { return rs.caches }

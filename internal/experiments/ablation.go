@@ -119,7 +119,7 @@ func AblationContext(ctx context.Context, pairs []*Pair, opts Options) ([]Ablati
 	err = forEach(ctx, opts, len(pairs), func(i int) error {
 		pr := pairs[i]
 		return stageCell(ctx, sr, pr.Name, &rows[i], func(tctx context.Context) error {
-			targets, err := trainingTargets(pr, train)
+			targets, err := trainingTargets(tctx, pr, train)
 			if err != nil {
 				return err
 			}
@@ -185,7 +185,7 @@ func AblationContext(ctx context.Context, pairs []*Pair, opts Options) ([]Ablati
 			}
 			n := float64(len(ablationPredictors))
 
-			blTrainMiss, err := missRateFor(bl.Program, blTrace, train.Cache, opts.TimingInsts)
+			blTrainMiss, err := missRateFor(tctx, bl.Program, blTrace, train.Cache, opts.TimingInsts)
 			if err != nil {
 				return err
 			}
@@ -204,23 +204,25 @@ func AblationContext(ctx context.Context, pairs []*Pair, opts Options) ([]Ablati
 	return rows, err
 }
 
-// missRateFor computes the single-config miss rate from the captured
-// trace's packed reference stream when it covers the budget, else by
-// execution.
-func missRateFor(p *prog.Program, t *dyntrace.Trace, cfg cache.Config, maxInsts uint64) (float64, error) {
-	c, err := cache.New(cfg)
+// missRateFor computes the single-config miss rate of the first maxInsts
+// instructions by replaying the data-reference stream of t, or of a fresh
+// capture of p when t does not cover the budget. The replay polls ctx
+// like every other cache sweep.
+func missRateFor(ctx context.Context, p *prog.Program, t *dyntrace.Trace, cfg cache.Config, maxInsts uint64) (float64, error) {
+	rs, err := cache.NewReplaySet([]cache.Config{cfg})
 	if err != nil {
 		return 0, err
 	}
 	if !traceCovers(t, maxInsts) {
-		got, err := baseline.Measure(p, c, nil, maxInsts)
-		return got.MissRate, err
+		if t, err = dyntrace.CaptureContext(ctx, p, maxInsts); err != nil {
+			return 0, err
+		}
 	}
 	addrs, stores := t.Mem(maxInsts)
-	for i, a := range addrs {
-		c.Access(a, stores[i>>6]>>(uint(i)&63)&1 == 1)
+	if err := rs.AccessStreamContext(ctx, addrs, stores); err != nil {
+		return 0, err
 	}
-	return c.Stats().MissRate(), nil
+	return rs.Stats()[0].MissRate(), nil
 }
 
 // trainingTargets measures the baseline's training targets on the real
@@ -228,11 +230,11 @@ func missRateFor(p *prog.Program, t *dyntrace.Trace, cfg cache.Config, maxInsts 
 // branch outcomes, in the same order, as baseline.MeasureTargets
 // executing the program, so the targets are bit-identical without the
 // interpreter.
-func trainingTargets(pr *Pair, train baseline.TrainingConfig) (baseline.Targets, error) {
+func trainingTargets(ctx context.Context, pr *Pair, train baseline.TrainingConfig) (baseline.Targets, error) {
 	if !traceCovers(pr.RealTrace, train.MaxInsts) {
 		return baseline.MeasureTargets(pr.Real, train)
 	}
-	miss, err := missRateFor(pr.Real, pr.RealTrace, train.Cache, train.MaxInsts)
+	miss, err := missRateFor(ctx, pr.Real, pr.RealTrace, train.Cache, train.MaxInsts)
 	if err != nil {
 		return baseline.Targets{}, err
 	}

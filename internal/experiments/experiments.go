@@ -21,7 +21,6 @@ import (
 	"perfclone/internal/cache"
 	"perfclone/internal/dyntrace"
 	"perfclone/internal/fidelity"
-	"perfclone/internal/funcsim"
 	"perfclone/internal/power"
 	"perfclone/internal/profile"
 	"perfclone/internal/prog"
@@ -640,53 +639,26 @@ func CacheMPI(p *prog.Program, cfgs []cache.Config, maxInsts uint64) ([]float64,
 	return CacheMPIContext(context.Background(), p, cfgs, maxInsts)
 }
 
-// CacheMPIContext is CacheMPI with cooperative cancellation, polled every
-// 64 Ki retired instructions.
+// CacheMPIContext is CacheMPI with cooperative cancellation: it captures
+// the program's first maxInsts instructions and replays the trace.
 func CacheMPIContext(ctx context.Context, p *prog.Program, cfgs []cache.Config, maxInsts uint64) ([]float64, error) {
-	rs, err := cache.NewReplaySet(cfgs)
+	t, err := dyntrace.CaptureContext(ctx, p, maxInsts)
 	if err != nil {
 		return nil, err
 	}
-	var insts uint64
-	tick := supervise.TickerFrom(ctx)
-	obs := func(ev *funcsim.Event) error {
-		insts++
-		if insts&(1<<16-1) == 0 {
-			if err := supervise.Cause(ctx); err != nil {
-				return err
-			}
-			if tick != nil {
-				tick()
-			}
-		}
-		if ev.Inst.Op.IsMem() {
-			rs.Access(ev.Addr, ev.Inst.Op.IsStore())
-		}
-		return nil
-	}
-	if _, err := funcsim.RunProgram(p, funcsim.Limits{MaxInsts: maxInsts}, obs); err != nil {
-		return nil, err
-	}
-	if insts == 0 {
-		return nil, fmt.Errorf("experiments: %s retired no instructions; misses-per-instruction is undefined", p.Name)
-	}
-	mpi := make([]float64, len(cfgs))
-	for i, st := range rs.Stats() {
-		mpi[i] = float64(st.Misses) / float64(insts)
-	}
-	return mpi, nil
+	return CacheMPIFromTraceContext(ctx, t, cfgs, maxInsts)
 }
 
 // CacheMPIFromTrace is CacheMPI over a captured trace: it replays the
 // packed data-reference stream of the first maxInsts instructions
-// (0 = whole trace) through every configuration, cache-major, with no
-// functional execution.
+// (0 = whole trace) through every configuration with no functional
+// execution.
 func CacheMPIFromTrace(t *dyntrace.Trace, cfgs []cache.Config, maxInsts uint64) ([]float64, error) {
 	return CacheMPIFromTraceContext(context.Background(), t, cfgs, maxInsts)
 }
 
 // CacheMPIFromTraceContext is CacheMPIFromTrace with cooperative
-// cancellation inside the cache-major replay loop.
+// cancellation inside the replay loop.
 func CacheMPIFromTraceContext(ctx context.Context, t *dyntrace.Trace, cfgs []cache.Config, maxInsts uint64) ([]float64, error) {
 	rs, err := cache.NewReplaySet(cfgs)
 	if err != nil {

@@ -235,7 +235,7 @@ func TestComputeOnceTrainingTargets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := trainingTargets(&Pair{Name: name, Real: p, RealTrace: tr}, train)
+		got, err := trainingTargets(context.Background(), &Pair{Name: name, Real: p, RealTrace: tr}, train)
 		if err != nil {
 			t.Fatal(err)
 		}

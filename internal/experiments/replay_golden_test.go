@@ -2,11 +2,15 @@ package experiments
 
 import (
 	"context"
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 
 	"perfclone/internal/cache"
 	"perfclone/internal/dyntrace"
+	"perfclone/internal/funcsim"
+	"perfclone/internal/prog"
 	"perfclone/internal/uarch"
 	"perfclone/internal/workloads"
 )
@@ -50,38 +54,82 @@ func TestReplayGoldenUarch(t *testing.T) {
 }
 
 // TestReplayGoldenCacheMPI proves the packed-stream cache replay produces
-// bit-identical misses-per-instruction across all 28 configurations.
+// bit-identical misses-per-instruction across all 28 configurations:
+// CacheMPI (which captures and replays), CacheMPIFromTrace on a separate
+// capture, and an execution-driven reference — one standalone cache.Cache
+// per configuration fed straight from the functional simulator — must
+// agree exactly. The 1M-instruction crc32 and qsort cases are the
+// examples/cachestudy inputs.
 func TestReplayGoldenCacheMPI(t *testing.T) {
 	cfgs := cache.Sweep28()
-	const maxInsts = 200_000
+	type tc struct {
+		name     string
+		maxInsts uint64
+	}
+	var cases []tc
 	for _, name := range goldenWorkloads {
-		w, err := workloads.ByName(name)
+		cases = append(cases, tc{name, 200_000})
+	}
+	cases = append(cases, tc{"crc32", 1_000_000}, tc{"qsort", 1_000_000})
+	for _, c := range cases {
+		w, err := workloads.ByName(c.name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := w.Build()
-		tr, err := dyntrace.Capture(p, maxInsts)
+		tr, err := dyntrace.Capture(p, c.maxInsts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exec, err := CacheMPI(p, cfgs, maxInsts)
+		got, err := CacheMPI(p, cfgs, c.maxInsts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		replay, err := CacheMPIFromTrace(tr, cfgs, maxInsts)
+		replay, err := CacheMPIFromTrace(tr, cfgs, c.maxInsts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(exec) != len(replay) {
-			t.Fatalf("%s: %d vs %d configs", name, len(exec), len(replay))
-		}
-		for k := range exec {
-			if exec[k] != replay[k] {
-				t.Errorf("%s cfg %s: MPI %v (exec) != %v (replay)",
-					name, cfgs[k], exec[k], replay[k])
+		exec := executedMPI(t, p, cfgs, c.maxInsts)
+		for k := range cfgs {
+			if math.Float64bits(got[k]) != math.Float64bits(exec[k]) || math.Float64bits(replay[k]) != math.Float64bits(exec[k]) {
+				t.Errorf("%s@%d cfg %s: MPI %v (CacheMPI), %v (trace replay), %v (execution)",
+					c.name, c.maxInsts, cfgs[k], got[k], replay[k], exec[k])
 			}
 		}
 	}
+}
+
+// executedMPI is the execution-driven reference for CacheMPI: it runs p
+// for maxInsts instructions, feeding every data reference to one
+// standalone cache per configuration.
+func executedMPI(t *testing.T, p *prog.Program, cfgs []cache.Config, maxInsts uint64) []float64 {
+	t.Helper()
+	caches := make([]*cache.Cache, len(cfgs))
+	for k, cfg := range cfgs {
+		caches[k] = cache.MustNew(cfg)
+	}
+	m, err := funcsim.New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.RunBatch(funcsim.Limits{MaxInsts: maxInsts}, func(events []funcsim.Event) error {
+		for i := range events {
+			if op := events[i].Inst.Op; op.IsMem() {
+				for _, c := range caches {
+					c.Access(events[i].Addr, op.IsStore())
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mpi := make([]float64, len(caches))
+	for k, c := range caches {
+		mpi[k] = float64(c.Stats().Misses) / float64(res.Insts)
+	}
+	return mpi
 }
 
 // TestReplayMultiGolden28 pins the fused timing replay against serial
@@ -176,5 +224,34 @@ func TestParallelGridRace(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sumsPar, sumsSer) {
 		t.Error("Table3 summaries depend on worker count")
+	}
+}
+
+// TestMissRateForCancelled requires the ablation's single-config miss
+// rate to stop on a cancelled context with the context's cause and no
+// result, whether it replays a covering trace or must capture one.
+func TestMissRateForCancelled(t *testing.T) {
+	w, err := workloads.ByName("crc32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.Build()
+	const budget = 100_000
+	tr, err := dyntrace.Capture(p, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cause := errors.New("cell abandoned")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	cfg := cache.Config{Size: 16 << 10, Assoc: 2, LineSize: 32}
+	for _, c := range []struct {
+		name string
+		tr   *dyntrace.Trace
+	}{{"covering trace", tr}, {"no trace", nil}} {
+		got, err := missRateFor(ctx, p, c.tr, cfg, budget)
+		if !errors.Is(err, cause) || got != 0 {
+			t.Errorf("%s: got (%v, %v), want (0, %v)", c.name, got, err, cause)
+		}
 	}
 }
