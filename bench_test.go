@@ -10,12 +10,15 @@ package perfclone
 // reports both the cost of the experiment and its headline result.
 
 import (
+	"context"
 	"testing"
 
 	"perfclone/internal/baseline"
 	"perfclone/internal/cache"
+	"perfclone/internal/dyntrace"
 	"perfclone/internal/experiments"
 	"perfclone/internal/profile"
+	"perfclone/internal/prog"
 	"perfclone/internal/stats"
 	"perfclone/internal/synth"
 	"perfclone/internal/uarch"
@@ -56,6 +59,21 @@ func freshPairs(b *testing.B, opts experiments.Options) []*experiments.Pair {
 	return preparePairs(b, opts)
 }
 
+// timeBase captures p's first lim.MaxInsts instructions and replays the
+// trace on the base configuration.
+func timeBase(b *testing.B, p *prog.Program, lim uarch.Limits) uarch.Stats {
+	b.Helper()
+	t, err := dyntrace.Capture(p, lim.MaxInsts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := uarch.ReplayContext(context.Background(), t, uarch.BaseConfig(), lim)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return st
+}
+
 // BenchmarkFig3StrideCoverage regenerates Figure 3: per-benchmark
 // single-stride coverage of dynamic memory references.
 func BenchmarkFig3StrideCoverage(b *testing.B) {
@@ -75,7 +93,7 @@ func BenchmarkFig3StrideCoverage(b *testing.B) {
 func BenchmarkFig4CacheTracking(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pairs := freshPairs(b, benchOpts())
-		rows, err := experiments.Fig4(pairs, benchOpts())
+		rows, err := experiments.Fig4Context(context.Background(), pairs, benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -92,7 +110,7 @@ func BenchmarkFig4CacheTracking(b *testing.B) {
 func BenchmarkFig5Rankings(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pairs := freshPairs(b, benchOpts())
-		rows, err := experiments.Fig4(pairs, benchOpts())
+		rows, err := experiments.Fig4Context(context.Background(), pairs, benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,7 +136,7 @@ func BenchmarkFig5Rankings(b *testing.B) {
 func BenchmarkFig6BaseIPC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pairs := freshPairs(b, benchOpts())
-		rows, err := experiments.Fig6and7(pairs, benchOpts())
+		rows, err := experiments.Fig6and7Context(context.Background(), pairs, benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -135,7 +153,7 @@ func BenchmarkFig6BaseIPC(b *testing.B) {
 func BenchmarkFig7BasePower(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pairs := freshPairs(b, benchOpts())
-		rows, err := experiments.Fig6and7(pairs, benchOpts())
+		rows, err := experiments.Fig6and7Context(context.Background(), pairs, benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -152,7 +170,7 @@ func BenchmarkFig7BasePower(b *testing.B) {
 func BenchmarkTable3DesignChanges(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pairs := freshPairs(b, benchOpts())
-		_, sums, err := experiments.Table3(pairs, benchOpts())
+		_, sums, err := experiments.Table3Context(context.Background(), pairs, benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -171,7 +189,7 @@ func BenchmarkTable3DesignChanges(b *testing.B) {
 func BenchmarkFig8and9DoubleWidth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pairs := freshPairs(b, benchOpts())
-		rows, _, err := experiments.Table3(pairs, benchOpts())
+		rows, _, err := experiments.Table3Context(context.Background(), pairs, benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -192,7 +210,7 @@ func BenchmarkAblationBaseline(b *testing.B) {
 	opts.Workloads = []string{"crc32", "gsm"}
 	for i := 0; i < b.N; i++ {
 		pairs := freshPairs(b, opts)
-		rows, err := experiments.Ablation(pairs, opts)
+		rows, err := experiments.AblationContext(context.Background(), pairs, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -227,14 +245,8 @@ func BenchmarkAblationContext(b *testing.B) {
 				b.Fatal(err)
 			}
 			lim := uarch.Limits{Warmup: 100_000, MaxInsts: 300_000}
-			realSt, err := uarch.RunLimits(p, uarch.BaseConfig(), lim)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cloneSt, err := uarch.RunLimits(clone.Program, uarch.BaseConfig(), lim)
-			if err != nil {
-				b.Fatal(err)
-			}
+			realSt := timeBase(b, p, lim)
+			cloneSt := timeBase(b, clone.Program, lim)
 			e, err := stats.AbsRelError(cloneSt.IPC(), realSt.IPC())
 			if err != nil {
 				b.Fatal(err)
@@ -270,14 +282,8 @@ func BenchmarkAblationBranchModel(b *testing.B) {
 				b.Fatal(err)
 			}
 			lim := uarch.Limits{Warmup: 100_000, MaxInsts: 300_000}
-			realSt, err := uarch.RunLimits(p, uarch.BaseConfig(), lim)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cloneSt, err := uarch.RunLimits(clone.Program, uarch.BaseConfig(), lim)
-			if err != nil {
-				b.Fatal(err)
-			}
+			realSt := timeBase(b, p, lim)
+			cloneSt := timeBase(b, clone.Program, lim)
 			d := cloneSt.MispredRate() - realSt.MispredRate()
 			if d < 0 {
 				d = -d

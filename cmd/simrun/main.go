@@ -9,10 +9,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
+	"perfclone/internal/dyntrace"
 	"perfclone/internal/power"
 	"perfclone/internal/profile"
 	"perfclone/internal/prog"
@@ -86,24 +88,31 @@ func run(name, file string, useClone, useStatsim bool, cfgName string, insts, wa
 		}
 		p = clone.Program
 	}
+	// One capture serves both modes: the detailed run replays it, and
+	// statistical simulation measures its rates on it.
+	t, err := dyntrace.Capture(p, insts)
+	if err != nil {
+		return err
+	}
+	ctx := context.Background()
 	var st uarch.Stats
 	if useStatsim {
 		prof, err := profile.Collect(p, profile.Options{MaxInsts: 1_000_000})
 		if err != nil {
 			return err
 		}
-		rates, err := statsim.MeasureRates(p, cfg, insts)
+		rates, err := statsim.MeasureRates(t, cfg, insts)
 		if err != nil {
 			return err
 		}
-		st, err = statsim.Estimate(prof, rates, cfg, statsim.Options{TraceLen: insts})
+		st, err = statsim.Estimate(ctx, prof, rates, cfg, statsim.Options{TraceLen: insts})
 		if err != nil {
 			return err
 		}
 		fmt.Printf("mode:      statistical simulation (rates: L1D %.2f%%, L2 %.2f%%, bpred %.2f%%)\n",
 			100*rates.L1DMiss, 100*rates.L2Miss, 100*rates.Mispred)
 	} else {
-		st, err = uarch.RunLimits(p, cfg, uarch.Limits{MaxInsts: insts, Warmup: warmup})
+		st, err = uarch.ReplayContext(ctx, t, cfg, uarch.Limits{MaxInsts: insts, Warmup: warmup})
 		if err != nil {
 			return err
 		}

@@ -10,13 +10,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 
 	"perfclone/internal/cache"
+	"perfclone/internal/dyntrace"
 	"perfclone/internal/experiments"
 	"perfclone/internal/profile"
+	"perfclone/internal/prog"
 	"perfclone/internal/stats"
 	"perfclone/internal/synth"
 	"perfclone/internal/workloads"
@@ -41,15 +44,21 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// Capture each program's first million instructions once; the sweep
+	// replays the captured data-reference stream through all 28 caches.
 	cfgs := cache.Sweep28()
-	realMPI, err := experiments.CacheMPI(app, cfgs, 1_000_000)
-	if err != nil {
-		log.Fatal(err)
+	mpi := func(p *prog.Program) []float64 {
+		t, err := dyntrace.Capture(p, 1_000_000)
+		if err != nil {
+			log.Fatal(err)
+		}
+		v, err := experiments.CacheMPI(context.Background(), t, cfgs, 1_000_000)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return v
 	}
-	cloneMPI, err := experiments.CacheMPI(clone.Program, cfgs, 1_000_000)
-	if err != nil {
-		log.Fatal(err)
-	}
+	realMPI, cloneMPI := mpi(app), mpi(clone.Program)
 
 	fmt.Printf("cache design study for %s (misses per 1000 instructions)\n\n", name)
 	fmt.Printf("%-18s %10s %10s\n", "configuration", "real", "clone")

@@ -8,10 +8,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 
+	"perfclone/internal/dyntrace"
 	"perfclone/internal/power"
 	"perfclone/internal/profile"
 	"perfclone/internal/prog"
@@ -21,12 +23,24 @@ import (
 	"perfclone/internal/workloads"
 )
 
-func measure(p *prog.Program, cfg uarch.Config) (ipc, pw float64, err error) {
-	st, err := uarch.RunLimits(p, cfg, uarch.Limits{Warmup: 150_000, MaxInsts: 500_000})
+// measure captures p's first 500k instructions once and replays the trace
+// on every configuration in a single fused walk, returning each
+// configuration's IPC and average power.
+func measure(p *prog.Program, cfgs []uarch.Config) (ipc, pw []float64, err error) {
+	lim := uarch.Limits{Warmup: 150_000, MaxInsts: 500_000}
+	t, err := dyntrace.Capture(p, lim.MaxInsts)
 	if err != nil {
-		return 0, 0, err
+		return nil, nil, err
 	}
-	return st.IPC(), power.Estimate(st).AvgPower, nil
+	sts, err := uarch.ReplayMultiWorkers(context.Background(), t, cfgs, lim, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, st := range sts {
+		ipc = append(ipc, st.IPC())
+		pw = append(pw, power.Estimate(st).AvgPower)
+	}
+	return ipc, pw, nil
 }
 
 func main() {
@@ -48,39 +62,38 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// cfgs[0] is the base; cfgs[1+ci] is design change ci.
 	base := uarch.BaseConfig()
-	realBaseIPC, realBasePow, err := measure(app, base)
+	changes := uarch.DesignChanges()
+	cfgs := []uarch.Config{base}
+	for _, ch := range changes {
+		cfgs = append(cfgs, ch.Apply(base))
+	}
+	realIPC, realPow, err := measure(app, cfgs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cloneBaseIPC, cloneBasePow, err := measure(clone.Program, base)
+	cloneIPC, clonePow, err := measure(clone.Program, cfgs)
 	if err != nil {
 		log.Fatal(err)
 	}
+	realBaseIPC, cloneBaseIPC := realIPC[0], cloneIPC[0]
 	fmt.Printf("design-space study for %s\n", name)
 	fmt.Printf("base: real IPC %.3f, clone IPC %.3f\n\n", realBaseIPC, cloneBaseIPC)
 	fmt.Printf("%-22s %12s %12s %10s %10s\n",
 		"design change", "real speedup", "clone spdup", "RE(ipc)", "RE(power)")
-	for _, ch := range uarch.DesignChanges() {
-		cfg := ch.Apply(base)
-		realIPC, realPow, err := measure(app, cfg)
+	for ci, ch := range changes {
+		k := 1 + ci
+		reIPC, err := stats.RelativeError(realBaseIPC, realIPC[k], cloneBaseIPC, cloneIPC[k])
 		if err != nil {
 			log.Fatal(err)
 		}
-		cloneIPC, clonePow, err := measure(clone.Program, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		reIPC, err := stats.RelativeError(realBaseIPC, realIPC, cloneBaseIPC, cloneIPC)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rePow, err := stats.RelativeError(realBasePow, realPow, cloneBasePow, clonePow)
+		rePow, err := stats.RelativeError(realPow[0], realPow[k], clonePow[0], clonePow[k])
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-22s %11.3fx %11.3fx %9.2f%% %9.2f%%\n",
-			ch.Name, realIPC/realBaseIPC, cloneIPC/cloneBaseIPC, 100*reIPC, 100*rePow)
+			ch.Name, realIPC[k]/realBaseIPC, cloneIPC[k]/cloneBaseIPC, 100*reIPC, 100*rePow)
 	}
 	fmt.Println("\nRE is the paper's relative-error metric (Section 5.2): how far the")
 	fmt.Println("clone's predicted change deviates from the real program's change.")

@@ -11,13 +11,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
 
 	"perfclone/internal/codegen"
+	"perfclone/internal/dyntrace"
 	"perfclone/internal/power"
 	"perfclone/internal/profile"
+	"perfclone/internal/prog"
 	"perfclone/internal/synth"
 	"perfclone/internal/uarch"
 	"perfclone/internal/workloads"
@@ -48,16 +51,22 @@ func main() {
 	fmt.Printf("clone: %d basic blocks, %d-instruction body, %d iterations, %d stream pools\n",
 		len(clone.Program.Blocks), clone.BodyInsts, clone.Iterations, len(clone.Pools))
 
-	// 4. Compare both on the paper's Table 2 base configuration.
+	// 4. Compare both on the paper's Table 2 base configuration: capture
+	//    each program's dynamic trace once, then replay it on the timing
+	//    model.
 	lim := uarch.Limits{Warmup: 150_000, MaxInsts: 500_000}
-	realStats, err := uarch.RunLimits(app, uarch.BaseConfig(), lim)
-	if err != nil {
-		log.Fatal(err)
+	timed := func(p *prog.Program) uarch.Stats {
+		t, err := dyntrace.Capture(p, lim.MaxInsts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		st, err := uarch.ReplayContext(context.Background(), t, uarch.BaseConfig(), lim)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return st
 	}
-	cloneStats, err := uarch.RunLimits(clone.Program, uarch.BaseConfig(), lim)
-	if err != nil {
-		log.Fatal(err)
-	}
+	realStats, cloneStats := timed(app), timed(clone.Program)
 	fmt.Printf("\n%-12s %10s %10s\n", "", "real", "clone")
 	fmt.Printf("%-12s %10.3f %10.3f\n", "IPC", realStats.IPC(), cloneStats.IPC())
 	fmt.Printf("%-12s %9.2f%% %9.2f%%\n", "L1D miss",

@@ -15,9 +15,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"perfclone/internal/dyntrace"
 	"perfclone/internal/profile"
 	"perfclone/internal/synth"
 	"perfclone/internal/uarch"
@@ -68,7 +70,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		st, err := uarch.RunLimits(clone.Program, base, uarch.Limits{Warmup: 150_000, MaxInsts: 500_000})
+		lim := uarch.Limits{Warmup: 150_000, MaxInsts: 500_000}
+		t, err := dyntrace.Capture(clone.Program, lim.MaxInsts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		st, err := uarch.ReplayContext(context.Background(), t, base, lim)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -166,7 +166,7 @@ func CaptureContext(ctx context.Context, p *prog.Program, maxInsts uint64) (*Tra
 // FromColumns assembles a Trace directly from its dynamic columns,
 // without functional execution and without validation. It exists for
 // tests and trace-processing tools; replay consumers validate the
-// columns at use time (see uarch.Replay), so a malformed hand-built
+// columns at use time (see uarch.ReplayMultiWorkers), so a malformed hand-built
 // trace surfaces as an error there instead of a panic.
 func FromColumns(p *prog.Program, sid []uint32, taken, memAddr, memStore []uint64, insts uint64, halted bool) *Trace {
 	static, _ := buildStatic(p)

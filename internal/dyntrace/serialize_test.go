@@ -9,8 +9,8 @@ import (
 )
 
 // TestSaveLoadRoundTrip: every column survives the binary round trip, so
-// any replayer sees a bit-identical stream (uarch.Replay consumes only
-// these columns; the experiments golden test pins end-to-end equality).
+// any replayer sees a bit-identical stream (the uarch replay walk consumes
+// only these columns; the uarch golden test pins end-to-end equality).
 func TestSaveLoadRoundTrip(t *testing.T) {
 	p := loopProgram(t)
 	tr, err := Capture(p, 0)

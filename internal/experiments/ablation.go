@@ -5,12 +5,12 @@ import (
 	"fmt"
 
 	"perfclone/internal/baseline"
-	"perfclone/internal/bpred"
 	"perfclone/internal/cache"
 	"perfclone/internal/dyntrace"
 	"perfclone/internal/profile"
 	"perfclone/internal/prog"
 	"perfclone/internal/stats"
+	"perfclone/internal/statsim"
 	"perfclone/internal/store"
 	"perfclone/internal/supervise"
 	"perfclone/internal/synth"
@@ -37,68 +37,11 @@ type AblationRow struct {
 // ablationPredictors are the predictor sweep of the ablation.
 var ablationPredictors = []string{"gap", "bimodal", "gshare", "not-taken", "taken"}
 
-// mispredUnder replays a program against one predictor by executing it.
-func mispredUnder(p *prog.Program, predName string, maxInsts uint64) (float64, error) {
-	pred, err := bpred.ByName(predName)
-	if err != nil {
-		return 0, err
-	}
-	got, err := baseline.Measure(p, nil, pred, maxInsts)
-	return got.MispredRate, err
-}
-
-// mispredFromTrace is mispredUnder over a captured trace: it walks the
-// static-id column and taken bitset directly, so a predictor sweep costs
-// no interpretation at all.
-func mispredFromTrace(t *dyntrace.Trace, predName string, maxInsts uint64) (float64, error) {
-	pred, err := bpred.ByName(predName)
-	if err != nil {
-		return 0, err
-	}
-	n := t.Insts()
-	if maxInsts > 0 && n > maxInsts {
-		n = maxInsts
-	}
-	statics := t.Statics()
-	sids := t.SIDs()
-	takenBits := t.TakenBits()
-	var look, miss uint64
-	for i := uint64(0); i < n; i++ {
-		st := &statics[sids[i]]
-		if !st.Branch {
-			continue
-		}
-		taken := takenBits[i>>6]>>(i&63)&1 == 1
-		look++
-		if pred.Predict(st.PC) != taken {
-			miss++
-		}
-		pred.Update(st.PC, taken)
-	}
-	if look == 0 {
-		return 0, nil
-	}
-	return float64(miss) / float64(look), nil
-}
-
-// mispredFor dispatches to the trace walk when t covers the budget.
-func mispredFor(p *prog.Program, t *dyntrace.Trace, predName string, maxInsts uint64) (float64, error) {
-	if traceCovers(t, maxInsts) {
-		return mispredFromTrace(t, predName, maxInsts)
-	}
-	return mispredUnder(p, predName, maxInsts)
-}
-
-// Ablation runs the baseline-vs-clone comparison for each pair. The
-// baseline clone is trained on the base configuration's L1D and
-// predictor; both clones are then swept across the 28 cache
-// configurations and the predictor set.
-func Ablation(pairs []*Pair, opts Options) ([]AblationRow, error) {
-	return AblationContext(context.Background(), pairs, opts)
-}
-
-// AblationContext is Ablation with cancellation and per-workload
-// checkpointing (stage "ablation").
+// AblationContext runs the baseline-vs-clone comparison for each pair,
+// with per-workload checkpointing (stage "ablation"). The baseline clone
+// is trained on the base configuration's L1D and predictor; both clones
+// are then swept across the 28 cache configurations and the predictor
+// set.
 func AblationContext(ctx context.Context, pairs []*Pair, opts Options) ([]AblationRow, error) {
 	opts = opts.withDefaults()
 	ctx, cancelStage := stageContext(ctx, opts, "ablation")
@@ -115,7 +58,7 @@ func AblationContext(ctx context.Context, pairs []*Pair, opts Options) ([]Ablati
 	}
 	defer sr.close()
 	rows := make([]AblationRow, len(pairs))
-	budget := opts.TimingInsts * 2
+	budget := traceBudget(opts)
 	err = forEach(ctx, opts, len(pairs), func(i int) error {
 		pr := pairs[i]
 		return stageCell(ctx, sr, pr.Name, &rows[i], func(tctx context.Context) error {
@@ -139,7 +82,7 @@ func AblationContext(ctx context.Context, pairs []*Pair, opts Options) ([]Ablati
 			if err != nil {
 				return err
 			}
-			blMPI, err := cacheMPIFor(tctx, bl.Program, blTrace, cfgs, budget)
+			blMPI, err := CacheMPI(tctx, blTrace, cfgs, budget)
 			if err != nil {
 				return err
 			}
@@ -162,21 +105,29 @@ func AblationContext(ctx context.Context, pairs []*Pair, opts Options) ([]Ablati
 				blR = 0
 			}
 
+			realT, err := pr.trace(tctx, false, opts.TimingInsts)
+			if err != nil {
+				return err
+			}
+			cloneT, err := pr.trace(tctx, true, opts.TimingInsts)
+			if err != nil {
+				return err
+			}
 			var cloneMAE, blMAE float64
 			for _, pn := range ablationPredictors {
 				if err := supervise.Cause(tctx); err != nil {
 					return err
 				}
 				supervise.Beat(tctx)
-				realM, err := mispredFor(pr.Real, pr.RealTrace, pn, opts.TimingInsts)
+				realM, err := statsim.MispredRate(realT, pn, opts.TimingInsts)
 				if err != nil {
 					return err
 				}
-				cloneM, err := mispredFor(pr.Clone.Program, pr.CloneTrace, pn, opts.TimingInsts)
+				cloneM, err := statsim.MispredRate(cloneT, pn, opts.TimingInsts)
 				if err != nil {
 					return err
 				}
-				blM, err := mispredFor(bl.Program, blTrace, pn, opts.TimingInsts)
+				blM, err := statsim.MispredRate(blTrace, pn, opts.TimingInsts)
 				if err != nil {
 					return err
 				}
@@ -205,18 +156,15 @@ func AblationContext(ctx context.Context, pairs []*Pair, opts Options) ([]Ablati
 }
 
 // missRateFor computes the single-config miss rate of the first maxInsts
-// instructions by replaying the data-reference stream of t, or of a fresh
-// capture of p when t does not cover the budget. The replay polls ctx
-// like every other cache sweep.
+// instructions by replaying the data-reference stream of traceFor's
+// trace. The replay polls ctx like every other cache sweep.
 func missRateFor(ctx context.Context, p *prog.Program, t *dyntrace.Trace, cfg cache.Config, maxInsts uint64) (float64, error) {
 	rs, err := cache.NewReplaySet([]cache.Config{cfg})
 	if err != nil {
 		return 0, err
 	}
-	if !traceCovers(t, maxInsts) {
-		if t, err = dyntrace.CaptureContext(ctx, p, maxInsts); err != nil {
-			return 0, err
-		}
+	if t, err = traceFor(ctx, p, t, maxInsts); err != nil {
+		return 0, err
 	}
 	addrs, stores := t.Mem(maxInsts)
 	if err := rs.AccessStreamContext(ctx, addrs, stores); err != nil {
@@ -226,19 +174,19 @@ func missRateFor(ctx context.Context, p *prog.Program, t *dyntrace.Trace, cfg ca
 }
 
 // trainingTargets measures the baseline's training targets on the real
-// program by walking its captured trace: the same data references and
-// branch outcomes, in the same order, as baseline.MeasureTargets
-// executing the program, so the targets are bit-identical without the
-// interpreter.
+// program by walking its trace: the same data references and branch
+// outcomes, in the same order, as baseline.MeasureTargets executing the
+// program, so the targets are bit-identical without the interpreter.
 func trainingTargets(ctx context.Context, pr *Pair, train baseline.TrainingConfig) (baseline.Targets, error) {
-	if !traceCovers(pr.RealTrace, train.MaxInsts) {
-		return baseline.MeasureTargets(pr.Real, train)
-	}
-	miss, err := missRateFor(ctx, pr.Real, pr.RealTrace, train.Cache, train.MaxInsts)
+	t, err := pr.trace(ctx, false, train.MaxInsts)
 	if err != nil {
 		return baseline.Targets{}, err
 	}
-	mispred, err := mispredFromTrace(pr.RealTrace, train.Predictor, train.MaxInsts)
+	miss, err := missRateFor(ctx, pr.Real, t, train.Cache, train.MaxInsts)
+	if err != nil {
+		return baseline.Targets{}, err
+	}
+	mispred, err := statsim.MispredRate(t, train.Predictor, train.MaxInsts)
 	if err != nil {
 		return baseline.Targets{}, err
 	}

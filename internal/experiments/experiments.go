@@ -175,13 +175,18 @@ type Pair struct {
 // budget; every timing run uses at most 1×).
 func traceBudget(opts Options) uint64 { return opts.TimingInsts * 2 }
 
-// traceCovers reports whether t can stand in for executing its program up
-// to maxInsts instructions: the trace must either contain the complete
-// run (halted) or at least maxInsts instructions. Consumers fall back to
-// execution-driven simulation when it cannot (e.g. a Pair built by hand,
-// or options asking for more instructions than Prepare captured).
-func traceCovers(t *dyntrace.Trace, maxInsts uint64) bool {
-	return t != nil && (t.Halted() || (maxInsts > 0 && t.Insts() >= maxInsts))
+// traceFor returns a trace covering the first n instructions of p (n = 0:
+// the complete run) — the single front end of every timing run, cache
+// sweep, and predictor walk. It returns t itself when t covers the window:
+// the trace holds the complete run (halted) or at least n instructions.
+// Otherwise (a Pair built by hand, or options asking for more instructions
+// than Prepare captured) it returns a fresh capture of p. Consumers
+// downstream of traceFor only ever replay.
+func traceFor(ctx context.Context, p *prog.Program, t *dyntrace.Trace, n uint64) (*dyntrace.Trace, error) {
+	if t != nil && (t.Halted() || (n > 0 && t.Insts() >= n)) {
+		return t, nil
+	}
+	return dyntrace.CaptureContext(ctx, p, n)
 }
 
 // Prepare profiles each selected workload, generates its clone, and
@@ -632,34 +637,11 @@ type Fig4Row struct {
 }
 
 // CacheMPI measures misses-per-instruction for every configuration in
-// cfgs by executing the program and feeding its data reference stream to
-// all caches at once. Prefer CacheMPIFromTrace when a captured trace is
-// available — it produces identical numbers without the interpreter.
-func CacheMPI(p *prog.Program, cfgs []cache.Config, maxInsts uint64) ([]float64, error) {
-	return CacheMPIContext(context.Background(), p, cfgs, maxInsts)
-}
-
-// CacheMPIContext is CacheMPI with cooperative cancellation: it captures
-// the program's first maxInsts instructions and replays the trace.
-func CacheMPIContext(ctx context.Context, p *prog.Program, cfgs []cache.Config, maxInsts uint64) ([]float64, error) {
-	t, err := dyntrace.CaptureContext(ctx, p, maxInsts)
-	if err != nil {
-		return nil, err
-	}
-	return CacheMPIFromTraceContext(ctx, t, cfgs, maxInsts)
-}
-
-// CacheMPIFromTrace is CacheMPI over a captured trace: it replays the
-// packed data-reference stream of the first maxInsts instructions
-// (0 = whole trace) through every configuration with no functional
-// execution.
-func CacheMPIFromTrace(t *dyntrace.Trace, cfgs []cache.Config, maxInsts uint64) ([]float64, error) {
-	return CacheMPIFromTraceContext(context.Background(), t, cfgs, maxInsts)
-}
-
-// CacheMPIFromTraceContext is CacheMPIFromTrace with cooperative
-// cancellation inside the replay loop.
-func CacheMPIFromTraceContext(ctx context.Context, t *dyntrace.Trace, cfgs []cache.Config, maxInsts uint64) ([]float64, error) {
+// cfgs over the first maxInsts instructions of a captured trace (0 = the
+// whole trace): the packed data-reference stream goes through all caches
+// in one pass (cache.ReplaySet), polling ctx as it goes. No functional
+// execution is involved.
+func CacheMPI(ctx context.Context, t *dyntrace.Trace, cfgs []cache.Config, maxInsts uint64) ([]float64, error) {
 	rs, err := cache.NewReplaySet(cfgs)
 	if err != nil {
 		return nil, err
@@ -682,22 +664,10 @@ func CacheMPIFromTraceContext(ctx context.Context, t *dyntrace.Trace, cfgs []cac
 	return mpi, nil
 }
 
-// cacheMPIFor dispatches to trace replay when t covers the budget.
-func cacheMPIFor(ctx context.Context, p *prog.Program, t *dyntrace.Trace, cfgs []cache.Config, maxInsts uint64) ([]float64, error) {
-	if traceCovers(t, maxInsts) {
-		return CacheMPIFromTraceContext(ctx, t, cfgs, maxInsts)
-	}
-	return CacheMPIContext(ctx, p, cfgs, maxInsts)
-}
-
-// Fig4 reproduces Figure 4: per-workload Pearson correlation of real vs
-// clone misses-per-instruction deltas across the 28 cache configurations.
-func Fig4(pairs []*Pair, opts Options) ([]Fig4Row, error) {
-	return Fig4Context(context.Background(), pairs, opts)
-}
-
-// Fig4Context is Fig4 with cancellation and per-workload checkpointing
-// (stage "fig4", one cell per workload).
+// Fig4Context reproduces Figure 4: per-workload Pearson correlation of
+// real vs clone misses-per-instruction deltas across the 28 cache
+// configurations, with per-workload checkpointing (stage "fig4", one cell
+// per workload).
 func Fig4Context(ctx context.Context, pairs []*Pair, opts Options) ([]Fig4Row, error) {
 	opts = opts.withDefaults()
 	ctx, cancelStage := stageContext(ctx, opts, "fig4")
@@ -712,11 +682,11 @@ func Fig4Context(ctx context.Context, pairs []*Pair, opts Options) ([]Fig4Row, e
 	err = forEach(ctx, opts, len(pairs), func(i int) error {
 		pr := pairs[i]
 		return stageCell(ctx, sr, pr.Name, &rows[i], func(tctx context.Context) error {
-			real, err := sweep28(tctx, pr, false, opts.TimingInsts*2)
+			real, err := sweep28(tctx, pr, false, traceBudget(opts))
 			if err != nil {
 				return err
 			}
-			clone, err := sweep28(tctx, pr, true, opts.TimingInsts*2)
+			clone, err := sweep28(tctx, pr, true, traceBudget(opts))
 			if err != nil {
 				return err
 			}
@@ -789,14 +759,9 @@ type BaseRow struct {
 	PowerErr   float64
 }
 
-// Fig6and7 reproduces Figures 6 and 7: absolute IPC and power of real
-// benchmark vs clone on the Table 2 base configuration.
-func Fig6and7(pairs []*Pair, opts Options) ([]BaseRow, error) {
-	return Fig6and7Context(context.Background(), pairs, opts)
-}
-
-// Fig6and7Context is Fig6and7 with cancellation and per-workload
-// checkpointing (stage "fig6and7").
+// Fig6and7Context reproduces Figures 6 and 7: absolute IPC and power of
+// real benchmark vs clone on the Table 2 base configuration, with
+// per-workload checkpointing (stage "fig6and7").
 func Fig6and7Context(ctx context.Context, pairs []*Pair, opts Options) ([]BaseRow, error) {
 	opts = opts.withDefaults()
 	ctx, cancelStage := stageContext(ctx, opts, "fig6and7")
@@ -888,18 +853,14 @@ type table3Cell struct {
 	Rows []DesignRow
 }
 
-// Table3 reproduces Table 3 (and provides the Figures 8/9 series via the
-// returned per-workload rows for the "double width" change).
-func Table3(pairs []*Pair, opts Options) ([]DesignRow, []Table3Summary, error) {
-	return Table3Context(context.Background(), pairs, opts)
-}
-
-// Table3Context is Table3 with cancellation and checkpointing: one cell
-// per workload in stage "table3", each cell holding the baseline and
-// every design-change row. A workload's entire sweep (base + all five
-// changes, real and clone) runs as two fused replays over its traces —
-// the worker pool parallelizes across workloads, not (workload × config)
-// cells, so each trace is decoded exactly once per program.
+// Table3Context reproduces Table 3 (and provides the Figures 8/9 series
+// via the returned per-workload rows for the "double width" change), with
+// checkpointing: one cell per workload in stage "table3", each cell
+// holding the baseline and every design-change row. A workload's entire
+// sweep (base + all five changes, real and clone) runs as two fused
+// replays over its traces — the worker pool parallelizes across
+// workloads, not (workload × config) cells, so each trace is decoded
+// exactly once per program.
 func Table3Context(ctx context.Context, pairs []*Pair, opts Options) ([]DesignRow, []Table3Summary, error) {
 	opts = opts.withDefaults()
 	ctx, cancelStage := stageContext(ctx, opts, "table3")

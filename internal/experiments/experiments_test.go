@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestFig3(t *testing.T) {
 func TestFig4And5(t *testing.T) {
 	opts := smallOpts()
 	pairs := preparePairs(t)
-	rows, err := Fig4(pairs, opts)
+	rows, err := Fig4Context(context.Background(), pairs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestFig4And5(t *testing.T) {
 
 func TestFig6and7(t *testing.T) {
 	opts := smallOpts()
-	rows, err := Fig6and7(preparePairs(t), opts)
+	rows, err := Fig6and7Context(context.Background(), preparePairs(t), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestFig6and7(t *testing.T) {
 
 func TestTable3AndFig8(t *testing.T) {
 	opts := smallOpts()
-	rows, sums, err := Table3(preparePairs(t), opts)
+	rows, sums, err := Table3Context(context.Background(), preparePairs(t), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestTable3AndFig8(t *testing.T) {
 
 func TestCacheMPIReferenceConfigIsWorst(t *testing.T) {
 	pairs := preparePairs(t)
-	mpi, err := CacheMPI(pairs[0].Real, cache.Sweep28(), 200_000)
+	mpi, err := CacheMPI(context.Background(), pairs[0].RealTrace, cache.Sweep28(), 200_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestReportPrinters(t *testing.T) {
 	pairs := preparePairs(t)
 	var sb strings.Builder
 	PrintFig3(&sb, Fig3(pairs))
-	rows, err := Fig4(pairs, opts)
+	rows, err := Fig4Context(context.Background(), pairs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +174,12 @@ func TestReportPrinters(t *testing.T) {
 		t.Fatal(err)
 	}
 	PrintFig5(&sb, pts)
-	base, err := Fig6and7(pairs, opts)
+	base, err := Fig6and7Context(context.Background(), pairs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	PrintFig6and7(&sb, base)
-	drows, sums, err := Table3(pairs, opts)
+	drows, sums, err := Table3Context(context.Background(), pairs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestAblationSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Ablation(pairs, opts)
+	rows, err := AblationContext(context.Background(), pairs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,17 +29,12 @@ type PredictorRow struct {
 // extensionPredictors are swept in order.
 var extensionPredictors = []string{"gap", "gshare", "bimodal", "taken", "not-taken"}
 
-// PredictorSweep measures real and clone IPC under each predictor. Each
-// workload's whole predictor sweep runs as one fused replay of its pair
-// of captured traces (uarch.ReplayMulti), with the worker pool
-// parallelizing across workloads.
-func PredictorSweep(pairs []*Pair, opts Options) ([]PredictorRow, error) {
-	return PredictorSweepContext(context.Background(), pairs, opts)
-}
-
-// PredictorSweepContext is PredictorSweep with cancellation and
-// per-workload checkpointing (stage "predictor-sweep", one cell per
-// workload holding its full row set).
+// PredictorSweepContext measures real and clone IPC under each
+// predictor. Each workload's whole predictor sweep runs as one fused
+// replay of its pair of captured traces (uarch.ReplayMultiWorkers), with
+// the worker pool parallelizing across workloads. Checkpointing is
+// per workload (stage "predictor-sweep", one cell per workload holding
+// its full row set).
 func PredictorSweepContext(ctx context.Context, pairs []*Pair, opts Options) ([]PredictorRow, error) {
 	opts = opts.withDefaults()
 	ctx, cancelStage := stageContext(ctx, opts, "predictor-sweep")
@@ -136,14 +131,8 @@ type PrefetchRow struct {
 	CloneSpeedup float64
 }
 
-// PrefetchStudy measures the prefetch response of real programs and their
-// clones.
-func PrefetchStudy(pairs []*Pair, opts Options) ([]PrefetchRow, error) {
-	return PrefetchStudyContext(context.Background(), pairs, opts)
-}
-
-// PrefetchStudyContext is PrefetchStudy with cancellation and
-// per-workload checkpointing (stage "prefetch").
+// PrefetchStudyContext measures the prefetch response of real programs
+// and their clones, with per-workload checkpointing (stage "prefetch").
 func PrefetchStudyContext(ctx context.Context, pairs []*Pair, opts Options) ([]PrefetchRow, error) {
 	opts = opts.withDefaults()
 	ctx, cancelStage := stageContext(ctx, opts, "prefetch")
@@ -214,15 +203,10 @@ type L2Row struct {
 // so the smallest point behaves like no L2 at all).
 var l2Sizes = []int{16, 32, 64, 128, 256}
 
-// L2Sweep measures real and clone IPC across L2 sizes; each workload's
-// size sweep runs as one fused replay per program.
-func L2Sweep(pairs []*Pair, opts Options) ([]L2Row, error) {
-	return L2SweepContext(context.Background(), pairs, opts)
-}
-
-// L2SweepContext is L2Sweep with cancellation and per-workload
-// checkpointing (stage "l2-sweep", one cell per workload holding its
-// full row set).
+// L2SweepContext measures real and clone IPC across L2 sizes; each
+// workload's size sweep runs as one fused replay per program.
+// Checkpointing is per workload (stage "l2-sweep", one cell per workload
+// holding its full row set).
 func L2SweepContext(ctx context.Context, pairs []*Pair, opts Options) ([]L2Row, error) {
 	opts = opts.withDefaults()
 	ctx, cancelStage := stageContext(ctx, opts, "l2-sweep")

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -8,7 +9,7 @@ import (
 func TestPredictorSweep(t *testing.T) {
 	opts := smallOpts()
 	pairs := preparePairs(t)
-	rows, err := PredictorSweep(pairs, opts)
+	rows, err := PredictorSweepContext(context.Background(), pairs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestPredictorSweep(t *testing.T) {
 func TestL2Sweep(t *testing.T) {
 	opts := smallOpts()
 	pairs := preparePairs(t)
-	rows, err := L2Sweep(pairs, opts)
+	rows, err := L2SweepContext(context.Background(), pairs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestL2Sweep(t *testing.T) {
 func TestStatsimComparison(t *testing.T) {
 	opts := smallOpts()
 	pairs := preparePairs(t)
-	rows, err := StatsimComparison(pairs, opts)
+	rows, err := StatsimComparisonContext(context.Background(), pairs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestInputSensitivitySmoke(t *testing.T) {
 		TimingInsts:  200_000,
 		Parallel:     true,
 	}
-	rows, err := InputSensitivity(opts)
+	rows, err := InputSensitivityContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
+	"perfclone/internal/dyntrace"
 	"perfclone/internal/profile"
 	"perfclone/internal/stats"
 	"perfclone/internal/synth"
@@ -33,7 +35,7 @@ func TestHeadlineFidelity(t *testing.T) {
 	}
 
 	// Figure 4 band: measured ≈0.95 on this subset; fail below 0.75.
-	fig4, err := Fig4(pairs, opts)
+	fig4, err := Fig4Context(context.Background(), pairs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func TestHeadlineFidelity(t *testing.T) {
 	}
 
 	// Figures 6/7 band: measured ≈4-6 %; fail above 15 %.
-	base, err := Fig6and7(pairs, opts)
+	base, err := Fig6and7Context(context.Background(), pairs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func TestHeadlineFidelity(t *testing.T) {
 	}
 
 	// Table 3 band: measured ≈4 %; fail above 12 %.
-	_, sums, err := Table3(pairs, opts)
+	_, sums, err := Table3Context(context.Background(), pairs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +103,12 @@ func cloneIPCWithSeed(opts Options, seed uint64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	st, err := uarch.RunLimits(clone.Program, uarch.BaseConfig(),
-		uarch.Limits{Warmup: opts.TimingWarmup, MaxInsts: opts.TimingInsts})
+	lim := uarch.Limits{Warmup: opts.TimingWarmup, MaxInsts: opts.TimingInsts}
+	tr, err := dyntrace.Capture(clone.Program, lim.MaxInsts)
+	if err != nil {
+		return 0, err
+	}
+	st, err := uarch.ReplayContext(context.Background(), tr, uarch.BaseConfig(), lim)
 	if err != nil {
 		return 0, err
 	}

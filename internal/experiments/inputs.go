@@ -6,8 +6,9 @@ import (
 	"io"
 	"strings"
 
-	"perfclone/internal/power"
+	"perfclone/internal/dyntrace"
 	"perfclone/internal/profile"
+	"perfclone/internal/prog"
 	"perfclone/internal/stats"
 	"perfclone/internal/synth"
 	"perfclone/internal/uarch"
@@ -36,14 +37,10 @@ type InputRow struct {
 	LargeCloneErr float64
 }
 
-// InputSensitivity runs the assimilation study over every kernel that has
-// a large-input variant.
-func InputSensitivity(opts Options) ([]InputRow, error) {
-	return InputSensitivityContext(context.Background(), opts)
-}
-
-// InputSensitivityContext is InputSensitivity with cancellation and
-// per-kernel checkpointing (stage "inputs").
+// InputSensitivityContext runs the assimilation study over every kernel
+// that has a large-input variant, with per-kernel checkpointing (stage
+// "inputs"). Each of the four programs is captured once and replayed on
+// the base configuration.
 func InputSensitivityContext(ctx context.Context, opts Options) ([]InputRow, error) {
 	opts = opts.withDefaults()
 	ctx, cancelStage := stageContext(ctx, opts, "inputs")
@@ -85,23 +82,17 @@ func InputSensitivityContext(ctx context.Context, opts Options) ([]InputRow, err
 				return err
 			}
 
-			rs, err := uarch.RunLimitsContext(tctx, smallProg, base, lim)
-			if err != nil {
-				return err
+			var st [4]uarch.Stats
+			for k, p := range []*prog.Program{smallProg, largeProg, smallClone.Program, largeClone.Program} {
+				t, err := dyntrace.CaptureContext(tctx, p, lim.MaxInsts)
+				if err != nil {
+					return err
+				}
+				if st[k], err = uarch.ReplayContext(tctx, t, base, lim); err != nil {
+					return err
+				}
 			}
-			rl, err := uarch.RunLimitsContext(tctx, largeProg, base, lim)
-			if err != nil {
-				return err
-			}
-			cs, err := uarch.RunLimitsContext(tctx, smallClone.Program, base, lim)
-			if err != nil {
-				return err
-			}
-			cl, err := uarch.RunLimitsContext(tctx, largeClone.Program, base, lim)
-			if err != nil {
-				return err
-			}
-			_ = power.Estimate(rs) // exercised for parity; IPC is the metric here
+			rs, rl, cs, cl := st[0], st[1], st[2], st[3]
 
 			evs, err := stats.AbsRelError(cs.IPC(), rs.IPC())
 			if err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"perfclone/internal/cache"
 	"perfclone/internal/dyntrace"
-	"perfclone/internal/prog"
 	"perfclone/internal/supervise"
 	"perfclone/internal/uarch"
 )
@@ -50,13 +49,14 @@ func newStatsKey(clone bool, cfg uarch.Config, lim uarch.Limits) statsKey {
 // seam for asserting that nothing is simulated twice.
 var testComputeHook func(pair string, key any)
 
-// side returns the program and trace of the pair's real program or its
-// clone.
-func (pr *Pair) side(clone bool) (*prog.Program, *dyntrace.Trace) {
+// trace returns a trace covering the first n instructions of pr's real
+// program or its clone: the pair's captured trace, or a fresh capture
+// when that one is too short (see traceFor).
+func (pr *Pair) trace(ctx context.Context, clone bool, n uint64) (*dyntrace.Trace, error) {
 	if clone {
-		return pr.Clone.Program, pr.CloneTrace
+		return traceFor(ctx, pr.Clone.Program, pr.CloneTrace, n)
 	}
-	return pr.Real, pr.RealTrace
+	return traceFor(ctx, pr.Real, pr.RealTrace, n)
 }
 
 // runTimed times one side of pr on cfg (see runTimedMulti).
@@ -70,10 +70,11 @@ func runTimed(ctx context.Context, pr *Pair, clone bool, cfg uarch.Config, lim u
 
 // runTimedMulti times one side of pr on every configuration in cfgs.
 // Results already in the pair's memo are reused; the missing
-// configurations are simulated together (simulate) and memoized. Each
-// configuration's result is independent of which others share the fused
-// walk and of the worker count, so a partly memoized sweep is
-// bit-identical to simulating all of cfgs.
+// configurations are replayed together in one fused trace walk
+// (uarch.ReplayMultiWorkers over traceFor's trace, striped across workers
+// goroutines) and memoized. Each configuration's result is independent of
+// which others share the walk and of the worker count, so a partly
+// memoized sweep is bit-identical to simulating all of cfgs.
 func runTimedMulti(ctx context.Context, pr *Pair, clone bool, cfgs []uarch.Config, lim uarch.Limits, workers int) ([]uarch.Stats, error) {
 	out := make([]uarch.Stats, len(cfgs))
 	var missing []int
@@ -97,8 +98,11 @@ func runTimedMulti(ctx context.Context, pr *Pair, clone bool, cfgs []uarch.Confi
 			testComputeHook(pr.Name, newStatsKey(clone, cfgs[i], lim))
 		}
 	}
-	p, t := pr.side(clone)
-	got, err := simulate(ctx, p, t, todo, lim, workers)
+	t, err := pr.trace(ctx, clone, lim.MaxInsts)
+	if err != nil {
+		return nil, err
+	}
+	got, err := uarch.ReplayMultiWorkers(ctx, t, todo, lim, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -118,29 +122,6 @@ func runTimedMulti(ctx context.Context, pr *Pair, clone bool, cfgs []uarch.Confi
 	return out, nil
 }
 
-// simulate times p on every configuration in cfgs. When the captured
-// trace covers the window, the whole sweep fuses into a single trace
-// walk (uarch.ReplayMultiWorkers): the stream is decoded once and feeds
-// all pipelines, with the configurations striped across workers
-// goroutines (1 = fully serial). Otherwise it falls back to serial
-// execution-driven runs. Either way the results are bit-identical to
-// len(cfgs) serial single-configuration runs for every worker count, so
-// checkpointed rows from older runs stay valid.
-func simulate(ctx context.Context, p *prog.Program, t *dyntrace.Trace, cfgs []uarch.Config, lim uarch.Limits, workers int) ([]uarch.Stats, error) {
-	if traceCovers(t, lim.MaxInsts) {
-		return uarch.ReplayMultiWorkers(ctx, t, cfgs, lim, workers)
-	}
-	out := make([]uarch.Stats, len(cfgs))
-	for i, cfg := range cfgs {
-		st, err := uarch.RunLimitsContext(ctx, p, cfg, lim)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = st
-	}
-	return out, nil
-}
-
 // sweep28 returns one side of pr's misses-per-instruction across the 28
 // cache.Sweep28 configurations over the first budget instructions,
 // computing it at most once per pair. The caller owns the returned
@@ -156,8 +137,11 @@ func sweep28(ctx context.Context, pr *Pair, clone bool, budget uint64) ([]float6
 	if testComputeHook != nil {
 		testComputeHook(pr.Name, key)
 	}
-	p, t := pr.side(clone)
-	row, err := cacheMPIFor(ctx, p, t, cache.Sweep28(), budget)
+	t, err := pr.trace(ctx, clone, budget)
+	if err != nil {
+		return nil, err
+	}
+	row, err = CacheMPI(ctx, t, cache.Sweep28(), budget)
 	if err != nil {
 		return nil, err
 	}

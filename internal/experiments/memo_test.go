@@ -296,3 +296,45 @@ func TestComputeOnceAblationStore(t *testing.T) {
 		t.Fatalf("corrupt baseline trace: counters %+v, want 1 quarantined and recomputed", c)
 	}
 }
+
+// TestTraceForExtendsShortPairs pins traceFor's extend-by-capture
+// behaviour: pairs prepared at a small timing budget, then run at a larger
+// one, must render every timing and cache stage byte-identically to pairs
+// prepared at the larger budget. Their captured traces are too short, so
+// each consumer times a fresh, long-enough capture instead.
+func TestTraceForExtendsShortPairs(t *testing.T) {
+	ctx := context.Background()
+	short := computeOnceOpts()
+	short.TimingInsts = 100_000
+	long := computeOnceOpts()
+	long.TimingInsts = 250_000
+	shortPairs, err := Prepare(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	longPairs, err := Prepare(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pr := range shortPairs {
+		for _, tr := range []*dyntrace.Trace{pr.RealTrace, pr.CloneTrace} {
+			if tr.Halted() || tr.Insts() >= long.TimingInsts {
+				t.Fatalf("%s: trace of %d insts (halted %v) already covers the long budget; the test would not extend it",
+					pr.Name, tr.Insts(), tr.Halted())
+			}
+		}
+	}
+	for _, stage := range []string{"fig4", "fig6and7", "table3"} {
+		got, err := renderStage(ctx, stage, shortPairs, long)
+		if err != nil {
+			t.Fatalf("%s on short pairs: %v", stage, err)
+		}
+		want, err := renderStage(ctx, stage, longPairs, long)
+		if err != nil {
+			t.Fatalf("%s on long pairs: %v", stage, err)
+		}
+		if got != want {
+			t.Errorf("%s: short pairs render differently from long pairs\n--- short ---\n%s--- long ---\n%s", stage, got, want)
+		}
+	}
+}

@@ -20,46 +20,13 @@ import (
 // and strided/recursive access (fft).
 var goldenWorkloads = []string{"crc32", "qsort", "fft"}
 
-// TestReplayGoldenUarch proves the trace-replay timing path is
-// bit-identical to the execution-driven path: every field of uarch.Stats
-// must match, not just IPC.
-func TestReplayGoldenUarch(t *testing.T) {
-	base := uarch.BaseConfig()
-	lim := uarch.Limits{Warmup: 50_000, MaxInsts: 150_000}
-	for _, name := range goldenWorkloads {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := w.Build()
-		tr, err := dyntrace.Capture(p, lim.MaxInsts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exec, err := uarch.RunLimits(p, base, lim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		replay, err := uarch.Replay(tr, base, lim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(exec, replay) {
-			t.Errorf("%s: replay stats diverge from execution\nexec:   %+v\nreplay: %+v", name, exec, replay)
-		}
-		if exec.IPC() != replay.IPC() {
-			t.Errorf("%s: IPC %v (exec) != %v (replay)", name, exec.IPC(), replay.IPC())
-		}
-	}
-}
-
 // TestReplayGoldenCacheMPI proves the packed-stream cache replay produces
 // bit-identical misses-per-instruction across all 28 configurations:
-// CacheMPI (which captures and replays), CacheMPIFromTrace on a separate
-// capture, and an execution-driven reference — one standalone cache.Cache
-// per configuration fed straight from the functional simulator — must
-// agree exactly. The 1M-instruction crc32 and qsort cases are the
-// examples/cachestudy inputs.
+// CacheMPI over an exact-length capture, CacheMPI over the prefix of a
+// longer capture, and an execution-driven reference — one standalone
+// cache.Cache per configuration fed straight from the functional
+// simulator — must agree exactly. The 1M-instruction crc32 and qsort
+// cases are the examples/cachestudy inputs.
 func TestReplayGoldenCacheMPI(t *testing.T) {
 	cfgs := cache.Sweep28()
 	type tc struct {
@@ -81,18 +48,22 @@ func TestReplayGoldenCacheMPI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := CacheMPI(p, cfgs, c.maxInsts)
+		long, err := dyntrace.Capture(p, 2*c.maxInsts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		replay, err := CacheMPIFromTrace(tr, cfgs, c.maxInsts)
+		got, err := CacheMPI(context.Background(), tr, cfgs, c.maxInsts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replay, err := CacheMPI(context.Background(), long, cfgs, c.maxInsts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		exec := executedMPI(t, p, cfgs, c.maxInsts)
 		for k := range cfgs {
 			if math.Float64bits(got[k]) != math.Float64bits(exec[k]) || math.Float64bits(replay[k]) != math.Float64bits(exec[k]) {
-				t.Errorf("%s@%d cfg %s: MPI %v (CacheMPI), %v (trace replay), %v (execution)",
+				t.Errorf("%s@%d cfg %s: MPI %v (exact capture), %v (prefix of a longer capture), %v (execution)",
 					c.name, c.maxInsts, cfgs[k], got[k], replay[k], exec[k])
 			}
 		}
@@ -132,8 +103,8 @@ func executedMPI(t *testing.T, p *prog.Program, cfgs []cache.Config, maxInsts ui
 	return mpi
 }
 
-// TestReplayMultiGolden28 pins the fused timing replay against serial
-// replay over the full 28-configuration cache grid mapped onto the base
+// TestReplayMultiGolden28 pins the fused timing replay against
+// single-config replay over the full 28-configuration cache grid mapped onto the base
 // pipeline: one decode pass feeding 28 independent Sims must be
 // bit-identical, per uarch.Stats field, to 28 separate trace walks. Run
 // under `go test -race` in CI this also covers concurrent fused replays
@@ -159,12 +130,12 @@ func TestReplayMultiGolden28(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fused, err := uarch.ReplayMulti(tr, cfgs, lim)
+		fused, err := uarch.ReplayMultiWorkers(context.Background(), tr, cfgs, lim, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, cfg := range cfgs {
-			serial, err := uarch.Replay(tr, cfg, lim)
+			serial, err := uarch.ReplayContext(context.Background(), tr, cfg, lim)
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, cfg.Name, err)
 			}
@@ -200,22 +171,22 @@ func TestParallelGridRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig4Par, err := Fig4(pairs, opts)
+	fig4Par, err := Fig4Context(context.Background(), pairs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sumsPar, err := Table3(pairs, opts)
+	_, sumsPar, err := Table3Context(context.Background(), pairs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	serial := opts
 	serial.Parallel = false
-	fig4Ser, err := Fig4(pairs, serial)
+	fig4Ser, err := Fig4Context(context.Background(), pairs, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sumsSer, err := Table3(pairs, serial)
+	_, sumsSer, err := Table3Context(context.Background(), pairs, serial)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,13 +23,10 @@ type StatsimRow struct {
 	CloneErr    float64
 }
 
-// StatsimComparison measures all three at the Table 2 base configuration.
-func StatsimComparison(pairs []*Pair, opts Options) ([]StatsimRow, error) {
-	return StatsimComparisonContext(context.Background(), pairs, opts)
-}
-
-// StatsimComparisonContext is StatsimComparison with cancellation and
-// per-workload checkpointing (stage "statsim").
+// StatsimComparisonContext measures all three at the Table 2 base
+// configuration, with per-workload checkpointing (stage "statsim").
+// Statistical simulation's rates are measured on the real program's
+// trace, the same stream the detailed run replays.
 func StatsimComparisonContext(ctx context.Context, pairs []*Pair, opts Options) ([]StatsimRow, error) {
 	opts = opts.withDefaults()
 	ctx, cancelStage := stageContext(ctx, opts, "statsim")
@@ -53,11 +50,15 @@ func StatsimComparisonContext(ctx context.Context, pairs []*Pair, opts Options) 
 			if err != nil {
 				return err
 			}
-			rates, err := statsim.MeasureRates(pr.Real, base, opts.TimingInsts)
+			t, err := pr.trace(tctx, false, opts.TimingInsts)
 			if err != nil {
 				return err
 			}
-			est, err := statsim.Estimate(pr.Profile, rates, base, statsim.Options{TraceLen: opts.TimingInsts})
+			rates, err := statsim.MeasureRates(t, base, opts.TimingInsts)
+			if err != nil {
+				return err
+			}
+			est, err := statsim.Estimate(tctx, pr.Profile, rates, base, statsim.Options{TraceLen: opts.TimingInsts})
 			if err != nil {
 				return err
 			}

@@ -12,15 +12,15 @@
 package statsim
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"perfclone/internal/bpred"
 	"perfclone/internal/cache"
-	"perfclone/internal/funcsim"
+	"perfclone/internal/dyntrace"
 	"perfclone/internal/isa"
 	"perfclone/internal/profile"
-	"perfclone/internal/prog"
 	"perfclone/internal/uarch"
 )
 
@@ -34,9 +34,12 @@ type Rates struct {
 	Mispred float64
 }
 
-// MeasureRates replays a program against the configuration's data caches
-// and predictor.
-func MeasureRates(p *prog.Program, cfg uarch.Config, maxInsts uint64) (Rates, error) {
+// MeasureRates replays the first maxInsts instructions of a captured
+// trace (0 = the whole trace) against the configuration's data caches and
+// predictor: the packed data-reference stream goes through L1D, and on to
+// L2 on an L1D miss; the conditional branches' outcomes go through the
+// predictor (MispredRate). No functional execution is involved.
+func MeasureRates(t *dyntrace.Trace, cfg uarch.Config, maxInsts uint64) (Rates, error) {
 	l1, err := cache.New(cfg.L1D)
 	if err != nil {
 		return Rates{}, err
@@ -45,37 +48,57 @@ func MeasureRates(p *prog.Program, cfg uarch.Config, maxInsts uint64) (Rates, er
 	if err != nil {
 		return Rates{}, err
 	}
-	pred, err := bpred.ByName(string(cfg.Predictor))
+	mispred, err := MispredRate(t, string(cfg.Predictor), maxInsts)
 	if err != nil {
 		return Rates{}, err
 	}
-	var bLook, bMiss uint64
-	obs := func(ev *funcsim.Event) error {
-		if ev.Inst.Op.IsMem() {
-			if !l1.Access(ev.Addr, ev.Inst.Op.IsStore()) {
-				l2.Access(ev.Addr, ev.Inst.Op.IsStore())
-			}
+	addrs, storeBits := t.Mem(maxInsts)
+	for i, a := range addrs {
+		store := storeBits[i>>6]>>(uint(i)&63)&1 == 1
+		if !l1.Access(a, store) {
+			l2.Access(a, store)
 		}
-		if ev.Inst.Op.IsBranch() {
-			bLook++
-			if pred.Predict(ev.PC) != ev.Taken {
-				bMiss++
-			}
-			pred.Update(ev.PC, ev.Taken)
-		}
-		return nil
 	}
-	if _, err := funcsim.RunProgram(p, funcsim.Limits{MaxInsts: maxInsts}, obs); err != nil {
-		return Rates{}, err
-	}
-	r := Rates{
+	return Rates{
 		L1DMiss: l1.Stats().MissRate(),
 		L2Miss:  l2.Stats().MissRate(),
+		Mispred: mispred,
+	}, nil
+}
+
+// MispredRate is the conditional-branch misprediction rate of the first
+// maxInsts instructions of t (0 = the whole trace) under the named
+// predictor (see bpred.ByName), walking the static-id column and taken
+// bitset directly; 0 when no branch executes.
+func MispredRate(t *dyntrace.Trace, predName string, maxInsts uint64) (float64, error) {
+	pred, err := bpred.ByName(predName)
+	if err != nil {
+		return 0, err
 	}
-	if bLook > 0 {
-		r.Mispred = float64(bMiss) / float64(bLook)
+	n := t.Insts()
+	if maxInsts > 0 && n > maxInsts {
+		n = maxInsts
 	}
-	return r, nil
+	statics := t.Statics()
+	sids := t.SIDs()
+	takenBits := t.TakenBits()
+	var look, miss uint64
+	for i := uint64(0); i < n; i++ {
+		st := &statics[sids[i]]
+		if !st.Branch {
+			continue
+		}
+		taken := takenBits[i>>6]>>(i&63)&1 == 1
+		look++
+		if pred.Predict(st.PC) != taken {
+			miss++
+		}
+		pred.Update(st.PC, taken)
+	}
+	if look == 0 {
+		return 0, nil
+	}
+	return float64(miss) / float64(look), nil
 }
 
 // Options configure an estimate.
@@ -89,7 +112,9 @@ type Options struct {
 
 // Estimate generates a synthetic trace from the profile with the given
 // dependent rates and times it on cfg, returning pipeline statistics.
-func Estimate(prof *profile.Profile, rates Rates, cfg uarch.Config, opts Options) (uarch.Stats, error) {
+// The timing walk polls ctx once per chunk (uarch.RunTrace), so a
+// cancelled estimate returns the context's cause promptly.
+func Estimate(ctx context.Context, prof *profile.Profile, rates Rates, cfg uarch.Config, opts Options) (uarch.Stats, error) {
 	if len(prof.NodeList) == 0 {
 		return uarch.Stats{}, fmt.Errorf("statsim: profile %q has no SFG nodes", prof.Name)
 	}
@@ -100,7 +125,7 @@ func Estimate(prof *profile.Profile, rates Rates, cfg uarch.Config, opts Options
 		opts.Seed = 1
 	}
 	g := newTraceGen(prof, rates, cfg, opts.Seed)
-	return uarch.RunTrace(cfg, uarch.Limits{}, opts.TraceLen, g.next)
+	return uarch.RunTrace(ctx, cfg, uarch.Limits{}, opts.TraceLen, g.next)
 }
 
 // traceGen synthesizes the instruction stream.

@@ -1,31 +1,142 @@
 package statsim
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
+	"perfclone/internal/bpred"
+	"perfclone/internal/cache"
+	"perfclone/internal/dyntrace"
+	"perfclone/internal/funcsim"
 	"perfclone/internal/profile"
+	"perfclone/internal/prog"
 	"perfclone/internal/uarch"
 	"perfclone/internal/workloads"
 )
 
-func setup(t *testing.T, name string) (*profile.Profile, Rates, uarch.Config) {
+// capture builds the named workload and captures its first maxInsts
+// instructions.
+func capture(t *testing.T, name string, maxInsts uint64) (*prog.Program, *dyntrace.Trace) {
 	t.Helper()
 	w, err := workloads.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := w.Build()
+	tr, err := dyntrace.Capture(p, maxInsts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, tr
+}
+
+// timeDetailed times the first 400k instructions of p (100k warmup) on cfg.
+func timeDetailed(t *testing.T, p *prog.Program, cfg uarch.Config) uarch.Stats {
+	t.Helper()
+	lim := uarch.Limits{Warmup: 100_000, MaxInsts: 400_000}
+	tr, err := dyntrace.Capture(p, lim.MaxInsts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := uarch.ReplayContext(context.Background(), tr, cfg, lim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+func setup(t *testing.T, name string) (*profile.Profile, Rates, uarch.Config) {
+	t.Helper()
+	p, tr := capture(t, name, 300_000)
 	cfg := uarch.BaseConfig()
 	prof, err := profile.Collect(p, profile.Options{MaxInsts: 300_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rates, err := MeasureRates(p, cfg, 300_000)
+	rates, err := MeasureRates(tr, cfg, 300_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return prof, rates, cfg
+}
+
+// measureRatesExecuted is the execution-driven reference for
+// MeasureRates: the functional simulator's observer feeds every data
+// reference to L1D (and L2 on a miss) and every branch outcome to the
+// predictor as the program runs.
+func measureRatesExecuted(p *prog.Program, cfg uarch.Config, maxInsts uint64) (Rates, error) {
+	l1 := cache.MustNew(cfg.L1D)
+	l2 := cache.MustNew(cfg.L2)
+	pred, err := bpred.ByName(string(cfg.Predictor))
+	if err != nil {
+		return Rates{}, err
+	}
+	var bLook, bMiss uint64
+	obs := func(ev *funcsim.Event) error {
+		if ev.Inst.Op.IsMem() {
+			if !l1.Access(ev.Addr, ev.Inst.Op.IsStore()) {
+				l2.Access(ev.Addr, ev.Inst.Op.IsStore())
+			}
+		}
+		if ev.Inst.Op.IsBranch() {
+			bLook++
+			if pred.Predict(ev.PC) != ev.Taken {
+				bMiss++
+			}
+			pred.Update(ev.PC, ev.Taken)
+		}
+		return nil
+	}
+	if _, err := funcsim.RunProgram(p, funcsim.Limits{MaxInsts: maxInsts}, obs); err != nil {
+		return Rates{}, err
+	}
+	r := Rates{L1DMiss: l1.Stats().MissRate(), L2Miss: l2.Stats().MissRate()}
+	if bLook > 0 {
+		r.Mispred = float64(bMiss) / float64(bLook)
+	}
+	return r, nil
+}
+
+// TestMeasureRatesMatchesExecution pins the trace-driven rates bit-equal
+// to the execution-driven reference, including over a prefix of a longer
+// capture.
+func TestMeasureRatesMatchesExecution(t *testing.T) {
+	cfg := uarch.BaseConfig()
+	const budget = 300_000
+	for _, name := range []string{"crc32", "qsort", "fft"} {
+		p, tr := capture(t, name, 2*budget)
+		got, err := MeasureRates(tr, cfg, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := measureRatesExecuted(p, cfg, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.L1DMiss) != math.Float64bits(want.L1DMiss) ||
+			math.Float64bits(got.L2Miss) != math.Float64bits(want.L2Miss) ||
+			math.Float64bits(got.Mispred) != math.Float64bits(want.Mispred) {
+			t.Errorf("%s: rates %+v (trace), %+v (execution)", name, got, want)
+		}
+	}
+}
+
+// TestEstimateCancelled: an estimate under an already-cancelled context
+// returns the context's cause and zero Stats.
+func TestEstimateCancelled(t *testing.T) {
+	prof, rates, cfg := setup(t, "crc32")
+	cause := errors.New("stage abandoned")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	st, err := Estimate(ctx, prof, rates, cfg, Options{TraceLen: 200_000})
+	if !errors.Is(err, cause) {
+		t.Fatalf("err = %v, want %v", err, cause)
+	}
+	if st != (uarch.Stats{}) {
+		t.Fatalf("cancelled estimate returned stats %+v", st)
+	}
 }
 
 func TestEstimateApproximatesDetailedIPC(t *testing.T) {
@@ -40,11 +151,8 @@ func TestEstimateApproximatesDetailedIPC(t *testing.T) {
 			w, _ := workloads.ByName(name)
 			p := w.Build()
 			prof, rates, cfg := setup(t, name)
-			detailed, err := uarch.RunLimits(p, cfg, uarch.Limits{Warmup: 100_000, MaxInsts: 400_000})
-			if err != nil {
-				t.Fatal(err)
-			}
-			est, err := Estimate(prof, rates, cfg, Options{TraceLen: 300_000})
+			detailed := timeDetailed(t, p, cfg)
+			est, err := Estimate(context.Background(), prof, rates, cfg, Options{TraceLen: 300_000})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,11 +170,11 @@ func TestEstimateInjectsRates(t *testing.T) {
 	prof, _, cfg := setup(t, "crc32")
 	// Force heavy misses: the estimated IPC must drop substantially
 	// versus a no-miss estimate.
-	fast, err := Estimate(prof, Rates{}, cfg, Options{TraceLen: 200_000})
+	fast, err := Estimate(context.Background(), prof, Rates{}, cfg, Options{TraceLen: 200_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := Estimate(prof, Rates{L1DMiss: 0.5, L2Miss: 0.8, Mispred: 0.2}, cfg, Options{TraceLen: 200_000})
+	slow, err := Estimate(context.Background(), prof, Rates{L1DMiss: 0.5, L2Miss: 0.8, Mispred: 0.2}, cfg, Options{TraceLen: 200_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +191,11 @@ func TestEstimateInjectsRates(t *testing.T) {
 
 func TestEstimateDeterministic(t *testing.T) {
 	prof, rates, cfg := setup(t, "fft")
-	a, err := Estimate(prof, rates, cfg, Options{TraceLen: 100_000, Seed: 5})
+	a, err := Estimate(context.Background(), prof, rates, cfg, Options{TraceLen: 100_000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Estimate(prof, rates, cfg, Options{TraceLen: 100_000, Seed: 5})
+	b, err := Estimate(context.Background(), prof, rates, cfg, Options{TraceLen: 100_000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +205,7 @@ func TestEstimateDeterministic(t *testing.T) {
 }
 
 func TestEstimateRejectsEmptyProfile(t *testing.T) {
-	if _, err := Estimate(&profile.Profile{Name: "x"}, Rates{}, uarch.BaseConfig(), Options{}); err == nil {
+	if _, err := Estimate(context.Background(), &profile.Profile{Name: "x"}, Rates{}, uarch.BaseConfig(), Options{}); err == nil {
 		t.Fatal("empty profile accepted")
 	}
 }
@@ -106,14 +214,13 @@ func TestEstimateRejectsEmptyProfile(t *testing.T) {
 // criticism: rates measured at the base configuration misestimate a
 // different cache configuration, where the clone (by construction) adapts.
 func TestStatisticalSimulationIsMicroarchDependent(t *testing.T) {
-	w, _ := workloads.ByName("basicmath")
-	p := w.Build()
+	p, tr := capture(t, "basicmath", 300_000)
 	base := uarch.BaseConfig()
 	prof, err := profile.Collect(p, profile.Options{MaxInsts: 300_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseRates, err := MeasureRates(p, base, 300_000)
+	baseRates, err := MeasureRates(tr, base, 300_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,23 +228,20 @@ func TestStatisticalSimulationIsMicroarchDependent(t *testing.T) {
 	tiny := base
 	tiny.L1D.Size = 512
 	tiny.Name = "tiny-l1d"
-	detailedTiny, err := uarch.RunLimits(p, tiny, uarch.Limits{Warmup: 100_000, MaxInsts: 400_000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	detailedTiny := timeDetailed(t, p, tiny)
 	// Statistical simulation reuses the BASE rates at the tiny config —
 	// exactly what a fixed statistical profile would do.
-	estStale, err := Estimate(prof, baseRates, tiny, Options{TraceLen: 300_000})
+	estStale, err := Estimate(context.Background(), prof, baseRates, tiny, Options{TraceLen: 300_000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// With re-measured rates it does fine — the point is that the
 	// profile must be re-collected per configuration.
-	freshRates, err := MeasureRates(p, tiny, 300_000)
+	freshRates, err := MeasureRates(tr, tiny, 300_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	estFresh, err := Estimate(prof, freshRates, tiny, Options{TraceLen: 300_000})
+	estFresh, err := Estimate(context.Background(), prof, freshRates, tiny, Options{TraceLen: 300_000})
 	if err != nil {
 		t.Fatal(err)
 	}

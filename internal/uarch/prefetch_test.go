@@ -1,6 +1,8 @@
 package uarch
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"perfclone/internal/isa"
@@ -71,7 +73,7 @@ func TestRunTraceBasics(t *testing.T) {
 		}
 		return ti
 	}
-	st, err := RunTrace(cfg, Limits{}, 50_000, gen)
+	st, err := RunTrace(context.Background(), cfg, Limits{}, 50_000, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +87,7 @@ func TestRunTraceBasics(t *testing.T) {
 		t.Fatalf("branch lookups %d, want 5000", st.BranchLookups)
 	}
 	// A warmup-bounded trace run measures only the post-warmup portion.
-	warm, err := RunTrace(cfg, Limits{Warmup: 20_000}, 50_000, gen)
+	warm, err := RunTrace(context.Background(), cfg, Limits{Warmup: 20_000}, 50_000, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +95,36 @@ func TestRunTraceBasics(t *testing.T) {
 		t.Fatalf("measured %d after warmup, want 30000", warm.Insts)
 	}
 	// MaxInsts clips the generated stream.
-	clipped, err := RunTrace(cfg, Limits{MaxInsts: 1_000}, 50_000, gen)
+	clipped, err := RunTrace(context.Background(), cfg, Limits{MaxInsts: 1_000}, 50_000, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if clipped.Insts != 1_000 {
 		t.Fatalf("clipped run committed %d", clipped.Insts)
+	}
+}
+
+// TestRunTraceCancelled: a synthetic run under an already-cancelled
+// context must return the context's cause with zero Stats, without
+// generating the stream.
+func TestRunTraceCancelled(t *testing.T) {
+	cause := errors.New("stage abandoned")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	var generated uint64
+	gen := func(i uint64) TraceInst {
+		generated++
+		return TraceInst{PC: 1<<41 + (i%64)*8, Class: isa.ClassIntALU, Dest: isa.IntReg(1)}
+	}
+	st, err := RunTrace(ctx, BaseConfig(), Limits{}, 3*streamChunk, gen)
+	if !errors.Is(err, cause) {
+		t.Fatalf("err = %v, want %v", err, cause)
+	}
+	if st != (Stats{}) {
+		t.Fatalf("cancelled run returned stats %+v", st)
+	}
+	if generated != 0 {
+		t.Fatalf("cancelled run generated %d records", generated)
 	}
 }
 
@@ -117,11 +143,11 @@ func TestRunTraceMemoryStream(t *testing.T) {
 			}
 		}
 	}
-	hot, err := RunTrace(cfg, Limits{}, 20_000, mk(0))
+	hot, err := RunTrace(context.Background(), cfg, Limits{}, 20_000, mk(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := RunTrace(cfg, Limits{}, 20_000, mk(64))
+	cold, err := RunTrace(context.Background(), cfg, Limits{}, 20_000, mk(64))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"perfclone/internal/supervise"
 )
 
-// decodeTable is the per-trace decode product ReplayMulti memoizes on
+// decodeTable is the per-trace decode product the replay walk memoizes on
 // the trace (dyntrace.Trace.DecodeCache): a TraceInst template per
 // static instruction (everything but Addr and Taken is static) plus the
 // memory-op flags the chunk decoder needs to pair static ids with the
@@ -75,7 +75,7 @@ func (d *chunkDecoder) done() bool { return d.base >= d.n }
 
 // next decodes the next chunk into dst (len(dst) >= streamChunk) and
 // returns the record count; the chunk boundaries are the exact
-// streamChunk boundaries serial Replay and execution-driven runs use.
+// streamChunk boundaries of every walk, serial or parallel.
 // The cursor streams both dynamic columns in chunk-sized bites: on a
 // zero-copy (v2) trace it varint-decodes straight out of the mmap, on a
 // captured trace it returns aliasing subslices. Either way a malformed
@@ -132,34 +132,24 @@ func (d *chunkDecoder) next(dst []TraceInst) (int, error) {
 	return int(c), nil
 }
 
-// ReplayMulti times one captured trace on every configuration in cfgs,
-// decoding each streamChunk of TraceInst records once and feeding it to
-// all pipelines in lockstep. Each config keeps its own independent Sim,
-// and the chunk boundaries are identical to serial Replay's, so the
-// returned Stats are bit-identical to len(cfgs) serial Replay calls —
-// the decode cost (static-id stream, address stream, taken bitset,
-// template expansion) is simply amortized N ways. This is what makes
-// wide config sweeps (Table 3's design changes, the predictor and L2
-// sweeps) cost one trace walk instead of N.
-func ReplayMulti(t *dyntrace.Trace, cfgs []Config, lim Limits) ([]Stats, error) {
-	return ReplayMultiContext(context.Background(), t, cfgs, lim)
-}
-
-// ReplayMultiContext is ReplayMulti with cooperative cancellation,
-// polling ctx once per chunk across all configs.
-func ReplayMultiContext(ctx context.Context, t *dyntrace.Trace, cfgs []Config, lim Limits) ([]Stats, error) {
-	return ReplayMultiWorkers(ctx, t, cfgs, lim, 1)
-}
-
-// ReplayMultiWorkers is ReplayMultiContext with the per-config pipelines
-// spread over workers goroutines: a producer decodes each chunk once and
-// fans it out to the workers behind a chunk barrier, and each worker
-// drives a fixed stripe of the configs (worker w owns configs w,
-// w+workers, …). Results are gathered in config order after every worker
-// has drained, so the returned Stats are bit-identical to ReplayMulti
-// for any worker count — each pipeline consumes the identical chunk
-// sequence at the identical boundaries, just on a different goroutine.
-// workers is clamped to [1, len(cfgs)]; 1 selects the serial walk.
+// ReplayMultiWorkers times one captured trace on every configuration in
+// cfgs — the one trace walk every timing run goes through. Each
+// streamChunk of TraceInst records is decoded once and fed to all
+// pipelines; each config keeps its own independent Sim, so the returned
+// Stats are bit-identical to len(cfgs) single-config ReplayContext calls
+// and the decode cost (static-id stream, address stream, taken bitset,
+// template expansion) is amortized N ways. This is what makes wide config
+// sweeps (Table 3's design changes, the predictor and L2 sweeps) cost one
+// trace walk instead of N.
+//
+// The per-config pipelines are spread over workers goroutines: a producer
+// decodes each chunk once and fans it out to the workers behind a chunk
+// barrier, and each worker drives a fixed stripe of the configs (worker w
+// owns configs w, w+workers, …). Results are gathered in config order
+// after every worker has drained, so the Stats are bit-identical for any
+// worker count — each pipeline consumes the identical chunk sequence at
+// the identical boundaries, just on a different goroutine. workers is
+// clamped to [1, len(cfgs)]; 1 selects the serial walk.
 //
 // Cancellation drains before returning: once ctx is cancelled the
 // producer stops decoding and the call blocks until every in-flight

@@ -6,16 +6,14 @@ import (
 	"perfclone/internal/bpred"
 	"perfclone/internal/cache"
 	"perfclone/internal/dyntrace"
-	"perfclone/internal/funcsim"
 	"perfclone/internal/isa"
-	"perfclone/internal/prog"
 	"perfclone/internal/supervise"
 )
 
 // streamChunk is the number of TraceInst records fed to the pipeline per
-// consume call. Execution-driven runs and trace replay both use it, so a
-// replayed stream hits the same chunk boundaries — and therefore the same
-// cycle-level behaviour — as the execution that captured it.
+// consume call. Trace replay and RunTrace both use it; it is also the
+// cadence at which every timing walk polls its context and ticks its
+// supervision heartbeat.
 const streamChunk = 1 << 16
 
 // Stats is the outcome of a timing run, including the activity counts the
@@ -64,8 +62,8 @@ func (s Stats) MispredRate() float64 {
 	return float64(s.BranchMispredict) / float64(s.BranchLookups)
 }
 
-// TraceInst is the per-instruction record the functional front end hands
-// to the timing back end.
+// TraceInst is the per-instruction record the trace front end (the chunk
+// decoder, or RunTrace's generator) hands to the timing back end.
 type TraceInst struct {
 	// PC is the instruction's address (drives I-cache and predictor
 	// indexing).
@@ -164,12 +162,6 @@ type Limits struct {
 	Warmup uint64
 }
 
-// Run executes the program functionally and times it on cfg, up to
-// maxInsts dynamic instructions (0 = to completion), with no warmup.
-func Run(p *prog.Program, cfg Config, maxInsts uint64) (Stats, error) {
-	return RunLimits(p, cfg, Limits{MaxInsts: maxInsts})
-}
-
 // newSim builds a Sim for cfg with empty microarchitectural state.
 func newSim(cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
@@ -205,89 +197,14 @@ func (s *Sim) finish() Stats {
 	return s.st
 }
 
-// RunLimits executes the program functionally and times it on cfg.
-func RunLimits(p *prog.Program, cfg Config, lim Limits) (Stats, error) {
-	return RunLimitsContext(context.Background(), p, cfg, lim)
-}
-
-// RunLimitsContext is RunLimits with cooperative cancellation: the run
-// polls ctx at every streamChunk boundary (once per 64k instructions) and
-// aborts with the context's cause (context.Cause — so a watchdog's
-// supervise.ErrStuck or a stage deadline's cause survives) once it is
-// cancelled, so a SIGINT drains a grid of timing runs in at most one
-// chunk's worth of work per worker. The same boundary ticks any
-// supervision heartbeat carried by ctx.
-func RunLimitsContext(ctx context.Context, p *prog.Program, cfg Config, lim Limits) (Stats, error) {
-	s, err := newSim(cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	tick := supervise.TickerFrom(ctx)
-
-	// The functional front end produces the dynamic stream; the timing
-	// back end consumes it in chunks (trace-driven timing over the
-	// correct path, as in sim-outorder's in-order functional core).
-	trace := make([]TraceInst, 0, streamChunk)
-	var srcBuf [2]isa.Reg
-	obs := func(ev *funcsim.Event) error {
-		in := ev.Inst
-		ti := TraceInst{
-			PC:    ev.PC,
-			Addr:  ev.Addr,
-			Class: in.Op.Class(),
-			Dest:  in.Dest(),
-			Taken: ev.Taken,
-		}
-		ti.Branch = in.Op.IsBranch()
-		ti.Jump = in.Op == isa.OpJmp
-		ti.IsMem = ti.Class == isa.ClassLoad || ti.Class == isa.ClassStore
-		srcs := in.Sources(srcBuf[:0])
-		ti.Src1, ti.Src2 = isa.NoReg, isa.NoReg
-		if len(srcs) > 0 {
-			ti.Src1 = srcs[0]
-		}
-		if len(srcs) > 1 {
-			ti.Src2 = srcs[1]
-		}
-		trace = append(trace, ti)
-		if len(trace) == cap(trace) {
-			if err := supervise.Cause(ctx); err != nil {
-				return err
-			}
-			if tick != nil {
-				tick()
-			}
-			s.consume(trace)
-			trace = trace[:0]
-		}
-		return nil
-	}
-	s.warmup = lim.Warmup
-	if _, err := funcsim.RunProgram(p, funcsim.Limits{MaxInsts: lim.MaxInsts}, obs); err != nil {
-		return Stats{}, err
-	}
-	s.consume(trace)
-	return s.finish(), nil
-}
-
-// Replay times a previously captured dynamic trace on cfg, producing
-// statistics bit-identical to RunLimits on the traced program (it feeds
-// the same stream through the same pipeline with the same streamChunk
-// boundaries) without re-running the functional simulator. The trace is
-// read-only here, so many Replay calls can share one trace concurrently —
-// this is what lets the evaluation pipeline execute each program once and
-// sweep every cache configuration and design change by replay.
-func Replay(t *dyntrace.Trace, cfg Config, lim Limits) (Stats, error) {
-	return ReplayContext(context.Background(), t, cfg, lim)
-}
-
-// ReplayContext is Replay with cooperative cancellation, polling ctx at
-// every streamChunk boundary (including before the final partial chunk)
-// like RunLimitsContext. Cancellation does not affect determinism: a run
-// either completes with the exact Replay result or returns the context's
-// cancellation cause with zero Stats.
+// ReplayContext times a captured dynamic trace on cfg. It is
+// ReplayMultiWorkers with one configuration and the serial walk: ctx is
+// polled at every streamChunk boundary, and a cancelled run returns the
+// context's cause (context.Cause — so a watchdog's supervise.ErrStuck or
+// a stage deadline's cause survives) with zero Stats. The trace is
+// read-only here, so many replays can share one trace concurrently.
 func ReplayContext(ctx context.Context, t *dyntrace.Trace, cfg Config, lim Limits) (Stats, error) {
-	res, err := ReplayMultiContext(ctx, t, []Config{cfg}, lim)
+	res, err := ReplayMultiWorkers(ctx, t, []Config{cfg}, lim, 1)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -297,8 +214,10 @@ func ReplayContext(ctx context.Context, t *dyntrace.Trace, cfg Config, lim Limit
 // RunTrace times a synthetic instruction stream instead of a program: gen
 // is called with i = 0..n-1 and must return the i'th trace record. This is
 // the entry point statistical simulation (internal/statsim) uses — no
-// functional execution is involved.
-func RunTrace(cfg Config, lim Limits, n uint64, gen func(i uint64) TraceInst) (Stats, error) {
+// functional execution is involved. Like the replay walk it polls ctx and
+// ticks any supervision heartbeat once per streamChunk; a cancelled run
+// returns the context's cause with zero Stats.
+func RunTrace(ctx context.Context, cfg Config, lim Limits, n uint64, gen func(i uint64) TraceInst) (Stats, error) {
 	s, err := newSim(cfg)
 	if err != nil {
 		return Stats{}, err
@@ -307,17 +226,23 @@ func RunTrace(cfg Config, lim Limits, n uint64, gen func(i uint64) TraceInst) (S
 	if lim.MaxInsts > 0 && n > lim.MaxInsts {
 		n = lim.MaxInsts
 	}
-	chunk := make([]TraceInst, 0, streamChunk)
-	for i := uint64(0); i < n; i++ {
-		ti := gen(i)
-		ti.IsMem = ti.Class == isa.ClassLoad || ti.Class == isa.ClassStore
-		chunk = append(chunk, ti)
-		if len(chunk) == cap(chunk) {
-			s.consume(chunk)
-			chunk = chunk[:0]
+	tick := supervise.TickerFrom(ctx)
+	chunk := make([]TraceInst, streamChunk)
+	for base := uint64(0); base < n; base += streamChunk {
+		if err := supervise.Cause(ctx); err != nil {
+			return Stats{}, err
 		}
+		if tick != nil {
+			tick()
+		}
+		c := min(n-base, streamChunk)
+		for k := range c {
+			ti := gen(base + k)
+			ti.IsMem = ti.Class == isa.ClassLoad || ti.Class == isa.ClassStore
+			chunk[k] = ti
+		}
+		s.consume(chunk[:c])
 	}
-	s.consume(chunk)
 	return s.finish(), nil
 }
 

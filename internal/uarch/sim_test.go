@@ -82,13 +82,10 @@ func bigStride(t *testing.T, n int) *prog.Program {
 	return b.MustBuild()
 }
 
+// mustRun times p to completion on cfg.
 func mustRun(t *testing.T, p *prog.Program, cfg Config) Stats {
 	t.Helper()
-	st, err := Run(p, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
+	return replayProgram(t, p, cfg, Limits{})
 }
 
 func TestBaseConfigValid(t *testing.T) {
@@ -219,14 +216,8 @@ func TestStatsAccounting(t *testing.T) {
 
 func TestWarmupExcludesStartup(t *testing.T) {
 	p := bigStride(t, 4000)
-	full, err := RunLimits(p, BaseConfig(), Limits{MaxInsts: 8000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := RunLimits(p, BaseConfig(), Limits{MaxInsts: 8000, Warmup: 4000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := replayProgram(t, p, BaseConfig(), Limits{MaxInsts: 8000})
+	warm := replayProgram(t, p, BaseConfig(), Limits{MaxInsts: 8000, Warmup: 4000})
 	if warm.Insts >= full.Insts {
 		t.Fatalf("warmup did not shrink measured insts: %d vs %d", warm.Insts, full.Insts)
 	}
@@ -237,10 +228,7 @@ func TestWarmupExcludesStartup(t *testing.T) {
 
 func TestMaxInstsBound(t *testing.T) {
 	p := independentALU(t, 100000)
-	st, err := Run(p, BaseConfig(), 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := replayProgram(t, p, BaseConfig(), Limits{MaxInsts: 5000})
 	if st.Insts != 5000 {
 		t.Fatalf("ran %d insts, want 5000", st.Insts)
 	}
