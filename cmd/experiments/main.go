@@ -2,12 +2,19 @@
 //
 // Usage:
 //
-//	experiments [-run all|fig3|fig4|fig5|fig6|fig7|table3|fig8|fig9|ablation]
-//	            [-workloads a,b,c] [-parallel] [-insts N]
+//	experiments [-run NAME] [-workloads a,b,c] [-parallel] [-insts N]
 //	            [-store DIR] [-resume] [-strict-store] [-doctor] [-progress]
 //	            [-fidelity] [-strict-fidelity] [-fidelity-tolerance F]
 //	            [-stage-timeout D] [-task-retries N] [-watchdog D]
 //	            [-cpuprofile FILE] [-memprofile FILE]
+//
+// -run names one entry of the experiment registry (experiments.Run):
+// all (the default: the paper's figures and tables), fig3 through fig9,
+// fig6and7, table3, ablation, the extension studies predsweep, l2sweep,
+// prefetch, statsim and inputs, or ext (all five extensions). The
+// perfcloned daemon serves the same names and its experiment artifacts
+// are byte-for-byte this command's stdout. An unknown name is a usage
+// error.
 //
 // With -fidelity, every generated clone passes through the closed-loop
 // fidelity gate (re-profile, compare against the target profile, bounded
@@ -61,7 +68,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment to run: all, fig3..fig9, table3, ablation, predsweep, l2sweep, prefetch, statsim, inputs, ext")
+	run := flag.String("run", "all", "experiment to run: "+strings.Join(experiments.RunNames(), ", "))
 	wl := flag.String("workloads", "", "comma-separated workload subset (default: all 23)")
 	parallel := flag.Bool("parallel", true, "run independent simulations concurrently")
 	workers := flag.Int("workers", 0, "worker goroutines for parallel runs (0 = GOMAXPROCS)")
@@ -81,6 +88,10 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
 
+	if err := experiments.CheckRun(*run); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments: -run:", err)
+		os.Exit(2)
+	}
 	if *fidelityTol < 0 {
 		fmt.Fprintln(os.Stderr, "experiments: -fidelity-tolerance must be positive")
 		os.Exit(2)
@@ -202,7 +213,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "experiments: workers %d effective (parallel %v, requested %d)\n",
 		opts.EffectiveWorkers(), opts.Parallel, *workers)
 
-	err := execute(ctx, *run, opts)
+	err := experiments.Run(ctx, *run, opts, os.Stdout)
 	if opts.Store != nil {
 		c := opts.Store.Counters()
 		fmt.Fprintf(os.Stderr, "store: traces %d hits / %d misses; profiles %d hits / %d misses; %d quarantined\n",
@@ -280,107 +291,4 @@ func (tr *tracker) cells() (done, total int) {
 		total += c[1]
 	}
 	return done, total
-}
-
-func execute(ctx context.Context, run string, opts experiments.Options) error {
-	pairs, err := experiments.PrepareContext(ctx, opts)
-	if err != nil {
-		return err
-	}
-	out := os.Stdout
-	want := func(name string) bool { return run == "all" || run == name }
-
-	if want("fig3") {
-		experiments.PrintFig3(out, experiments.Fig3(pairs))
-		fmt.Fprintln(out)
-	}
-	var fig4 []experiments.Fig4Row
-	if want("fig4") || want("fig5") {
-		fig4, err = experiments.Fig4Context(ctx, pairs, opts)
-		if err != nil {
-			return err
-		}
-	}
-	if want("fig4") {
-		experiments.PrintFig4(out, fig4)
-		fmt.Fprintln(out)
-	}
-	if want("fig5") {
-		pts, err := experiments.Fig5(fig4)
-		if err != nil {
-			return err
-		}
-		experiments.PrintFig5(out, pts)
-		fmt.Fprintln(out)
-	}
-	if want("fig6") || want("fig7") {
-		rows, err := experiments.Fig6and7Context(ctx, pairs, opts)
-		if err != nil {
-			return err
-		}
-		experiments.PrintFig6and7(out, rows)
-		fmt.Fprintln(out)
-	}
-	if want("table3") || want("fig8") || want("fig9") {
-		rows, sums, err := experiments.Table3Context(ctx, pairs, opts)
-		if err != nil {
-			return err
-		}
-		if want("table3") {
-			experiments.PrintTable3(out, sums)
-			fmt.Fprintln(out)
-		}
-		if want("fig8") || want("fig9") || run == "all" {
-			experiments.PrintFig8and9(out, experiments.Fig8and9Rows(rows))
-			fmt.Fprintln(out)
-		}
-	}
-	if want("ablation") {
-		rows, err := experiments.AblationContext(ctx, pairs, opts)
-		if err != nil {
-			return err
-		}
-		experiments.PrintAblation(out, rows)
-		fmt.Fprintln(out)
-	}
-	if run == "predsweep" || run == "ext" {
-		rows, err := experiments.PredictorSweepContext(ctx, pairs, opts)
-		if err != nil {
-			return err
-		}
-		experiments.PrintPredictorSweep(out, rows)
-		fmt.Fprintln(out)
-	}
-	if run == "l2sweep" || run == "ext" {
-		rows, err := experiments.L2SweepContext(ctx, pairs, opts)
-		if err != nil {
-			return err
-		}
-		experiments.PrintL2Sweep(out, rows)
-		fmt.Fprintln(out)
-	}
-	if run == "prefetch" || run == "ext" {
-		rows, err := experiments.PrefetchStudyContext(ctx, pairs, opts)
-		if err != nil {
-			return err
-		}
-		experiments.PrintPrefetchStudy(out, rows)
-		fmt.Fprintln(out)
-	}
-	if run == "statsim" || run == "ext" {
-		rows, err := experiments.StatsimComparisonContext(ctx, pairs, opts)
-		if err != nil {
-			return err
-		}
-		experiments.PrintStatsimComparison(out, rows)
-		fmt.Fprintln(out)
-	}
-	if run == "inputs" || run == "ext" {
-		rows, err := experiments.InputSensitivityContext(ctx, opts)
-		if err != nil {
-			return err
-		}
-		experiments.PrintInputSensitivity(out, rows)
-	}
-	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"strings"
 
 	"perfclone/internal/codegen"
 	"perfclone/internal/experiments"
@@ -121,6 +122,23 @@ func (s *Server) commitArtifact(name string, data []byte) error {
 	})
 }
 
+// sweepArtifactTemps removes the temp files of artifact commits that a
+// crash cut short. Only this daemon's workers commit into its data dir,
+// and Start runs it before any worker exists, so every temp file found
+// is debris; the jobs that wrote them re-run and commit again.
+func (s *Server) sweepArtifactTemps() {
+	dir := filepath.Join(s.cfg.DataDir, "artifacts")
+	entries, err := s.fs.ReadDir(dir)
+	if err != nil {
+		return // nothing committed yet
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp") {
+			_ = s.fs.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
+}
+
 // execute renders one job's artifact bytes. Everything here is
 // deterministic for a fixed spec — the exactly-once argument leans on
 // that.
@@ -136,10 +154,10 @@ func (s *Server) execute(ctx context.Context, j jobqueue.Job) ([]byte, error) {
 	return nil, fmt.Errorf("controlapi: unknown job kind %q", j.Spec.Kind)
 }
 
-// runExperiment drives the paper-figure pipeline for one run name,
-// rendering the same text the CLI prints. Checkpoints are namespaced by
-// job ID so concurrent jobs sharing the store never interleave, and a
-// resumed job reuses its own finished cells.
+// runExperiment renders one experiments.Run name: the artifact is
+// byte-for-byte the CLI's stdout for the same run. Checkpoints are
+// namespaced by job ID so concurrent jobs sharing the store never
+// interleave, and a resumed job reuses its own finished cells.
 func (s *Server) runExperiment(ctx context.Context, j jobqueue.Job) ([]byte, error) {
 	opts := experiments.Options{
 		Workloads:        j.Spec.Workloads,
@@ -155,42 +173,9 @@ func (s *Server) runExperiment(ctx context.Context, j jobqueue.Job) ([]byte, err
 			})
 		},
 	}
-	pairs, err := experiments.PrepareContext(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
 	var out bytes.Buffer
-	switch j.Spec.Run {
-	case "fig3":
-		experiments.PrintFig3(&out, experiments.Fig3(pairs))
-	case "fig4", "fig5":
-		rows, err := experiments.Fig4Context(ctx, pairs, opts)
-		if err != nil {
-			return nil, err
-		}
-		if j.Spec.Run == "fig4" {
-			experiments.PrintFig4(&out, rows)
-		} else {
-			pts, err := experiments.Fig5(rows)
-			if err != nil {
-				return nil, err
-			}
-			experiments.PrintFig5(&out, pts)
-		}
-	case "fig6and7":
-		rows, err := experiments.Fig6and7Context(ctx, pairs, opts)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintFig6and7(&out, rows)
-	case "table3":
-		_, sums, err := experiments.Table3Context(ctx, pairs, opts)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintTable3(&out, sums)
-	default:
-		return nil, fmt.Errorf("controlapi: unknown run %q", j.Spec.Run)
+	if err := experiments.Run(ctx, j.Spec.Run, opts, &out); err != nil {
+		return nil, err
 	}
 	return out.Bytes(), nil
 }

@@ -28,17 +28,12 @@ import (
 	"sync"
 	"time"
 
+	"perfclone/internal/experiments"
 	"perfclone/internal/faultinject"
 	"perfclone/internal/jobqueue"
 	"perfclone/internal/store"
 	"perfclone/internal/supervise"
 )
-
-// validRuns are the experiment renderers a job may request; checked at
-// submission so a typo is a 400, not a failed job minutes later.
-var validRuns = map[string]bool{
-	"fig3": true, "fig4": true, "fig5": true, "fig6and7": true, "table3": true,
-}
 
 // Config wires a Server.
 type Config struct {
@@ -109,6 +104,7 @@ func New(cfg Config) *Server {
 // Start launches the worker pool under ctx; workers exit when ctx dies
 // or the queue drains.
 func (s *Server) Start(ctx context.Context) {
+	s.sweepArtifactTemps()
 	wctx, cancel := context.WithCancel(ctx)
 	s.cancel = cancel
 	for i := 0; i < s.cfg.Workers; i++ {
@@ -172,9 +168,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if req.Tenant == "" {
 		req.Tenant = "default"
 	}
-	if req.Spec.Kind == jobqueue.KindExperiment && !validRuns[req.Spec.Run] {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown run %q (want fig3|fig4|fig5|fig6and7|table3)", req.Spec.Run)})
-		return
+	// Run names are checked at submission, so a typo is a 400, not a
+	// failed job minutes later.
+	if req.Spec.Kind == jobqueue.KindExperiment {
+		if err := experiments.CheckRun(req.Spec.Run); err != nil {
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+			return
+		}
 	}
 	job, err := s.cfg.Queue.Submit(req.Tenant, req.Spec)
 	var limit *jobqueue.LimitError

@@ -7,12 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"perfclone/internal/experiments"
 	"perfclone/internal/jobqueue"
 	"perfclone/internal/profile"
 	"perfclone/internal/store"
@@ -172,6 +174,81 @@ func TestCloneJobRendersC(t *testing.T) {
 	src := string(fetchArtifact(t, ts, j.ID))
 	if !strings.Contains(src, "crc32_clone") {
 		t.Fatalf("artifact does not look like the clone C source:\n%.400s", src)
+	}
+}
+
+// TestRunNamesAreTheRegistry: the daemon admits exactly the CLI's run
+// names, and its 400 for any other name lists them all.
+func TestRunNamesAreTheRegistry(t *testing.T) {
+	_, _, ts := testServer(t, t.TempDir(), jobqueue.Options{}, Config{Workers: 1}, true)
+	for _, name := range experiments.RunNames() {
+		if code, _, _ := submit(t, ts, "a", jobqueue.Spec{Kind: jobqueue.KindExperiment, Run: name}); code != http.StatusAccepted {
+			t.Errorf("run %q: %d, want 202", name, code)
+		}
+	}
+	body, _ := json.Marshal(submitRequest{Spec: jobqueue.Spec{Kind: jobqueue.KindExperiment, Run: "fig99"}})
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.Join(experiments.RunNames(), "|"); resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, want) {
+		t.Fatalf("unknown run: %d %q, want 400 listing %s", resp.StatusCode, eb.Error, want)
+	}
+}
+
+// TestExperimentArtifactIsRunOutput: a daemon experiment job's artifact
+// is byte-for-byte what experiments.Run prints for the same run.
+func TestExperimentArtifactIsRunOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment pipeline run skipped in -short")
+	}
+	spec := jobqueue.Spec{Kind: jobqueue.KindExperiment, Run: "fig4", Workloads: []string{"crc32"}, Insts: 100_000}
+	_, _, ts := testServer(t, t.TempDir(), jobqueue.Options{}, Config{Workers: 1})
+	code, job, _ := submit(t, ts, "alice", spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d", code)
+	}
+	if j := waitTerminal(t, ts, job.ID); j.State != jobqueue.StateDone {
+		t.Fatalf("job failed: %+v", j)
+	}
+	got := fetchArtifact(t, ts, job.ID)
+
+	var want bytes.Buffer
+	opts := experiments.Options{Workloads: spec.Workloads, TimingInsts: spec.Insts, Log: io.Discard}
+	if err := experiments.Run(context.Background(), spec.Run, opts, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("artifact differs from experiments.Run:\n%s\nwant:\n%s", got, want.Bytes())
+	}
+}
+
+// TestStartSweepsArtifactTemps: a commit killed between its temp file
+// and the rename leaves the temp behind; the next Start removes it and
+// keeps committed artifacts.
+func TestStartSweepsArtifactTemps(t *testing.T) {
+	dataDir := t.TempDir()
+	dir := filepath.Join(dataDir, "artifacts")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"j000001.out", "j000002.out.tmp123"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	testServer(t, dataDir, jobqueue.Options{}, Config{Workers: 1})
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "j000001.out" {
+		t.Fatalf("artifacts after Start: %v, want only j000001.out", entries)
 	}
 }
 

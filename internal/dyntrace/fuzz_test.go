@@ -2,6 +2,7 @@ package dyntrace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"perfclone/internal/workloads"
@@ -9,9 +10,11 @@ import (
 
 // FuzzTraceLoad throws arbitrary bytes at the PCDT decoder. Neither
 // Verify nor Load may panic or allocate unboundedly, whatever the input;
-// returning an error is the only acceptable failure mode. The seed
-// corpus contains valid v2 and v1 images plus targeted mutations
-// (truncation, flipped CRC, oversized column counts).
+// returning an error is the only acceptable failure mode, and an image
+// whose header names any version but the current one must be rejected.
+// The seed corpus contains a valid image, the same image under a
+// retired version-1 and an unknown version-3 header, and targeted
+// mutations (truncation, flipped CRC, oversized column counts).
 func FuzzTraceLoad(f *testing.F) {
 	w, err := workloads.ByName("crc32")
 	if err != nil {
@@ -28,16 +31,15 @@ func FuzzTraceLoad(f *testing.F) {
 	}
 	valid := buf.Bytes()
 
-	var v1buf bytes.Buffer
-	if err := tr.saveV1(&v1buf); err != nil {
-		f.Fatal(err)
-	}
-	validV1 := v1buf.Bytes()
+	v1 := bytes.Clone(valid)
+	binary.LittleEndian.PutUint32(v1[4:], 1)
+	v3 := bytes.Clone(valid)
+	binary.LittleEndian.PutUint32(v3[4:], 3)
 
 	f.Add(valid)
-	f.Add(validV1)
+	f.Add(v1)
+	f.Add(v3)
 	f.Add(valid[:len(valid)/2])
-	f.Add(validV1[:len(validV1)/2])
 	f.Add(valid[:9])
 	f.Add([]byte("PCDT"))
 	f.Add([]byte{})
@@ -51,8 +53,12 @@ func FuzzTraceLoad(f *testing.F) {
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_ = Verify(bytes.NewReader(data))
-		if lt, err := Load(bytes.NewReader(data), p); err == nil {
+		verr := Verify(bytes.NewReader(data))
+		lt, err := Load(bytes.NewReader(data), p)
+		if len(data) >= 8 && binary.LittleEndian.Uint32(data[4:]) != traceVersion && (verr == nil || err == nil) {
+			t.Fatalf("version %d image accepted (Verify %v, Load %v)", binary.LittleEndian.Uint32(data[4:]), verr, err)
+		}
+		if err == nil {
 			// A successful load must yield a self-consistent trace.
 			if err := lt.check(); err != nil {
 				t.Fatalf("Load accepted a trace that fails check: %v", err)

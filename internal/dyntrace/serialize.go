@@ -2,7 +2,6 @@ package dyntrace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -12,30 +11,14 @@ import (
 	"perfclone/internal/prog"
 )
 
-// On-disk trace format (all integers little-endian). Two versions are
-// readable; Save always writes v2.
-//
-// PCDT v1 (legacy, still loadable):
-//
-//	magic   [4]byte "PCDT"
-//	version uint32  (1)
-//	nameLen uint32, name []byte
-//	insts   uint64
-//	halted  uint8
-//	nSid, nTaken, nMemAddr, nMemStore uint64
-//	sid      []uint32
-//	taken    []uint64
-//	memAddr  []uint64
-//	memStore []uint64
-//	crc32    uint32  (IEEE, over everything after the version field)
-//
-// PCDT v2 (current): the static-id column is uvarint-encoded and the
-// address column zigzag-delta-uvarint-encoded, which shrinks the
-// dominant columns from 4 B and 8 B per entry to ~1-2 B each. The two
-// bitsets stay raw and the header is padded so they land 8-byte-aligned
-// in the file: a zero-copy loader (LoadBytes, fed by the store's mmap
-// path) can alias them in place and replay straight out of the page
-// cache.
+// On-disk trace format, PCDT v2 (all integers little-endian). The
+// static-id column is uvarint-encoded and the address column
+// zigzag-delta-uvarint-encoded, ~1-2 B per entry each. The two bitsets
+// stay raw and the header is padded so they land 8-byte-aligned in the
+// file: a zero-copy loader (LoadBytes, fed by the store's mmap path)
+// can alias them in place and replay straight out of the page cache.
+// Any other version is rejected as unsupported; the store quarantines
+// such an image and recomputes the trace.
 //
 //	magic   [4]byte "PCDT"
 //	version uint32  (2)
@@ -52,17 +35,16 @@ import (
 //	memEnc   []byte   (zigzag-delta uvarint per address)
 //	crc32    uint32   (IEEE, over everything after the version field)
 //
-// The static table is NOT serialized in either version: it is a pure
-// function of the traced program, and the store keys trace files by a
-// hash of that program, so Load rebuilds it with buildStatic and then
-// cross-checks the dynamic columns against it (see Trace.check). That
-// keeps the format free of isa enum encodings and makes a program/trace
-// mismatch a load-time error instead of a silent misreplay.
+// The static table is not serialized: it is a pure function of the
+// traced program, and the store keys trace files by a hash of that
+// program, so Load rebuilds it with buildStatic and then cross-checks
+// the dynamic columns against it (see Trace.check). That keeps the
+// format free of isa enum encodings and makes a program/trace mismatch
+// a load-time error instead of a silent misreplay.
 
 const (
-	traceMagic     = "PCDT"
-	traceVersionV1 = 1
-	traceVersionV2 = 2
+	traceMagic   = "PCDT"
+	traceVersion = 2
 )
 
 // hostLittleEndian gates the zero-copy bitset alias: on a big-endian
@@ -96,7 +78,7 @@ func (t *Trace) Save(w io.Writer) error {
 	if _, err := bw.WriteString(traceMagic); err != nil {
 		return fmt.Errorf("dyntrace: save %s: %w", t.prog.Name, err)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(traceVersionV2)); err != nil {
+	if err := binary.Write(bw, binary.LittleEndian, uint32(traceVersion)); err != nil {
 		return fmt.Errorf("dyntrace: save %s: %w", t.prog.Name, err)
 	}
 	crc := crc32.NewIEEE()
@@ -135,150 +117,10 @@ func (t *Trace) Save(w io.Writer) error {
 	return nil
 }
 
-// saveV1 writes the legacy v1 format. It is kept (unexported) so the
-// v1→v2 compatibility and size-reduction tests exercise the real v1
-// writer rather than frozen fixture bytes.
-func (t *Trace) saveV1(w io.Writer) error {
-	t.materialize()
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(traceMagic); err != nil {
-		return fmt.Errorf("dyntrace: save %s: %w", t.prog.Name, err)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(traceVersionV1)); err != nil {
-		return fmt.Errorf("dyntrace: save %s: %w", t.prog.Name, err)
-	}
-	crc := crc32.NewIEEE()
-	cw := io.MultiWriter(bw, crc)
-	name := []byte(t.prog.Name)
-	write := func(vs ...any) error {
-		for _, v := range vs {
-			if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	halted := uint8(0)
-	if t.halted {
-		halted = 1
-	}
-	err := write(
-		uint32(len(name)), name,
-		t.insts, halted,
-		uint64(len(t.sid)), uint64(len(t.taken)),
-		uint64(len(t.memAddr)), uint64(len(t.memStore)),
-		t.sid, t.taken, t.memAddr, t.memStore,
-	)
-	if err == nil {
-		err = binary.Write(bw, binary.LittleEndian, crc.Sum32())
-	}
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err != nil {
-		return fmt.Errorf("dyntrace: save %s: %w", t.prog.Name, err)
-	}
-	return nil
-}
-
-// rawTrace is the fully parsed, CRC-verified v1 payload before any
-// program is attached.
-type rawTrace struct {
-	name     string
-	insts    uint64
-	halted   bool
-	sid      []uint32
-	taken    []uint64
-	memAddr  []uint64
-	memStore []uint64
-}
-
 // maxColumn caps a single dynamic column at 2^31 entries (≈2G dynamic
 // instructions, ~8 GB of ids) — far beyond any capture budget, but small
 // enough that a forged header cannot demand an absurd allocation.
 const maxColumn = 1 << 31
-
-// readColumn reads n little-endian elements in bounded chunks, so the
-// allocation grows only as bytes actually arrive: a forged header
-// claiming a huge column fails with an I/O error after at most one
-// chunk, instead of pre-allocating gigabytes.
-func readColumn[E uint32 | uint64](r io.Reader, n uint64) ([]E, error) {
-	const chunk = 1 << 20
-	var out []E
-	for uint64(len(out)) < n {
-		c := n - uint64(len(out))
-		if c > chunk {
-			c = chunk
-		}
-		start := len(out)
-		out = append(out, make([]E, c)...)
-		if err := binary.Read(r, binary.LittleEndian, out[start:]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// readRawV1 parses and CRC-checks one serialized v1 trace, starting
-// after the magic and version (which the caller has consumed).
-func readRawV1(br *bufio.Reader) (*rawTrace, error) {
-	crc := crc32.NewIEEE()
-	cr := io.TeeReader(br, crc)
-	read := func(vs ...any) error {
-		for _, v := range vs {
-			if err := binary.Read(cr, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var nameLen uint32
-	if err := read(&nameLen); err != nil {
-		return nil, fmt.Errorf("dyntrace: load: %w", err)
-	}
-	if nameLen > 1<<16 {
-		return nil, fmt.Errorf("dyntrace: load: implausible name length %d", nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(cr, name); err != nil {
-		return nil, fmt.Errorf("dyntrace: load: %w", err)
-	}
-	rt := &rawTrace{name: string(name)}
-	var (
-		halted                            uint8
-		nSid, nTaken, nMemAddr, nMemStore uint64
-	)
-	if err := read(&rt.insts, &halted, &nSid, &nTaken, &nMemAddr, &nMemStore); err != nil {
-		return nil, fmt.Errorf("dyntrace: load %s: %w", name, err)
-	}
-	rt.halted = halted != 0
-	if nSid > maxColumn || nTaken > maxColumn || nMemAddr > maxColumn || nMemStore > maxColumn {
-		return nil, fmt.Errorf("dyntrace: load %s: implausible column lengths %d/%d/%d/%d",
-			name, nSid, nTaken, nMemAddr, nMemStore)
-	}
-	var err error
-	if rt.sid, err = readColumn[uint32](cr, nSid); err != nil {
-		return nil, fmt.Errorf("dyntrace: load %s: %w", name, err)
-	}
-	if rt.taken, err = readColumn[uint64](cr, nTaken); err != nil {
-		return nil, fmt.Errorf("dyntrace: load %s: %w", name, err)
-	}
-	if rt.memAddr, err = readColumn[uint64](cr, nMemAddr); err != nil {
-		return nil, fmt.Errorf("dyntrace: load %s: %w", name, err)
-	}
-	if rt.memStore, err = readColumn[uint64](cr, nMemStore); err != nil {
-		return nil, fmt.Errorf("dyntrace: load %s: %w", name, err)
-	}
-	sum := crc.Sum32()
-	var want uint32
-	if err := binary.Read(br, binary.LittleEndian, &want); err != nil {
-		return nil, fmt.Errorf("dyntrace: load %s: %w", name, err)
-	}
-	if sum != want {
-		return nil, fmt.Errorf("dyntrace: load %s: checksum mismatch (file %08x, computed %08x)", name, want, sum)
-	}
-	return rt, nil
-}
 
 // rawV2 is the parsed v2 payload: bitsets (aliased into the source
 // bytes when possible) plus the still-encoded column streams.
@@ -314,6 +156,9 @@ func aliasU64(b []byte, n uint64) []uint64 {
 // CRC-checking everything and aliasing the bitsets and encoded streams
 // into data — the zero-copy path behind the store's mmap load.
 func parseV2(data []byte) (*rawV2, error) {
+	if err := checkHeader(data); err != nil {
+		return nil, err
+	}
 	if len(data) < 8+4+v2HeaderLen+4 {
 		return nil, fmt.Errorf("dyntrace: load: truncated v2 trace (%d bytes)", len(data))
 	}
@@ -410,176 +255,64 @@ func checkShape(insts, numMem uint64, nTaken, nMemStore int) error {
 	return nil
 }
 
-// readVersion consumes and validates the magic, returning the version.
-func readVersion(br *bufio.Reader) (uint32, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return 0, fmt.Errorf("dyntrace: load: %w", err)
+// checkHeader validates the magic and version of a complete image.
+func checkHeader(data []byte) error {
+	if len(data) < 8 {
+		return fmt.Errorf("dyntrace: load: truncated trace (%d bytes)", len(data))
 	}
-	if string(magic[:]) != traceMagic {
-		return 0, fmt.Errorf("dyntrace: load: bad magic %q", magic)
+	if string(data[:4]) != traceMagic {
+		return fmt.Errorf("dyntrace: load: bad magic %q", data[:4])
 	}
-	var version uint32
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return 0, fmt.Errorf("dyntrace: load: %w", err)
+	if version := binary.LittleEndian.Uint32(data[4:]); version != traceVersion {
+		return fmt.Errorf("dyntrace: load: unsupported version %d (want %d)", version, traceVersion)
 	}
-	return version, nil
+	return nil
 }
 
-// slurpV2 re-assembles the full v2 image from a reader whose magic and
-// version have been consumed.
-func slurpV2(br *bufio.Reader) ([]byte, error) {
-	rest, err := io.ReadAll(br)
-	if err != nil {
-		return nil, fmt.Errorf("dyntrace: load: %w", err)
-	}
-	data := make([]byte, 0, 8+len(rest))
-	data = append(data, traceMagic...)
-	data = binary.LittleEndian.AppendUint32(data, traceVersionV2)
-	return append(data, rest...), nil
-}
-
-// Verify reads a serialized trace (either version) and checks
-// everything that does not require the traced program: magic, version,
-// CRC-32, and the structural invariants binding the columns together.
-// The store's doctor pass uses it to audit artifacts it cannot attach
-// to a program (static-id bounds and the memory-reference cross-count
-// are only checkable by Load).
+// Verify reads a serialized trace and checks everything that does not
+// require the traced program: magic, version, CRC-32, and the
+// structural invariants binding the columns together. The store's
+// doctor pass uses it to audit artifacts it cannot attach to a program
+// (static-id bounds and the memory-reference cross-count are only
+// checkable by Load).
 func Verify(r io.Reader) error {
-	br := bufio.NewReader(r)
-	version, err := readVersion(br)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("dyntrace: load: %w", err)
+	}
+	rt, err := parseV2(data)
 	if err != nil {
 		return err
 	}
-	switch version {
-	case traceVersionV1:
-		rt, err := readRawV1(br)
-		if err != nil {
-			return err
-		}
-		if rt.insts != uint64(len(rt.sid)) {
-			return fmt.Errorf("dyntrace: verify %s: insts %d != static-id column length %d", rt.name, rt.insts, len(rt.sid))
-		}
-		if err := checkShape(rt.insts, uint64(len(rt.memAddr)), len(rt.taken), len(rt.memStore)); err != nil {
-			return fmt.Errorf("dyntrace: verify %s: %w", rt.name, err)
-		}
-		return nil
-	case traceVersionV2:
-		data, err := slurpV2(br)
-		if err != nil {
-			return err
-		}
-		rt, err := parseV2(data)
-		if err != nil {
-			return err
-		}
-		if err := checkShape(rt.insts, rt.numMem, len(rt.taken), len(rt.memStore)); err != nil {
-			return fmt.Errorf("dyntrace: verify %s: %w", rt.name, err)
-		}
-		if err := walkStreams(rt.sidEnc, rt.memEnc, rt.insts, rt.numMem, nil); err != nil {
-			return fmt.Errorf("dyntrace: verify %s: %w", rt.name, err)
-		}
-		return nil
-	default:
-		return fmt.Errorf("dyntrace: load: unsupported version %d (want %d or %d)", version, traceVersionV1, traceVersionV2)
+	if err := checkShape(rt.insts, rt.numMem, len(rt.taken), len(rt.memStore)); err != nil {
+		return fmt.Errorf("dyntrace: verify %s: %w", rt.name, err)
 	}
+	if err := walkStreams(rt.sidEnc, rt.memEnc, rt.insts, rt.numMem, nil); err != nil {
+		return fmt.Errorf("dyntrace: verify %s: %w", rt.name, err)
+	}
+	return nil
 }
 
-// Load reads a trace written by Save (v2) or by older releases (v1) and
-// attaches it to p, the program it was captured from. The static table
-// is rebuilt from p and the dynamic columns are self-checked against
-// it, so feeding a trace to the wrong program (or a corrupted file)
-// fails here rather than during replay.
+// Load reads a trace written by Save and attaches it to p, the program
+// it was captured from. The static table is rebuilt from p and the
+// dynamic columns are self-checked against it, so feeding a trace to
+// the wrong program (or a corrupted file) fails here rather than during
+// replay.
 func Load(r io.Reader, p *prog.Program) (*Trace, error) {
-	br := bufio.NewReader(r)
-	version, err := readVersion(br)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dyntrace: load: %w", err)
 	}
-	switch version {
-	case traceVersionV1:
-		rt, err := readRawV1(br)
-		if err != nil {
-			return nil, err
-		}
-		return attachV1(rt, p)
-	case traceVersionV2:
-		data, err := slurpV2(br)
-		if err != nil {
-			return nil, err
-		}
-		return loadBytesV2(data, nil, p)
-	default:
-		return nil, fmt.Errorf("dyntrace: load: unsupported version %d (want %d or %d)", version, traceVersionV1, traceVersionV2)
-	}
+	return LoadBytes(data, nil, p)
 }
 
 // LoadBytes loads a serialized trace from an in-memory image — usually
-// a read-only mmap of a store artifact. For v2 images the bitsets are
-// aliased in place (when aligned, on little-endian hosts) and the
-// encoded columns kept as subslices, so nothing is copied at load time;
-// release, when non-nil, is adopted by the returned Trace and invoked
-// by Close to drop the mapping. On error, ownership of release stays
-// with the caller. v1 images load through the copying path and release
-// is invoked immediately, since the trace keeps no reference to data.
+// a read-only mmap of a store artifact. The bitsets are aliased in place
+// (when aligned, on little-endian hosts) and the encoded columns kept as
+// subslices, so nothing is copied at load time; release, when non-nil,
+// is adopted by the returned Trace and invoked by Close to drop the
+// mapping. On error, ownership of release stays with the caller.
 func LoadBytes(data []byte, release func() error, p *prog.Program) (*Trace, error) {
-	if len(data) < 8 {
-		return nil, fmt.Errorf("dyntrace: load: truncated trace (%d bytes)", len(data))
-	}
-	if string(data[:4]) != traceMagic {
-		return nil, fmt.Errorf("dyntrace: load: bad magic %q", data[:4])
-	}
-	switch version := binary.LittleEndian.Uint32(data[4:]); version {
-	case traceVersionV1:
-		rt, err := readRawV1(bufio.NewReader(bytes.NewReader(data[8:])))
-		if err != nil {
-			return nil, err
-		}
-		t, err := attachV1(rt, p)
-		if err != nil {
-			return nil, err
-		}
-		if release != nil {
-			if err := release(); err != nil {
-				return nil, fmt.Errorf("dyntrace: load %s: %w", rt.name, err)
-			}
-		}
-		return t, nil
-	case traceVersionV2:
-		return loadBytesV2(data, release, p)
-	default:
-		return nil, fmt.Errorf("dyntrace: load: unsupported version %d (want %d or %d)", version, traceVersionV1, traceVersionV2)
-	}
-}
-
-// attachV1 binds a parsed v1 payload to its program.
-func attachV1(rt *rawTrace, p *prog.Program) (*Trace, error) {
-	if rt.name != p.Name {
-		return nil, fmt.Errorf("dyntrace: load: trace is for %q, not %q", rt.name, p.Name)
-	}
-	static, _ := buildStatic(p)
-	t := &Trace{
-		prog:     p,
-		static:   static,
-		sid:      rt.sid,
-		taken:    rt.taken,
-		memAddr:  rt.memAddr,
-		memStore: rt.memStore,
-		insts:    rt.insts,
-		numMem:   uint64(len(rt.memAddr)),
-		halted:   rt.halted,
-	}
-	if uint64(len(rt.sid)) != rt.insts {
-		return nil, fmt.Errorf("dyntrace: load %s: insts %d != static-id column length %d", rt.name, rt.insts, len(rt.sid))
-	}
-	if err := t.check(); err != nil {
-		return nil, fmt.Errorf("dyntrace: load %s: %w", rt.name, err)
-	}
-	return t, nil
-}
-
-// loadBytesV2 is the zero-copy v2 load over a complete image.
-func loadBytesV2(data []byte, release func() error, p *prog.Program) (*Trace, error) {
 	rt, err := parseV2(data)
 	if err != nil {
 		return nil, err
@@ -607,17 +340,16 @@ func loadBytesV2(data []byte, release func() error, p *prog.Program) (*Trace, er
 }
 
 // check validates the dynamic columns against each other and against the
-// static table rebuilt from the program. Capture always produces traces
-// that pass; Load runs it so corruption or a program mismatch surfaces
-// before any consumer replays garbage. Encoded (v2) columns are
-// validated by streaming — nothing is materialized.
+// static table rebuilt from the program. Load runs it so corruption or a
+// program mismatch surfaces before any consumer replays garbage. The
+// encoded columns are validated by streaming — nothing is materialized.
 func (t *Trace) check() error {
 	if err := checkShape(t.insts, t.numMem, len(t.taken), len(t.memStore)); err != nil {
 		return err
 	}
 	nStatic := uint32(len(t.static))
 	var memRefs uint64
-	countSID := func(i uint64, sid uint32) error {
+	err := walkStreams(t.sidEnc, t.memEnc, t.insts, t.numMem, func(i uint64, sid uint32) error {
 		if sid >= nStatic {
 			return fmt.Errorf("dynamic instruction %d has static id %d, table has %d entries", i, sid, nStatic)
 		}
@@ -625,23 +357,9 @@ func (t *Trace) check() error {
 			memRefs++
 		}
 		return nil
-	}
-	if t.sidEnc != nil || t.memEnc != nil {
-		if err := walkStreams(t.sidEnc, t.memEnc, t.insts, t.numMem, countSID); err != nil {
-			return err
-		}
-	} else {
-		if uint64(len(t.sid)) != t.insts {
-			return fmt.Errorf("insts %d != static-id column length %d", t.insts, len(t.sid))
-		}
-		for i, sid := range t.sid {
-			if err := countSID(uint64(i), sid); err != nil {
-				return err
-			}
-		}
-		if t.numMem != uint64(len(t.memAddr)) {
-			return fmt.Errorf("address column has %d references, trace claims %d", len(t.memAddr), t.numMem)
-		}
+	})
+	if err != nil {
+		return err
 	}
 	if memRefs != t.numMem {
 		return fmt.Errorf("static-id column implies %d memory references, address column has %d", memRefs, t.numMem)

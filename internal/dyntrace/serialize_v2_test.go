@@ -7,70 +7,6 @@ import (
 	"perfclone/internal/workloads"
 )
 
-// capture returns a bounded capture of the named bundled workload.
-func capture(t *testing.T, name string, insts uint64) *Trace {
-	t.Helper()
-	w, err := workloads.ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := Capture(w.Build(), insts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
-}
-
-// TestV2SmallerThanV1: the delta+varint v2 encoding must shrink bundled
-// workload traces by at least 30% against the raw-column v1 layout (the
-// PR's size target; in practice the sid stream alone is 4x smaller).
-func TestV2SmallerThanV1(t *testing.T) {
-	for _, name := range []string{"crc32", "qsort", "fft"} {
-		tr := capture(t, name, 200_000)
-		var v1, v2 bytes.Buffer
-		if err := tr.saveV1(&v1); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Save(&v2); err != nil {
-			t.Fatal(err)
-		}
-		if v2.Len() >= v1.Len()*7/10 {
-			t.Errorf("%s: v2 %d bytes vs v1 %d (%.1f%%), want ≤70%%",
-				name, v2.Len(), v1.Len(), 100*float64(v2.Len())/float64(v1.Len()))
-		}
-	}
-}
-
-// TestV1CompatLoad: a v1 image (the pre-PR on-disk format) still loads,
-// column-identical to the capture it came from.
-func TestV1CompatLoad(t *testing.T) {
-	w, err := workloads.ByName("crc32")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := w.Build()
-	tr, err := Capture(p, 50_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.saveV1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(bytes.NewReader(buf.Bytes()), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Insts() != tr.Insts() || got.Halted() != tr.Halted() || got.NumMem() != tr.NumMem() {
-		t.Fatalf("header mismatch: insts %d/%d halted %v/%v mem %d/%d",
-			got.Insts(), tr.Insts(), got.Halted(), tr.Halted(), got.NumMem(), tr.NumMem())
-	}
-	if !equalU32(got.SIDs(), tr.SIDs()) || !equalU64(got.TakenBits(), tr.TakenBits()) ||
-		!equalU64(got.MemAddrs(), tr.MemAddrs()) || !equalU64(got.MemStores(), tr.MemStores()) {
-		t.Fatal("column mismatch after v1 load")
-	}
-}
-
 // TestLoadBytesZeroCopy: the zero-copy path yields the same columns as
 // the streaming loader, adopts the release callback on success (invoked
 // exactly once by Close), and leaves ownership with the caller on error.

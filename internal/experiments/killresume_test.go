@@ -198,3 +198,31 @@ func TestStageTimeoutSubprocessExits124(t *testing.T) {
 		t.Errorf("stderr missing deadline message:\n%s", stderr.String())
 	}
 }
+
+// TestUnknownRunSubprocessExits2: an unknown -run name is a usage error
+// caught before any work — exit 2, nothing on stdout, no store opened —
+// and the message lists every registry name.
+func TestUnknownRunSubprocessExits2(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test skipped in -short")
+	}
+	bin := buildExperimentsCLI(t)
+	storeDir := filepath.Join(t.TempDir(), "store")
+	cmd := exec.Command(bin, "-run", "fig99", "-workloads", "crc32", "-store", storeDir)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	ee, ok := err.(*exec.ExitError)
+	if !ok || ee.ExitCode() != 2 {
+		t.Fatalf("err = %v, want exit code 2\n%s", err, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout not empty:\n%s", stdout.String())
+	}
+	if want := strings.Join(RunNames(), "|"); !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr does not list the registry (%s):\n%s", want, stderr.String())
+	}
+	if _, err := os.Stat(storeDir); !os.IsNotExist(err) {
+		t.Errorf("store opened before the run name was checked: %v", err)
+	}
+}

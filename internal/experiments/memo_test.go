@@ -44,42 +44,21 @@ func freshPairs(pairs []*Pair) []*Pair {
 	return out
 }
 
-// renderStage renders one `-run all` stage with the CLI's printers.
+// stageRuns are the registry runs that print each `-run all` stage.
+var stageRuns = map[string][]string{
+	"fig4":     {"fig4", "fig5"},
+	"fig6and7": {"fig6and7"},
+	"table3":   {"table3", "fig8"},
+	"ablation": {"ablation"},
+}
+
+// renderStage renders one `-run all` stage through the registry.
 func renderStage(ctx context.Context, stage string, pairs []*Pair, opts Options) (string, error) {
 	var buf bytes.Buffer
-	switch stage {
-	case "fig4":
-		rows, err := Fig4Context(ctx, pairs, opts)
-		if err != nil {
+	for _, run := range stageRuns[stage] {
+		if err := render(ctx, run, pairs, opts, &buf); err != nil {
 			return "", err
 		}
-		pts, err := Fig5(rows)
-		if err != nil {
-			return "", err
-		}
-		PrintFig4(&buf, rows)
-		PrintFig5(&buf, pts)
-	case "fig6and7":
-		rows, err := Fig6and7Context(ctx, pairs, opts)
-		if err != nil {
-			return "", err
-		}
-		PrintFig6and7(&buf, rows)
-	case "table3":
-		rows, sums, err := Table3Context(ctx, pairs, opts)
-		if err != nil {
-			return "", err
-		}
-		PrintTable3(&buf, sums)
-		PrintFig8and9(&buf, Fig8and9Rows(rows))
-	case "ablation":
-		rows, err := AblationContext(ctx, pairs, opts)
-		if err != nil {
-			return "", err
-		}
-		PrintAblation(&buf, rows)
-	default:
-		return "", fmt.Errorf("unknown stage %q", stage)
 	}
 	return buf.String(), nil
 }

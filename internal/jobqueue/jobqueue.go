@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"perfclone/internal/faultinject"
+	"perfclone/internal/recordlog"
 )
 
 // Kind classifies what a job computes.
@@ -64,8 +65,8 @@ func (s State) Terminal() bool { return s == StateDone || s == StateFailed }
 // Spec is the client-provided description of the work.
 type Spec struct {
 	Kind Kind `json:"kind"`
-	// Run names the experiment to render (fig3, fig4, fig5, fig6and7,
-	// table3). Experiment jobs only.
+	// Run names the experiment to render: any experiments.Run name.
+	// Experiment jobs only.
 	Run string `json:"run,omitempty"`
 	// Workloads restricts an experiment's benchmark set (empty = all).
 	Workloads []string `json:"workloads,omitempty"`
@@ -80,7 +81,7 @@ type Spec struct {
 }
 
 // Check rejects structurally bad specs before they are journaled.
-// (Run-name validation lives in controlapi, which knows the renderers.)
+// (controlapi checks run names against the experiments registry.)
 func (sp Spec) Check() error {
 	switch sp.Kind {
 	case KindExperiment:
@@ -158,7 +159,7 @@ type Queue struct {
 
 	mu       sync.Mutex
 	f        faultinject.File
-	dirty    bool // last append may have left a partial line
+	wal      *recordlog.Writer
 	jobs     map[string]*Job
 	progress map[string]Progress
 	nextSeq  uint64
@@ -193,11 +194,12 @@ func Open(path string, opts Options) (*Queue, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("jobqueue: %w", err)
 	}
-	if err := q.replay(); err != nil {
+	tornTail, err := q.replay()
+	if err != nil {
 		return nil, err
 	}
 	var f faultinject.File
-	err := faultinject.Retry(q.retry, func() error {
+	err = faultinject.Retry(q.retry, func() error {
 		var err error
 		f, err = q.fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		return err
@@ -205,7 +207,10 @@ func Open(path string, opts Options) (*Queue, error) {
 	if err != nil {
 		return nil, fmt.Errorf("jobqueue: open %s: %w", path, err)
 	}
-	q.f = f
+	// A crash that tore the final append leaves the tail mid-line: the
+	// next append leads with a newline so the torn bytes stay on their
+	// own (droppable) line.
+	q.f, q.wal = f, recordlog.NewWriter(f, tornTail)
 	// Make the file's existence itself durable, so an accepted job can
 	// never vanish with its directory entry.
 	if err := q.syncDir(filepath.Dir(path)); err != nil {
@@ -216,18 +221,16 @@ func Open(path string, opts Options) (*Queue, error) {
 }
 
 // replay loads the WAL into memory: last valid record per job wins,
-// running jobs rewind to pending.
-func (q *Queue) replay() error {
+// running jobs rewind to pending. It reports whether the WAL ends in a
+// torn append.
+func (q *Queue) replay() (tornTail bool, err error) {
 	jobs, dropped, tornTail, err := scanWAL(q.fs, q.retry, q.path)
 	if errors.Is(err, iofs.ErrNotExist) {
-		return nil
+		return false, nil
 	}
 	if err != nil {
-		return err
+		return false, err
 	}
-	// A crash tore the final append: the next append leads with a
-	// newline so the torn bytes stay on their own (droppable) line.
-	q.dirty = tornTail
 	if dropped > 0 {
 		fmt.Fprintf(q.log, "jobqueue: dropped %d torn or corrupt WAL line(s); affected transitions replay from their last valid record\n", dropped)
 	}
@@ -245,7 +248,7 @@ func (q *Queue) replay() error {
 				j.ID, j.Spec.Kind, j.Attempts+1)
 		}
 	}
-	return nil
+	return tornTail, nil
 }
 
 // Submit validates, admits, journals (fsynced), and enqueues one job.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -311,5 +312,73 @@ func TestSpecCheck(t *testing.T) {
 		if err := sp.Check(); err != nil {
 			t.Errorf("Check(%+v) = %v", sp, err)
 		}
+	}
+}
+
+// walFixture is a WAL exactly as the pre-recordlog writer produced it:
+// two jobs, one done and one failed (its error exercises JSON's HTML
+// escaping). The WAL's bytes on disk are a fixed format — acknowledged
+// jobs cannot be recomputed — so these lines must replay, and the
+// current writer must reproduce them byte for byte.
+const walFixture = `{"v":1,"op":"job","crc":3711215058,"data":{"id":"j000001","tenant":"alice","seq":1,"spec":{"kind":"experiment","run":"fig4","workloads":["crc32","qsort"],"insts":100000},"state":"pending"}}
+{"v":1,"op":"job","crc":935204350,"data":{"id":"j000002","tenant":"bob","seq":2,"spec":{"kind":"clone","workload":"fft","seed":7,"validate":true},"state":"pending"}}
+{"v":1,"op":"job","crc":863328219,"data":{"id":"j000001","tenant":"alice","seq":1,"spec":{"kind":"experiment","run":"fig4","workloads":["crc32","qsort"],"insts":100000},"state":"running","attempts":1}}
+{"v":1,"op":"job","crc":1300655755,"data":{"id":"j000001","tenant":"alice","seq":1,"spec":{"kind":"experiment","run":"fig4","workloads":["crc32","qsort"],"insts":100000},"state":"done","artifact":"j000001.out","attempts":1}}
+{"v":1,"op":"job","crc":3687910546,"data":{"id":"j000002","tenant":"bob","seq":2,"spec":{"kind":"clone","workload":"fft","seed":7,"validate":true},"state":"running","attempts":1}}
+{"v":1,"op":"job","crc":889069811,"data":{"id":"j000002","tenant":"bob","seq":2,"spec":{"kind":"clone","workload":"fft","seed":7,"validate":true},"state":"failed","error":"fidelity: \u003cgate\u003e failed \u0026 \"quoted\"","attempts":1}}
+`
+
+func TestWALFixtureReplaysUnchanged(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	if err := os.WriteFile(path, []byte(walFixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q, err := Open(path, Options{Log: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	want := map[string]Job{
+		"j000001": {ID: "j000001", Tenant: "alice", Seq: 1, State: StateDone, Artifact: "j000001.out", Attempts: 1,
+			Spec: Spec{Kind: KindExperiment, Run: "fig4", Workloads: []string{"crc32", "qsort"}, Insts: 100_000}},
+		"j000002": {ID: "j000002", Tenant: "bob", Seq: 2, State: StateFailed, Attempts: 1,
+			Error: `fidelity: <gate> failed & "quoted"`,
+			Spec:  Spec{Kind: KindClone, Workload: "fft", Seed: 7, Validate: true}},
+	}
+	for id, w := range want {
+		got, ok := q.Get(id)
+		if !ok || !reflect.DeepEqual(got, w) {
+			t.Errorf("%s replayed as %+v, want %+v", id, got, w)
+		}
+	}
+	if n := len(q.List("")); n != len(want) {
+		t.Fatalf("replayed %d jobs, want %d", n, len(want))
+	}
+	if _, dropped, err := ScanWAL(path); err != nil || dropped != 0 {
+		t.Fatalf("fixture scan: dropped %d, err %v", dropped, err)
+	}
+
+	// The writer still emits these exact bytes: a fresh WAL journaling
+	// the same transitions is byte-identical to the fixture.
+	q2, path2 := testQueue(t, Options{})
+	a := mustSubmit(t, q2, "alice", want["j000001"].Spec)
+	b := mustSubmit(t, q2, "bob", want["j000002"].Spec)
+	for _, c := range []struct {
+		id, artifact string
+		err          error
+	}{{a.ID, "j000001.out", nil}, {b.ID, "", errors.New(want["j000002"].Error)}} {
+		if _, err := q2.Claim(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := q2.Complete(c.id, c.artifact, c.err); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(raw) != walFixture {
+		t.Fatalf("WAL bytes changed:\n%s\nwant:\n%s", raw, walFixture)
 	}
 }

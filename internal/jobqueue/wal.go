@@ -1,19 +1,17 @@
 package jobqueue
 
-// The WAL format, mirroring the store's checkpoint-v2 conventions: one
-// JSON record per line, CRC-32 (IEEE) over op+payload, torn tails
-// dropped line by line on replay.
+// The WAL is a recordlog: one {v, op, crc, data} JSON record per line,
+// CRC-32 over op+data, torn tails dropped line by line on replay. Its
+// bytes on disk are fixed — acknowledged jobs cannot be recomputed.
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"syscall"
 
 	"perfclone/internal/faultinject"
+	"perfclone/internal/recordlog"
 )
 
 // walVersion guards the record shape; bump on incompatible change.
@@ -24,51 +22,21 @@ const walVersion = 1
 // record per ID wins" scan with no cross-record reconstruction.
 const opJob = "job"
 
-type walRecord struct {
-	V    int             `json:"v"`
-	Op   string          `json:"op"`
-	CRC  uint32          `json:"crc"`
-	Data json.RawMessage `json:"data"`
-}
-
-// recordCRC is the integrity checksum over one record's identity+payload.
-func recordCRC(op string, data []byte) uint32 {
-	h := crc32.NewIEEE()
-	io.WriteString(h, op)
-	h.Write(data)
-	return h.Sum32()
-}
-
 // appendLocked journals one job snapshot; callers hold q.mu. With sync
 // set the record is fsynced before returning — the durability barrier
-// for submissions and terminal transitions. If a failed attempt may
-// have torn mid-line, the next append leads with a newline so the torn
-// bytes isolate to their own (droppable) line.
+// for submissions and terminal transitions.
 func (q *Queue) appendLocked(j Job, sync bool) error {
 	data, err := json.Marshal(j)
 	if err != nil {
 		return fmt.Errorf("jobqueue: job %s: %w", j.ID, err)
 	}
-	line, err := json.Marshal(walRecord{V: walVersion, Op: opJob, CRC: recordCRC(opJob, data), Data: data})
+	line, err := recordlog.Line(walVersion, opJob, data)
 	if err != nil {
 		return fmt.Errorf("jobqueue: job %s: %w", j.ID, err)
 	}
-	line = append(line, '\n')
 	err = faultinject.Retry(q.retry, func() error {
-		buf := line
-		if q.dirty {
-			buf = append([]byte{'\n'}, line...)
-		}
-		n, werr := q.f.Write(buf)
-		if werr != nil {
-			if n > 0 {
-				q.dirty = true
-			}
-			return werr
-		}
-		q.dirty = false
-		if !sync {
-			return nil
+		if err := q.wal.Write(line); err != nil || !sync {
+			return err
 		}
 		return q.f.Sync()
 	})
@@ -78,26 +46,10 @@ func (q *Queue) appendLocked(j Job, sync bool) error {
 	return nil
 }
 
-// tailReader remembers the last byte it handed out, so the scan can
-// tell whether the file ends in a torn (newline-less) record.
-type tailReader struct {
-	r    io.Reader
-	last byte
-}
-
-func (t *tailReader) Read(p []byte) (int, error) {
-	n, err := t.r.Read(p)
-	if n > 0 {
-		t.last = p[n-1]
-	}
-	return n, err
-}
-
 // scanWAL reads every record from path, returning the surviving job
 // snapshots in record order (duplicates per ID included — the caller
 // applies last-wins), the number of dropped lines, and whether the file
-// ends mid-line (a crash tore the final append): the next append must
-// lead with a newline to isolate the torn bytes.
+// ends mid-line (a crash tore the final append).
 func scanWAL(fsys faultinject.FS, retry faultinject.RetryPolicy, path string) (jobs []Job, dropped int, tornTail bool, err error) {
 	err = faultinject.Retry(retry, func() error {
 		f, err := fsys.Open(path)
@@ -105,36 +57,19 @@ func scanWAL(fsys faultinject.FS, retry faultinject.RetryPolicy, path string) (j
 			return err
 		}
 		defer f.Close()
-		jobs, dropped = nil, 0
-		tr := &tailReader{r: f, last: '\n'}
-		defer func() { tornTail = tr.last != '\n' }()
-		sc := bufio.NewScanner(tr)
-		sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
-			var rec walRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				dropped++ // torn line: crash mid-append; later lines are whole
-				continue
-			}
-			if rec.V != walVersion {
-				return fmt.Errorf("jobqueue: %s: WAL version %d, want %d", path, rec.V, walVersion)
-			}
-			if rec.Op != opJob || rec.CRC != recordCRC(rec.Op, rec.Data) {
-				dropped++
-				continue
-			}
+		jobs = nil
+		dropped, tornTail, err = recordlog.Scan(f, walVersion, func(rec recordlog.Record) bool {
 			var j Job
-			if err := json.Unmarshal(rec.Data, &j); err != nil || j.ID == "" {
-				dropped++
-				continue
+			if rec.Key != opJob || json.Unmarshal(rec.Data, &j) != nil || j.ID == "" {
+				return false
 			}
 			jobs = append(jobs, j)
+			return true
+		})
+		if err != nil {
+			return fmt.Errorf("jobqueue: %s: WAL %w", path, err)
 		}
-		return sc.Err()
+		return nil
 	})
 	return jobs, dropped, tornTail, err
 }

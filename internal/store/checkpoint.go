@@ -1,12 +1,10 @@
 package store
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	iofs "io/fs"
 	"os"
@@ -14,48 +12,31 @@ import (
 	"sync"
 
 	"perfclone/internal/faultinject"
+	"perfclone/internal/recordlog"
 )
 
-// checkpointVersion guards the JSONL cell format; bump it when a
-// record's shape changes incompatibly. v2 added the per-record CRC.
-const checkpointVersion = 2
+// checkpointVersion guards the record format; bump it when a record's
+// shape changes incompatibly. v2 added the per-record CRC; v3 moved the
+// log onto recordlog, which stores the cell name under "op".
+const checkpointVersion = 3
 
-// cellRecord is one line of a checkpoint file: a finished grid cell and
-// its full result row, so a resumed run can reuse the row verbatim and
-// render byte-identical figures. CRC is an IEEE CRC-32 over the cell
-// name and the raw row bytes: a bit flip anywhere in a line — including
-// one that still parses as JSON — drops the record instead of silently
-// resuming from a wrong row.
-type cellRecord struct {
-	V    int             `json:"v"`
-	Cell string          `json:"cell"`
-	CRC  uint32          `json:"crc"`
-	Data json.RawMessage `json:"data"`
-}
-
-// cellCRC is the integrity checksum over one record's identity+payload.
-func cellCRC(cell string, data []byte) uint32 {
-	h := crc32.NewIEEE()
-	io.WriteString(h, cell)
-	h.Write(data)
-	return h.Sum32()
-}
-
-// Checkpoint is an append-only JSONL log of completed grid cells for one
-// experiment stage. Mark is safe for concurrent use by the worker pool;
-// each line is written in one critical section and flushed to the OS
-// before the cell counts as done, so a SIGINT between cells never loses
-// a recorded cell. A crash (or an injected torn write) can leave partial
-// lines anywhere in the file; load drops them individually and the
-// affected cells simply recompute.
+// Checkpoint is an append-only recordlog of completed grid cells for one
+// experiment stage: each record's key is the cell and its data the full
+// result row, so a resumed run can reuse the row verbatim and render
+// byte-identical figures. Mark is safe for concurrent use by the worker
+// pool; each line is written in one critical section and flushed to the
+// OS before the cell counts as done, so a SIGINT between cells never
+// loses a recorded cell. A crash (or an injected torn write) can leave
+// partial lines anywhere in the file; load drops them individually and
+// the affected cells simply recompute.
 type Checkpoint struct {
 	stage string
 	st    *Store
 
-	mu    sync.Mutex
-	f     faultinject.File
-	done  map[string]json.RawMessage
-	dirty bool // last append may have left a partial line
+	mu   sync.Mutex
+	f    faultinject.File
+	log  *recordlog.Writer
+	done map[string]json.RawMessage
 }
 
 // OpenCheckpoint opens the per-stage cell log. With resume set, existing
@@ -67,8 +48,10 @@ type Checkpoint struct {
 func (s *Store) OpenCheckpoint(stage string, resume bool) (*Checkpoint, error) {
 	path := filepath.Join(s.dir, "checkpoints", sanitize(stage)+".jsonl")
 	cp := &Checkpoint{stage: stage, st: s, done: make(map[string]json.RawMessage)}
+	var tornTail bool
 	if resume {
-		if err := cp.load(path); err != nil {
+		var err error
+		if tornTail, err = cp.load(path); err != nil {
 			if s.strict {
 				return nil, err
 			}
@@ -89,58 +72,39 @@ func (s *Store) OpenCheckpoint(stage string, resume bool) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: checkpoint %s: %w", stage, err)
 	}
-	cp.f = f
+	cp.f, cp.log = f, recordlog.NewWriter(f, tornTail)
 	return cp, nil
 }
 
 // load reads existing records into the done map, skipping lines that are
-// torn, corrupt, or fail their CRC.
-func (cp *Checkpoint) load(path string) error {
+// torn, corrupt, or fail their CRC, and reports whether the file ends in
+// a torn append.
+func (cp *Checkpoint) load(path string) (tornTail bool, err error) {
 	var dropped int
-	err := cp.st.readArtifact(path, func(r io.Reader) error {
-		sc := bufio.NewScanner(r)
-		sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
+	err = cp.st.readArtifact(path, func(r io.Reader) error {
 		done := make(map[string]json.RawMessage)
-		dropped = 0
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
-			var rec cellRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				// A torn line: a crash mid-append, or an append that a
-				// degraded writer could not complete. Later lines are
-				// whole records in their own right, so keep scanning.
-				dropped++
-				continue
-			}
-			if rec.V != checkpointVersion {
-				return fmt.Errorf("version %d, want %d", rec.V, checkpointVersion)
-			}
-			if rec.CRC != cellCRC(rec.Cell, rec.Data) {
-				dropped++
-				continue
-			}
-			done[rec.Cell] = rec.Data
-		}
-		if err := sc.Err(); err != nil {
+		var err error
+		dropped, tornTail, err = recordlog.Scan(r, checkpointVersion, func(rec recordlog.Record) bool {
+			done[rec.Key] = rec.Data
+			return true
+		})
+		if err != nil {
 			return err
 		}
 		cp.done = done
 		return nil
 	})
 	if errors.Is(err, iofs.ErrNotExist) {
-		return nil
+		return false, nil
 	}
 	if err != nil {
-		return fmt.Errorf("store: checkpoint %s: %w", cp.stage, err)
+		return false, fmt.Errorf("store: checkpoint %s: %w", cp.stage, err)
 	}
 	if dropped > 0 {
 		fmt.Fprintf(cp.st.log, "store: checkpoint %s: dropped %d torn or corrupt line(s); those cells recompute\n",
 			cp.stage, dropped)
 	}
-	return nil
+	return tornTail, nil
 }
 
 // Done returns the recorded result for cell, if the cell finished in a
@@ -180,29 +144,14 @@ func (cp *Checkpoint) MarkContext(ctx context.Context, cell string, row any) err
 	if err != nil {
 		return fmt.Errorf("store: checkpoint %s cell %s: %w", cp.stage, cell, err)
 	}
-	line, err := json.Marshal(cellRecord{V: checkpointVersion, Cell: cell, CRC: cellCRC(cell, data), Data: data})
+	line, err := recordlog.Line(checkpointVersion, cell, data)
 	if err != nil {
 		return fmt.Errorf("store: checkpoint %s cell %s: %w", cp.stage, cell, err)
 	}
-	line = append(line, '\n')
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	cp.done[cell] = data
-	err = faultinject.RetryContext(ctx, cp.st.retry, func() error {
-		buf := line
-		if cp.dirty {
-			buf = append([]byte{'\n'}, line...)
-		}
-		n, werr := cp.f.Write(buf)
-		if werr != nil {
-			if n > 0 {
-				cp.dirty = true
-			}
-			return werr
-		}
-		cp.dirty = false
-		return nil
-	})
+	err = faultinject.RetryContext(ctx, cp.st.retry, func() error { return cp.log.Write(line) })
 	if err != nil {
 		return fmt.Errorf("store: checkpoint %s cell %s: %w", cp.stage, cell, err)
 	}

@@ -229,3 +229,50 @@ func TestCheckpointTornTailDropped(t *testing.T) {
 		t.Fatal("torn cell must not count as done")
 	}
 }
+
+// TestCheckpointMarkAfterTornTailResume: a crash leaves a torn record
+// with no newline at the end of the log; the resumed run's next Mark
+// must start a fresh line, or the new record fuses with the torn bytes
+// and is lost on the following resume.
+func TestCheckpointMarkAfterTornTailResume(t *testing.T) {
+	st, err := Open(t.TempDir(), WithLog(io.Discard))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := st.OpenCheckpoint("table3", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Mark("a", 1); err != nil {
+		t.Fatal(err)
+	}
+	cp.Close()
+	path := filepath.Join(st.Dir(), "checkpoints", "table3.jsonl")
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"v":2,"cell":"b","da`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	cp2, err := st.OpenCheckpoint("table3", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp2.Mark("b", 2); err != nil {
+		t.Fatal(err)
+	}
+	cp2.Close()
+	cp3, err := st.OpenCheckpoint("table3", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp3.Close()
+	for cell, want := range map[string]string{"a": "1", "b": "2"} {
+		if raw, ok := cp3.Done(cell); !ok || string(raw) != want {
+			t.Errorf("cell %s after torn-tail resume: %s, %v; want %s", cell, raw, ok, want)
+		}
+	}
+}
