@@ -492,29 +492,25 @@ func (rs *ReplaySet) Access(addr uint64, write bool) {
 	}
 }
 
-// AccessStream feeds a packed reference stream — a parallel address
-// slice and store bitset (bit i set when addrs[i] is a store), as
-// produced by dyntrace.Trace.Mem — to every configuration. It walks the
-// stream group by group, so each group's stacks stay hot while it
-// consumes the whole stream; the groups are independent, so the
-// statistics are identical to interleaved delivery via Access. A bitset
-// too short for the address slice is an error, not a panic — trace files
-// arrive from disk and may be damaged.
-func (rs *ReplaySet) AccessStream(addrs []uint64, storeBits []uint64) error {
-	return rs.AccessStreamContext(context.Background(), addrs, storeBits)
-}
-
 // accessStreamCheckEvery is how many references AccessStreamContext
 // replays between cancellation checks: coarse enough to cost nothing on
 // the hot path, fine enough that Ctrl-C interrupts a 28-configuration
 // sweep within milliseconds.
 const accessStreamCheckEvery = 1 << 16
 
-// AccessStreamContext is AccessStream with cooperative cancellation: a
-// sweep replays the stream once per group, polling ctx every
-// accessStreamCheckEvery references and abandoning the sweep (returning
-// the context's cancellation cause) once it is cancelled. The same
-// cadence ticks any supervision heartbeat carried by ctx.
+// AccessStreamContext feeds a packed reference stream — a parallel
+// address slice and store bitset (bit i set when addrs[i] is a store), as
+// produced by dyntrace.Trace.Mem — to every configuration. It walks the
+// stream group by group, so each group's stacks stay hot while it
+// consumes the whole stream; the groups are independent, so the
+// statistics are identical to interleaved delivery via Access. A bitset
+// too short for the address slice is an error, not a panic — trace files
+// arrive from disk and may be damaged.
+//
+// Each group's pass polls ctx every accessStreamCheckEvery references
+// and abandons the sweep (returning the context's cancellation cause)
+// once it is cancelled. The same cadence ticks any supervision heartbeat
+// carried by ctx.
 func (rs *ReplaySet) AccessStreamContext(ctx context.Context, addrs []uint64, storeBits []uint64) error {
 	if need := (len(addrs) + 63) / 64; len(storeBits) < need {
 		return fmt.Errorf("cache: store bitset has %d words for %d references, need %d", len(storeBits), len(addrs), need)

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"encoding/binary"
 	"testing"
 
@@ -21,7 +22,7 @@ func checkAgainstCaches(t *testing.T, cfgs []Config, addrs, storeBits []uint64) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rs.AccessStream(addrs, storeBits); err != nil {
+	if err := rs.AccessStreamContext(context.Background(), addrs, storeBits); err != nil {
 		t.Fatal(err)
 	}
 	out := rs.Stats()

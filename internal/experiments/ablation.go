@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"perfclone/internal/baseline"
 	"perfclone/internal/cache"
@@ -43,116 +44,96 @@ var ablationPredictors = []string{"gap", "bimodal", "gshare", "not-taken", "take
 // are then swept across the 28 cache configurations and the predictor
 // set.
 func AblationContext(ctx context.Context, pairs []*Pair, opts Options) ([]AblationRow, error) {
-	opts = opts.withDefaults()
-	ctx, cancelStage := stageContext(ctx, opts, "ablation")
-	defer cancelStage()
-	train := baseline.TrainingConfig{
-		Cache:     cache.Config{Size: 16 << 10, Assoc: 2, LineSize: 32},
-		Predictor: "gap",
-		MaxInsts:  opts.TimingInsts,
-	}
 	cfgs := cache.Sweep28()
-	sr, err := newStage(opts, "ablation", len(pairs))
-	if err != nil {
-		return nil, err
-	}
-	defer sr.close()
-	rows := make([]AblationRow, len(pairs))
-	budget := traceBudget(opts)
-	err = forEach(ctx, opts, len(pairs), func(i int) error {
-		pr := pairs[i]
-		return stageCell(ctx, sr, pr.Name, &rows[i], func(tctx context.Context) error {
-			targets, err := trainingTargets(tctx, pr, train)
-			if err != nil {
-				return err
-			}
-			// The baseline clone and its trace are built (or loaded) here,
-			// then shared by the cache sweep, the predictor sweep, and the
-			// training-point check below.
-			bl, blTrace, err := baselineClone(tctx, pr, targets, train, opts)
-			if err != nil {
-				return err
-			}
-			defer blTrace.Close()
-			realMPI, err := sweep28(tctx, pr, false, budget)
-			if err != nil {
-				return err
-			}
-			cloneMPI, err := sweep28(tctx, pr, true, budget)
-			if err != nil {
-				return err
-			}
-			blMPI, err := CacheMPI(tctx, blTrace, cfgs, budget)
-			if err != nil {
-				return err
-			}
-			rel := func(v []float64) []float64 {
-				out := make([]float64, len(v)-1)
-				for k := 1; k < len(v); k++ {
-					out[k-1] = v[k] - v[0]
-				}
-				return out
-			}
-			// Zero variance (a clone whose miss behaviour does not change
-			// across configurations at all) counts as zero correlation —
-			// that *is* the failure mode being measured.
-			cloneR, err := stats.Pearson(rel(cloneMPI), rel(realMPI))
-			if err != nil {
-				cloneR = 0
-			}
-			blR, err := stats.Pearson(rel(blMPI), rel(realMPI))
-			if err != nil {
-				blR = 0
-			}
+	return runStage(ctx, opts, "ablation", pairNames(pairs), func(ctx context.Context, c *cell, i int) (AblationRow, error) {
+		pr, opts := pairs[i], c.opts
+		train := baseline.TrainingConfig{
+			Cache:     cache.Config{Size: 16 << 10, Assoc: 2, LineSize: 32},
+			Predictor: "gap",
+			MaxInsts:  opts.TimingInsts,
+		}
+		budget := traceBudget(opts)
+		targets, err := trainingTargets(ctx, pr, train)
+		if err != nil {
+			return AblationRow{}, err
+		}
+		// The baseline clone and its trace are built (or loaded) here,
+		// then shared by the cache sweep, the predictor sweep, and the
+		// training-point check below.
+		bl, blTrace, err := baselineClone(ctx, pr, targets, train, opts)
+		if err != nil {
+			return AblationRow{}, err
+		}
+		defer blTrace.Close()
+		realMPI, err := sweep28(ctx, pr, false, budget)
+		if err != nil {
+			return AblationRow{}, err
+		}
+		cloneMPI, err := sweep28(ctx, pr, true, budget)
+		if err != nil {
+			return AblationRow{}, err
+		}
+		blMPI, err := CacheMPI(ctx, blTrace, cfgs, budget)
+		if err != nil {
+			return AblationRow{}, err
+		}
+		// Zero variance (a clone whose miss behaviour does not change
+		// across configurations at all) counts as zero correlation —
+		// that *is* the failure mode being measured.
+		cloneR, err := stats.Pearson(relToRef(cloneMPI), relToRef(realMPI))
+		if err != nil {
+			cloneR = 0
+		}
+		blR, err := stats.Pearson(relToRef(blMPI), relToRef(realMPI))
+		if err != nil {
+			blR = 0
+		}
 
-			realT, err := pr.trace(tctx, false, opts.TimingInsts)
+		realT, err := pr.trace(ctx, false, opts.TimingInsts)
+		if err != nil {
+			return AblationRow{}, err
+		}
+		cloneT, err := pr.trace(ctx, true, opts.TimingInsts)
+		if err != nil {
+			return AblationRow{}, err
+		}
+		var cloneMAE, blMAE float64
+		for _, pn := range ablationPredictors {
+			if err := supervise.Cause(ctx); err != nil {
+				return AblationRow{}, err
+			}
+			supervise.Beat(ctx)
+			realM, err := statsim.MispredRate(realT, pn, opts.TimingInsts)
 			if err != nil {
-				return err
+				return AblationRow{}, err
 			}
-			cloneT, err := pr.trace(tctx, true, opts.TimingInsts)
+			cloneM, err := statsim.MispredRate(cloneT, pn, opts.TimingInsts)
 			if err != nil {
-				return err
+				return AblationRow{}, err
 			}
-			var cloneMAE, blMAE float64
-			for _, pn := range ablationPredictors {
-				if err := supervise.Cause(tctx); err != nil {
-					return err
-				}
-				supervise.Beat(tctx)
-				realM, err := statsim.MispredRate(realT, pn, opts.TimingInsts)
-				if err != nil {
-					return err
-				}
-				cloneM, err := statsim.MispredRate(cloneT, pn, opts.TimingInsts)
-				if err != nil {
-					return err
-				}
-				blM, err := statsim.MispredRate(blTrace, pn, opts.TimingInsts)
-				if err != nil {
-					return err
-				}
-				cloneMAE += absF(cloneM - realM)
-				blMAE += absF(blM - realM)
+			blM, err := statsim.MispredRate(blTrace, pn, opts.TimingInsts)
+			if err != nil {
+				return AblationRow{}, err
 			}
-			n := float64(len(ablationPredictors))
+			cloneMAE += math.Abs(cloneM - realM)
+			blMAE += math.Abs(blM - realM)
+		}
+		n := float64(len(ablationPredictors))
 
-			blTrainMiss, err := missRateFor(tctx, bl.Program, blTrace, train.Cache, opts.TimingInsts)
-			if err != nil {
-				return err
-			}
-			rows[i] = AblationRow{
-				Workload:           pr.Name,
-				CloneR:             cloneR,
-				BaselineR:          blR,
-				CloneMispredMAE:    cloneMAE / n,
-				BaselineMispredMAE: blMAE / n,
-				TrainMissReal:      targets.MissRate,
-				TrainMissBaseline:  blTrainMiss,
-			}
-			return nil
-		})
+		blTrainMiss, err := missRateFor(ctx, bl.Program, blTrace, train.Cache, opts.TimingInsts)
+		if err != nil {
+			return AblationRow{}, err
+		}
+		return AblationRow{
+			Workload:           pr.Name,
+			CloneR:             cloneR,
+			BaselineR:          blR,
+			CloneMispredMAE:    cloneMAE / n,
+			BaselineMispredMAE: blMAE / n,
+			TrainMissReal:      targets.MissRate,
+			TrainMissBaseline:  blTrainMiss,
+		}, nil
 	})
-	return rows, err
 }
 
 // missRateFor computes the single-config miss rate of the first maxInsts
@@ -254,11 +235,4 @@ func baselineClone(ctx context.Context, pr *Pair, targets baseline.Targets, trai
 		}
 	}
 	return bl, t, nil
-}
-
-func absF(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -8,14 +8,11 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"perfclone/internal/cache"
@@ -112,7 +109,7 @@ type Options struct {
 // Event is one progress notification: a finished grid cell, or — with
 // Cell empty — a completed stage.
 type Event struct {
-	// Stage is the checkpoint stage name ("prepare", "fig4", "table3", …).
+	// Stage names the stage ("prepare", "fig4", "table3", …).
 	Stage string
 	// Cell identifies the finished cell ("" for a stage summary).
 	Cell string
@@ -175,6 +172,11 @@ type Pair struct {
 // budget; every timing run uses at most 1×).
 func traceBudget(opts Options) uint64 { return opts.TimingInsts * 2 }
 
+// timingLimits is the window every timing run simulates.
+func (o Options) timingLimits() uarch.Limits {
+	return uarch.Limits{Warmup: o.TimingWarmup, MaxInsts: o.TimingInsts}
+}
+
 // traceFor returns a trace covering the first n instructions of p (n = 0:
 // the complete run) — the single front end of every timing run, cache
 // sweep, and predictor walk. It returns t itself when t covers the window:
@@ -202,101 +204,81 @@ func Prepare(opts Options) ([]*Pair, error) {
 // run's successor — loads instead of re-executing. Clone programs are
 // regenerated from the (possibly cached) profile: synthesis is cheap and
 // deterministic, so the clone's program hash keys its trace stably.
+// Prepare runs as stage "prepare", one cell per workload, without a
+// checkpoint (see prepareStage); a cell whose artifacts all came from the
+// store is reported cached.
 func PrepareContext(ctx context.Context, opts Options) ([]*Pair, error) {
-	opts = opts.withDefaults()
-	ctx, cancelStage := stageContext(ctx, opts, "prepare")
-	defer cancelStage()
-	sr, err := newStage(opts, "prepare", len(opts.Workloads))
-	if err != nil {
-		return nil, err
-	}
-	defer sr.close()
-	pairs := make([]*Pair, len(opts.Workloads))
-	err = forEach(ctx, opts, len(opts.Workloads), func(i int) error {
-		start := time.Now()
+	return runStage(ctx, opts, prepareStage, opts.withDefaults().Workloads, func(ctx context.Context, c *cell, i int) (*Pair, error) {
+		opts := c.opts
 		name := opts.Workloads[i]
-		var allCached bool
-		err := sr.super.Run(ctx, sr.spec(name), func(tctx context.Context) error {
-			pairs[i] = nil // a retried attempt rebuilds the pair from scratch
-			allCached = true
-			if testCellHook != nil {
-				testCellHook(tctx, sr.name, name)
-			}
-			w, err := workloads.ByName(name)
-			if err != nil {
-				return err
-			}
-			p := w.Build()
-
-			var prof *profile.Profile
-			var hash string
-			if opts.Store != nil {
-				hash = store.ProgramHash(p)
-				prof, _, err = opts.Store.LoadProfile(name, hash, opts.ProfileInsts)
-				if err != nil {
-					return err
-				}
-			}
-			if prof == nil {
-				allCached = false
-				prof, err = profile.CollectContext(tctx, p, profile.Options{MaxInsts: opts.ProfileInsts})
-				if err != nil {
-					return fmt.Errorf("profile %s: %w", name, err)
-				}
-				if opts.Store != nil {
-					if err := opts.Store.SaveProfile(name, hash, opts.ProfileInsts, prof); err != nil {
-						return err
-					}
-				}
-			}
-			supervise.Beat(tctx)
-			clone, err := generateClone(tctx, prof, opts)
-			if err != nil {
-				return fmt.Errorf("clone %s: %w", name, err)
-			}
-
-			budget := traceBudget(opts)
-			capture := func(label string, tp *prog.Program) (*dyntrace.Trace, error) {
-				supervise.Beat(tctx)
-				if opts.Store != nil {
-					t, ok, err := opts.Store.LoadTrace(label, tp, budget)
-					if err != nil || ok {
-						return t, err
-					}
-				}
-				allCached = false
-				t, err := dyntrace.CaptureContext(tctx, tp, budget)
-				if err != nil {
-					return nil, fmt.Errorf("trace %s: %w", label, err)
-				}
-				if opts.Store != nil {
-					if err := opts.Store.SaveTrace(label, t, budget); err != nil {
-						return nil, err
-					}
-				}
-				return t, nil
-			}
-			rt, err := capture(name, p)
-			if err != nil {
-				return err
-			}
-			ct, err := capture(name+"-clone", clone.Program)
-			if err != nil {
-				return err
-			}
-			pairs[i] = &Pair{
-				Name: name, Real: p, Profile: prof, Clone: clone,
-				RealTrace: rt, CloneTrace: ct,
-			}
-			return nil
-		})
+		c.cached = opts.Store != nil
+		w, err := workloads.ByName(name)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		sr.emit(name, allCached && opts.Store != nil, time.Since(start))
-		return nil
+		p := w.Build()
+
+		var prof *profile.Profile
+		var hash string
+		if opts.Store != nil {
+			hash = store.ProgramHash(p)
+			prof, _, err = opts.Store.LoadProfile(name, hash, opts.ProfileInsts)
+			if err != nil {
+				return nil, err
+			}
+		}
+		if prof == nil {
+			c.cached = false
+			prof, err = profile.CollectContext(ctx, p, profile.Options{MaxInsts: opts.ProfileInsts})
+			if err != nil {
+				return nil, fmt.Errorf("profile %s: %w", name, err)
+			}
+			if opts.Store != nil {
+				if err := opts.Store.SaveProfile(name, hash, opts.ProfileInsts, prof); err != nil {
+					return nil, err
+				}
+			}
+		}
+		supervise.Beat(ctx)
+		clone, err := generateClone(ctx, prof, opts)
+		if err != nil {
+			return nil, fmt.Errorf("clone %s: %w", name, err)
+		}
+
+		budget := traceBudget(opts)
+		capture := func(label string, tp *prog.Program) (*dyntrace.Trace, error) {
+			supervise.Beat(ctx)
+			if opts.Store != nil {
+				t, ok, err := opts.Store.LoadTrace(label, tp, budget)
+				if err != nil || ok {
+					return t, err
+				}
+			}
+			c.cached = false
+			t, err := dyntrace.CaptureContext(ctx, tp, budget)
+			if err != nil {
+				return nil, fmt.Errorf("trace %s: %w", label, err)
+			}
+			if opts.Store != nil {
+				if err := opts.Store.SaveTrace(label, t, budget); err != nil {
+					return nil, err
+				}
+			}
+			return t, nil
+		}
+		rt, err := capture(name, p)
+		if err != nil {
+			return nil, err
+		}
+		ct, err := capture(name+"-clone", clone.Program)
+		if err != nil {
+			return nil, err
+		}
+		return &Pair{
+			Name: name, Real: p, Profile: prof, Clone: clone,
+			RealTrace: rt, CloneTrace: ct,
+		}, nil
 	})
-	return pairs, err
 }
 
 // generateClone synthesizes one workload's clone, applying the fidelity
@@ -335,8 +317,8 @@ func generateClone(ctx context.Context, prof *profile.Profile, opts Options) (*s
 // EffectiveWorkers reports the run's total worker budget: 1 unless
 // Parallel is set, else Options.Workers when positive, else
 // runtime.GOMAXPROCS(0). Every layer of parallelism in a run — the
-// forEach pool over grid cells and the per-cell fused-replay workers —
-// is carved out of this one number.
+// pool over a stage's cells and the per-cell fused-replay workers — is
+// carved out of this one number.
 func (o Options) EffectiveWorkers() int {
 	if !o.Parallel {
 		return 1
@@ -370,229 +352,6 @@ func WorkerBudget(opts Options, cells int) (outer, inner int) {
 		inner = 1
 	}
 	return outer, inner
-}
-
-// forEach runs fn over [0,n), optionally on a parallel worker pool sized
-// by Options.Workers (0 = runtime.GOMAXPROCS(0)). Work is handed out via
-// an atomic counter, so a grid whose cells have very different costs —
-// e.g. (workload × design change) — stays load-balanced. The first error
-// by index wins, matching serial semantics.
-//
-// Cancelling ctx stops workers from claiming new cells; cells already
-// running finish (or abort at their own ctx poll) before forEach returns,
-// so a SIGINT drains cleanly and every completed cell has been
-// checkpointed. A cancelled run never returns nil: it returns the
-// context's cancellation cause (context.Cause), so a stage-deadline or
-// watchdog sentinel survives the pool.
-func forEach(ctx context.Context, opts Options, n int, fn func(i int) error) error {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if !opts.Parallel || workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := supervise.Cause(ctx); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	errs := make([]error, n)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return supervise.Cause(ctx)
-}
-
-// stageContext applies Options.StageTimeout to one stage: each stage
-// driver derives its own deadline context, so a budget bounds every
-// stage individually rather than the whole run. The returned cancel must
-// run when the stage ends.
-func stageContext(ctx context.Context, opts Options, name string) (context.Context, context.CancelFunc) {
-	return supervise.StageContext(ctx, name, opts.StageTimeout)
-}
-
-// stageRun tracks one experiment stage: its checkpoint log (when a store
-// is configured), its task supervisor, completed-cell count, and wall
-// time.
-type stageRun struct {
-	opts  Options
-	name  string
-	total int
-	cp    *store.Checkpoint
-	super *supervise.Supervisor
-	start time.Time
-
-	mu   sync.Mutex
-	done int
-}
-
-// newStage opens the stage's checkpoint (honoring Options.Resume) and
-// starts its wall clock. A checkpoint that cannot be opened on a
-// non-strict store degrades to running the stage without one: every cell
-// recomputes and nothing is recorded, but the run completes.
-func newStage(opts Options, name string, total int) (*stageRun, error) {
-	sr := &stageRun{opts: opts, name: name, total: total, start: time.Now()}
-	sr.super = opts.Supervisor
-	if sr.super == nil {
-		sr.super = supervise.New(supervise.Options{Log: opts.Log})
-	}
-	if opts.Store != nil {
-		cp, err := opts.Store.OpenCheckpoint(opts.CheckpointPrefix+name, opts.Resume)
-		switch {
-		case err == nil:
-			sr.cp = cp
-		case opts.Store.Strict():
-			return nil, err
-		default:
-			fmt.Fprintf(opts.Log, "experiments: DEGRADED: %v; stage %s runs without checkpointing\n", err, name)
-		}
-	}
-	return sr, nil
-}
-
-// strict reports whether the run's store demands hard failures instead
-// of degradation.
-func (sr *stageRun) strict() bool {
-	return sr.opts.Store != nil && sr.opts.Store.Strict()
-}
-
-// emit records one finished cell and forwards it to Options.Progress.
-// The lock also serializes the callback, as Options.Progress promises.
-func (sr *stageRun) emit(cell string, cached bool, d time.Duration) {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	sr.done++
-	if sr.opts.Progress != nil {
-		sr.opts.Progress(Event{
-			Stage: sr.name, Cell: cell,
-			Done: sr.done, Total: sr.total,
-			Cached: cached, Elapsed: d,
-		})
-	}
-}
-
-// close flushes the checkpoint and emits the stage-summary event.
-func (sr *stageRun) close() {
-	if sr.cp != nil {
-		sr.cp.Close()
-	}
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	if sr.opts.Progress != nil {
-		sr.opts.Progress(Event{
-			Stage: sr.name,
-			Done:  sr.done, Total: sr.total,
-			Elapsed: time.Since(sr.start),
-		})
-	}
-}
-
-// spec is the supervision contract for one of the stage's cells: task
-// names are "stage/cell" (the grain the wedge hook and the STUCK /
-// RECOVERED log lines use), with retries and watchdog taken from
-// Options.
-func (sr *stageRun) spec(cell string) supervise.Spec {
-	return supervise.Spec{
-		Name:    sr.name + "/" + cell,
-		Retries: sr.opts.TaskRetries,
-		Quiet:   sr.opts.Watchdog,
-	}
-}
-
-// testCellHook, when set by a test, runs at the top of every supervised
-// cell attempt (stage, cell, and attempt number via
-// supervise.AttemptFrom) — the seam for injecting panics and wedges into
-// specific cells.
-var testCellHook func(ctx context.Context, stage, cell string)
-
-// stageCell runs one grid cell as a supervised task with checkpoint
-// reuse: a cell recorded by a previous run is unmarshalled into out
-// (byte-identical rows — JSON round-trips float64 exactly); otherwise
-// compute fills out under supervision — panic containment, optional
-// watchdog, TaskRetries attempts — and the result is marked durable
-// before the cell counts as done. Every attempt starts from a zeroed
-// out, so a half-filled result from a failed or killed attempt can never
-// leak into a retry.
-//
-// The checkpoint append is deadline-fenced: once the stage context has
-// died, the cell returns the cancellation cause without marking, even if
-// compute returned success — inner work may have been cut short by a
-// cancellation the compute path swallowed, and a valid-CRC checkpoint
-// record must always describe a complete cell (an expired run leaves at
-// most a torn tail, which the JSONL loader drops).
-//
-// On a non-strict store both checkpoint directions degrade rather than
-// abort: a recorded row that does not unmarshal into T is discarded and
-// the cell recomputed, and a row that cannot be persisted is logged as
-// DEGRADED and the run continues (the cell would simply recompute after
-// a crash). Strict stores turn both into hard errors.
-func stageCell[T any](ctx context.Context, sr *stageRun, key string, out *T, compute func(ctx context.Context) error) error {
-	start := time.Now()
-	if sr.cp != nil {
-		if raw, ok := sr.cp.Done(key); ok {
-			err := json.Unmarshal(raw, out)
-			if err == nil {
-				sr.emit(key, true, time.Since(start))
-				return nil
-			}
-			if sr.strict() {
-				return fmt.Errorf("experiments: checkpoint %s cell %s: %w", sr.name, key, err)
-			}
-			fmt.Fprintf(sr.opts.Log, "experiments: checkpoint %s cell %s: unusable row (%v); recomputing\n", sr.name, key, err)
-		}
-	}
-	err := sr.super.Run(ctx, sr.spec(key), func(tctx context.Context) error {
-		var zero T // an earlier attempt (or failed unmarshal) may have half-filled out
-		*out = zero
-		if testCellHook != nil {
-			testCellHook(tctx, sr.name, key)
-		}
-		return compute(tctx)
-	})
-	if err != nil {
-		return err
-	}
-	if cerr := supervise.Cause(ctx); cerr != nil {
-		return cerr
-	}
-	if sr.cp != nil {
-		if err := sr.cp.MarkContext(ctx, key, *out); err != nil {
-			if sr.strict() {
-				return err
-			}
-			fmt.Fprintf(sr.opts.Log, "experiments: DEGRADED: %v; cell %s recomputes after a crash\n", err, key)
-		}
-	}
-	sr.emit(key, false, time.Since(start))
-	return nil
 }
 
 // --- Figure 3 ---
@@ -669,43 +428,33 @@ func CacheMPI(ctx context.Context, t *dyntrace.Trace, cfgs []cache.Config, maxIn
 // configurations, with per-workload checkpointing (stage "fig4", one cell
 // per workload).
 func Fig4Context(ctx context.Context, pairs []*Pair, opts Options) ([]Fig4Row, error) {
-	opts = opts.withDefaults()
-	ctx, cancelStage := stageContext(ctx, opts, "fig4")
-	defer cancelStage()
-	cfgs := cache.Sweep28()
-	sr, err := newStage(opts, "fig4", len(pairs))
-	if err != nil {
-		return nil, err
-	}
-	defer sr.close()
-	rows := make([]Fig4Row, len(pairs))
-	err = forEach(ctx, opts, len(pairs), func(i int) error {
+	return runStage(ctx, opts, "fig4", pairNames(pairs), func(ctx context.Context, c *cell, i int) (Fig4Row, error) {
 		pr := pairs[i]
-		return stageCell(ctx, sr, pr.Name, &rows[i], func(tctx context.Context) error {
-			real, err := sweep28(tctx, pr, false, traceBudget(opts))
-			if err != nil {
-				return err
-			}
-			clone, err := sweep28(tctx, pr, true, traceBudget(opts))
-			if err != nil {
-				return err
-			}
-			// Relative to the 256 B direct-mapped reference config (index 0).
-			relR := make([]float64, 0, len(cfgs)-1)
-			relC := make([]float64, 0, len(cfgs)-1)
-			for k := 1; k < len(cfgs); k++ {
-				relR = append(relR, real[k]-real[0])
-				relC = append(relC, clone[k]-clone[0])
-			}
-			r, err := stats.Pearson(relC, relR)
-			if err != nil {
-				return fmt.Errorf("%s: %w", pr.Name, err)
-			}
-			rows[i] = Fig4Row{Workload: pr.Name, R: r, RealMPI: real, CloneMPI: clone}
-			return nil
-		})
+		real, err := sweep28(ctx, pr, false, traceBudget(c.opts))
+		if err != nil {
+			return Fig4Row{}, err
+		}
+		clone, err := sweep28(ctx, pr, true, traceBudget(c.opts))
+		if err != nil {
+			return Fig4Row{}, err
+		}
+		r, err := stats.Pearson(relToRef(clone), relToRef(real))
+		if err != nil {
+			return Fig4Row{}, fmt.Errorf("%s: %w", pr.Name, err)
+		}
+		return Fig4Row{Workload: pr.Name, R: r, RealMPI: real, CloneMPI: clone}, nil
 	})
-	return rows, err
+}
+
+// relToRef returns each configuration's value relative to configuration
+// 0, the 256 B direct-mapped reference of Section 5.1: v[k]-v[0] for k
+// = 1..len(v)-1.
+func relToRef(v []float64) []float64 {
+	out := make([]float64, len(v)-1)
+	for k := 1; k < len(v); k++ {
+		out[k-1] = v[k] - v[0]
+	}
+	return out
 }
 
 // Fig5Point is one cache configuration's average rank pair (Figure 5).
@@ -763,49 +512,30 @@ type BaseRow struct {
 // real benchmark vs clone on the Table 2 base configuration, with
 // per-workload checkpointing (stage "fig6and7").
 func Fig6and7Context(ctx context.Context, pairs []*Pair, opts Options) ([]BaseRow, error) {
-	opts = opts.withDefaults()
-	ctx, cancelStage := stageContext(ctx, opts, "fig6and7")
-	defer cancelStage()
-	base := uarch.BaseConfig()
-	lim := uarch.Limits{Warmup: opts.TimingWarmup, MaxInsts: opts.TimingInsts}
-	sr, err := newStage(opts, "fig6and7", len(pairs))
-	if err != nil {
-		return nil, err
-	}
-	defer sr.close()
-	rows := make([]BaseRow, len(pairs))
-	err = forEach(ctx, opts, len(pairs), func(i int) error {
+	return runStage(ctx, opts, "fig6and7", pairNames(pairs), func(ctx context.Context, c *cell, i int) (BaseRow, error) {
 		pr := pairs[i]
-		return stageCell(ctx, sr, pr.Name, &rows[i], func(tctx context.Context) error {
-			str, err := runTimed(tctx, pr, false, base, lim)
-			if err != nil {
-				return err
-			}
-			sts, err := runTimed(tctx, pr, true, base, lim)
-			if err != nil {
-				return err
-			}
-			realPow := power.Estimate(str).AvgPower
-			clonePow := power.Estimate(sts).AvgPower
-			ipcErr, err := stats.AbsRelError(sts.IPC(), str.IPC())
-			if err != nil {
-				return err
-			}
-			powErr, err := stats.AbsRelError(clonePow, realPow)
-			if err != nil {
-				return err
-			}
-			rows[i] = BaseRow{
-				Workload:  pr.Name,
-				RealIPC:   str.IPC(),
-				CloneIPC:  sts.IPC(),
-				IPCErr:    ipcErr,
-				RealPower: realPow, ClonePower: clonePow, PowerErr: powErr,
-			}
-			return nil
-		})
+		str, sts, err := pr.timeBoth(ctx, c, uarch.BaseConfig())
+		if err != nil {
+			return BaseRow{}, err
+		}
+		realPow := power.Estimate(str[0]).AvgPower
+		clonePow := power.Estimate(sts[0]).AvgPower
+		ipcErr, err := stats.AbsRelError(sts[0].IPC(), str[0].IPC())
+		if err != nil {
+			return BaseRow{}, err
+		}
+		powErr, err := stats.AbsRelError(clonePow, realPow)
+		if err != nil {
+			return BaseRow{}, err
+		}
+		return BaseRow{
+			Workload:  pr.Name,
+			RealIPC:   str[0].IPC(),
+			CloneIPC:  sts[0].IPC(),
+			IPCErr:    ipcErr,
+			RealPower: realPow, ClonePower: clonePow, PowerErr: powErr,
+		}, nil
 	})
-	return rows, err
 }
 
 // --- Table 3, Figures 8 and 9 ---
@@ -862,87 +592,70 @@ type table3Cell struct {
 // workloads, not (workload × config) cells, so each trace is decoded
 // exactly once per program.
 func Table3Context(ctx context.Context, pairs []*Pair, opts Options) ([]DesignRow, []Table3Summary, error) {
-	opts = opts.withDefaults()
-	ctx, cancelStage := stageContext(ctx, opts, "table3")
-	defer cancelStage()
 	base := uarch.BaseConfig()
 	changes := uarch.DesignChanges()
-	lim := uarch.Limits{Warmup: opts.TimingWarmup, MaxInsts: opts.TimingInsts}
-
 	// cfgs[0] is the base; cfgs[1+ci] is design change ci.
 	cfgs := make([]uarch.Config, 1+len(changes))
 	cfgs[0] = base
 	for ci, ch := range changes {
 		cfgs[1+ci] = ch.Apply(base)
 	}
-	sr, err := newStage(opts, "table3", len(pairs))
+	cells, err := runStage(ctx, opts, "table3", pairNames(pairs), func(ctx context.Context, c *cell, i int) (table3Cell, error) {
+		pr := pairs[i]
+		str, sts, err := pr.timeBoth(ctx, c, cfgs...)
+		if err != nil {
+			return table3Cell{}, err
+		}
+		b := table3Base{
+			RealIPC: str[0].IPC(), CloneIPC: sts[0].IPC(),
+			RealPow: power.Estimate(str[0]).AvgPower, ClonePow: power.Estimate(sts[0]).AvgPower,
+		}
+		rows := make([]DesignRow, len(changes))
+		for ci, ch := range changes {
+			stR, stC := str[1+ci], sts[1+ci]
+			realPow := power.Estimate(stR).AvgPower
+			clonePow := power.Estimate(stC).AvgPower
+			reIPC, err := stats.RelativeError(b.RealIPC, stR.IPC(), b.CloneIPC, stC.IPC())
+			if err != nil {
+				return table3Cell{}, err
+			}
+			rePow, err := stats.RelativeError(b.RealPow, realPow, b.ClonePow, clonePow)
+			if err != nil {
+				return table3Cell{}, err
+			}
+			rows[ci] = DesignRow{
+				Workload:     pr.Name,
+				Change:       ch.Name,
+				RealBaseIPC:  b.RealIPC,
+				RealIPC:      stR.IPC(),
+				CloneBaseIPC: b.CloneIPC,
+				CloneIPC:     stC.IPC(),
+				RealBasePow:  b.RealPow,
+				RealPow:      realPow,
+				CloneBasePow: b.ClonePow,
+				ClonePow:     clonePow,
+				RelErrIPC:    reIPC,
+				RelErrPow:    rePow,
+			}
+		}
+		return table3Cell{Base: b, Rows: rows}, nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	defer sr.close()
-	cells := make([]table3Cell, len(pairs))
-	outer, inner := WorkerBudget(opts, len(pairs))
-	fopts := opts
-	fopts.Workers = outer
-	if err := forEach(ctx, fopts, len(pairs), func(i int) error {
-		pr := pairs[i]
-		return stageCell(ctx, sr, pr.Name, &cells[i], func(tctx context.Context) error {
-			str, err := runTimedMulti(tctx, pr, false, cfgs, lim, inner)
-			if err != nil {
-				return err
-			}
-			sts, err := runTimedMulti(tctx, pr, true, cfgs, lim, inner)
-			if err != nil {
-				return err
-			}
-			b := table3Base{
-				RealIPC: str[0].IPC(), CloneIPC: sts[0].IPC(),
-				RealPow: power.Estimate(str[0]).AvgPower, ClonePow: power.Estimate(sts[0]).AvgPower,
-			}
-			rows := make([]DesignRow, len(changes))
-			for ci, ch := range changes {
-				stR, stC := str[1+ci], sts[1+ci]
-				realPow := power.Estimate(stR).AvgPower
-				clonePow := power.Estimate(stC).AvgPower
-				reIPC, err := stats.RelativeError(b.RealIPC, stR.IPC(), b.CloneIPC, stC.IPC())
-				if err != nil {
-					return err
-				}
-				rePow, err := stats.RelativeError(b.RealPow, realPow, b.ClonePow, clonePow)
-				if err != nil {
-					return err
-				}
-				rows[ci] = DesignRow{
-					Workload:     pr.Name,
-					Change:       ch.Name,
-					RealBaseIPC:  b.RealIPC,
-					RealIPC:      stR.IPC(),
-					CloneBaseIPC: b.CloneIPC,
-					CloneIPC:     stC.IPC(),
-					RealBasePow:  b.RealPow,
-					RealPow:      realPow,
-					CloneBasePow: b.ClonePow,
-					ClonePow:     clonePow,
-					RelErrIPC:    reIPC,
-					RelErrPow:    rePow,
-				}
-			}
-			cells[i] = table3Cell{Base: b, Rows: rows}
-			return nil
-		})
-	}); err != nil {
-		return nil, nil, err
-	}
 
-	// Reassemble change-major, exactly as the flat grid used to emit:
-	// all workloads for change 0, then change 1, and so on.
-	var rows []DesignRow
-	var summaries []Table3Summary
+	// Change-major, exactly as the flat grid used to emit: all workloads
+	// for change 0, then change 1, and so on.
+	perPair := make([][]DesignRow, len(cells))
+	for i, c := range cells {
+		perPair[i] = c.Rows
+	}
+	rows := configMajor(perPair, len(changes))
+	summaries := make([]Table3Summary, len(changes))
 	for ci, ch := range changes {
 		var sIPC, sPow, worst float64
 		var rs, cs, rp, cp float64
-		for i := range pairs {
-			r := cells[i].Rows[ci]
+		for _, r := range rows[ci*len(pairs) : (ci+1)*len(pairs)] {
 			sIPC += r.RelErrIPC
 			sPow += r.RelErrPow
 			if r.RelErrIPC > worst {
@@ -952,10 +665,9 @@ func Table3Context(ctx context.Context, pairs []*Pair, opts Options) ([]DesignRo
 			cs += r.CloneIPC / r.CloneBaseIPC
 			rp += r.RealPow / r.RealBasePow
 			cp += r.ClonePow / r.CloneBasePow
-			rows = append(rows, r)
 		}
 		n := float64(len(pairs))
-		summaries = append(summaries, Table3Summary{
+		summaries[ci] = Table3Summary{
 			Change:        ch.Name,
 			AvgRelErrIPC:  sIPC / n,
 			AvgRelErrPow:  sPow / n,
@@ -964,7 +676,7 @@ func Table3Context(ctx context.Context, pairs []*Pair, opts Options) ([]DesignRo
 			CloneSpeedup:  cs / n,
 			RealPowRatio:  rp / n,
 			ClonePowRatio: cp / n,
-		})
+		}
 	}
 	return rows, summaries, nil
 }

@@ -36,63 +36,36 @@ var extensionPredictors = []string{"gap", "gshare", "bimodal", "taken", "not-tak
 // per workload (stage "predictor-sweep", one cell per workload holding
 // its full row set).
 func PredictorSweepContext(ctx context.Context, pairs []*Pair, opts Options) ([]PredictorRow, error) {
-	opts = opts.withDefaults()
-	ctx, cancelStage := stageContext(ctx, opts, "predictor-sweep")
-	defer cancelStage()
-	base := uarch.BaseConfig()
-	lim := uarch.Limits{Warmup: opts.TimingWarmup, MaxInsts: opts.TimingInsts}
 	cfgs := make([]uarch.Config, len(extensionPredictors))
 	for pi, pn := range extensionPredictors {
-		cfgs[pi] = base
+		cfgs[pi] = uarch.BaseConfig()
 		cfgs[pi].Predictor = uarch.PredictorSpec(pn)
 		cfgs[pi].Name = "pred-" + pn
 	}
-	cells := make([][]PredictorRow, len(pairs))
-	sr, err := newStage(opts, "predictor-sweep", len(pairs))
-	if err != nil {
-		return nil, err
-	}
-	defer sr.close()
-	outer, inner := WorkerBudget(opts, len(pairs))
-	fopts := opts
-	fopts.Workers = outer
-	err = forEach(ctx, fopts, len(pairs), func(i int) error {
+	cells, err := runStage(ctx, opts, "predictor-sweep", pairNames(pairs), func(ctx context.Context, c *cell, i int) ([]PredictorRow, error) {
 		pr := pairs[i]
-		return stageCell(ctx, sr, pr.Name, &cells[i], func(tctx context.Context) error {
-			str, err := runTimedMulti(tctx, pr, false, cfgs, lim, inner)
-			if err != nil {
-				return err
+		str, sts, err := pr.timeBoth(ctx, c, cfgs...)
+		if err != nil {
+			return nil, err
+		}
+		rows := make([]PredictorRow, len(extensionPredictors))
+		for pi, pn := range extensionPredictors {
+			rows[pi] = PredictorRow{
+				Workload:  pr.Name,
+				Predictor: pn,
+				RealIPC:   str[pi].IPC(),
+				CloneIPC:  sts[pi].IPC(),
+				RealMiss:  str[pi].MispredRate(),
+				CloneMiss: sts[pi].MispredRate(),
 			}
-			sts, err := runTimedMulti(tctx, pr, true, cfgs, lim, inner)
-			if err != nil {
-				return err
-			}
-			cell := make([]PredictorRow, len(extensionPredictors))
-			for pi, pn := range extensionPredictors {
-				cell[pi] = PredictorRow{
-					Workload:  pr.Name,
-					Predictor: pn,
-					RealIPC:   str[pi].IPC(),
-					CloneIPC:  sts[pi].IPC(),
-					RealMiss:  str[pi].MispredRate(),
-					CloneMiss: sts[pi].MispredRate(),
-				}
-			}
-			cells[i] = cell
-			return nil
-		})
+		}
+		return rows, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	// Predictor-major, matching the flat grid this replaced.
-	rows := make([]PredictorRow, 0, len(extensionPredictors)*len(pairs))
-	for pi := range extensionPredictors {
-		for i := range pairs {
-			rows = append(rows, cells[i][pi])
-		}
-	}
-	return rows, nil
+	return configMajor(cells, len(extensionPredictors)), nil
 }
 
 // PrintPredictorSweep renders the predictor sweep with per-predictor
@@ -134,44 +107,22 @@ type PrefetchRow struct {
 // PrefetchStudyContext measures the prefetch response of real programs
 // and their clones, with per-workload checkpointing (stage "prefetch").
 func PrefetchStudyContext(ctx context.Context, pairs []*Pair, opts Options) ([]PrefetchRow, error) {
-	opts = opts.withDefaults()
-	ctx, cancelStage := stageContext(ctx, opts, "prefetch")
-	defer cancelStage()
 	off := uarch.BaseConfig()
 	on := off
 	on.NextLinePrefetch = true
 	on.Name = "prefetch"
-	lim := uarch.Limits{Warmup: opts.TimingWarmup, MaxInsts: opts.TimingInsts}
-	sr, err := newStage(opts, "prefetch", len(pairs))
-	if err != nil {
-		return nil, err
-	}
-	defer sr.close()
-	rows := make([]PrefetchRow, len(pairs))
-	cfgs := []uarch.Config{off, on}
-	outer, inner := WorkerBudget(opts, len(pairs))
-	fopts := opts
-	fopts.Workers = outer
-	err = forEach(ctx, fopts, len(pairs), func(i int) error {
+	return runStage(ctx, opts, "prefetch", pairNames(pairs), func(ctx context.Context, c *cell, i int) (PrefetchRow, error) {
 		pr := pairs[i]
-		return stageCell(ctx, sr, pr.Name, &rows[i], func(tctx context.Context) error {
-			r, err := runTimedMulti(tctx, pr, false, cfgs, lim, inner)
-			if err != nil {
-				return err
-			}
-			c, err := runTimedMulti(tctx, pr, true, cfgs, lim, inner)
-			if err != nil {
-				return err
-			}
-			rows[i] = PrefetchRow{
-				Workload:     pr.Name,
-				RealSpeedup:  r[1].IPC() / r[0].IPC(),
-				CloneSpeedup: c[1].IPC() / c[0].IPC(),
-			}
-			return nil
-		})
+		r, cl, err := pr.timeBoth(ctx, c, off, on)
+		if err != nil {
+			return PrefetchRow{}, err
+		}
+		return PrefetchRow{
+			Workload:     pr.Name,
+			RealSpeedup:  r[1].IPC() / r[0].IPC(),
+			CloneSpeedup: cl[1].IPC() / cl[0].IPC(),
+		}, nil
 	})
-	return rows, err
 }
 
 // PrintPrefetchStudy renders the prefetch-response comparison.
@@ -208,60 +159,33 @@ var l2Sizes = []int{16, 32, 64, 128, 256}
 // Checkpointing is per workload (stage "l2-sweep", one cell per workload
 // holding its full row set).
 func L2SweepContext(ctx context.Context, pairs []*Pair, opts Options) ([]L2Row, error) {
-	opts = opts.withDefaults()
-	ctx, cancelStage := stageContext(ctx, opts, "l2-sweep")
-	defer cancelStage()
-	base := uarch.BaseConfig()
-	lim := uarch.Limits{Warmup: opts.TimingWarmup, MaxInsts: opts.TimingInsts}
 	cfgs := make([]uarch.Config, len(l2Sizes))
 	for si, kb := range l2Sizes {
-		cfgs[si] = base
+		cfgs[si] = uarch.BaseConfig()
 		cfgs[si].L2 = cache.Config{Name: "L2", Size: kb << 10, Assoc: 4, LineSize: 64}
 		cfgs[si].Name = fmt.Sprintf("l2-%dkb", kb)
 	}
-	cells := make([][]L2Row, len(pairs))
-	sr, err := newStage(opts, "l2-sweep", len(pairs))
-	if err != nil {
-		return nil, err
-	}
-	defer sr.close()
-	outer, inner := WorkerBudget(opts, len(pairs))
-	fopts := opts
-	fopts.Workers = outer
-	err = forEach(ctx, fopts, len(pairs), func(i int) error {
+	cells, err := runStage(ctx, opts, "l2-sweep", pairNames(pairs), func(ctx context.Context, c *cell, i int) ([]L2Row, error) {
 		pr := pairs[i]
-		return stageCell(ctx, sr, pr.Name, &cells[i], func(tctx context.Context) error {
-			str, err := runTimedMulti(tctx, pr, false, cfgs, lim, inner)
-			if err != nil {
-				return err
+		str, sts, err := pr.timeBoth(ctx, c, cfgs...)
+		if err != nil {
+			return nil, err
+		}
+		rows := make([]L2Row, len(l2Sizes))
+		for si, kb := range l2Sizes {
+			rows[si] = L2Row{
+				Workload: pr.Name, L2KB: kb,
+				RealIPC: str[si].IPC(), CloneIPC: sts[si].IPC(),
+				RealMiss: str[si].L2.MissRate(), CloneMiss: sts[si].L2.MissRate(),
 			}
-			sts, err := runTimedMulti(tctx, pr, true, cfgs, lim, inner)
-			if err != nil {
-				return err
-			}
-			cell := make([]L2Row, len(l2Sizes))
-			for si, kb := range l2Sizes {
-				cell[si] = L2Row{
-					Workload: pr.Name, L2KB: kb,
-					RealIPC: str[si].IPC(), CloneIPC: sts[si].IPC(),
-					RealMiss: str[si].L2.MissRate(), CloneMiss: sts[si].L2.MissRate(),
-				}
-			}
-			cells[i] = cell
-			return nil
-		})
+		}
+		return rows, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	// Size-major, matching the flat grid this replaced.
-	rows := make([]L2Row, 0, len(l2Sizes)*len(pairs))
-	for si := range l2Sizes {
-		for i := range pairs {
-			rows = append(rows, cells[i][si])
-		}
-	}
-	return rows, nil
+	return configMajor(cells, len(l2Sizes)), nil
 }
 
 // PrintL2Sweep renders the L2 sweep.

@@ -42,83 +42,72 @@ type InputRow struct {
 // "inputs"). Each of the four programs is captured once and replayed on
 // the base configuration.
 func InputSensitivityContext(ctx context.Context, opts Options) ([]InputRow, error) {
-	opts = opts.withDefaults()
-	ctx, cancelStage := stageContext(ctx, opts, "inputs")
-	defer cancelStage()
-	base := uarch.BaseConfig()
-	lim := uarch.Limits{Warmup: opts.TimingWarmup, MaxInsts: opts.TimingInsts}
 	variants := workloads.Large()
-	sr, err := newStage(opts, "inputs", len(variants))
-	if err != nil {
-		return nil, err
+	names := make([]string, len(variants))
+	for i, large := range variants {
+		names[i] = strings.TrimSuffix(large.Name, "-large")
 	}
-	defer sr.close()
-	rows := make([]InputRow, len(variants))
-	err = forEach(ctx, opts, len(variants), func(i int) error {
-		large := variants[i]
-		smallName := strings.TrimSuffix(large.Name, "-large")
-		return stageCell(ctx, sr, smallName, &rows[i], func(tctx context.Context) error {
-			small, err := workloads.ByName(smallName)
-			if err != nil {
-				return err
-			}
-			smallProg := small.Build()
-			largeProg := large.Build()
+	return runStage(ctx, opts, "inputs", names, func(ctx context.Context, c *cell, i int) (InputRow, error) {
+		small, err := workloads.ByName(names[i])
+		if err != nil {
+			return InputRow{}, err
+		}
+		smallProg := small.Build()
+		largeProg := variants[i].Build()
 
-			smallProf, err := profile.CollectContext(tctx, smallProg, profile.Options{MaxInsts: opts.ProfileInsts})
-			if err != nil {
-				return err
-			}
-			largeProf, err := profile.CollectContext(tctx, largeProg, profile.Options{MaxInsts: opts.ProfileInsts})
-			if err != nil {
-				return err
-			}
-			smallClone, err := synth.GenerateContext(tctx, smallProf, synth.Config{})
-			if err != nil {
-				return err
-			}
-			largeClone, err := synth.GenerateContext(tctx, largeProf, synth.Config{})
-			if err != nil {
-				return err
-			}
+		profOpts := profile.Options{MaxInsts: c.opts.ProfileInsts}
+		smallProf, err := profile.CollectContext(ctx, smallProg, profOpts)
+		if err != nil {
+			return InputRow{}, err
+		}
+		largeProf, err := profile.CollectContext(ctx, largeProg, profOpts)
+		if err != nil {
+			return InputRow{}, err
+		}
+		smallClone, err := synth.GenerateContext(ctx, smallProf, synth.Config{})
+		if err != nil {
+			return InputRow{}, err
+		}
+		largeClone, err := synth.GenerateContext(ctx, largeProf, synth.Config{})
+		if err != nil {
+			return InputRow{}, err
+		}
 
-			var st [4]uarch.Stats
-			for k, p := range []*prog.Program{smallProg, largeProg, smallClone.Program, largeClone.Program} {
-				t, err := dyntrace.CaptureContext(tctx, p, lim.MaxInsts)
-				if err != nil {
-					return err
-				}
-				if st[k], err = uarch.ReplayContext(tctx, t, base, lim); err != nil {
-					return err
-				}
+		lim := c.opts.timingLimits()
+		var st [4]uarch.Stats
+		for k, p := range []*prog.Program{smallProg, largeProg, smallClone.Program, largeClone.Program} {
+			t, err := dyntrace.CaptureContext(ctx, p, lim.MaxInsts)
+			if err != nil {
+				return InputRow{}, err
 			}
-			rs, rl, cs, cl := st[0], st[1], st[2], st[3]
+			if st[k], err = uarch.ReplayContext(ctx, t, uarch.BaseConfig(), lim); err != nil {
+				return InputRow{}, err
+			}
+		}
+		rs, rl, cs, cl := st[0], st[1], st[2], st[3]
 
-			evs, err := stats.AbsRelError(cs.IPC(), rs.IPC())
-			if err != nil {
-				return err
-			}
-			evl, err := stats.AbsRelError(cs.IPC(), rl.IPC())
-			if err != nil {
-				return err
-			}
-			lce, err := stats.AbsRelError(cl.IPC(), rl.IPC())
-			if err != nil {
-				return err
-			}
-			rows[i] = InputRow{
-				Workload:      smallName,
-				RealSmallIPC:  rs.IPC(),
-				RealLargeIPC:  rl.IPC(),
-				CloneIPC:      cs.IPC(),
-				ErrVsSmall:    evs,
-				ErrVsLarge:    evl,
-				LargeCloneErr: lce,
-			}
-			return nil
-		})
+		evs, err := stats.AbsRelError(cs.IPC(), rs.IPC())
+		if err != nil {
+			return InputRow{}, err
+		}
+		evl, err := stats.AbsRelError(cs.IPC(), rl.IPC())
+		if err != nil {
+			return InputRow{}, err
+		}
+		lce, err := stats.AbsRelError(cl.IPC(), rl.IPC())
+		if err != nil {
+			return InputRow{}, err
+		}
+		return InputRow{
+			Workload:      names[i],
+			RealSmallIPC:  rs.IPC(),
+			RealLargeIPC:  rl.IPC(),
+			CloneIPC:      cs.IPC(),
+			ErrVsSmall:    evs,
+			ErrVsLarge:    evl,
+			LargeCloneErr: lce,
+		}, nil
 	})
-	return rows, err
 }
 
 // PrintInputSensitivity renders the assimilation study.

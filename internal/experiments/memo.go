@@ -59,13 +59,18 @@ func (pr *Pair) trace(ctx context.Context, clone bool, n uint64) (*dyntrace.Trac
 	return traceFor(ctx, pr.Real, pr.RealTrace, n)
 }
 
-// runTimed times one side of pr on cfg (see runTimedMulti).
-func runTimed(ctx context.Context, pr *Pair, clone bool, cfg uarch.Config, lim uarch.Limits) (uarch.Stats, error) {
-	st, err := runTimedMulti(ctx, pr, clone, []uarch.Config{cfg}, lim, 1)
-	if err != nil {
-		return uarch.Stats{}, err
+// timeBoth times pr's real program and its clone on every configuration
+// in cfgs over the run's timing window (see runTimedMulti), each side's
+// missing configurations in one fused walk over c.inner goroutines.
+func (pr *Pair) timeBoth(ctx context.Context, c *cell, cfgs ...uarch.Config) (real, clone []uarch.Stats, err error) {
+	lim := c.opts.timingLimits()
+	if real, err = runTimedMulti(ctx, pr, false, cfgs, lim, c.inner); err != nil {
+		return nil, nil, err
 	}
-	return st[0], nil
+	if clone, err = runTimedMulti(ctx, pr, true, cfgs, lim, c.inner); err != nil {
+		return nil, nil, err
+	}
+	return real, clone, nil
 }
 
 // runTimedMulti times one side of pr on every configuration in cfgs.

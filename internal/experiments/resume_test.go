@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -201,6 +205,134 @@ func TestResumeParallelTable3ByteIdentical(t *testing.T) {
 	}
 	if cachedCells == 0 {
 		t.Fatal("resumed run reused no checkpointed table3 cells")
+	}
+}
+
+// runOpts keeps the per-run resume tests fast: two workloads, about
+// 100k instructions per timing run.
+func runOpts(st *store.Store) Options {
+	return Options{
+		Workloads:    []string{"crc32", "qsort"},
+		ProfileInsts: 100_000,
+		TimingInsts:  100_000,
+		Parallel:     true,
+		Store:        st,
+		Log:          io.Discard,
+	}
+}
+
+// TestResumeEveryRun runs each distinct registry run cold against a
+// store and then again with Resume: the resumed run must print
+// byte-identical output and report every cell — Prepare's and every
+// grid cell — as cached, none recomputed. Runs that print the same
+// blocks as an earlier run (fig6/fig7/fig6and7, fig8/fig9) are skipped
+// after their cold run.
+func TestResumeEveryRun(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	seen := make(map[string]string) // cold output -> the run that printed it first
+	for _, name := range RunNames() {
+		t.Run(name, func(t *testing.T) {
+			var cold bytes.Buffer
+			if err := Run(ctx, name, runOpts(st), &cold); err != nil {
+				t.Fatal(err)
+			}
+			if first, ok := seen[cold.String()]; ok {
+				t.Skipf("prints the same blocks as %s", first)
+			}
+			seen[cold.String()] = name
+
+			opts := runOpts(st)
+			opts.Resume = true
+			var cells int
+			opts.Progress = func(ev Event) {
+				if ev.Cell == "" {
+					return
+				}
+				cells++
+				if !ev.Cached {
+					t.Errorf("%s/%s recomputed on resume", ev.Stage, ev.Cell)
+				}
+			}
+			var warm bytes.Buffer
+			if err := Run(ctx, name, opts, &warm); err != nil {
+				t.Fatal(err)
+			}
+			if warm.String() != cold.String() {
+				t.Fatalf("resumed output differs from the cold run:\n--- cold ---\n%s\n--- resumed ---\n%s", cold.String(), warm.String())
+			}
+			if cells == 0 {
+				t.Fatal("resumed run reported no cells")
+			}
+		})
+	}
+}
+
+// TestExtWorkerCountsByteIdentical: the extension studies print the
+// same bytes at 1 and 3 workers, whatever the outer×inner split.
+func TestExtWorkerCountsByteIdentical(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outs [2]bytes.Buffer
+	for k, workers := range []int{1, 3} {
+		opts := runOpts(st)
+		opts.Workers = workers
+		if err := Run(context.Background(), "ext", opts, &outs[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if outs[0].String() != outs[1].String() {
+		t.Fatalf("ext output differs between 1 and 3 workers:\n--- 1 ---\n%s\n--- 3 ---\n%s", outs[0].String(), outs[1].String())
+	}
+}
+
+// TestPrepareWritesNoCheckpoint: Prepare's cells are the store's own
+// artifacts, so a store-backed Prepare leaves no prepare checkpoint
+// behind. Its progress events stay: a cold Prepare computes every cell,
+// a warm one reports every cell cached.
+func TestPrepareWritesNoCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, warm := range []bool{false, true} {
+		opts := runOpts(st)
+		var cells, cached, summaries int
+		opts.Progress = func(ev Event) {
+			if ev.Stage != "prepare" {
+				t.Errorf("event from stage %q", ev.Stage)
+			}
+			switch {
+			case ev.Cell == "":
+				summaries++
+			case ev.Cached:
+				cached++
+				fallthrough
+			default:
+				cells++
+			}
+		}
+		if _, err := PrepareContext(context.Background(), opts); err != nil {
+			t.Fatal(err)
+		}
+		_, err := os.Stat(filepath.Join(dir, "checkpoints", "prepare.jsonl"))
+		if !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("warm=%v: prepare.jsonl: stat err %v, want it absent", warm, err)
+		}
+		want := 0
+		if warm {
+			want = len(opts.Workloads)
+		}
+		if cells != len(opts.Workloads) || cached != want || summaries != 1 {
+			t.Errorf("warm=%v: %d cells, %d cached, %d summaries; want %d, %d, 1",
+				warm, cells, cached, summaries, len(opts.Workloads), want)
+		}
 	}
 }
 

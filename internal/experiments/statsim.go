@@ -28,60 +28,43 @@ type StatsimRow struct {
 // Statistical simulation's rates are measured on the real program's
 // trace, the same stream the detailed run replays.
 func StatsimComparisonContext(ctx context.Context, pairs []*Pair, opts Options) ([]StatsimRow, error) {
-	opts = opts.withDefaults()
-	ctx, cancelStage := stageContext(ctx, opts, "statsim")
-	defer cancelStage()
 	base := uarch.BaseConfig()
-	lim := uarch.Limits{Warmup: opts.TimingWarmup, MaxInsts: opts.TimingInsts}
-	sr, err := newStage(opts, "statsim", len(pairs))
-	if err != nil {
-		return nil, err
-	}
-	defer sr.close()
-	rows := make([]StatsimRow, len(pairs))
-	err = forEach(ctx, opts, len(pairs), func(i int) error {
+	return runStage(ctx, opts, "statsim", pairNames(pairs), func(ctx context.Context, c *cell, i int) (StatsimRow, error) {
 		pr := pairs[i]
-		return stageCell(ctx, sr, pr.Name, &rows[i], func(tctx context.Context) error {
-			detailed, err := runTimed(tctx, pr, false, base, lim)
-			if err != nil {
-				return err
-			}
-			clone, err := runTimed(tctx, pr, true, base, lim)
-			if err != nil {
-				return err
-			}
-			t, err := pr.trace(tctx, false, opts.TimingInsts)
-			if err != nil {
-				return err
-			}
-			rates, err := statsim.MeasureRates(t, base, opts.TimingInsts)
-			if err != nil {
-				return err
-			}
-			est, err := statsim.Estimate(tctx, pr.Profile, rates, base, statsim.Options{TraceLen: opts.TimingInsts})
-			if err != nil {
-				return err
-			}
-			se, err := stats.AbsRelError(est.IPC(), detailed.IPC())
-			if err != nil {
-				return err
-			}
-			ce, err := stats.AbsRelError(clone.IPC(), detailed.IPC())
-			if err != nil {
-				return err
-			}
-			rows[i] = StatsimRow{
-				Workload:    pr.Name,
-				DetailedIPC: detailed.IPC(),
-				StatsimIPC:  est.IPC(),
-				CloneIPC:    clone.IPC(),
-				StatsimErr:  se,
-				CloneErr:    ce,
-			}
-			return nil
-		})
+		n := c.opts.TimingInsts
+		detailed, clone, err := pr.timeBoth(ctx, c, base)
+		if err != nil {
+			return StatsimRow{}, err
+		}
+		t, err := pr.trace(ctx, false, n)
+		if err != nil {
+			return StatsimRow{}, err
+		}
+		rates, err := statsim.MeasureRates(t, base, n)
+		if err != nil {
+			return StatsimRow{}, err
+		}
+		est, err := statsim.Estimate(ctx, pr.Profile, rates, base, statsim.Options{TraceLen: n})
+		if err != nil {
+			return StatsimRow{}, err
+		}
+		se, err := stats.AbsRelError(est.IPC(), detailed[0].IPC())
+		if err != nil {
+			return StatsimRow{}, err
+		}
+		ce, err := stats.AbsRelError(clone[0].IPC(), detailed[0].IPC())
+		if err != nil {
+			return StatsimRow{}, err
+		}
+		return StatsimRow{
+			Workload:    pr.Name,
+			DetailedIPC: detailed[0].IPC(),
+			StatsimIPC:  est.IPC(),
+			CloneIPC:    clone[0].IPC(),
+			StatsimErr:  se,
+			CloneErr:    ce,
+		}, nil
 	})
-	return rows, err
 }
 
 // PrintStatsimComparison renders the three-way comparison.

@@ -36,25 +36,18 @@ func TestDeadlineCellNeverCheckpointed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := superOpts().withDefaults()
+	opts := superOpts()
 	opts.Store = st
-	sr, err := newStage(opts, "deadfence", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
-	var out int
-	err = stageCell(ctx, sr, "cell", &out, func(tctx context.Context) error {
+	_, err = runStage(ctx, opts, "deadfence", []string{"cell"}, func(context.Context, *cell, int) (int, error) {
 		// The stage budget expires while the cell is running; this
 		// compute path loses the cancellation and returns success anyway.
 		cancel(supervise.ErrDeadline)
-		out = 42
-		return nil
+		return 42, nil
 	})
-	sr.close()
 	if !errors.Is(err, supervise.ErrDeadline) {
-		t.Fatalf("stageCell = %v, want the deadline cause", err)
+		t.Fatalf("runStage = %v, want the deadline cause", err)
 	}
 	// Reopen the checkpoint the way a resumed run would: the cell must
 	// not be recorded.

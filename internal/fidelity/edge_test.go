@@ -1,6 +1,7 @@
 package fidelity
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ func gateEdge(t *testing.T, p *prog.Program) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone, rep, err := Generate(prof, synth.Config{}, Options{})
+	clone, rep, err := GenerateContext(context.Background(), prof, synth.Config{}, Options{})
 	if err != nil {
 		t.Fatalf("gate failed:\n%v", err)
 	}

@@ -164,17 +164,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Check re-profiles the clone and compares its microarchitecture-
-// independent attributes against the target profile. The returned error
-// is operational (the clone failed to execute); a clone that runs but
-// diverges yields a Report with Pass == false and a nil error.
-func Check(target *profile.Profile, clone *synth.Clone, opts Options) (*Report, error) {
-	return CheckContext(context.Background(), target, clone, opts)
-}
-
-// CheckContext is Check with cooperative cancellation threaded into the
-// re-profiling pass (see profile.CollectContext), so a supervised
-// fidelity gate honors stage deadlines and ticks its watchdog heartbeat.
+// CheckContext re-profiles the clone and compares its
+// microarchitecture-independent attributes against the target profile.
+// The returned error is operational (the clone failed to execute); a
+// clone that runs but diverges yields a Report with Pass == false and a
+// nil error. Cancellation is threaded into the re-profiling pass (see
+// profile.CollectContext), so a supervised fidelity gate honors stage
+// deadlines and ticks its watchdog heartbeat.
 func CheckContext(ctx context.Context, target *profile.Profile, clone *synth.Clone, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	observed, err := profile.CollectContext(ctx, clone.Program, profile.Options{MaxInsts: opts.ProfileInsts})
@@ -449,22 +445,19 @@ func deriveSeed(base uint64, attempt int) uint64 {
 	return z
 }
 
-// Generate is the closed loop: synthesize, check, and — on a failed
-// check — regenerate with derived seeds up to MaxRepair times, widening
-// the block budget when Options.Widen is set. It returns the first
-// passing clone with its report (Report.Attempt says which retry
+// GenerateContext is the closed loop: synthesize, check, and — on a
+// failed check — regenerate with derived seeds up to MaxRepair times,
+// widening the block budget when Options.Widen is set. It returns the
+// first passing clone with its report (Report.Attempt says which retry
 // succeeded). When every attempt fails, the error carries the final
 // attempt's full report so a generator bug can never silently ship a bad
 // clone.
-func Generate(target *profile.Profile, cfg synth.Config, opts Options) (*synth.Clone, *Report, error) {
-	return GenerateContext(context.Background(), target, cfg, opts)
-}
-
-// GenerateContext is Generate with cooperative cancellation: the repair
-// loop polls ctx before every attempt (returning the context's
-// cancellation cause alongside the last report) and threads ctx through
-// synthesis and the re-profiling check, so a supervised clone-generation
-// task honors stage deadlines and keeps its watchdog heartbeat ticking.
+//
+// The repair loop polls ctx before every attempt (returning the
+// context's cancellation cause alongside the last report) and threads
+// ctx through synthesis and the re-profiling check, so a supervised
+// clone-generation task honors stage deadlines and keeps its watchdog
+// heartbeat ticking.
 func GenerateContext(ctx context.Context, target *profile.Profile, cfg synth.Config, opts Options) (*synth.Clone, *Report, error) {
 	opts = opts.withDefaults()
 	baseSeed := cfg.Seed
@@ -524,12 +517,12 @@ func GenerateContext(ctx context.Context, target *profile.Profile, cfg synth.Con
 }
 
 // SelfCheck adapts the fidelity gate to synth.Config's opt-in SelfCheck
-// hook: generation itself fails when the clone diverges. Use Generate for
+// hook: generation itself fails when the clone diverges. Use GenerateContext for
 // the repairing closed loop; use this when a single verdict must be
 // embedded in synth.Generate (e.g. library callers that cannot loop).
 func SelfCheck(opts Options) func(*profile.Profile, *synth.Clone) error {
 	return func(p *profile.Profile, c *synth.Clone) error {
-		rep, err := Check(p, c, opts)
+		rep, err := CheckContext(context.Background(), p, c, opts)
 		if err != nil {
 			return err
 		}

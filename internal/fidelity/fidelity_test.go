@@ -2,6 +2,7 @@ package fidelity
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -38,7 +39,7 @@ func TestAllWorkloadsPassDefaultGate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			clone, rep, err := Generate(prof, synth.Config{}, Options{})
+			clone, rep, err := GenerateContext(context.Background(), prof, synth.Config{}, Options{})
 			if err != nil {
 				t.Fatalf("closed-loop generation failed: %v", err)
 			}
@@ -60,7 +61,7 @@ func TestAllWorkloadsPassDefaultGate(t *testing.T) {
 func TestBrokenGeneratorCaught(t *testing.T) {
 	prof := collect(t, "fft")
 	var log bytes.Buffer
-	clone, rep, err := Generate(prof, synth.Config{TestBreakDepDist: true},
+	clone, rep, err := GenerateContext(context.Background(), prof, synth.Config{TestBreakDepDist: true},
 		Options{MaxRepair: -1, Log: &log})
 	if err == nil {
 		t.Fatalf("broken generator passed the gate:\n%s", rep)
@@ -88,7 +89,7 @@ func TestBrokenGeneratorCaught(t *testing.T) {
 func TestRepairLoopBoundedAndDeterministic(t *testing.T) {
 	prof := collect(t, "qsort")
 	run := func() (*Report, error) {
-		_, rep, err := Generate(prof, synth.Config{Seed: 5, TestBreakDepDist: true},
+		_, rep, err := GenerateContext(context.Background(), prof, synth.Config{Seed: 5, TestBreakDepDist: true},
 			Options{MaxRepair: 2})
 		return rep, err
 	}
@@ -166,7 +167,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Check(prof, clone, Options{})
+	rep, err := CheckContext(context.Background(), prof, clone, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestToleranceScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Check(prof, clone, Options{Tol: DefaultTolerances().Scale(1e-9)})
+	rep, err := CheckContext(context.Background(), prof, clone, Options{Tol: DefaultTolerances().Scale(1e-9)})
 	if err != nil {
 		t.Fatal(err)
 	}

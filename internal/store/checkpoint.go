@@ -23,7 +23,7 @@ const checkpointVersion = 3
 // Checkpoint is an append-only recordlog of completed grid cells for one
 // experiment stage: each record's key is the cell and its data the full
 // result row, so a resumed run can reuse the row verbatim and render
-// byte-identical figures. Mark is safe for concurrent use by the worker
+// byte-identical figures. MarkContext is safe for concurrent use by the worker
 // pool; each line is written in one critical section and flushed to the
 // OS before the cell counts as done, so a SIGINT between cells never
 // loses a recorded cell. A crash (or an injected torn write) can leave
@@ -123,16 +123,14 @@ func (cp *Checkpoint) Len() int {
 	return len(cp.done)
 }
 
-// Mark records cell's result row. The line is written to the OS before
-// Mark returns, so a subsequent SIGINT cannot lose a completed cell.
-// Transient write failures retry; if an attempt tears mid-line, the next
-// write leads with a newline so the torn bytes isolate to their own
-// (droppable) line instead of corrupting the neighbor record.
-func (cp *Checkpoint) Mark(cell string, row any) error {
-	return cp.MarkContext(context.Background(), cell, row)
-}
-
-// MarkContext is Mark bounded by ctx: a context that dies before the
+// MarkContext records cell's result row. The line is written to the OS
+// before MarkContext returns, so a subsequent SIGINT cannot lose a
+// completed cell. Transient write failures retry; if an attempt tears
+// mid-line, the next write leads with a newline so the torn bytes isolate
+// to their own (droppable) line instead of corrupting the neighbor
+// record.
+//
+// The append is bounded by ctx: a context that dies before the
 // first write attempt stops the append entirely, and the backoff sleeps
 // between retries are cut short, so a cell whose deadline has expired
 // never lingers in the write path. A write attempt already in flight is

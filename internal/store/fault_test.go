@@ -6,6 +6,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"io"
 	iofs "io/fs"
@@ -382,7 +383,7 @@ func TestCheckpointMultiTornLinesRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cell := range []string{"a", "b", "c"} {
-		if err := cp.Mark(cell, map[string]int{"n": len(cell)}); err != nil {
+		if err := cp.MarkContext(context.Background(), cell, map[string]int{"n": len(cell)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -480,10 +481,10 @@ func TestCheckpointTornWriteIsolatedByNewline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Mark("a", map[string]int{"n": 1}); err != nil {
+	if err := cp.MarkContext(context.Background(), "a", map[string]int{"n": 1}); err != nil {
 		t.Fatalf("Mark must absorb a transient torn write via retry: %v", err)
 	}
-	if err := cp.Mark("b", map[string]int{"n": 2}); err != nil {
+	if err := cp.MarkContext(context.Background(), "b", map[string]int{"n": 2}); err != nil {
 		t.Fatal(err)
 	}
 	cp.Close()

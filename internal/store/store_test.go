@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -156,10 +157,10 @@ func TestCheckpointMarkDoneResume(t *testing.T) {
 	if _, ok := cp.Done("crc32"); ok {
 		t.Fatal("fresh checkpoint claims a done cell")
 	}
-	if err := cp.Mark("crc32", row{"crc32", 1.25}); err != nil {
+	if err := cp.MarkContext(context.Background(), "crc32", row{"crc32", 1.25}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Mark("fft", row{"fft", 0.75}); err != nil {
+	if err := cp.MarkContext(context.Background(), "fft", row{"fft", 0.75}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cp.Close(); err != nil {
@@ -203,7 +204,7 @@ func TestCheckpointTornTailDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Mark("a", 1); err != nil {
+	if err := cp.MarkContext(context.Background(), "a", 1); err != nil {
 		t.Fatal(err)
 	}
 	cp.Close()
@@ -243,7 +244,7 @@ func TestCheckpointMarkAfterTornTailResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Mark("a", 1); err != nil {
+	if err := cp.MarkContext(context.Background(), "a", 1); err != nil {
 		t.Fatal(err)
 	}
 	cp.Close()
@@ -261,7 +262,7 @@ func TestCheckpointMarkAfterTornTailResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cp2.Mark("b", 2); err != nil {
+	if err := cp2.MarkContext(context.Background(), "b", 2); err != nil {
 		t.Fatal(err)
 	}
 	cp2.Close()
