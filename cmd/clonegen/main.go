@@ -67,7 +67,7 @@ func main() {
 	flag.IntVar(&o.blocks, "blocks", 0, "target basic-block count (default adaptive)")
 	flag.IntVar(&o.iters, "iters", 0, "outer-loop iterations (default matches profiled length)")
 	flag.Uint64Var(&o.seed, "seed", 1, "synthesis PRNG seed")
-	flag.Uint64Var(&o.maxInsts, "profile-insts", 1_000_000, "dynamic instructions to profile")
+	flag.Uint64Var(&o.maxInsts, "profile-insts", profile.DefaultMaxInsts, "dynamic instructions to profile")
 	flag.BoolVar(&o.disasm, "disasm", false, "emit ISA disassembly instead of C")
 	flag.StringVar(&o.dialect, "dialect", "generic", "asm dialect: generic, riscv, arm64")
 	flag.BoolVar(&o.validate, "validate", false, "re-profile the clone and gate it on fidelity to the target profile")

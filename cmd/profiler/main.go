@@ -24,7 +24,7 @@ func main() {
 	list := flag.Bool("list", false, "list available workloads")
 	asJSON := flag.Bool("json", false, "emit the full profile as JSON")
 	asDot := flag.Bool("dot", false, "emit the statistical flow graph as Graphviz DOT")
-	maxInsts := flag.Uint64("insts", 1_000_000, "dynamic instructions to profile")
+	maxInsts := flag.Uint64("insts", profile.DefaultMaxInsts, "dynamic instructions to profile")
 	flag.Parse()
 
 	if *list {

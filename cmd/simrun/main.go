@@ -78,7 +78,7 @@ func run(name, file string, useClone, useStatsim bool, cfgName string, insts, wa
 		p = w.Build()
 	}
 	if useClone {
-		prof, err := profile.Collect(p, profile.Options{MaxInsts: 1_000_000})
+		prof, err := profile.Collect(p, profile.Options{MaxInsts: profile.DefaultMaxInsts})
 		if err != nil {
 			return err
 		}
@@ -97,7 +97,7 @@ func run(name, file string, useClone, useStatsim bool, cfgName string, insts, wa
 	ctx := context.Background()
 	var st uarch.Stats
 	if useStatsim {
-		prof, err := profile.Collect(p, profile.Options{MaxInsts: 1_000_000})
+		prof, err := profile.Collect(p, profile.Options{MaxInsts: profile.DefaultMaxInsts})
 		if err != nil {
 			return err
 		}

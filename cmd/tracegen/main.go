@@ -71,7 +71,6 @@ func parseSize(s string) (int, error) {
 }
 
 func run(name, profIn string, n int, replay string, workers int, storeDir string, strictStore bool) error {
-	const profileInsts = 1_000_000
 	var prof *profile.Profile
 	if profIn != "" {
 		f, err := os.Open(profIn)
@@ -90,28 +89,17 @@ func run(name, profIn string, n int, replay string, workers int, storeDir string
 		}
 		p := w.Build()
 		var st *store.Store
-		var hash string
 		if storeDir != "" {
 			st, err = store.Open(storeDir, store.WithStrict(strictStore))
 			if err != nil {
 				return err
 			}
-			hash = store.ProgramHash(p)
-			prof, _, err = st.LoadProfile(name, hash, profileInsts)
-			if err != nil {
-				return err
-			}
 		}
-		if prof == nil {
-			prof, err = profile.Collect(p, profile.Options{MaxInsts: profileInsts})
-			if err != nil {
-				return err
-			}
-			if st != nil {
-				if err := st.SaveProfile(name, hash, profileInsts, prof); err != nil {
-					return err
-				}
-			}
+		prof, _, err = st.Profile(name, p, profile.DefaultMaxInsts, func() (*profile.Profile, error) {
+			return profile.Collect(p, profile.Options{MaxInsts: profile.DefaultMaxInsts})
+		})
+		if err != nil {
+			return err
 		}
 	}
 

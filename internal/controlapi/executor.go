@@ -2,16 +2,18 @@ package controlapi
 
 // The executor side of the control plane: workers claim jobs and drive
 // the in-process stage drivers, then commit the rendered artifact with
-// the store's fsync-then-rename protocol. The ordering is the heart of
-// the exactly-once argument: the artifact becomes durable *before* the
-// terminal WAL record, execution is deterministic, and the commit is an
-// atomic rename — so a crash anywhere between claim and terminal record
-// re-runs the job into a byte-identical artifact.
+// faultinject.CommitFile, the store's fsync-then-rename protocol. The
+// ordering is the heart of the exactly-once argument: the artifact
+// becomes durable *before* the terminal WAL record, execution is
+// deterministic, and the commit is an atomic rename — so a crash
+// anywhere between claim and terminal record re-runs the job into a
+// byte-identical artifact.
 
 import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"path/filepath"
 	"strings"
 
@@ -21,7 +23,6 @@ import (
 	"perfclone/internal/fidelity"
 	"perfclone/internal/jobqueue"
 	"perfclone/internal/profile"
-	"perfclone/internal/store"
 	"perfclone/internal/supervise"
 	"perfclone/internal/synth"
 	"perfclone/internal/workloads"
@@ -83,42 +84,25 @@ func (s *Server) artifactPath(name string) string {
 	return filepath.Join(s.cfg.DataDir, "artifacts", name)
 }
 
-// commitArtifact makes the job output durable: temp file, fsync, atomic
-// rename, directory fsync — the store's write protocol, through the
-// same faultinject seam so chaos tests can tear it.
+// commitArtifact makes the job output durable with faultinject.CommitFile
+// (temp file, fsync, atomic rename, directory fsync), the store's commit,
+// through the same seam so chaos tests can tear it. A directory fsync
+// that keeps failing fails the commit: the job must not reach its
+// terminal record on a rename that may not be durable.
 func (s *Server) commitArtifact(name string, data []byte) error {
 	dir := filepath.Join(s.cfg.DataDir, "artifacts")
 	if err := faultinject.Retry(s.cfg.Retry, func() error { return s.fs.MkdirAll(dir, 0o755) }); err != nil {
 		return fmt.Errorf("controlapi: %w", err)
 	}
-	path := filepath.Join(dir, name)
 	return faultinject.Retry(s.cfg.Retry, func() error {
-		tmp, err := s.fs.CreateTemp(dir, name+".tmp*")
+		err := faultinject.CommitFile(s.fs, filepath.Join(dir, name), func(w io.Writer) error {
+			_, err := w.Write(data)
+			return err
+		})
 		if err != nil {
 			return fmt.Errorf("controlapi: %w", err)
 		}
-		tmpName := tmp.Name()
-		defer func() { _ = s.fs.Remove(tmpName) }() // no-op once renamed
-		if _, err := tmp.Write(data); err != nil {
-			tmp.Close()
-			return fmt.Errorf("controlapi: write %s: %w", path, err)
-		}
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return fmt.Errorf("controlapi: sync %s: %w", path, err)
-		}
-		if err := tmp.Close(); err != nil {
-			return fmt.Errorf("controlapi: write %s: %w", path, err)
-		}
-		if err := s.fs.Rename(tmpName, path); err != nil {
-			return fmt.Errorf("controlapi: %w", err)
-		}
-		d, err := s.fs.Open(dir)
-		if err != nil {
-			return fmt.Errorf("controlapi: sync %s: %w", dir, err)
-		}
-		_ = d.Sync() // tolerated like store.syncDir; data fsync already landed
-		return d.Close()
+		return nil
 	})
 }
 
@@ -198,31 +182,17 @@ func (s *Server) runProfile(ctx context.Context, j jobqueue.Job) ([]byte, error)
 // clone jobs.
 func (s *Server) profileFor(ctx context.Context, name string, insts uint64) (*profile.Profile, error) {
 	if insts == 0 {
-		insts = 1_000_000
+		insts = profile.DefaultMaxInsts
 	}
 	w, err := workloads.ByName(name)
 	if err != nil {
 		return nil, err
 	}
 	p := w.Build()
-	hash := store.ProgramHash(p)
-	if s.cfg.Store != nil {
-		if prof, ok, err := s.cfg.Store.LoadProfile(name, hash, insts); err != nil {
-			return nil, err
-		} else if ok {
-			return prof, nil
-		}
-	}
-	prof, err := profile.CollectContext(ctx, p, profile.Options{MaxInsts: insts})
-	if err != nil {
-		return nil, err
-	}
-	if s.cfg.Store != nil {
-		if err := s.cfg.Store.SaveProfile(name, hash, insts, prof); err != nil {
-			return nil, err
-		}
-	}
-	return prof, nil
+	prof, _, err := s.cfg.Store.Profile(name, p, insts, func() (*profile.Profile, error) {
+		return profile.CollectContext(ctx, p, profile.Options{MaxInsts: insts})
+	})
+	return prof, err
 }
 
 // runClone synthesizes the workload's benchmark clone and renders the C

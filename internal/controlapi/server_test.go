@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,10 +12,12 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"perfclone/internal/experiments"
+	"perfclone/internal/faultinject"
 	"perfclone/internal/jobqueue"
 	"perfclone/internal/profile"
 	"perfclone/internal/store"
@@ -474,5 +477,42 @@ func TestDrainRestartResumesByteIdentical(t *testing.T) {
 	}
 	if len(matches) != 1 {
 		t.Fatalf("artifact files for %s: %v, want exactly one", job.ID, matches)
+	}
+}
+
+// dirSyncEIO fails every directory fsync with EIO, the way a failing
+// disk reports that a rename may not be durable.
+type dirSyncEIO struct{ faultinject.FS }
+
+type eioSyncFile struct{ faultinject.File }
+
+func (eioSyncFile) Sync() error { return syscall.EIO }
+
+func (d dirSyncEIO) Open(name string) (faultinject.File, error) {
+	f, err := d.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	if st, serr := d.FS.Stat(name); serr == nil && st.IsDir() {
+		return eioSyncFile{f}, nil
+	}
+	return f, nil
+}
+
+// TestArtifactDirSyncFaultFailsJob: a directory fsync that keeps failing
+// with EIO fails the artifact commit, so the job is journalled failed
+// and never reaches done on a rename that may not be durable.
+func TestArtifactDirSyncFaultFailsJob(t *testing.T) {
+	cfg := Config{Workers: 1, FS: dirSyncEIO{faultinject.OS}, Retry: faultinject.RetryPolicy{Sleep: func(time.Duration) {}}}
+	srv, _, ts := testServer(t, t.TempDir(), jobqueue.Options{}, cfg)
+	if err := srv.commitArtifact("direct.out", []byte("x")); !errors.Is(err, syscall.EIO) || !strings.Contains(err.Error(), "controlapi: sync ") {
+		t.Fatalf("commitArtifact = %v, want a controlapi sync error wrapping EIO", err)
+	}
+	code, j, _ := submit(t, ts, "alice", jobqueue.Spec{Kind: jobqueue.KindProfile, Workload: "crc32", Insts: 50_000})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d", code)
+	}
+	if got := waitTerminal(t, ts, j.ID); got.State != jobqueue.StateFailed || !strings.Contains(got.Error, syscall.EIO.Error()) {
+		t.Fatalf("job = %s (%q), want failed with the EIO", got.State, got.Error)
 	}
 }

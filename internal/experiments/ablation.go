@@ -12,7 +12,6 @@ import (
 	"perfclone/internal/prog"
 	"perfclone/internal/stats"
 	"perfclone/internal/statsim"
-	"perfclone/internal/store"
 	"perfclone/internal/supervise"
 	"perfclone/internal/synth"
 )
@@ -185,54 +184,32 @@ func baselineLabel(name string, train baseline.TrainingConfig) string {
 }
 
 // baselineClone returns pr's calibrated baseline clone and its captured
-// trace; the caller closes the trace. Without a store it runs the
-// footprint search and captures the clone. With one, the calibrated
-// profile and the trace are ordinary profile and trace artifacts under
-// baselineLabel, so a warm run regenerates the clone from the stored
-// profile and maps its trace, with no search and no capture. A corrupt
-// artifact is quarantined and recomputed like any other.
+// trace; the caller closes the trace. The calibrated profile and the
+// trace are ordinary get-or-compute artifacts under baselineLabel: a miss
+// runs the footprint search and captures the clone, and a warm run
+// regenerates the clone from the stored profile and maps its trace, with
+// no search and no capture. A corrupt artifact is quarantined and
+// recomputed like any other.
 func baselineClone(ctx context.Context, pr *Pair, targets baseline.Targets, train baseline.TrainingConfig, opts Options) (*synth.Clone, *dyntrace.Trace, error) {
-	st := opts.Store
 	label := baselineLabel(pr.Name, train)
-	var hash string
-	var prof *profile.Profile
-	if st != nil {
-		hash = store.ProgramHash(pr.Real)
-		var err error
-		if prof, _, err = st.LoadProfile(label, hash, opts.ProfileInsts); err != nil {
-			return nil, nil, err
-		}
-	}
 	var bl *synth.Clone
-	var err error
-	if prof != nil {
-		bl, err = synth.GenerateContext(ctx, prof, synth.Config{})
-	} else {
+	prof, _, err := opts.Store.Profile(label, pr.Real, opts.ProfileInsts, func() (prof *profile.Profile, err error) {
 		bl, prof, err = baseline.Calibrate(ctx, pr.Profile, targets, train, synth.Config{})
-		if err == nil && st != nil {
-			err = st.SaveProfile(label, hash, opts.ProfileInsts, prof)
-		}
+		return prof, err
+	})
+	if err == nil && bl == nil {
+		bl, err = synth.GenerateContext(ctx, prof, synth.Config{})
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-
 	budget := traceBudget(opts)
-	if st != nil {
-		t, ok, err := st.LoadTrace(label, bl.Program, budget)
-		if err != nil || ok {
-			return bl, t, err
-		}
-	}
-	supervise.Beat(ctx)
-	t, err := dyntrace.CaptureContext(ctx, bl.Program, budget)
+	t, _, err := opts.Store.Trace(label, bl.Program, budget, func() (*dyntrace.Trace, error) {
+		supervise.Beat(ctx)
+		return dyntrace.CaptureContext(ctx, bl.Program, budget)
+	})
 	if err != nil {
 		return nil, nil, err
-	}
-	if st != nil {
-		if err := st.SaveTrace(label, t, budget); err != nil {
-			return nil, nil, err
-		}
 	}
 	return bl, t, nil
 }

@@ -128,7 +128,7 @@ func (o Options) withDefaults() Options {
 		o.Workloads = workloads.Names()
 	}
 	if o.ProfileInsts == 0 {
-		o.ProfileInsts = 1_000_000
+		o.ProfileInsts = profile.DefaultMaxInsts
 	}
 	if o.TimingInsts == 0 {
 		o.TimingInsts = 500_000
@@ -211,34 +211,23 @@ func PrepareContext(ctx context.Context, opts Options) ([]*Pair, error) {
 	return runStage(ctx, opts, prepareStage, opts.withDefaults().Workloads, func(ctx context.Context, c *cell, i int) (*Pair, error) {
 		opts := c.opts
 		name := opts.Workloads[i]
-		c.cached = opts.Store != nil
 		w, err := workloads.ByName(name)
 		if err != nil {
 			return nil, err
 		}
 		p := w.Build()
 
-		var prof *profile.Profile
-		var hash string
-		if opts.Store != nil {
-			hash = store.ProgramHash(p)
-			prof, _, err = opts.Store.LoadProfile(name, hash, opts.ProfileInsts)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if prof == nil {
-			c.cached = false
-			prof, err = profile.CollectContext(ctx, p, profile.Options{MaxInsts: opts.ProfileInsts})
+		prof, hit, err := opts.Store.Profile(name, p, opts.ProfileInsts, func() (*profile.Profile, error) {
+			prof, err := profile.CollectContext(ctx, p, profile.Options{MaxInsts: opts.ProfileInsts})
 			if err != nil {
 				return nil, fmt.Errorf("profile %s: %w", name, err)
 			}
-			if opts.Store != nil {
-				if err := opts.Store.SaveProfile(name, hash, opts.ProfileInsts, prof); err != nil {
-					return nil, err
-				}
-			}
+			return prof, nil
+		})
+		if err != nil {
+			return nil, err
 		}
+		c.cached = hit
 		supervise.Beat(ctx)
 		clone, err := generateClone(ctx, prof, opts)
 		if err != nil {
@@ -248,23 +237,15 @@ func PrepareContext(ctx context.Context, opts Options) ([]*Pair, error) {
 		budget := traceBudget(opts)
 		capture := func(label string, tp *prog.Program) (*dyntrace.Trace, error) {
 			supervise.Beat(ctx)
-			if opts.Store != nil {
-				t, ok, err := opts.Store.LoadTrace(label, tp, budget)
-				if err != nil || ok {
-					return t, err
+			t, hit, err := opts.Store.Trace(label, tp, budget, func() (*dyntrace.Trace, error) {
+				t, err := dyntrace.CaptureContext(ctx, tp, budget)
+				if err != nil {
+					return nil, fmt.Errorf("trace %s: %w", label, err)
 				}
-			}
-			c.cached = false
-			t, err := dyntrace.CaptureContext(ctx, tp, budget)
-			if err != nil {
-				return nil, fmt.Errorf("trace %s: %w", label, err)
-			}
-			if opts.Store != nil {
-				if err := opts.Store.SaveTrace(label, t, budget); err != nil {
-					return nil, err
-				}
-			}
-			return t, nil
+				return t, nil
+			})
+			c.cached = c.cached && hit
+			return t, err
 		}
 		rt, err := capture(name, p)
 		if err != nil {

@@ -12,9 +12,12 @@
 // operation interleaving varies run to run.
 //
 // The package also defines the pipeline's error taxonomy (transient /
-// corrupt / fatal — see Classify) and the bounded-retry policy
+// corrupt / fatal — see Classify), the bounded-retry policy
 // (exponential backoff with full jitter — see Retry) that the store
-// applies to transient failures.
+// applies to transient failures, and the one crash-safe file commit
+// (CommitFile: temp file, fsync, rename, directory fsync; SyncDir) that
+// the store's artifacts, the daemon's job artifacts and the job WAL all
+// go through.
 package faultinject
 
 import (

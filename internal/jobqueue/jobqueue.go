@@ -213,9 +213,9 @@ func Open(path string, opts Options) (*Queue, error) {
 	q.f, q.wal = f, recordlog.NewWriter(f, tornTail)
 	// Make the file's existence itself durable, so an accepted job can
 	// never vanish with its directory entry.
-	if err := q.syncDir(filepath.Dir(path)); err != nil {
+	if err := faultinject.SyncDir(q.fs, filepath.Dir(path)); err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("jobqueue: %w", err)
 	}
 	return q, nil
 }

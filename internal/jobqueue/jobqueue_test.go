@@ -7,8 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
+
+	"perfclone/internal/faultinject"
 )
 
 func testQueue(t *testing.T, opts Options) (*Queue, string) {
@@ -380,5 +384,37 @@ func TestWALFixtureReplaysUnchanged(t *testing.T) {
 	}
 	if string(raw) != walFixture {
 		t.Fatalf("WAL bytes changed:\n%s\nwant:\n%s", raw, walFixture)
+	}
+}
+
+// dirSyncEIO fails every directory fsync with EIO.
+type dirSyncEIO struct{ faultinject.FS }
+
+type eioSyncFile struct{ faultinject.File }
+
+func (eioSyncFile) Sync() error { return syscall.EIO }
+
+func (d dirSyncEIO) Open(name string) (faultinject.File, error) {
+	f, err := d.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	if st, serr := d.FS.Stat(name); serr == nil && st.IsDir() {
+		return eioSyncFile{f}, nil
+	}
+	return f, nil
+}
+
+// TestOpenDirSyncFaultFails: a WAL whose directory entry cannot be made
+// durable is not opened, since an accepted job could vanish with it.
+func TestOpenDirSyncFaultFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal", "jobs.jsonl")
+	q, err := Open(path, Options{FS: dirSyncEIO{faultinject.OS}, Log: io.Discard})
+	if err == nil {
+		q.Close()
+		t.Fatal("Open succeeded although the WAL directory fsync failed")
+	}
+	if !errors.Is(err, syscall.EIO) || !strings.HasPrefix(err.Error(), "jobqueue: sync ") {
+		t.Fatalf("Open = %v, want a jobqueue sync error wrapping EIO", err)
 	}
 }

@@ -6,9 +6,7 @@ package jobqueue
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"syscall"
 
 	"perfclone/internal/faultinject"
 	"perfclone/internal/recordlog"
@@ -81,19 +79,4 @@ func scanWAL(fsys faultinject.FS, retry faultinject.RetryPolicy, path string) (j
 func ScanWAL(path string) ([]Job, int, error) {
 	jobs, dropped, _, err := scanWAL(faultinject.OS, faultinject.RetryPolicy{}, path)
 	return jobs, dropped, err
-}
-
-// syncDir fsyncs a directory so a just-created WAL file survives a
-// crash; filesystems that cannot sync a directory handle are tolerated.
-func (q *Queue) syncDir(dir string) error {
-	d, err := q.fs.Open(dir)
-	if err != nil {
-		return fmt.Errorf("jobqueue: sync %s: %w", dir, err)
-	}
-	err = d.Sync()
-	d.Close()
-	if err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
-		return fmt.Errorf("jobqueue: sync %s: %w", dir, err)
-	}
-	return nil
 }

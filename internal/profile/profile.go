@@ -256,6 +256,11 @@ func (p *Profile) GlobalMixFractions() [isa.NumClasses]float64 {
 	return out
 }
 
+// DefaultMaxInsts is the profiling budget every tool uses by default.
+// The store keys profiles by budget, so tools share stored profiles only
+// while they agree on it.
+const DefaultMaxInsts = 1_000_000
+
 // Options control profiling.
 type Options struct {
 	// MaxInsts bounds the profiled dynamic instruction count

@@ -7,11 +7,12 @@
 // program hash is a SHA-256 over the program's canonical assembly dump,
 // so any change to a workload generator or to the clone synthesizer
 // produces a different key and stale artifacts are simply never hit —
-// there is no invalidation protocol. Writes go through a temp file that
-// is fsynced, atomically renamed into place, and sealed with a parent-
-// directory fsync, so neither a crash nor a SIGINT mid-write can commit
-// a torn artifact; the dyntrace checksum and the profile loader's
-// structural check are the second line of defense.
+// there is no invalidation protocol. Profile and Trace are the
+// get-or-compute lookups callers use: load, or compute and save on a
+// miss. Writes go through faultinject.CommitFile (temp file, fsync,
+// atomic rename, parent-directory fsync), so neither a crash nor a
+// SIGINT mid-write can commit a torn artifact; the dyntrace checksum and
+// the profile loader's structural check are the second line of defense.
 //
 // Failure model. All I/O goes through a faultinject.FS seam and obeys
 // the package's error taxonomy: transient errors (EIO, ENOSPC, …) are
@@ -43,7 +44,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"perfclone/internal/dyntrace"
@@ -309,6 +309,40 @@ func (s *Store) SaveProfile(name, hash string, insts uint64, pr *profile.Profile
 	return s.saveArtifact(s.profilePath(name, hash, insts), pr.Save)
 }
 
+// Profile is the get-or-compute lookup every profile consumer goes
+// through: it returns the stored profile of p under (name, insts) with
+// hit=true, or runs compute and saves its result. Loads and saves keep
+// their own policies (counters, quarantine, strict mode, DEGRADED
+// writes), and a compute error saves nothing. A nil store computes
+// every time and never hits.
+func (s *Store) Profile(name string, p *prog.Program, insts uint64, compute func() (*profile.Profile, error)) (pr *profile.Profile, hit bool, err error) {
+	var hash string
+	if s != nil {
+		hash = ProgramHash(p)
+		if pr, hit, err = s.LoadProfile(name, hash, insts); err != nil || hit {
+			return pr, hit, err
+		}
+	}
+	if pr, err = compute(); err != nil || s == nil {
+		return pr, false, err
+	}
+	return pr, false, s.SaveProfile(name, hash, insts, pr)
+}
+
+// Trace is Profile for the dynamic trace of p under (name, budget). A
+// hit is attached to p; the caller closes the returned trace.
+func (s *Store) Trace(name string, p *prog.Program, budget uint64, compute func() (*dyntrace.Trace, error)) (t *dyntrace.Trace, hit bool, err error) {
+	if s != nil {
+		if t, hit, err = s.LoadTrace(name, p, budget); err != nil || hit {
+			return t, hit, err
+		}
+	}
+	if t, err = compute(); err != nil || s == nil {
+		return t, false, err
+	}
+	return t, false, s.SaveTrace(name, t, budget)
+}
+
 // saveArtifact is atomicWrite plus the degradation policy for writes: a
 // store that cannot persist an artifact has lost durability, not
 // correctness, so a non-strict store logs a greppable "store: DEGRADED"
@@ -326,10 +360,10 @@ func (s *Store) saveArtifact(path string, write func(io.Writer) error) error {
 // whole lock-wait window.
 var errLockHeld = errors.New("artifact lock held by another writer")
 
-// atomicWrite streams write() into a temp file, fsyncs it, renames it
-// into place, and fsyncs the parent directory, all under the artifact's
-// claim-file lock so two processes sharing the store never interleave.
-// Transient faults retry the whole attempt with a fresh temp file.
+// atomicWrite commits write()'s bytes with faultinject.CommitFile under
+// the artifact's claim-file lock, so two processes sharing the store
+// never interleave. Transient faults retry the whole attempt with a
+// fresh temp file.
 func (s *Store) atomicWrite(path string, write func(w io.Writer) error) error {
 	release, err := s.lockPath(path)
 	if err != nil {
@@ -344,52 +378,12 @@ func (s *Store) atomicWrite(path string, write func(w io.Writer) error) error {
 		return fmt.Errorf("store: %s: %w", path, err)
 	}
 	defer release()
-	return faultinject.Retry(s.retry, func() error { return s.writeOnce(path, write) })
-}
-
-// writeOnce is one full commit attempt: temp file, payload, fsync,
-// rename, directory fsync.
-func (s *Store) writeOnce(path string, write func(w io.Writer) error) error {
-	tmp, err := s.fs.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer func() { _ = s.fs.Remove(tmpName) }() // no-op once renamed
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: write %s: %w", path, err)
-	}
-	// fsync before rename: the rename must never publish an artifact
-	// whose bytes are not yet durable, or a crash right after the rename
-	// could leave a committed-but-torn file.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: sync %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: write %s: %w", path, err)
-	}
-	if err := s.fs.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	// fsync the directory so the rename itself survives a crash.
-	return s.syncDir(filepath.Dir(path))
-}
-
-// syncDir fsyncs a directory; filesystems that cannot sync a directory
-// handle (EINVAL/ENOTSUP) are tolerated.
-func (s *Store) syncDir(dir string) error {
-	d, err := s.fs.Open(dir)
-	if err != nil {
-		return fmt.Errorf("store: sync %s: %w", dir, err)
-	}
-	err = d.Sync()
-	d.Close()
-	if err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
-		return fmt.Errorf("store: sync %s: %w", dir, err)
-	}
-	return nil
+	return faultinject.Retry(s.retry, func() error {
+		if err := faultinject.CommitFile(s.fs, path, write); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		return nil
+	})
 }
 
 // staleLockAge is how long a writer must continuously observe the same
