@@ -31,9 +31,18 @@ func main() {
 	useStatsim := flag.Bool("statsim", false, "estimate via statistical simulation (prior work, Section 2) instead of running a program")
 	cfgName := flag.String("config", "base", "microarchitecture configuration")
 	insts := flag.Uint64("insts", 500_000, "instruction budget")
-	warmup := flag.Uint64("warmup", 150_000, "measurement warmup instructions")
+	warmup := flag.Uint64("warmup", 150_000, "measurement warmup instructions (scaled to insts/4 when it would consume the budget)")
 	flag.Parse()
 
+	explicit := false
+	flag.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "warmup" })
+	switch {
+	case !explicit:
+		*warmup = uarch.DefaultWarmup(*insts)
+	case *insts != 0 && *warmup >= *insts:
+		fmt.Fprintf(os.Stderr, "simrun: -warmup %d leaves no timed instructions in -insts %d\n", *warmup, *insts)
+		os.Exit(2)
+	}
 	if err := run(*name, *file, *useClone, *useStatsim, *cfgName, *insts, *warmup); err != nil {
 		fmt.Fprintln(os.Stderr, "simrun:", err)
 		os.Exit(1)

@@ -33,6 +33,7 @@ import (
 	"perfclone/internal/jobqueue"
 	"perfclone/internal/store"
 	"perfclone/internal/supervise"
+	"perfclone/internal/workloads"
 )
 
 // Config wires a Server.
@@ -168,13 +169,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if req.Tenant == "" {
 		req.Tenant = "default"
 	}
-	// Run names are checked at submission, so a typo is a 400, not a
-	// failed job minutes later.
-	if req.Spec.Kind == jobqueue.KindExperiment {
-		if err := experiments.CheckRun(req.Spec.Run); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-			return
-		}
+	if err := checkNames(req.Spec); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		return
 	}
 	job, err := s.cfg.Queue.Submit(req.Tenant, req.Spec)
 	var limit *jobqueue.LimitError
@@ -190,6 +187,29 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeJSON(w, http.StatusAccepted, job)
 	}
+}
+
+// checkNames rejects a spec naming an unknown run or workload. Names
+// are checked at submission, so a typo is a 400, not a journaled job
+// that counts against the quota and fails minutes later.
+func checkNames(sp jobqueue.Spec) error {
+	switch sp.Kind {
+	case jobqueue.KindExperiment:
+		if err := experiments.CheckRun(sp.Run); err != nil {
+			return err
+		}
+		for _, name := range sp.Workloads {
+			if _, err := workloads.ByName(name); err != nil {
+				return err
+			}
+		}
+	case jobqueue.KindProfile, jobqueue.KindClone:
+		if sp.Workload != "" {
+			_, err := workloads.ByName(sp.Workload)
+			return err
+		}
+	}
+	return nil
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

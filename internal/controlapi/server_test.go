@@ -255,6 +255,44 @@ func TestStartSweepsArtifactTemps(t *testing.T) {
 	}
 }
 
+// TestUnknownWorkloadRejectedAtSubmit: a spec naming a workload that
+// does not exist is a 400 carrying the registry's error, and nothing is
+// journaled; known names are still admitted.
+func TestUnknownWorkloadRejectedAtSubmit(t *testing.T) {
+	_, q, ts := testServer(t, t.TempDir(), jobqueue.Options{}, Config{Workers: 1}, true)
+	for _, spec := range []jobqueue.Spec{
+		{Kind: jobqueue.KindClone, Workload: "nope"},
+		{Kind: jobqueue.KindProfile, Workload: "nope"},
+		{Kind: jobqueue.KindExperiment, Run: "fig4", Workloads: []string{"crc32", "nope"}},
+	} {
+		body, _ := json.Marshal(submitRequest{Spec: spec})
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, `unknown workload "nope"`) {
+			t.Errorf("%+v: %d %q, want 400 naming the unknown workload", spec, resp.StatusCode, eb.Error)
+		}
+	}
+	if jobs := q.List(""); len(jobs) != 0 {
+		t.Fatalf("rejected specs were journaled: %+v", jobs)
+	}
+	for _, spec := range []jobqueue.Spec{
+		{Kind: jobqueue.KindClone, Workload: "crc32"},
+		{Kind: jobqueue.KindExperiment, Run: "fig4", Workloads: []string{"crc32", "qsort"}},
+	} {
+		if code, _, _ := submit(t, ts, "a", spec); code != http.StatusAccepted {
+			t.Errorf("%+v: %d, want 202", spec, code)
+		}
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	_, _, ts := testServer(t, t.TempDir(), jobqueue.Options{}, Config{Workers: 1})
 	if code, _, _ := submit(t, ts, "a", jobqueue.Spec{Kind: jobqueue.KindExperiment, Run: "fig99"}); code != http.StatusBadRequest {

@@ -134,13 +134,7 @@ func (o Options) withDefaults() Options {
 		o.TimingInsts = 500_000
 	}
 	if o.TimingWarmup == 0 {
-		o.TimingWarmup = 150_000
-		// A defaulted warmup must not consume the whole timing budget
-		// (e.g. -insts 150000): zero timed instructions would make every
-		// IPC 0 and every relative error degenerate.
-		if o.TimingWarmup >= o.TimingInsts {
-			o.TimingWarmup = o.TimingInsts / 4
-		}
+		o.TimingWarmup = uarch.DefaultWarmup(o.TimingInsts)
 	}
 	if o.Log == nil {
 		o.Log = os.Stderr

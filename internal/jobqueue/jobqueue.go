@@ -81,7 +81,7 @@ type Spec struct {
 }
 
 // Check rejects structurally bad specs before they are journaled.
-// (controlapi checks run names against the experiments registry.)
+// (controlapi checks run and workload names against their registries.)
 func (sp Spec) Check() error {
 	switch sp.Kind {
 	case KindExperiment:

@@ -13,6 +13,11 @@ import (
 	"perfclone/internal/profile"
 )
 
+// staleTempAge is how old a temp file (or a claim file left by an older
+// binary) must be before Doctor sweeps it; a live writer's temp file is
+// always younger.
+const staleTempAge = 10 * time.Minute
+
 // DoctorReport summarizes one verify-and-repair pass over the store.
 type DoctorReport struct {
 	// Scanned counts artifacts examined (traces + profiles).
@@ -22,17 +27,18 @@ type DoctorReport struct {
 	// Quarantined lists artifacts that failed and were moved to
 	// quarantine/ (or deleted if even that failed).
 	Quarantined []string
-	// Cleaned lists leftovers removed: orphaned temp files and stale
-	// artifact locks from crashed writers, both older than staleLockAge.
+	// Cleaned lists leftovers removed: orphaned temp files from crashed
+	// writers and claim files left by older binaries, both older than
+	// staleTempAge.
 	Cleaned []string
 }
 
 // Doctor scans every artifact in the store, re-runs its integrity checks
 // (PCDT magic/version/CRC and column shape for traces, JSON structural
 // checks for profiles), quarantines everything that fails, and sweeps
-// stale temp files and locks. It is safe to run against a store that a
-// live run is using: in-flight temp files and fresh locks are younger
-// than staleLockAge and left alone. Doctor repairs regardless of the
+// stale temp files and old claim files. It is safe to run against a
+// store that a live run is using: in-flight temp files are younger than
+// staleTempAge and left alone. Doctor repairs regardless of the
 // strict flag — repair is its whole job.
 func (s *Store) Doctor() (*DoctorReport, error) {
 	rep := &DoctorReport{}
@@ -88,11 +94,12 @@ func (s *Store) doctorDir(rep *DoctorReport, sub, ext string, verify func(io.Rea
 	return nil
 }
 
-// sweepDebris removes a temp file or lock left by a crashed writer, but
-// only once it is old enough that no live writer can still own it.
+// sweepDebris removes a temp file left by a crashed writer, or a claim
+// file (<artifact>.lock) left by an older binary that locked its writes,
+// but only once it is old enough that no live writer can still own it.
 func (s *Store) sweepDebris(rep *DoctorReport, path string, e iofs.DirEntry) {
 	info, err := e.Info()
-	if err != nil || time.Since(info.ModTime()) < staleLockAge {
+	if err != nil || time.Since(info.ModTime()) < staleTempAge {
 		return
 	}
 	if err := faultinject.Retry(s.retry, func() error { return s.fs.Remove(path) }); err == nil {

@@ -20,10 +20,11 @@
 // or still unreadable after retries is moved to quarantine/ with a
 // greppable "store: QUARANTINED" warning and reported as a miss, so the
 // caller recomputes instead of aborting (WithStrict restores the abort
-// behavior). Concurrent runs sharing one store serialize per-artifact
-// writes with an O_EXCL claim file (<artifact>.lock); a writer that
-// loses the race skips its write, because content-addressed artifacts
-// are deterministic. Doctor is the offline verify-and-repair pass.
+// behavior). Concurrent runs may share one store without any lock:
+// artifacts are a deterministic function of their key, so every writer
+// of one path produces the same bytes, and each commits by renaming its
+// own temp file into place. The last rename wins and readers only ever
+// see a whole artifact. Doctor is the offline verify-and-repair pass.
 //
 // Layout under the store directory:
 //
@@ -44,7 +45,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"perfclone/internal/dyntrace"
 	"perfclone/internal/faultinject"
@@ -55,15 +55,11 @@ import (
 // Store is a handle on one artifact directory. All methods are safe for
 // concurrent use by the experiment worker pool.
 type Store struct {
-	dir      string
-	fs       faultinject.FS
-	strict   bool
-	log      io.Writer
-	retry    faultinject.RetryPolicy
-	lockWait time.Duration
-	staleAge time.Duration
-	now      func() time.Time    // clock seam; lock staleness is judged on it
-	sleep    func(time.Duration) // sleep seam; fake clocks advance through it
+	dir    string
+	fs     faultinject.FS
+	strict bool
+	log    io.Writer
+	retry  faultinject.RetryPolicy
 
 	traceHits     atomic.Uint64
 	traceMisses   atomic.Uint64
@@ -89,10 +85,6 @@ func WithLog(w io.Writer) Option { return func(s *Store) { s.log = w } }
 // WithRetry overrides the transient-failure retry policy.
 func WithRetry(p faultinject.RetryPolicy) Option { return func(s *Store) { s.retry = p } }
 
-// WithLockWait bounds how long a writer waits for a peer's artifact lock
-// before concluding the peer owns the write (default 10s).
-func WithLockWait(d time.Duration) Option { return func(s *Store) { s.lockWait = d } }
-
 // Counters is a snapshot of the store's accounting; the CLI reports it
 // and the golden resume and chaos tests assert on it.
 type Counters struct {
@@ -104,15 +96,7 @@ type Counters struct {
 
 // Open creates (if needed) and opens a store rooted at dir.
 func Open(dir string, opts ...Option) (*Store, error) {
-	s := &Store{
-		dir:      dir,
-		fs:       faultinject.OS,
-		log:      os.Stderr,
-		lockWait: 10 * time.Second,
-		staleAge: staleLockAge,
-		now:      time.Now,
-		sleep:    time.Sleep,
-	}
+	s := &Store{dir: dir, fs: faultinject.OS, log: os.Stderr}
 	for _, o := range opts {
 		o(s)
 	}
@@ -269,8 +253,8 @@ func (s *Store) LoadTrace(name string, p *prog.Program, budget uint64) (t *dyntr
 	return nil, false, nil
 }
 
-// SaveTrace writes t under (name, hash of its program, budget) with a
-// locked, fsynced, atomic temp-file rename.
+// SaveTrace writes t under (name, hash of its program, budget) with an
+// fsynced, atomic temp-file rename.
 func (s *Store) SaveTrace(name string, t *dyntrace.Trace, budget uint64) error {
 	path := s.tracePath(name, ProgramHash(t.Program()), budget)
 	return s.saveArtifact(path, t.Save)
@@ -356,104 +340,15 @@ func (s *Store) saveArtifact(path string, write func(io.Writer) error) error {
 	return nil
 }
 
-// errLockHeld reports that another writer held an artifact lock for the
-// whole lock-wait window.
-var errLockHeld = errors.New("artifact lock held by another writer")
-
-// atomicWrite commits write()'s bytes with faultinject.CommitFile under
-// the artifact's claim-file lock, so two processes sharing the store
-// never interleave. Transient faults retry the whole attempt with a
-// fresh temp file.
+// atomicWrite commits write()'s bytes with faultinject.CommitFile,
+// retrying the whole attempt with a fresh temp file on transient faults.
+// It takes no lock: concurrent writers of one path each rename their own
+// temp file into place, and all of them install the same bytes.
 func (s *Store) atomicWrite(path string, write func(w io.Writer) error) error {
-	release, err := s.lockPath(path)
-	if err != nil {
-		if errors.Is(err, errLockHeld) {
-			// The peer holding the lock is writing this same artifact.
-			// Artifacts are content-addressed and writes deterministic:
-			// if the peer's write landed, ours would be byte-identical.
-			if _, serr := s.fs.Stat(path); serr == nil {
-				return nil
-			}
-		}
-		return fmt.Errorf("store: %s: %w", path, err)
-	}
-	defer release()
 	return faultinject.Retry(s.retry, func() error {
 		if err := faultinject.CommitFile(s.fs, path, write); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
 		return nil
 	})
-}
-
-// staleLockAge is how long a writer must continuously observe the same
-// claim file — by its own monotonic clock — before concluding its owner
-// crashed and stealing the lock.
-const staleLockAge = 10 * time.Minute
-
-// lockIdentity fingerprints one incarnation of a claim file so a waiter
-// can tell "the same lock is still sitting there" apart from "a peer
-// released and re-took it". The token is only ever compared for
-// equality, never against the local clock.
-type lockIdentity struct {
-	mod  time.Time
-	size int64
-}
-
-func (a lockIdentity) same(b lockIdentity) bool {
-	return a.size == b.size && a.mod.Equal(b.mod)
-}
-
-// lockPath takes the cross-process advisory lock for one artifact path
-// via an O_EXCL claim file. It polls with backoff up to s.lockWait, then
-// returns errLockHeld. A lock whose owner crashed before removing it is
-// stolen, but staleness is judged by this process's monotonic clock, not
-// the claim file's mtime: the same lock incarnation must stay in place
-// for staleAge of locally observed elapsed time before the steal, and a
-// peer re-taking the lock resets the window. Comparing the file's mtime
-// against the local wall clock — the old scheme — wrongly steals a live
-// peer's lock the moment their clock runs behind ours (NTP step, skewed
-// container clock); observed elapsed time cannot be skewed.
-func (s *Store) lockPath(path string) (release func(), err error) {
-	lock := path + ".lock"
-	deadline := s.now().Add(s.lockWait)
-	poll := 2 * time.Millisecond
-	var held lockIdentity
-	var heldSince time.Time
-	watching := false
-	for {
-		f, err := s.fs.OpenFile(lock, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-		if err == nil {
-			fmt.Fprintf(f, "%d\n", os.Getpid())
-			f.Close()
-			return func() {
-				_ = faultinject.Retry(s.retry, func() error { return s.fs.Remove(lock) })
-			}, nil
-		}
-		switch {
-		case errors.Is(err, iofs.ErrExist):
-			if st, serr := s.fs.Stat(lock); serr != nil {
-				// The lock vanished (or the stat faulted) between the
-				// O_EXCL attempt and the stat; poll again shortly.
-				watching = false
-			} else if id := (lockIdentity{st.ModTime(), st.Size()}); !watching || !id.same(held) {
-				held, heldSince, watching = id, s.now(), true
-			} else if s.now().Sub(heldSince) >= s.staleAge {
-				_ = s.fs.Remove(lock)
-				watching = false
-				continue
-			}
-		case faultinject.IsTransient(err):
-			// fall through to the poll sleep
-		default:
-			return nil, err
-		}
-		if s.now().After(deadline) {
-			return nil, errLockHeld
-		}
-		s.sleep(poll)
-		if poll < 50*time.Millisecond {
-			poll *= 2
-		}
-	}
 }

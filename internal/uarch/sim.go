@@ -162,6 +162,18 @@ type Limits struct {
 	Warmup uint64
 }
 
+// DefaultWarmup is the warmup a timing run over an insts budget gets
+// when none is asked for: 150000 instructions, or insts/4 when 150000
+// would consume the whole budget (zero timed instructions would make
+// every IPC 0). insts = 0 means an unbounded run.
+func DefaultWarmup(insts uint64) uint64 {
+	const warmup = 150_000
+	if insts != 0 && warmup >= insts {
+		return insts / 4
+	}
+	return warmup
+}
+
 // newSim builds a Sim for cfg with empty microarchitectural state.
 func newSim(cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
