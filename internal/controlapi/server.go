@@ -16,6 +16,7 @@
 package controlapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -246,39 +247,40 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvents streams the job as NDJSON: one snapshot whenever state
-// or progress changes, ending with the terminal snapshot.
+// or progress changes, ending with the terminal snapshot. It wakes on
+// the queue's change signal; a change to another job re-sends nothing
+// because a snapshot equal to the last one sent is dropped.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	changed := s.cfg.Queue.Changed()
 	v, ok := s.view(id)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	var last string
-	emit := func(v jobView) bool {
+	var last []byte
+	emit := func(v jobView) {
 		raw, err := json.Marshal(v)
-		if err != nil || string(raw) == last {
-			return false
+		if err != nil || bytes.Equal(raw, last) {
+			return
 		}
-		last = string(raw)
-		enc.Encode(v)
+		last = raw
+		// A failed write means the client left; r.Context() ends the loop.
+		w.Write(append(raw, '\n'))
 		if flusher != nil {
 			flusher.Flush()
 		}
-		return true
 	}
 	emit(v)
-	t := time.NewTicker(100 * time.Millisecond)
-	defer t.Stop()
 	for !v.State.Terminal() {
 		select {
 		case <-r.Context().Done():
 			return
-		case <-t.C:
+		case <-changed:
 		}
+		changed = s.cfg.Queue.Changed()
 		if v, ok = s.view(id); !ok {
 			return
 		}

@@ -1,6 +1,7 @@
 package controlapi
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -10,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -438,6 +440,123 @@ func TestEventsStreamEndsAtTerminal(t *testing.T) {
 	}
 	if !final.State.Terminal() {
 		t.Fatalf("stream ended on non-terminal state %s", final.State)
+	}
+}
+
+// TestEventsStreamsEachTransition drives the queue by hand, with no
+// workers, and requires one event line per transition, in order, with
+// the stream closing by itself after the terminal one.
+func TestEventsStreamsEachTransition(t *testing.T) {
+	_, q, ts := testServer(t, t.TempDir(), jobqueue.Options{}, Config{Workers: 1}, true)
+	j, err := q.Submit("alice", jobqueue.Spec{Kind: jobqueue.KindProfile, Workload: "crc32"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A lost wakeup fails the read at the deadline instead of hanging.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+j.ID+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	lines := bufio.NewReader(resp.Body)
+	next := func(want string) jobView {
+		t.Helper()
+		raw, err := lines.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("waiting for %s event: %v", want, err)
+		}
+		var v jobView
+		if err := json.Unmarshal(raw, &v); err != nil {
+			t.Fatalf("event line not JSON: %v\n%s", err, raw)
+		}
+		return v
+	}
+
+	if v := next("pending"); v.State != jobqueue.StatePending || v.Progress != nil {
+		t.Fatalf("first event %+v, want pending without progress", v)
+	}
+	if _, err := q.Claim(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if v := next("running"); v.State != jobqueue.StateRunning || v.Progress != nil {
+		t.Fatalf("event after Claim %+v, want running without progress", v)
+	}
+	for done := 1; done <= 2; done++ {
+		q.SetProgress(j.ID, jobqueue.Progress{Stage: "profile", Done: done, Total: 2})
+		v := next("progress")
+		if v.State != jobqueue.StateRunning || v.Progress == nil || v.Progress.Done != done {
+			t.Fatalf("event after SetProgress(%d) %+v, want running with done=%d", done, v, done)
+		}
+	}
+	if err := q.Complete(j.ID, j.ID+".out", nil); err != nil {
+		t.Fatal(err)
+	}
+	if v := next("done"); v.State != jobqueue.StateDone || v.Artifact != j.ID+".out" {
+		t.Fatalf("event after Complete %+v, want done", v)
+	}
+	if rest, err := io.ReadAll(lines); err != nil || len(rest) != 0 {
+		t.Fatalf("stream after terminal event: %q, %v; want clean close", rest, err)
+	}
+}
+
+// TestEventsClientDisconnectNoLeak: streams on a job that never
+// finishes end when their clients go away, leaving no goroutine behind
+// and nothing for the server's Close to wait on.
+func TestEventsClientDisconnectNoLeak(t *testing.T) {
+	_, q, ts := testServer(t, t.TempDir(), jobqueue.Options{}, Config{Workers: 1}, true)
+	j, err := q.Submit("alice", jobqueue.Spec{Kind: jobqueue.KindProfile, Workload: "crc32"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Transport: &http.Transport{}}
+	baseline := runtime.NumGoroutine()
+
+	const streams = 4
+	ctx, cancel := context.WithCancel(context.Background())
+	for i := 0; i < streams; i++ {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+j.ID+"/events", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		// The first snapshot proves the handler is running and waiting.
+		if _, err := bufio.NewReader(resp.Body).ReadBytes('\n'); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Wake the waiting handlers once; the job stays pending.
+	q.SetProgress(j.ID, jobqueue.Progress{Stage: "profile", Total: 1})
+	cancel()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after disconnect, baseline %d:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		ts.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("httptest.Server.Close blocked after clients disconnected")
 	}
 }
 

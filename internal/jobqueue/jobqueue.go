@@ -3,17 +3,18 @@
 // whose every state transition is journaled to an append-only WAL
 // before the caller sees it.
 //
-// The WAL reuses the store's checkpoint-v2 conventions — one JSON
-// record per line, a per-record IEEE CRC-32 over identity+payload, torn
-// or bit-flipped lines dropped individually on replay — so a `kill -9`
-// at any byte offset restarts into a consistent queue: the last valid
-// record per job wins, and a job that was running when the process died
-// is downgraded to pending and re-executed. Records for accepted and
-// terminal jobs are fsynced before the transition is acknowledged
-// (submission survives the ack; a done job can never un-finish), while
-// the pending→running record is only buffered — losing it merely
-// re-runs the job, which is safe because execution is deterministic and
-// artifact commits are atomic renames.
+// The WAL is an internal/recordlog log, the record format the store's
+// checkpoints also use — one JSON record per line, a per-record IEEE
+// CRC-32 over identity+payload, torn or bit-flipped lines dropped
+// individually on replay — so a `kill -9` at any byte offset restarts
+// into a consistent queue: the last valid record per job wins, and a
+// job that was running when the process died is downgraded to pending
+// and re-executed. Records for accepted and terminal jobs are fsynced
+// before the transition is acknowledged (submission survives the ack;
+// a done job can never un-finish), while the pending→running record is
+// only buffered — losing it merely re-runs the job, which is safe
+// because execution is deterministic and artifact commits are atomic
+// renames.
 //
 // Admission control keeps the queue bounded under overload: a per-tenant
 // quota on live (non-terminal) jobs plus a per-tenant token bucket on
@@ -22,6 +23,7 @@
 package jobqueue
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -29,6 +31,7 @@ import (
 	iofs "io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -317,6 +320,7 @@ func (q *Queue) Claim(ctx context.Context) (Job, error) {
 				return Job{}, err
 			}
 			cp := *j
+			q.notifyLocked()
 			q.mu.Unlock()
 			return cp, nil
 		}
@@ -403,16 +407,8 @@ func (q *Queue) List(tenant string) []Job {
 			out = append(out, *j)
 		}
 	}
-	sortJobs(out)
+	slices.SortFunc(out, func(a, b Job) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
-}
-
-func sortJobs(js []Job) {
-	for i := 1; i < len(js); i++ {
-		for k := i; k > 0 && js[k].Seq < js[k-1].Seq; k-- {
-			js[k], js[k-1] = js[k-1], js[k]
-		}
-	}
 }
 
 // Counts tallies jobs by state.
@@ -432,6 +428,7 @@ func (q *Queue) SetProgress(id string, p Progress) {
 	defer q.mu.Unlock()
 	if j, ok := q.jobs[id]; ok && !j.State.Terminal() {
 		q.progress[id] = p
+		q.notifyLocked()
 	}
 }
 
@@ -467,7 +464,18 @@ func (q *Queue) Close() error {
 	return nil
 }
 
-// notifyLocked wakes every blocked Claim.
+// Changed returns a channel that is closed at the next queue change:
+// a submission, claim, progress update, completion, release or drain.
+// Take it before reading the state it guards, so a change in between
+// is never missed.
+func (q *Queue) Changed() <-chan struct{} {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.wake
+}
+
+// notifyLocked wakes both of the channel's audiences: every blocked
+// Claim and every event watcher (see Changed).
 func (q *Queue) notifyLocked() {
 	close(q.wake)
 	q.wake = make(chan struct{})

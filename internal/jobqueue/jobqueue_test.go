@@ -263,6 +263,52 @@ func TestDrainStopsAdmissionAndClaims(t *testing.T) {
 	}
 }
 
+// TestChangedFiresOnEveryTransition: the channel taken before each
+// transition is closed by it, and the one taken after is still open, so
+// a watcher that takes Changed before reading never misses a change.
+func TestChangedFiresOnEveryTransition(t *testing.T) {
+	q, _ := testQueue(t, Options{})
+	var id string
+	claim := func() {
+		j, err := q.Claim(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		id = j.ID
+	}
+	steps := []struct {
+		name string
+		do   func()
+	}{
+		{"Submit", func() { mustSubmit(t, q, "alice", expSpec) }},
+		{"Claim", claim},
+		{"SetProgress", func() { q.SetProgress(id, Progress{Stage: "fig4", Done: 1, Total: 2}) }},
+		{"Complete", func() {
+			if err := q.Complete(id, "a.out", nil); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Submit", func() { mustSubmit(t, q, "alice", expSpec) }},
+		{"Claim", claim},
+		{"Release", func() { q.Release(id) }},
+		{"Drain", q.Drain},
+	}
+	for _, st := range steps {
+		before := q.Changed()
+		st.do()
+		select {
+		case <-before:
+		default:
+			t.Fatalf("%s did not close the channel taken before it", st.name)
+		}
+		select {
+		case <-q.Changed():
+			t.Fatalf("channel taken after %s is already closed", st.name)
+		default:
+		}
+	}
+}
+
 func TestReleaseRequeues(t *testing.T) {
 	q, _ := testQueue(t, Options{})
 	a := mustSubmit(t, q, "alice", expSpec)
