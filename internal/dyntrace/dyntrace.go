@@ -10,22 +10,27 @@
 // and pipeline configurations, and all of those runs consume the same
 // dynamic stream.
 //
-// The trace is a struct-of-arrays: per-program static-instruction
-// metadata is stored once in a Static table, and the dynamic stream is
-// three parallel columns — a uint32 static-instruction id per retired
-// instruction, a taken bitset indexed by dynamic position, and a packed
-// effective-address stream holding one word per memory reference (not per
-// instruction). No per-event structs are allocated and no observer
-// closure runs during replay. Footprint is
+// Per-program static-instruction metadata is stored once in a Static
+// table. The dynamic stream has one form, in memory and on disk alike:
+// the PCDT v2 encoding (see Save). Capture writes it as the program
+// runs: a uvarint static-instruction id per retired instruction, a taken
+// bitset indexed by dynamic position, and, per memory reference (not per
+// instruction), a zigzag-delta varint address and a store bit. A trace
+// loaded from the store holds the same bytes, often mmapped. Every
+// consumer reads them through one chunked Walk, so a result cannot
+// depend on whether its trace was captured or loaded. No per-event
+// structs are allocated and no observer closure runs during replay.
+// The encoded footprint is
 //
-//	4 B/inst (id) + 1 bit/inst (taken) + 8.125 B/memref (addr + store bit)
+//	~1 B/inst (id) + 1 bit/inst (taken) + ~1–3 B/memref (addr) + 1 bit/memref (store)
 //
-// ≈ 7 MB per million instructions at a typical ~35 % memory-op mix,
-// versus ~100 B/inst for a slice of funcsim.Event.
+// which comes to 1.2–1.9 B/inst on the bundled workloads, versus
+// ~100 B/inst for a slice of funcsim.Event.
 package dyntrace
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -61,33 +66,20 @@ type Static struct {
 	Index int32
 }
 
-// Trace is one captured dynamic instruction stream. All accessors return
-// internal slices for zero-copy replay; callers must treat them as
-// read-only. A Trace is immutable after Capture and safe for concurrent
-// replay from many goroutines.
-//
-// A trace loaded from a PCDT v2 artifact keeps its sid and address
-// columns varint-encoded (possibly aliasing an mmap'd file — see
-// LoadBytes): NewCursor streams them without materializing, and the
-// whole-column accessors (SIDs, MemAddrs, Mem) decode them once, on
-// first use, under a sync.Once.
+// Trace is one captured dynamic instruction stream, held in its encoded
+// form (see Save for the layout). Consumers read it through Walk or a
+// Cursor. A Trace is immutable after Capture or Load and safe for
+// concurrent walks from many goroutines.
 type Trace struct {
 	prog     *prog.Program
 	static   []Static
-	sid      []uint32 // per dynamic instruction: index into static
 	taken    []uint64 // bitset over dynamic instructions
-	memAddr  []uint64 // packed effective addresses, dynamic order
-	memStore []uint64 // bitset over memAddr entries
+	memStore []uint64 // bitset over memory references
+	sidEnc   []byte   // uvarint static id per dynamic instruction
+	memEnc   []byte   // zigzag-delta varint address per memory reference
 	insts    uint64
-	numMem   uint64 // memory references (== len(memAddr) once materialized)
+	numMem   uint64 // memory references (== addresses in memEnc)
 	halted   bool
-
-	// Encoded columns from a PCDT v2 load; nil for captured or v1
-	// traces. When non-nil they are authoritative and sid/memAddr start
-	// nil until materialize decodes them.
-	sidEnc  []byte
-	memEnc  []byte
-	matOnce sync.Once
 
 	// decodeCache memoizes one consumer-defined decode product (see
 	// DecodeCache); stored as any so dyntrace stays free of consumer
@@ -110,7 +102,8 @@ func Capture(p *prog.Program, maxInsts uint64) (*Trace, error) {
 // observer polls ctx once per event batch, aborting the capture with the
 // context's cancellation cause, and ticks any supervision heartbeat
 // carried by ctx at the same cadence so a long capture under a watchdog
-// never reads as a wedged task.
+// never reads as a wedged task. Each event is encoded as it arrives, so
+// the trace never holds a raw column.
 func CaptureContext(ctx context.Context, p *prog.Program, maxInsts uint64) (*Trace, error) {
 	m, err := funcsim.New(p)
 	if err != nil {
@@ -126,9 +119,10 @@ func CaptureContext(ctx context.Context, p *prog.Program, maxInsts uint64) (*Tra
 	t := &Trace{
 		prog:   p,
 		static: static,
-		sid:    make([]uint32, 0, hint),
+		sidEnc: make([]byte, 0, hint),
 		taken:  make([]uint64, 0, (hint+63)/64),
 	}
+	var prev uint64 // last address: the address stream is delta-coded
 	obs := func(events []funcsim.Event) error {
 		if watched {
 			if err := supervise.Cause(ctx); err != nil {
@@ -141,14 +135,14 @@ func CaptureContext(ctx context.Context, p *prog.Program, maxInsts uint64) (*Tra
 		for k := range events {
 			ev := &events[k]
 			sid := base[ev.Block] + uint32(ev.Index)
-			i := uint64(len(t.sid))
-			t.sid = append(t.sid, sid)
-			t.taken = appendBit(t.taken, i, ev.Taken)
-			st := &t.static[sid]
-			if st.Mem {
-				mi := uint64(len(t.memAddr))
-				t.memStore = appendBit(t.memStore, mi, st.Store)
-				t.memAddr = append(t.memAddr, ev.Addr)
+			t.sidEnc = binary.AppendUvarint(t.sidEnc, uint64(sid))
+			t.taken = appendBit(t.taken, t.insts, ev.Taken)
+			t.insts++
+			if st := &t.static[sid]; st.Mem {
+				t.memEnc = appendAddr(t.memEnc, ev.Addr, prev)
+				prev = ev.Addr
+				t.memStore = appendBit(t.memStore, t.numMem, st.Store)
+				t.numMem++
 			}
 		}
 		return nil
@@ -157,24 +151,36 @@ func CaptureContext(ctx context.Context, p *prog.Program, maxInsts uint64) (*Tra
 	if err != nil {
 		return nil, fmt.Errorf("dyntrace: capture %s: %w", p.Name, err)
 	}
-	t.insts = res.Insts
 	t.halted = res.Halted
-	t.numMem = uint64(len(t.memAddr))
 	return t, nil
 }
 
-// FromColumns assembles a Trace directly from its dynamic columns,
+// FromColumns assembles a Trace from raw dynamic columns, encoding them,
 // without functional execution and without validation. It exists for
-// tests and trace-processing tools; replay consumers validate the
-// columns at use time (see uarch.ReplayMultiWorkers), so a malformed hand-built
-// trace surfaces as an error there instead of a panic.
+// tests that need malformed traces: a column that disagrees with the
+// header or the program surfaces as an error from Walk, not a panic.
 func FromColumns(p *prog.Program, sid []uint32, taken, memAddr, memStore []uint64, insts uint64, halted bool) *Trace {
 	static, _ := buildStatic(p)
-	return &Trace{
-		prog: p, static: static,
-		sid: sid, taken: taken, memAddr: memAddr, memStore: memStore,
+	t := &Trace{
+		prog: p, static: static, taken: taken, memStore: memStore,
 		insts: insts, numMem: uint64(len(memAddr)), halted: halted,
 	}
+	for _, v := range sid {
+		t.sidEnc = binary.AppendUvarint(t.sidEnc, uint64(v))
+	}
+	var prev uint64
+	for _, a := range memAddr {
+		t.memEnc = appendAddr(t.memEnc, a, prev)
+		prev = a
+	}
+	return t
+}
+
+// appendAddr appends the zigzag varint of a − prev. The delta wraps, so
+// ascending, descending and wildly alternating addresses all encode
+// without overflow and decode exactly.
+func appendAddr(dst []byte, a, prev uint64) []byte {
+	return binary.AppendVarint(dst, int64(a-prev))
 }
 
 // buildStatic flattens the program's blocks into the static table and
@@ -241,30 +247,6 @@ func (t *Trace) NumMem() uint64 { return t.numMem }
 // Statics returns the static-instruction table (read-only).
 func (t *Trace) Statics() []Static { return t.static }
 
-// materialize decodes the varint-encoded columns of a v2-loaded trace
-// into the whole-column slices, once. Captured and v1-loaded traces
-// materialize trivially. The streams were fully validated at load time
-// (Trace.check), so a decode failure here means the backing storage
-// mutated after load — a contract violation worth a loud stop.
-func (t *Trace) materialize() {
-	if t.sidEnc == nil && t.memEnc == nil {
-		return
-	}
-	t.matOnce.Do(func() {
-		sid, memAddr, err := decodeColumns(t.sidEnc, t.memEnc, t.insts, t.numMem)
-		if err != nil {
-			panic(fmt.Sprintf("dyntrace: %s: encoded columns mutated after load: %v", t.prog.Name, err))
-		}
-		t.sid, t.memAddr = sid, memAddr
-	})
-}
-
-// SIDs returns the per-instruction static-id column (read-only).
-func (t *Trace) SIDs() []uint32 {
-	t.materialize()
-	return t.sid
-}
-
 // DecodeCache memoizes one consumer-defined decode product on the
 // trace, so repeated sweeps over the same trace skip its construction
 // (uarch stores its per-static TraceInst template table here). The
@@ -285,8 +267,8 @@ func (t *Trace) DecodeCache(build func() any) any {
 
 // Close releases the backing storage of a zero-copy load (the mmap
 // behind LoadBytes). The Trace must not be used afterwards. Closing a
-// trace that owns no mapping — captured, v1-loaded, or already closed —
-// is a no-op.
+// trace that owns no mapping — captured, built, or already closed — is
+// a no-op.
 func (t *Trace) Close() error {
 	rel := t.release
 	t.release = nil
@@ -294,56 +276,4 @@ func (t *Trace) Close() error {
 		return nil
 	}
 	return rel()
-}
-
-// TakenBits returns the per-instruction taken bitset (read-only); bit i
-// is dynamic instruction i's branch direction.
-func (t *Trace) TakenBits() []uint64 { return t.taken }
-
-// Taken reports dynamic instruction i's branch direction.
-func (t *Trace) Taken(i uint64) bool {
-	return t.taken[i>>6]>>(i&63)&1 == 1
-}
-
-// MemAddrs returns the packed effective-address stream (read-only): one
-// entry per memory reference, in dynamic order.
-func (t *Trace) MemAddrs() []uint64 {
-	t.materialize()
-	return t.memAddr
-}
-
-// MemStores returns the store bitset over MemAddrs (read-only); bit i is
-// set when reference i is a store.
-func (t *Trace) MemStores() []uint64 { return t.memStore }
-
-// Mem returns the data-reference stream of the first maxInsts dynamic
-// instructions (0 or ≥ Insts() = the whole trace): a packed address slice
-// and the store bitset indexed in parallel with it. The slices alias the
-// trace; treat them as read-only.
-func (t *Trace) Mem(maxInsts uint64) (addrs []uint64, storeBits []uint64) {
-	t.materialize()
-	if maxInsts == 0 || maxInsts >= t.insts {
-		return t.memAddr, t.memStore
-	}
-	var k uint64
-	for i := uint64(0); i < maxInsts; i++ {
-		if t.static[t.sid[i]].Mem {
-			k++
-		}
-	}
-	return t.memAddr[:k], t.memStore
-}
-
-// Bytes estimates the trace's in-memory footprint, for capacity planning
-// (EXPERIMENTS.md documents the per-million-instruction cost). For a
-// v2-loaded trace it reports the encoded footprint — the whole-column
-// decode that SIDs/MemAddrs/Mem trigger adds the materialized columns on
-// top of it.
-func (t *Trace) Bytes() uint64 {
-	const staticSize = 40 // unsafe.Sizeof(Static{}) with padding
-	n := 8*uint64(len(t.taken)+len(t.memStore)) + staticSize*uint64(len(t.static))
-	if t.sidEnc != nil || t.memEnc != nil {
-		return n + uint64(len(t.sidEnc)+len(t.memEnc))
-	}
-	return n + 4*uint64(len(t.sid)) + 8*uint64(len(t.memAddr))
 }

@@ -3,6 +3,7 @@ package dyntrace
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"perfclone/internal/workloads"
@@ -12,6 +13,9 @@ import (
 // Verify nor Load may panic or allocate unboundedly, whatever the input;
 // returning an error is the only acceptable failure mode, and an image
 // whose header names any version but the current one must be rejected.
+// Any image Load accepts must walk to its end without error, yielding
+// exactly Insts() static ids and NumMem() addresses, and Mem(0) must
+// return the same addresses.
 // The seed corpus contains a valid image, the same image under a
 // retired version-1 and an unknown version-3 header, and targeted
 // mutations (truncation, flipped CRC, oversized column counts).
@@ -62,6 +66,14 @@ func FuzzTraceLoad(f *testing.F) {
 			// A successful load must yield a self-consistent trace.
 			if err := lt.check(); err != nil {
 				t.Fatalf("Load accepted a trace that fails check: %v", err)
+			}
+			cols := walkAll(t, lt, 0)
+			if uint64(len(cols.sids)) != lt.Insts() || uint64(len(cols.addrs)) != lt.NumMem() {
+				t.Fatalf("walk yielded %d ids and %d addresses, trace holds %d and %d",
+					len(cols.sids), len(cols.addrs), lt.Insts(), lt.NumMem())
+			}
+			if addrs, _ := lt.Mem(0); !slices.Equal(addrs, cols.addrs) {
+				t.Fatal("Mem(0) disagrees with the walk")
 			}
 		}
 	})

@@ -66,14 +66,9 @@ func v2Pad(nameLen int) int {
 	return (8 - off%8) % 8
 }
 
-// Save writes the trace in the current (v2) binary format. An encoded
-// (v2-loaded) trace round-trips its encoded streams without decoding.
+// Save writes the trace in the current (v2) binary format. A trace
+// already holds its columns encoded, so Save only frames them.
 func (t *Trace) Save(w io.Writer) error {
-	sidEnc, memEnc := t.sidEnc, t.memEnc
-	if sidEnc == nil && memEnc == nil {
-		sidEnc = encodeSIDs(make([]byte, 0, len(t.sid)*2), t.sid)
-		memEnc = encodeAddrs(make([]byte, 0, len(t.memAddr)*3), t.memAddr)
-	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(traceMagic); err != nil {
 		return fmt.Errorf("dyntrace: save %s: %w", t.prog.Name, err)
@@ -101,9 +96,9 @@ func (t *Trace) Save(w io.Writer) error {
 		uint32(len(name)), name,
 		t.insts, halted, t.numMem,
 		uint64(len(t.taken)), uint64(len(t.memStore)),
-		uint64(len(sidEnc)), uint64(len(memEnc)),
+		uint64(len(t.sidEnc)), uint64(len(t.memEnc)),
 		pad[:v2Pad(len(name))],
-		t.taken, t.memStore, sidEnc, memEnc,
+		t.taken, t.memStore, t.sidEnc, t.memEnc,
 	)
 	if err == nil {
 		err = binary.Write(bw, binary.LittleEndian, crc.Sum32())
@@ -207,37 +202,36 @@ func parseV2(data []byte) (*rawV2, error) {
 	return rt, nil
 }
 
-// walkStreams decodes both v2 streams end to end, verifying they hold
-// exactly insts and numMem entries and not a byte more. onSID, when
-// non-nil, sees every decoded static id in order (Load uses it to
-// bounds-check ids and count implied memory references).
-func walkStreams(sidEnc, memEnc []byte, insts, numMem uint64, onSID func(i uint64, sid uint32) error) error {
-	off := 0
-	for i := uint64(0); i < insts; i++ {
-		v, w := binary.Uvarint(sidEnc[off:])
-		if w <= 0 || v > maxColumn {
-			return fmt.Errorf("static-id stream malformed at instruction %d", i)
+// scanStreams decodes both encoded streams end to end with a Cursor,
+// requiring exactly insts static ids and numMem addresses and not a byte
+// more. onIDs, when non-nil, sees the ids one chunk at a time, with the
+// dynamic index of the chunk's first id.
+func scanStreams(sidEnc, memEnc []byte, insts, numMem uint64, onIDs func(base uint64, sids []uint32) error) error {
+	c := Cursor{sidEnc: sidEnc, memEnc: memEnc}
+	sids := make([]uint32, min(insts, ChunkLen))
+	for c.i < insts {
+		base := c.i
+		got, err := c.NextSIDs(sids[:min(insts-base, ChunkLen)])
+		if err != nil {
+			return err
 		}
-		if onSID != nil {
-			if err := onSID(i, uint32(v)); err != nil {
+		if onIDs != nil {
+			if err := onIDs(base, got); err != nil {
 				return err
 			}
 		}
-		off += w
 	}
-	if off != len(sidEnc) {
-		return fmt.Errorf("static-id stream has %d trailing bytes", len(sidEnc)-off)
+	if len(c.sidEnc) != 0 {
+		return fmt.Errorf("static-id stream has %d trailing bytes", len(c.sidEnc))
 	}
-	off = 0
-	for i := uint64(0); i < numMem; i++ {
-		_, w := binary.Varint(memEnc[off:])
-		if w <= 0 {
-			return fmt.Errorf("address stream malformed at reference %d", i)
+	addrs := make([]uint64, min(numMem, ChunkLen))
+	for c.mi < numMem {
+		if _, err := c.NextAddrs(addrs[:min(numMem-c.mi, ChunkLen)]); err != nil {
+			return err
 		}
-		off += w
 	}
-	if off != len(memEnc) {
-		return fmt.Errorf("address stream has %d trailing bytes", len(memEnc)-off)
+	if len(c.memEnc) != 0 {
+		return fmt.Errorf("address stream has %d trailing bytes", len(c.memEnc))
 	}
 	return nil
 }
@@ -287,7 +281,7 @@ func Verify(r io.Reader) error {
 	if err := checkShape(rt.insts, rt.numMem, len(rt.taken), len(rt.memStore)); err != nil {
 		return fmt.Errorf("dyntrace: verify %s: %w", rt.name, err)
 	}
-	if err := walkStreams(rt.sidEnc, rt.memEnc, rt.insts, rt.numMem, nil); err != nil {
+	if err := scanStreams(rt.sidEnc, rt.memEnc, rt.insts, rt.numMem, nil); err != nil {
 		return fmt.Errorf("dyntrace: verify %s: %w", rt.name, err)
 	}
 	return nil
@@ -342,19 +336,20 @@ func LoadBytes(data []byte, release func() error, p *prog.Program) (*Trace, erro
 // check validates the dynamic columns against each other and against the
 // static table rebuilt from the program. Load runs it so corruption or a
 // program mismatch surfaces before any consumer replays garbage. The
-// encoded columns are validated by streaming — nothing is materialized.
+// encoded columns are validated by streaming them through a Cursor.
 func (t *Trace) check() error {
 	if err := checkShape(t.insts, t.numMem, len(t.taken), len(t.memStore)); err != nil {
 		return err
 	}
-	nStatic := uint32(len(t.static))
 	var memRefs uint64
-	err := walkStreams(t.sidEnc, t.memEnc, t.insts, t.numMem, func(i uint64, sid uint32) error {
-		if sid >= nStatic {
-			return fmt.Errorf("dynamic instruction %d has static id %d, table has %d entries", i, sid, nStatic)
-		}
-		if t.static[sid].Mem {
-			memRefs++
+	err := scanStreams(t.sidEnc, t.memEnc, t.insts, t.numMem, func(base uint64, sids []uint32) error {
+		for k, sid := range sids {
+			if int(sid) >= len(t.static) {
+				return fmt.Errorf("dynamic instruction %d has static id %d, table has %d entries", base+uint64(k), sid, len(t.static))
+			}
+			if t.static[sid].Mem {
+				memRefs++
+			}
 		}
 		return nil
 	})

@@ -2,6 +2,7 @@ package dyntrace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -29,8 +30,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("header mismatch: insts %d/%d halted %v/%v mem %d/%d",
 			got.Insts(), tr.Insts(), got.Halted(), tr.Halted(), got.NumMem(), tr.NumMem())
 	}
-	if !equalU32(got.SIDs(), tr.SIDs()) || !equalU64(got.TakenBits(), tr.TakenBits()) ||
-		!equalU64(got.MemAddrs(), tr.MemAddrs()) || !equalU64(got.MemStores(), tr.MemStores()) {
+	if !reflect.DeepEqual(walkAll(t, got, 0), walkAll(t, tr, 0)) {
 		t.Fatal("column mismatch after round trip")
 	}
 	if len(got.Statics()) != len(tr.Statics()) {
@@ -108,28 +108,4 @@ func TestLoadRejectsWrongProgram(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "loop") {
 		t.Fatalf("wrong-program load: err=%v", err)
 	}
-}
-
-func equalU32(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalU64(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

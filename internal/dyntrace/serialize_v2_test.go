@@ -2,6 +2,8 @@ package dyntrace
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"testing"
 
 	"perfclone/internal/workloads"
@@ -33,8 +35,7 @@ func TestLoadBytesZeroCopy(t *testing.T) {
 	if released != 0 {
 		t.Fatalf("release invoked %d times before Close", released)
 	}
-	if !equalU32(got.SIDs(), tr.SIDs()) || !equalU64(got.TakenBits(), tr.TakenBits()) ||
-		!equalU64(got.MemAddrs(), tr.MemAddrs()) || !equalU64(got.MemStores(), tr.MemStores()) {
+	if !reflect.DeepEqual(walkAll(t, got, 0), walkAll(t, tr, 0)) {
 		t.Fatal("column mismatch on zero-copy load")
 	}
 	if err := got.Close(); err != nil {
@@ -69,14 +70,12 @@ func TestLoadBytesZeroCopy(t *testing.T) {
 func TestAddressDeltaEdges(t *testing.T) {
 	max := ^uint64(0)
 	addrs := []uint64{0, max, 0, 1 << 63, (1 << 63) - 1, 1, max - 1, max, 42}
-	sids := make([]uint32, len(addrs))
-	sidEnc := encodeSIDs(nil, sids)
-	memEnc := encodeAddrs(nil, addrs)
-	gotSID, gotAddr, err := decodeColumns(sidEnc, memEnc, uint64(len(sids)), uint64(len(addrs)))
+	tr := FromColumns(loopProgram(t), nil, nil, addrs, nil, 0, false)
+	got, err := tr.NewCursor().NextAddrs(make([]uint64, len(addrs)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalU32(gotSID, sids) || !equalU64(gotAddr, addrs) {
-		t.Fatalf("delta-edge round trip mismatch: got %v want %v", gotAddr, addrs)
+	if !slices.Equal(got, addrs) {
+		t.Fatalf("delta-edge round trip mismatch: got %v want %v", got, addrs)
 	}
 }

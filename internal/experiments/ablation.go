@@ -96,26 +96,23 @@ func AblationContext(ctx context.Context, pairs []*Pair, opts Options) ([]Ablati
 		if err != nil {
 			return AblationRow{}, err
 		}
+		// One walk per trace feeds all of ablationPredictors.
+		realM, err := statsim.MispredRates(ctx, realT, ablationPredictors, opts.TimingInsts)
+		if err != nil {
+			return AblationRow{}, err
+		}
+		cloneM, err := statsim.MispredRates(ctx, cloneT, ablationPredictors, opts.TimingInsts)
+		if err != nil {
+			return AblationRow{}, err
+		}
+		blM, err := statsim.MispredRates(ctx, blTrace, ablationPredictors, opts.TimingInsts)
+		if err != nil {
+			return AblationRow{}, err
+		}
 		var cloneMAE, blMAE float64
-		for _, pn := range ablationPredictors {
-			if err := supervise.Cause(ctx); err != nil {
-				return AblationRow{}, err
-			}
-			supervise.Beat(ctx)
-			realM, err := statsim.MispredRate(realT, pn, opts.TimingInsts)
-			if err != nil {
-				return AblationRow{}, err
-			}
-			cloneM, err := statsim.MispredRate(cloneT, pn, opts.TimingInsts)
-			if err != nil {
-				return AblationRow{}, err
-			}
-			blM, err := statsim.MispredRate(blTrace, pn, opts.TimingInsts)
-			if err != nil {
-				return AblationRow{}, err
-			}
-			cloneMAE += math.Abs(cloneM - realM)
-			blMAE += math.Abs(blM - realM)
+		for i := range ablationPredictors {
+			cloneMAE += math.Abs(cloneM[i] - realM[i])
+			blMAE += math.Abs(blM[i] - realM[i])
 		}
 		n := float64(len(ablationPredictors))
 
@@ -146,8 +143,7 @@ func missRateFor(ctx context.Context, p *prog.Program, t *dyntrace.Trace, cfg ca
 	if t, err = traceFor(ctx, p, t, maxInsts); err != nil {
 		return 0, err
 	}
-	addrs, stores := t.Mem(maxInsts)
-	if err := rs.AccessStreamContext(ctx, addrs, stores); err != nil {
+	if err := replayRefs(ctx, rs, t, maxInsts); err != nil {
 		return 0, err
 	}
 	return rs.Stats()[0].MissRate(), nil
@@ -166,11 +162,11 @@ func trainingTargets(ctx context.Context, pr *Pair, train baseline.TrainingConfi
 	if err != nil {
 		return baseline.Targets{}, err
 	}
-	mispred, err := statsim.MispredRate(t, train.Predictor, train.MaxInsts)
+	mispred, err := statsim.MispredRates(ctx, t, []string{train.Predictor}, train.MaxInsts)
 	if err != nil {
 		return baseline.Targets{}, err
 	}
-	return baseline.Targets{MissRate: miss, MispredRate: mispred}, nil
+	return baseline.Targets{MissRate: miss, MispredRate: mispred[0]}, nil
 }
 
 // baselineLabel names a pair's baseline artifacts in the store. The

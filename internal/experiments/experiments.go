@@ -372,9 +372,9 @@ type Fig4Row struct {
 
 // CacheMPI measures misses-per-instruction for every configuration in
 // cfgs over the first maxInsts instructions of a captured trace (0 = the
-// whole trace): the packed data-reference stream goes through all caches
-// in one pass (cache.ReplaySet), polling ctx as it goes. No functional
-// execution is involved.
+// whole trace): the data-reference stream goes through all caches in one
+// walk (replayRefs), polling ctx as it goes. No functional execution is
+// involved.
 func CacheMPI(ctx context.Context, t *dyntrace.Trace, cfgs []cache.Config, maxInsts uint64) ([]float64, error) {
 	rs, err := cache.NewReplaySet(cfgs)
 	if err != nil {
@@ -387,8 +387,7 @@ func CacheMPI(ctx context.Context, t *dyntrace.Trace, cfgs []cache.Config, maxIn
 	if insts == 0 {
 		return nil, fmt.Errorf("experiments: %s trace has no instructions; misses-per-instruction is undefined", t.Program().Name)
 	}
-	addrs, storeBits := t.Mem(insts)
-	if err := rs.AccessStreamContext(ctx, addrs, storeBits); err != nil {
+	if err := replayRefs(ctx, rs, t, insts); err != nil {
 		return nil, err
 	}
 	mpi := make([]float64, len(cfgs))
@@ -396,6 +395,21 @@ func CacheMPI(ctx context.Context, t *dyntrace.Trace, cfgs []cache.Config, maxIn
 		mpi[i] = float64(st.Misses) / float64(insts)
 	}
 	return mpi, nil
+}
+
+// replayRefs feeds the data references of the first n instructions of t
+// (0 = the whole trace) through rs, one walk chunk at a time.
+func replayRefs(ctx context.Context, rs *cache.ReplaySet, t *dyntrace.Trace, n uint64) error {
+	for w := t.Walk(n); !w.Done(); {
+		c, err := w.Next(ctx)
+		if err != nil {
+			return err
+		}
+		if err := rs.AccessStreamContext(ctx, c.Addrs, c.Stores); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Fig4Context reproduces Figure 4: per-workload Pearson correlation of

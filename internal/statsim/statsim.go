@@ -36,9 +36,9 @@ type Rates struct {
 
 // MeasureRates replays the first maxInsts instructions of a captured
 // trace (0 = the whole trace) against the configuration's data caches and
-// predictor: the packed data-reference stream goes through L1D, and on to
+// predictor, in one walk: each data reference goes through L1D, and on to
 // L2 on an L1D miss; the conditional branches' outcomes go through the
-// predictor (MispredRate). No functional execution is involved.
+// predictor. No functional execution is involved.
 func MeasureRates(t *dyntrace.Trace, cfg uarch.Config, maxInsts uint64) (Rates, error) {
 	l1, err := cache.New(cfg.L1D)
 	if err != nil {
@@ -48,57 +48,88 @@ func MeasureRates(t *dyntrace.Trace, cfg uarch.Config, maxInsts uint64) (Rates, 
 	if err != nil {
 		return Rates{}, err
 	}
-	mispred, err := MispredRate(t, string(cfg.Predictor), maxInsts)
+	pred, err := bpred.ByName(string(cfg.Predictor))
 	if err != nil {
 		return Rates{}, err
 	}
-	addrs, storeBits := t.Mem(maxInsts)
-	for i, a := range addrs {
-		store := storeBits[i>>6]>>(uint(i)&63)&1 == 1
-		if !l1.Access(a, store) {
-			l2.Access(a, store)
+	m := mispredCounter{pred: pred}
+	for w := t.Walk(maxInsts); !w.Done(); {
+		c, err := w.Next(context.TODO()) // the signature predates cancellation
+		if err != nil {
+			return Rates{}, err
+		}
+		m.count(t.Statics(), c)
+		for j, a := range c.Addrs {
+			store := c.Stores[j>>6]>>(uint(j)&63)&1 == 1
+			if !l1.Access(a, store) {
+				l2.Access(a, store)
+			}
 		}
 	}
 	return Rates{
 		L1DMiss: l1.Stats().MissRate(),
 		L2Miss:  l2.Stats().MissRate(),
-		Mispred: mispred,
+		Mispred: m.rate(),
 	}, nil
 }
 
-// MispredRate is the conditional-branch misprediction rate of the first
-// maxInsts instructions of t (0 = the whole trace) under the named
-// predictor (see bpred.ByName), walking the static-id column and taken
-// bitset directly; 0 when no branch executes.
-func MispredRate(t *dyntrace.Trace, predName string, maxInsts uint64) (float64, error) {
-	pred, err := bpred.ByName(predName)
-	if err != nil {
-		return 0, err
+// MispredRates returns the conditional-branch misprediction rate of the
+// first maxInsts instructions of t (0 = the whole trace) under each named
+// predictor (see bpred.ByName), in order; a rate is 0 when no branch
+// executes. One walk feeds every predictor, so a predictor sweep decodes
+// the trace once. The walk polls ctx once per chunk.
+func MispredRates(ctx context.Context, t *dyntrace.Trace, preds []string, maxInsts uint64) ([]float64, error) {
+	ms := make([]mispredCounter, len(preds))
+	for i, name := range preds {
+		pred, err := bpred.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		ms[i].pred = pred
 	}
-	n := t.Insts()
-	if maxInsts > 0 && n > maxInsts {
-		n = maxInsts
+	for w := t.Walk(maxInsts); !w.Done(); {
+		c, err := w.Next(ctx)
+		if err != nil {
+			return nil, err
+		}
+		for i := range ms {
+			ms[i].count(t.Statics(), c)
+		}
 	}
-	statics := t.Statics()
-	sids := t.SIDs()
-	takenBits := t.TakenBits()
-	var look, miss uint64
-	for i := uint64(0); i < n; i++ {
-		st := &statics[sids[i]]
+	out := make([]float64, len(ms))
+	for i := range ms {
+		out[i] = ms[i].rate()
+	}
+	return out, nil
+}
+
+// mispredCounter feeds a walk's conditional branches, in trace order,
+// to one predictor.
+type mispredCounter struct {
+	pred       bpred.Predictor
+	look, miss uint64
+}
+
+func (m *mispredCounter) count(statics []dyntrace.Static, c *dyntrace.Chunk) {
+	for k, sid := range c.SIDs {
+		st := &statics[sid]
 		if !st.Branch {
 			continue
 		}
-		taken := takenBits[i>>6]>>(i&63)&1 == 1
-		look++
-		if pred.Predict(st.PC) != taken {
-			miss++
+		taken := c.Taken[k>>6]>>(uint(k)&63)&1 == 1
+		m.look++
+		if m.pred.Predict(st.PC) != taken {
+			m.miss++
 		}
-		pred.Update(st.PC, taken)
+		m.pred.Update(st.PC, taken)
 	}
-	if look == 0 {
-		return 0, nil
+}
+
+func (m *mispredCounter) rate() float64 {
+	if m.look == 0 {
+		return 0
 	}
-	return float64(miss) / float64(look), nil
+	return float64(m.miss) / float64(m.look)
 }
 
 // Options configure an estimate.

@@ -2,34 +2,24 @@ package uarch
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"perfclone/internal/dyntrace"
 	"perfclone/internal/supervise"
 )
 
-// decodeTable is the per-trace decode product the replay walk memoizes on
-// the trace (dyntrace.Trace.DecodeCache): a TraceInst template per
-// static instruction (everything but Addr and Taken is static) plus the
-// memory-op flags the chunk decoder needs to pair static ids with the
-// packed address stream. Building it is O(statics) and happens once per
-// trace, no matter how many sweeps replay it.
-type decodeTable struct {
-	tmpl  []TraceInst
-	isMem []bool
-}
-
-func decodeTableFor(t *dyntrace.Trace) *decodeTable {
+// templatesFor returns the per-trace decode product the replay walk
+// memoizes on the trace (dyntrace.Trace.DecodeCache): a TraceInst
+// template per static instruction, since everything but Addr and Taken
+// is static. Building it is O(statics) and happens once per trace, no
+// matter how many sweeps replay it.
+func templatesFor(t *dyntrace.Trace) []TraceInst {
 	return t.DecodeCache(func() any {
 		statics := t.Statics()
-		dt := &decodeTable{
-			tmpl:  make([]TraceInst, len(statics)),
-			isMem: make([]bool, len(statics)),
-		}
+		tmpl := make([]TraceInst, len(statics))
 		for i := range statics {
 			st := &statics[i]
-			dt.tmpl[i] = TraceInst{
+			tmpl[i] = TraceInst{
 				PC:     st.PC,
 				Class:  st.Class,
 				Dest:   st.Dest,
@@ -39,97 +29,32 @@ func decodeTableFor(t *dyntrace.Trace) *decodeTable {
 				Jump:   st.Jump,
 				IsMem:  st.Mem,
 			}
-			dt.isMem[i] = st.Mem
 		}
-		return dt
-	}).(*decodeTable)
+		return tmpl
+	}).([]TraceInst)
 }
 
-// chunkDecoder walks a trace's dynamic columns one streamChunk at a
-// time, expanding static-id records into full TraceInst values. It owns
-// the trace's Cursor exclusively: in the parallel walk only the producer
-// goroutine touches it, and the decoded chunk is handed to the consumers
-// as a read-only buffer — the cursor never crosses a goroutine boundary.
-type chunkDecoder struct {
-	t       *dyntrace.Trace
-	dt      *decodeTable
-	taken   []uint64
-	cur     *dyntrace.Cursor
-	sidBuf  []uint32
-	addrBuf []uint64
-	base    uint64
-	n       uint64
-}
-
-func newChunkDecoder(t *dyntrace.Trace, dt *decodeTable, taken []uint64, n uint64) *chunkDecoder {
-	return &chunkDecoder{
-		t: t, dt: dt, taken: taken, n: n,
-		cur:     t.NewCursor(),
-		sidBuf:  make([]uint32, streamChunk),
-		addrBuf: make([]uint64, streamChunk),
-	}
-}
-
-// done reports that the whole requested window has been decoded.
-func (d *chunkDecoder) done() bool { return d.base >= d.n }
-
-// next decodes the next chunk into dst (len(dst) >= streamChunk) and
-// returns the record count; the chunk boundaries are the exact
-// streamChunk boundaries of every walk, serial or parallel.
-// The cursor streams both dynamic columns in chunk-sized bites: on a
-// zero-copy (v2) trace it varint-decodes straight out of the mmap, on a
-// captured trace it returns aliasing subslices. Either way a malformed
-// column surfaces as a validation error here, not a panic.
-func (d *chunkDecoder) next(dst []TraceInst) (int, error) {
-	c := d.n - d.base
-	if c > streamChunk {
-		c = streamChunk
-	}
-	sids, err := d.cur.NextSIDs(d.sidBuf[:c])
-	if err != nil {
-		return 0, fmt.Errorf("uarch: replay: %w", err)
-	}
-	nmem := 0
-	isMem := d.dt.isMem
-	for _, sid := range sids {
-		if int(sid) >= len(isMem) {
-			return 0, fmt.Errorf("uarch: replay %s: static id %d out of range (table has %d entries)",
-				d.t.Program().Name, sid, len(isMem))
-		}
-		if isMem[sid] {
-			nmem++
-		}
-	}
-	addrs, err := d.cur.NextAddrs(d.addrBuf[:nmem])
-	if err != nil {
-		return 0, fmt.Errorf("uarch: replay: %w", err)
-	}
-	// Template expansion, 64 records per taken-bitset word: base is
-	// always streamChunk-aligned, so each group of 64 dynamic positions
-	// shares one word and the per-record work is pure shift/mask lane
-	// math over the hoisted word.
-	tmpl := d.dt.tmpl
-	wbase := d.base >> 6
+// expand turns one chunk of a trace walk into full TraceInst records in
+// dst (len(dst) >= streamChunk) and returns them. Template expansion
+// goes 64 records per taken-bitset word: the chunk base is 64-aligned,
+// so each group of 64 dynamic positions shares one word and the
+// per-record work is pure shift/mask lane math over the hoisted word.
+func expand(dst, tmpl []TraceInst, c *dyntrace.Chunk) []TraceInst {
 	mi := 0
-	for k := 0; k < len(sids); {
-		w := d.taken[wbase+uint64(k)>>6]
-		end := k + 64
-		if end > len(sids) {
-			end = len(sids)
-		}
+	for k := 0; k < len(c.SIDs); {
+		w := c.Taken[k>>6]
+		end := min(k+64, len(c.SIDs))
 		for ; k < end; k++ {
-			sid := sids[k]
-			ti := tmpl[sid]
-			if isMem[sid] {
-				ti.Addr = addrs[mi]
+			ti := tmpl[c.SIDs[k]]
+			if ti.IsMem {
+				ti.Addr = c.Addrs[mi]
 				mi++
 			}
 			ti.Taken = w>>(uint(k)&63)&1 == 1
 			dst[k] = ti
 		}
 	}
-	d.base += c
-	return int(c), nil
+	return dst[:len(c.SIDs)]
 }
 
 // ReplayMultiWorkers times one captured trace on every configuration in
@@ -171,25 +96,15 @@ func ReplayMultiWorkers(ctx context.Context, t *dyntrace.Trace, cfgs []Config, l
 		s.warmup = lim.Warmup
 		sims[i] = s
 	}
-	n := t.Insts()
-	if lim.MaxInsts > 0 && n > lim.MaxInsts {
-		n = lim.MaxInsts
-	}
-	dt := decodeTableFor(t)
-	takenBits := t.TakenBits()
-	if uint64(len(takenBits))*64 < n {
-		return nil, fmt.Errorf("uarch: replay %s: taken bitset has %d words, need %d for %d instructions",
-			t.Program().Name, len(takenBits), (n+63)/64, n)
-	}
 	if workers > len(cfgs) {
 		workers = len(cfgs)
 	}
-	dec := newChunkDecoder(t, dt, takenBits, n)
+	walk, tmpl := t.Walk(lim.MaxInsts), templatesFor(t)
 	var err error
 	if workers <= 1 {
-		err = replayWalkSerial(ctx, dec, sims)
+		err = replayWalkSerial(ctx, walk, tmpl, sims)
 	} else {
-		err = replayWalkParallel(ctx, dec, sims, workers)
+		err = replayWalkParallel(ctx, walk, tmpl, sims, workers)
 	}
 	if err != nil {
 		return nil, err
@@ -202,24 +117,18 @@ func ReplayMultiWorkers(ctx context.Context, t *dyntrace.Trace, cfgs []Config, l
 }
 
 // replayWalkSerial is the single-goroutine walk: decode a chunk, feed it
-// to every pipeline, repeat. ctx is polled (and any supervision
-// heartbeat ticked) once per chunk.
-func replayWalkSerial(ctx context.Context, dec *chunkDecoder, sims []*Sim) error {
-	chunk := make([]TraceInst, streamChunk)
-	tick := supervise.TickerFrom(ctx)
-	for !dec.done() {
-		if err := supervise.Cause(ctx); err != nil {
-			return err
-		}
-		if tick != nil {
-			tick()
-		}
-		c, err := dec.next(chunk)
+// to every pipeline, repeat. The trace walk polls ctx (and ticks any
+// supervision heartbeat) once per chunk.
+func replayWalkSerial(ctx context.Context, walk *dyntrace.Walk, tmpl []TraceInst, sims []*Sim) error {
+	buf := make([]TraceInst, streamChunk)
+	for !walk.Done() {
+		c, err := walk.Next(ctx)
 		if err != nil {
 			return err
 		}
+		chunk := expand(buf, tmpl, c)
 		for _, s := range sims {
-			s.consume(chunk[:c])
+			s.consume(chunk)
 		}
 	}
 	return nil
@@ -233,13 +142,14 @@ func replayWalkSerial(ctx context.Context, dec *chunkDecoder, sims []*Sim) error
 // rewriting that buffer. That reclaim is the chunk barrier: a buffer is
 // never mutated while any pipeline can still read it, and since sims are
 // striped (disjoint per worker) and the chunk is read-only to consume,
-// the walk is race-free without any locking in the cycle loop.
+// the walk is race-free without any locking in the cycle loop. Only the
+// producer touches the trace walk; it never crosses a goroutine boundary.
 //
 // On a decode error or cancellation the producer stops feeding, closes
 // the feeds, and waits for every worker to drain its queue (at most nbuf
 // chunks each) before returning — the caller can release the trace's
 // backing storage immediately after.
-func replayWalkParallel(ctx context.Context, dec *chunkDecoder, sims []*Sim, workers int) error {
+func replayWalkParallel(ctx context.Context, walk *dyntrace.Walk, tmpl []TraceInst, sims []*Sim, workers int) error {
 	const nbuf = 2
 	type slot struct {
 		chunk []TraceInst
@@ -282,23 +192,18 @@ func replayWalkParallel(ctx context.Context, dec *chunkDecoder, sims []*Sim, wor
 		}(w)
 	}
 	var err error
-	for b := 0; !dec.done(); b = (b + 1) % nbuf {
-		if err = supervise.Cause(ctx); err != nil {
+	for b := 0; !walk.Done(); b = (b + 1) % nbuf {
+		// The walk polls ctx and decodes the chunk's columns into its own
+		// buffers, so that overlaps the workers still reading buffer b.
+		var c *dyntrace.Chunk
+		if c, err = walk.Next(ctx); err != nil {
 			break
-		}
-		if tick != nil {
-			tick()
 		}
 		// Reclaim buffer b: every worker must have released it.
 		for w := 0; w < workers; w++ {
 			<-slots[b].free
 		}
-		var c int
-		c, err = dec.next(slots[b].chunk)
-		if err != nil {
-			break
-		}
-		m := msg{buf: b, n: c}
+		m := msg{buf: b, n: len(expand(slots[b].chunk, tmpl, c))}
 		for w := range feeds {
 			feeds[w] <- m
 		}

@@ -204,13 +204,19 @@ func TestReplayMultiValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sids := good.SIDs()
+	// The whole 10k-instruction trace is one walk chunk, so that chunk
+	// holds every column; stores are re-based to the chunk's first
+	// reference, which is the trace's first.
+	c, err := good.Walk(0).Next(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sids, taken, addrs, stores := c.SIDs, c.Taken, c.Addrs, c.Stores
 	cfgs := []Config{BaseConfig()}
 	lim := Limits{MaxInsts: uint64(len(sids))}
 
 	// Taken bitset shorter than the instruction count.
-	short := dyntrace.FromColumns(p, sids, good.TakenBits()[:len(good.TakenBits())/2],
-		good.MemAddrs(), good.MemStores(), good.Insts(), good.Halted())
+	short := dyntrace.FromColumns(p, sids, taken[:len(taken)/2], addrs, stores, good.Insts(), good.Halted())
 	if _, err := ReplayMultiWorkers(context.Background(), short, cfgs, lim, 1); err == nil || !strings.Contains(err.Error(), "taken bitset") {
 		t.Errorf("short taken bitset: err=%v, want taken-bitset validation error", err)
 	}
@@ -218,15 +224,13 @@ func TestReplayMultiValidation(t *testing.T) {
 	// Static id beyond the program's static table.
 	bad := append([]uint32(nil), sids...)
 	bad[len(bad)/2] = 1 << 30
-	ragged := dyntrace.FromColumns(p, bad, good.TakenBits(),
-		good.MemAddrs(), good.MemStores(), good.Insts(), good.Halted())
+	ragged := dyntrace.FromColumns(p, bad, taken, addrs, stores, good.Insts(), good.Halted())
 	if _, err := ReplayMultiWorkers(context.Background(), ragged, cfgs, lim, 1); err == nil || !strings.Contains(err.Error(), "static id") {
 		t.Errorf("out-of-range sid: err=%v, want static-id validation error", err)
 	}
 
 	// Fewer packed addresses than the sid stream's memory references.
-	starved := dyntrace.FromColumns(p, sids, good.TakenBits(),
-		good.MemAddrs()[:good.NumMem()/2], good.MemStores(), good.Insts(), good.Halted())
+	starved := dyntrace.FromColumns(p, sids, taken, addrs[:len(addrs)/2], stores, good.Insts(), good.Halted())
 	if _, err := ReplayMultiWorkers(context.Background(), starved, cfgs, lim, 1); err == nil {
 		t.Error("starved address column replayed without error")
 	}

@@ -11,10 +11,11 @@ import (
 )
 
 // streamChunk is the number of TraceInst records fed to the pipeline per
-// consume call. Trace replay and RunTrace both use it; it is also the
-// cadence at which every timing walk polls its context and ticks its
-// supervision heartbeat.
-const streamChunk = 1 << 16
+// consume call: the trace walk's chunk length, so replay consumes one
+// walk chunk per call. RunTrace uses it too; it is also the cadence at
+// which every timing walk polls its context and ticks its supervision
+// heartbeat.
+const streamChunk = dyntrace.ChunkLen
 
 // Stats is the outcome of a timing run, including the activity counts the
 // power model consumes.
@@ -62,8 +63,9 @@ func (s Stats) MispredRate() float64 {
 	return float64(s.BranchMispredict) / float64(s.BranchLookups)
 }
 
-// TraceInst is the per-instruction record the trace front end (the chunk
-// decoder, or RunTrace's generator) hands to the timing back end.
+// TraceInst is the per-instruction record the trace front end (expand
+// over a trace walk, or RunTrace's generator) hands to the timing back
+// end.
 type TraceInst struct {
 	// PC is the instruction's address (drives I-cache and predictor
 	// indexing).
