@@ -1,52 +1,55 @@
-// Command tracegen emits a synthetic memory address trace from a workload
-// profile (the trace-form output Section 3.1.4 mentions) — one reference
-// per line as "R <addr>" / "W <addr>" — or replays it against a cache.
+// Command tracegen emits the memory reference stream of a workload's
+// performance clone (the trace form of the clone Section 3.1.4 mentions)
+// — one reference per line as "R <addr>" / "W <addr>" — or replays it
+// against caches.
 //
 // Usage:
 //
 //	tracegen -workload crc32 -n 100000 > trace.txt
 //	tracegen -workload crc32 -n 1000000 -replay 4KB
-//	tracegen -workload crc32 -n 1000000 -replay 4KB,8KB,16KB -workers 3
+//	tracegen -workload crc32 -n 1000000 -replay 4KB,8KB,16KB
 //
-// With a comma-separated -replay list the sizes replay concurrently on
-// -workers goroutines (0 = GOMAXPROCS); each replay regenerates the
-// synthetic stream from the profile's seeded generator, so results are
-// identical for every worker count and print in input order.
+// The clone is the one `clonegen -workload W` emits by default (seed 1,
+// no -validate); its whole run is captured and the first -n references
+// of the capture are printed. A clone that halts sooner prints all of its
+// references and says how many on stderr. A -replay list feeds the same
+// references through one cache.ReplaySet holding every listed size, each
+// 2-way with 32 B lines, and prints one line per size in input order.
 package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 
 	"perfclone/internal/cache"
+	"perfclone/internal/dyntrace"
 	"perfclone/internal/profile"
 	"perfclone/internal/store"
-	"perfclone/internal/trace"
+	"perfclone/internal/synth"
 	"perfclone/internal/workloads"
 )
 
 func main() {
 	name := flag.String("workload", "", "workload to profile")
 	profIn := flag.String("profile-in", "", "use a saved profile JSON instead")
-	n := flag.Int("n", 100_000, "number of references to generate")
+	n := flag.Int("n", 100_000, "number of references to emit")
 	replay := flag.String("replay", "", "instead of printing, replay against caches of these comma-separated sizes (e.g. 4KB,8KB)")
-	workers := flag.Int("workers", 0, "worker goroutines for multi-size -replay (0 = GOMAXPROCS)")
 	storeDir := flag.String("store", "", "directory for the durable profile store (reuses a cached profile when present)")
 	strictStore := flag.Bool("strict-store", false, "abort on a corrupt or unreadable cached profile instead of quarantining and recollecting")
 	flag.Parse()
 
-	if *workers < 0 {
-		fmt.Fprintln(os.Stderr, "tracegen: -workers must be >= 0 (0 = GOMAXPROCS)")
+	if *n < 1 {
+		fmt.Fprintln(os.Stderr, "tracegen: -n must be >= 1")
 		os.Exit(2)
 	}
 
-	if err := run(*name, *profIn, *n, *replay, *workers, *storeDir, *strictStore); err != nil {
+	if err := run(os.Stdout, os.Stderr, *name, *profIn, *n, *replay, *storeDir, *strictStore); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
@@ -70,106 +73,100 @@ func parseSize(s string) (int, error) {
 	return v * mult, nil
 }
 
-func run(name, profIn string, n int, replay string, workers int, storeDir string, strictStore bool) error {
-	var prof *profile.Profile
+// loadProfile reads the profile from profIn, or collects the named
+// workload's through the store (a nil store just collects).
+func loadProfile(name, profIn, storeDir string, strictStore bool) (*profile.Profile, error) {
 	if profIn != "" {
 		f, err := os.Open(profIn)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		defer f.Close()
-		prof, err = profile.Load(f)
+		return profile.Load(f)
+	}
+	w, err := workloads.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	p := w.Build()
+	var st *store.Store
+	if storeDir != "" {
+		st, err = store.Open(storeDir, store.WithStrict(strictStore))
 		if err != nil {
-			return err
+			return nil, err
 		}
-	} else {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			return err
-		}
-		p := w.Build()
-		var st *store.Store
-		if storeDir != "" {
-			st, err = store.Open(storeDir, store.WithStrict(strictStore))
+	}
+	prof, _, err := st.Profile(name, p, profile.DefaultMaxInsts, func() (*profile.Profile, error) {
+		return profile.Collect(p, profile.Options{MaxInsts: profile.DefaultMaxInsts})
+	})
+	return prof, err
+}
+
+// run writes the first n references of the profile's default clone to
+// stdout, as text or, with a -replay list, as one cache summary per size.
+func run(stdout, stderr io.Writer, name, profIn string, n int, replay, storeDir string, strictStore bool) error {
+	var cfgs []cache.Config
+	var rs *cache.ReplaySet
+	if replay != "" {
+		for _, spec := range strings.Split(replay, ",") {
+			size, err := parseSize(spec)
 			if err != nil {
 				return err
 			}
+			cfgs = append(cfgs, cache.Config{Size: size, Assoc: 2, LineSize: 32})
 		}
-		prof, _, err = st.Profile(name, p, profile.DefaultMaxInsts, func() (*profile.Profile, error) {
-			return profile.Collect(p, profile.Options{MaxInsts: profile.DefaultMaxInsts})
-		})
-		if err != nil {
+		var err error
+		if rs, err = cache.NewReplaySet(cfgs); err != nil {
 			return err
 		}
 	}
-
-	if replay != "" {
-		return replaySizes(prof, replay, n, workers)
-	}
-
-	g, err := trace.New(prof)
+	prof, err := loadProfile(name, profIn, storeDir, strictStore)
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-	for i := 0; i < n; i++ {
-		r := g.Next()
-		dir := byte('R')
-		if r.Write {
-			dir = 'W'
-		}
-		fmt.Fprintf(w, "%c %d\n", dir, r.Addr)
-	}
-	return nil
-}
 
-// replaySizes replays the profile's synthetic stream against one cache
-// per comma-separated size, striping the sizes over a worker pool. Each
-// trace.Replay builds its own generator from the profile's stored seed,
-// so every size's result is independent of worker count and ordering;
-// results print in input order once all workers have joined.
-func replaySizes(prof *profile.Profile, replay string, n, workers int) error {
-	specs := strings.Split(replay, ",")
-	cfgs := make([]cache.Config, len(specs))
-	for i, spec := range specs {
-		size, err := parseSize(spec)
+	ctx := context.Background()
+	clone, err := synth.GenerateContext(ctx, prof, synth.Config{})
+	if err != nil {
+		return err
+	}
+	tr, err := dyntrace.Capture(clone.Program, 0)
+	if err != nil {
+		return err
+	}
+
+	bw := bufio.NewWriter(stdout)
+	left := uint64(n)
+	for w := tr.Walk(0); left > 0 && !w.Done(); {
+		c, err := w.Next(ctx)
 		if err != nil {
 			return err
 		}
-		cfgs[i] = cache.Config{Size: size, Assoc: 2, LineSize: 32}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	// Greppable counters line, mirroring cmd/experiments.
-	fmt.Fprintf(os.Stderr, "tracegen: workers %d effective (replays %d)\n", workers, len(cfgs))
-
-	stats := make([]cache.Stats, len(cfgs))
-	errs := make([]error, len(cfgs))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(cfgs); i += workers {
-				stats[i], errs[i] = trace.Replay(prof, cfgs[i], n)
+		addrs := c.Addrs[:min(uint64(len(c.Addrs)), left)]
+		left -= uint64(len(addrs))
+		if rs != nil {
+			if err := rs.AccessStreamContext(ctx, addrs, c.Stores); err != nil {
+				return err
 			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+			continue
+		}
+		for j, a := range addrs {
+			dir := byte('R')
+			if c.Stores[j>>6]>>(uint(j)&63)&1 == 1 {
+				dir = 'W'
+			}
+			fmt.Fprintf(bw, "%c %d\n", dir, a)
 		}
 	}
-	for i, cfg := range cfgs {
-		st := stats[i]
-		fmt.Printf("%s on %s: %d accesses, %.3f%% miss, %d writebacks\n",
-			prof.Name, cfg.String(), st.Accesses, 100*st.MissRate(), st.Writebacks)
+	if left > 0 {
+		fmt.Fprintf(stderr, "tracegen: the clone of %s halted after %d references, fewer than -n %d\n",
+			prof.Name, uint64(n)-left, n)
 	}
-	return nil
+	if rs != nil {
+		for i, st := range rs.Stats() {
+			fmt.Fprintf(bw, "%s on %s: %d accesses, %.3f%% miss, %d writebacks\n",
+				prof.Name, cfgs[i].String(), st.Accesses, 100*st.MissRate(), st.Writebacks)
+		}
+	}
+	return bw.Flush()
 }

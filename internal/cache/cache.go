@@ -499,13 +499,13 @@ func (rs *ReplaySet) Access(addr uint64, write bool) {
 const accessStreamCheckEvery = 1 << 16
 
 // AccessStreamContext feeds a packed reference stream — a parallel
-// address slice and store bitset (bit i set when addrs[i] is a store), as
-// produced by dyntrace.Trace.Mem — to every configuration. It walks the
-// stream group by group, so each group's stacks stay hot while it
-// consumes the whole stream; the groups are independent, so the
-// statistics are identical to interleaved delivery via Access. A bitset
-// too short for the address slice is an error, not a panic — trace files
-// arrive from disk and may be damaged.
+// address slice and store bitset (bit i set when addrs[i] is a store),
+// such as a dyntrace Walk chunk's Addrs and Stores — to every
+// configuration. It walks the stream group by group, so each group's
+// stacks stay hot while it consumes the whole stream; the groups are
+// independent, so the statistics are identical to interleaved delivery
+// via Access. A bitset too short for the address slice is an error, not
+// a panic — trace files arrive from disk and may be damaged.
 //
 // Each group's pass polls ctx every accessStreamCheckEvery references
 // and abandons the sweep (returning the context's cancellation cause)

