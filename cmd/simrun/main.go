@@ -98,15 +98,21 @@ func run(name, file string, useClone, useStatsim bool, cfgName string, insts, wa
 		p = clone.Program
 	}
 	// One capture serves both modes: the detailed run replays it, and
-	// statistical simulation measures its rates on it.
-	t, err := dyntrace.Capture(p, insts)
+	// statistical simulation profiles it and measures its rates on it, so
+	// under -statsim it also covers the profiling budget. Replay and
+	// MeasureRates stop at insts.
+	captureInsts := insts
+	if useStatsim && insts != 0 {
+		captureInsts = max(insts, profile.DefaultMaxInsts)
+	}
+	t, err := dyntrace.Capture(p, captureInsts)
 	if err != nil {
 		return err
 	}
 	ctx := context.Background()
 	var st uarch.Stats
 	if useStatsim {
-		prof, err := profile.Collect(p, profile.Options{MaxInsts: profile.DefaultMaxInsts})
+		prof, err := profile.FromTrace(ctx, t, profile.Options{MaxInsts: profile.DefaultMaxInsts})
 		if err != nil {
 			return err
 		}

@@ -86,16 +86,21 @@ func (c *Cursor) NextAddrs(buf []uint64) ([]uint64, error) {
 	return buf, nil
 }
 
-// Chunk is one window of a Walk. It and its slices are read-only and
-// valid until the walk's next call to Next.
+// Chunk is one window of a dynamic stream, yielded by a Walk or a
+// Stream. It and its slices are read-only and valid until the producer
+// yields the next one.
 type Chunk struct {
-	// Base is the dynamic index of the chunk's first instruction, a
-	// multiple of ChunkLen.
+	// Base is the dynamic index of the chunk's first instruction. It is
+	// a multiple of 64. How many instructions a chunk holds is not part
+	// of the contract: consumers must give the same result however the
+	// stream is cut.
 	Base uint64
-	// SIDs holds one static id per instruction, indexing Statics().
+	// SIDs holds one static id per instruction, indexing the program's
+	// static table (Statics, or the table Stream hands its consumer).
 	SIDs []uint32
 	// Taken is the taken bitset over SIDs: bit k is SIDs[k]'s branch
-	// direction. Base is 64-aligned, so these are the trace's own words.
+	// direction. Base is 64-aligned, so a Walk's words are the trace's
+	// own.
 	Taken []uint64
 	// Addrs holds the effective address of each of the chunk's memory
 	// references, in dynamic order.

@@ -98,61 +98,101 @@ func Capture(p *prog.Program, maxInsts uint64) (*Trace, error) {
 	return CaptureContext(context.Background(), p, maxInsts)
 }
 
-// CaptureContext is Capture with cooperative cancellation: the batch
-// observer polls ctx once per event batch, aborting the capture with the
-// context's cancellation cause, and ticks any supervision heartbeat
-// carried by ctx at the same cadence so a long capture under a watchdog
-// never reads as a wedged task. Each event is encoded as it arrives, so
-// the trace never holds a raw column.
+// CaptureContext is Capture with cooperative cancellation: it is one
+// Stream over p that encodes each chunk as it arrives, so the trace
+// never holds a raw column. Stream polls ctx and ticks any supervision
+// heartbeat once per chunk, so a long capture under a watchdog never
+// reads as a wedged task.
 func CaptureContext(ctx context.Context, p *prog.Program, maxInsts uint64) (*Trace, error) {
-	m, err := funcsim.New(p)
-	if err != nil {
-		return nil, err
-	}
-	tick := supervise.TickerFrom(ctx)
-	watched := ctx.Done() != nil || tick != nil
-	static, base := buildStatic(p)
 	hint := maxInsts
 	if hint == 0 || hint > 1<<20 {
 		hint = 1 << 20
 	}
 	t := &Trace{
 		prog:   p,
-		static: static,
 		sidEnc: make([]byte, 0, hint),
 		taken:  make([]uint64, 0, (hint+63)/64),
 	}
 	var prev uint64 // last address: the address stream is delta-coded
-	obs := func(events []funcsim.Event) error {
-		if watched {
-			if err := supervise.Cause(ctx); err != nil {
-				return err
+	halted, err := Stream(ctx, p, maxInsts, func(static []Static) func(*Chunk) error {
+		t.static = static
+		return func(c *Chunk) error {
+			for _, sid := range c.SIDs {
+				t.sidEnc = binary.AppendUvarint(t.sidEnc, uint64(sid))
 			}
-			if tick != nil {
-				tick()
-			}
-		}
-		for k := range events {
-			ev := &events[k]
-			sid := base[ev.Block] + uint32(ev.Index)
-			t.sidEnc = binary.AppendUvarint(t.sidEnc, uint64(sid))
-			t.taken = appendBit(t.taken, t.insts, ev.Taken)
-			t.insts++
-			if st := &t.static[sid]; st.Mem {
-				t.memEnc = appendAddr(t.memEnc, ev.Addr, prev)
-				prev = ev.Addr
-				t.memStore = appendBit(t.memStore, t.numMem, st.Store)
+			// Base is 64-aligned, so the chunk's taken words are the trace's.
+			t.taken = append(t.taken, c.Taken...)
+			t.insts += uint64(len(c.SIDs))
+			for j, a := range c.Addrs {
+				t.memEnc = appendAddr(t.memEnc, a, prev)
+				prev = a
+				t.memStore = appendBit(t.memStore, t.numMem, c.Stores[j>>6]>>(j&63)&1 != 0)
 				t.numMem++
 			}
+			return nil
 		}
-		return nil
-	}
-	res, err := m.RunBatch(funcsim.Limits{MaxInsts: maxInsts}, obs)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("dyntrace: capture %s: %w", p.Name, err)
 	}
-	t.halted = res.Halted
+	t.halted = halted
 	return t, nil
+}
+
+// Stream executes p functionally for up to n dynamic instructions (0 =
+// to completion) and hands its stream to fn one Chunk at a time, in the
+// functional simulator's batches of funcsim.EventChunk, without building
+// a Trace. It is the one place dyntrace runs the functional simulator:
+// Capture encodes the chunks, and a profile accumulates them. Before the
+// run, Stream calls open once with p's static table, which the chunks'
+// static ids index, and open returns the chunk consumer fn. Stream polls
+// ctx once per chunk, returning the context's cause once it is done, and
+// ticks any supervision heartbeat ctx carries. The chunk and its slices
+// are valid only during the call to fn; an error from fn aborts the run
+// with that error. halted reports that p reached halt within the budget.
+func Stream(ctx context.Context, p *prog.Program, n uint64, open func(static []Static) (fn func(*Chunk) error)) (halted bool, err error) {
+	m, err := funcsim.New(p)
+	if err != nil {
+		return false, err
+	}
+	static, base := buildStatic(p)
+	fn := open(static)
+	c := Chunk{
+		SIDs:   make([]uint32, 0, funcsim.EventChunk),
+		Taken:  make([]uint64, funcsim.EventChunk/64),
+		Addrs:  make([]uint64, 0, funcsim.EventChunk),
+		Stores: make([]uint64, funcsim.EventChunk/64),
+	}
+	var next uint64 // dynamic index of the next chunk's first instruction
+	res, err := m.RunBatch(funcsim.Limits{MaxInsts: n}, func(events []funcsim.Event) error {
+		if err := supervise.Cause(ctx); err != nil {
+			return err
+		}
+		supervise.Beat(ctx)
+		c.Base, c.SIDs, c.Addrs = next, c.SIDs[:0], c.Addrs[:0]
+		c.Taken, c.Stores = c.Taken[:(len(events)+63)/64], c.Stores[:cap(c.Stores)]
+		clear(c.Taken)
+		clear(c.Stores)
+		for k := range events {
+			ev := &events[k]
+			sid := base[ev.Block] + uint32(ev.Index)
+			c.SIDs = append(c.SIDs, sid)
+			if ev.Taken {
+				c.Taken[k>>6] |= 1 << (k & 63)
+			}
+			if st := &static[sid]; st.Mem {
+				if st.Store {
+					j := len(c.Addrs)
+					c.Stores[j>>6] |= 1 << (j & 63)
+				}
+				c.Addrs = append(c.Addrs, ev.Addr)
+			}
+		}
+		c.Stores = c.Stores[:(len(c.Addrs)+63)/64]
+		next += uint64(len(events))
+		return fn(&c)
+	})
+	return res.Halted, err
 }
 
 // FromColumns assembles a Trace from raw dynamic columns, encoding them,
@@ -240,6 +280,13 @@ func (t *Trace) Insts() uint64 { return t.insts }
 // Halted reports whether the program reached halt within the capture
 // budget.
 func (t *Trace) Halted() bool { return t.halted }
+
+// Covers reports whether t holds the first n instructions of its
+// program's run (n = 0: the complete run): it halted, or n > 0 and it
+// recorded at least n.
+func (t *Trace) Covers(n uint64) bool {
+	return t.halted || (n > 0 && t.insts >= n)
+}
 
 // NumMem is the number of memory references recorded.
 func (t *Trace) NumMem() uint64 { return t.numMem }

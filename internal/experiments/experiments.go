@@ -179,7 +179,7 @@ func (o Options) timingLimits() uarch.Limits {
 // than Prepare captured) it returns a fresh capture of p. Consumers
 // downstream of traceFor only ever replay.
 func traceFor(ctx context.Context, p *prog.Program, t *dyntrace.Trace, n uint64) (*dyntrace.Trace, error) {
-	if t != nil && (t.Halted() || (n > 0 && t.Insts() >= n)) {
+	if t != nil && t.Covers(n) {
 		return t, nil
 	}
 	return dyntrace.CaptureContext(ctx, p, n)
@@ -197,12 +197,16 @@ func Prepare(opts Options) ([]*Pair, error) {
 // captured artifacts are written back, so a later run — or a crashed
 // run's successor — loads instead of re-executing. Clone programs are
 // regenerated from the (possibly cached) profile: synthesis is cheap and
-// deterministic, so the clone's program hash keys its trace stably.
+// deterministic, so the clone's program hash keys its trace stably. The
+// real trace comes first: when it covers ProfileInsts, a profile miss
+// walks it (profile.FromTrace) instead of executing the program again.
+// A cell that fails releases the trace it already holds; the caller
+// closes the traces of the pairs it gets back.
 // Prepare runs as stage "prepare", one cell per workload, without a
 // checkpoint (see prepareStage); a cell whose artifacts all came from the
 // store is reported cached.
 func PrepareContext(ctx context.Context, opts Options) ([]*Pair, error) {
-	return runStage(ctx, opts, prepareStage, opts.withDefaults().Workloads, func(ctx context.Context, c *cell, i int) (*Pair, error) {
+	return runStage(ctx, opts, prepareStage, opts.withDefaults().Workloads, func(ctx context.Context, c *cell, i int) (_ *Pair, err error) {
 		opts := c.opts
 		name := opts.Workloads[i]
 		w, err := workloads.ByName(name)
@@ -211,8 +215,37 @@ func PrepareContext(ctx context.Context, opts Options) ([]*Pair, error) {
 		}
 		p := w.Build()
 
-		prof, hit, err := opts.Store.Profile(name, p, opts.ProfileInsts, func() (*profile.Profile, error) {
-			prof, err := profile.CollectContext(ctx, p, profile.Options{MaxInsts: opts.ProfileInsts})
+		budget := traceBudget(opts)
+		capture := func(label string, tp *prog.Program) (*dyntrace.Trace, bool, error) {
+			supervise.Beat(ctx)
+			return opts.Store.Trace(label, tp, budget, func() (*dyntrace.Trace, error) {
+				t, err := dyntrace.CaptureContext(ctx, tp, budget)
+				if err != nil {
+					return nil, fmt.Errorf("trace %s: %w", label, err)
+				}
+				return t, nil
+			})
+		}
+		rt, rtHit, err := capture(name, p)
+		if err != nil {
+			return nil, err
+		}
+		defer func() {
+			if err != nil {
+				rt.Close() // a store hit is a mapping
+			}
+		}()
+		profOpts := profile.Options{MaxInsts: opts.ProfileInsts}
+		prof, profHit, err := opts.Store.Profile(name, p, opts.ProfileInsts, func() (*profile.Profile, error) {
+			// The real trace is the profile's execution whenever it covers
+			// the budget, as it does at the default options.
+			var prof *profile.Profile
+			var err error
+			if rt.Covers(opts.ProfileInsts) {
+				prof, err = profile.FromTrace(ctx, rt, profOpts)
+			} else {
+				prof, err = profile.CollectContext(ctx, p, profOpts)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("profile %s: %w", name, err)
 			}
@@ -221,34 +254,16 @@ func PrepareContext(ctx context.Context, opts Options) ([]*Pair, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.cached = hit
 		supervise.Beat(ctx)
 		clone, err := generateClone(ctx, prof, opts)
 		if err != nil {
 			return nil, fmt.Errorf("clone %s: %w", name, err)
 		}
-
-		budget := traceBudget(opts)
-		capture := func(label string, tp *prog.Program) (*dyntrace.Trace, error) {
-			supervise.Beat(ctx)
-			t, hit, err := opts.Store.Trace(label, tp, budget, func() (*dyntrace.Trace, error) {
-				t, err := dyntrace.CaptureContext(ctx, tp, budget)
-				if err != nil {
-					return nil, fmt.Errorf("trace %s: %w", label, err)
-				}
-				return t, nil
-			})
-			c.cached = c.cached && hit
-			return t, err
-		}
-		rt, err := capture(name, p)
+		ct, ctHit, err := capture(name+"-clone", clone.Program)
 		if err != nil {
 			return nil, err
 		}
-		ct, err := capture(name+"-clone", clone.Program)
-		if err != nil {
-			return nil, err
-		}
+		c.cached = rtHit && profHit && ctHit
 		return &Pair{
 			Name: name, Real: p, Profile: prof, Clone: clone,
 			RealTrace: rt, CloneTrace: ct,

@@ -40,7 +40,8 @@ type InputRow struct {
 // InputSensitivityContext runs the assimilation study over every kernel
 // that has a large-input variant, with per-kernel checkpointing (stage
 // "inputs"). Each of the four programs is captured once and replayed on
-// the base configuration.
+// the base configuration; the two real captures are also the profiles'
+// executions.
 func InputSensitivityContext(ctx context.Context, opts Options) ([]InputRow, error) {
 	variants := workloads.Large()
 	names := make([]string, len(variants))
@@ -55,31 +56,30 @@ func InputSensitivityContext(ctx context.Context, opts Options) ([]InputRow, err
 		smallProg := small.Build()
 		largeProg := variants[i].Build()
 
-		profOpts := profile.Options{MaxInsts: c.opts.ProfileInsts}
-		smallProf, err := profile.CollectContext(ctx, smallProg, profOpts)
-		if err != nil {
-			return InputRow{}, err
-		}
-		largeProf, err := profile.CollectContext(ctx, largeProg, profOpts)
-		if err != nil {
-			return InputRow{}, err
-		}
-		smallClone, err := synth.GenerateContext(ctx, smallProf, synth.Config{})
-		if err != nil {
-			return InputRow{}, err
-		}
-		largeClone, err := synth.GenerateContext(ctx, largeProf, synth.Config{})
-		if err != nil {
-			return InputRow{}, err
-		}
-
+		// Each real program runs once: its capture serves the profile and,
+		// through its prefix, the timing replay.
 		lim := c.opts.timingLimits()
-		var st [4]uarch.Stats
-		for k, p := range []*prog.Program{smallProg, largeProg, smallClone.Program, largeClone.Program} {
-			t, err := dyntrace.CaptureContext(ctx, p, lim.MaxInsts)
+		profOpts := profile.Options{MaxInsts: c.opts.ProfileInsts}
+		budget := max(profOpts.MaxInsts, lim.MaxInsts)
+		var traces [4]*dyntrace.Trace // small, large, and their clones
+		for k, p := range []*prog.Program{smallProg, largeProg} {
+			if traces[k], err = dyntrace.CaptureContext(ctx, p, budget); err != nil {
+				return InputRow{}, err
+			}
+			prof, err := profile.FromTrace(ctx, traces[k], profOpts)
 			if err != nil {
 				return InputRow{}, err
 			}
+			clone, err := synth.GenerateContext(ctx, prof, synth.Config{})
+			if err != nil {
+				return InputRow{}, err
+			}
+			if traces[2+k], err = dyntrace.CaptureContext(ctx, clone.Program, lim.MaxInsts); err != nil {
+				return InputRow{}, err
+			}
+		}
+		var st [4]uarch.Stats
+		for k, t := range traces {
 			if st[k], err = uarch.ReplayContext(ctx, t, uarch.BaseConfig(), lim); err != nil {
 				return InputRow{}, err
 			}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -67,10 +68,22 @@ func Run(ctx context.Context, name string, opts Options, w io.Writer) error {
 		return err
 	}
 	pairs, err := PrepareContext(ctx, opts)
-	if err != nil {
-		return err
+	if err == nil {
+		err = render(ctx, name, pairs, opts, w)
 	}
-	return render(ctx, name, pairs, opts, w)
+	return errors.Join(err, closePairs(pairs))
+}
+
+// closePairs releases the traces of every pair (nil entries, left by
+// cells that failed, are skipped). The pairs must not be used afterwards.
+func closePairs(pairs []*Pair) error {
+	var errs []error
+	for _, pr := range pairs {
+		if pr != nil {
+			errs = append(errs, pr.RealTrace.Close(), pr.CloneTrace.Close())
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // render prints the named run over already-prepared pairs.

@@ -8,17 +8,19 @@
 // alone — no cache, predictor, or pipeline state is consulted — which is
 // what lets a clone generated from the profile track the original program
 // across arbitrary microarchitectures.
+//
+// One accumulator builds every profile from the dynamic stream, a
+// dyntrace.Chunk at a time, with dense per-static-instruction counters.
+// It has two feeds: FromTrace walks a captured or stored trace, and
+// CollectContext streams a fresh execution (dyntrace.Stream) without
+// keeping a trace. Both poll their context once per chunk, and how the
+// stream is cut into chunks never changes the profile.
 package profile
 
 import (
-	"context"
-	"fmt"
 	"sort"
 
-	"perfclone/internal/funcsim"
 	"perfclone/internal/isa"
-	"perfclone/internal/prog"
-	"perfclone/internal/supervise"
 )
 
 // DepBuckets are the dependency-distance histogram bucket upper bounds
@@ -148,6 +150,19 @@ type BranchStat struct {
 	seen        bool
 }
 
+// record updates a BranchStat with the next execution's direction.
+func (bs *BranchStat) record(taken bool) {
+	bs.Count++
+	if taken {
+		bs.Taken++
+	}
+	if bs.seen && bs.lastDir != taken {
+		bs.Transitions++
+	}
+	bs.lastDir = taken
+	bs.seen = true
+}
+
 // TakenRate is the fraction of executions that were taken.
 func (bs *BranchStat) TakenRate() float64 {
 	if bs.Count == 0 {
@@ -272,132 +287,6 @@ type Options struct {
 	PerBlockNodes bool
 }
 
-// Collect profiles a program by functional execution, the role the
-// modified sim-safe plays in the paper's Figure 1. (On a real workload a
-// binary instrumentation tool such as ATOM or Pin would produce the same
-// event stream.)
-func Collect(p *prog.Program, opts Options) (*Profile, error) {
-	return CollectContext(context.Background(), p, opts)
-}
-
-// CollectContext is Collect with cooperative cancellation: the profiling
-// observer polls ctx every 64 Ki retired instructions, stopping with the
-// context's cancellation cause, and ticks any supervision heartbeat
-// carried by ctx at the same cadence — a long profiling pass under a
-// watchdog never reads as a wedged task.
-func CollectContext(ctx context.Context, p *prog.Program, opts Options) (*Profile, error) {
-	pr := &Profile{
-		Name:     p.Name,
-		Nodes:    make(map[NodeKey]*Node),
-		Mem:      make(map[StaticRef]*MemStat),
-		Branches: make(map[StaticRef]*BranchStat),
-	}
-	var lastWrite [isa.NumRegs]uint64 // seq+1 of last producer; 0 = never
-	prevBlock := -1
-	var curNode *Node
-	var srcBuf [2]isa.Reg
-	tick := supervise.TickerFrom(ctx)
-	watched := ctx.Done() != nil || tick != nil
-
-	obs := func(ev *funcsim.Event) error {
-		if watched && ev.Seq&(1<<16-1) == 0 {
-			if err := supervise.Cause(ctx); err != nil {
-				return err
-			}
-			if tick != nil {
-				tick()
-			}
-		}
-		// New block instance?
-		if ev.Index == 0 {
-			key := NodeKey{Prev: prevBlock, Block: ev.Block}
-			if opts.PerBlockNodes {
-				key.Prev = -1
-			}
-			n := pr.Nodes[key]
-			if n == nil {
-				n = &Node{
-					Key:  key,
-					Size: len(p.Blocks[ev.Block].Insts),
-					Term: termKind(p.Blocks[ev.Block].Terminator()),
-					Succ: make(map[int]uint64),
-				}
-				pr.Nodes[key] = n
-			}
-			n.Count++
-			curNode = n
-		}
-		in := ev.Inst
-		cls := in.Op.Class()
-		pr.GlobalMix[cls]++
-		curNode.ClassCounts[cls]++
-
-		// Dependency distances for register sources.
-		srcs := in.Sources(srcBuf[:0])
-		for _, s := range srcs {
-			if s == isa.RZero {
-				continue
-			}
-			if lw := lastWrite[s]; lw != 0 {
-				d := ev.Seq - (lw - 1)
-				if d == 0 {
-					d = 1
-				}
-				b := DepBucket(d)
-				pr.GlobalDepDist[b]++
-				curNode.DepDist[b]++
-			}
-		}
-		if d := in.Dest(); d != isa.NoReg && d != isa.RZero {
-			lastWrite[d] = ev.Seq + 1
-		}
-
-		// Stride profiling per static memory instruction.
-		if in.Op.IsMem() {
-			ref := StaticRef{ev.Block, ev.Index}
-			ms := pr.Mem[ref]
-			if ms == nil {
-				ms = &MemStat{Ref: ref, Op: in.Op, strideHist: make(map[int64]uint64), FirstAddr: ev.Addr}
-				pr.Mem[ref] = ms
-			}
-			ms.record(ev.Addr)
-		}
-
-		// Branch direction profiling per static branch.
-		if in.Op.IsBranch() {
-			ref := StaticRef{ev.Block, ev.Index}
-			bs := pr.Branches[ref]
-			if bs == nil {
-				bs = &BranchStat{Ref: ref}
-				pr.Branches[ref] = bs
-			}
-			bs.Count++
-			if ev.Taken {
-				bs.Taken++
-			}
-			if bs.seen && bs.lastDir != ev.Taken {
-				bs.Transitions++
-			}
-			bs.lastDir = ev.Taken
-			bs.seen = true
-		}
-
-		// Successor edge.
-		if ev.Index == len(p.Blocks[ev.Block].Insts)-1 && ev.NextBlock >= 0 {
-			curNode.Succ[ev.NextBlock]++
-		}
-		prevBlock = ev.Block
-		pr.TotalInsts++
-		return nil
-	}
-
-	if _, err := funcsim.RunProgram(p, funcsim.Limits{MaxInsts: opts.MaxInsts}, obs); err != nil {
-		return nil, fmt.Errorf("profile: %w", err)
-	}
-	pr.finalize()
-	return pr, nil
-}
-
 // Span is the byte range this instruction's accesses cover.
 func (ms *MemStat) Span() uint64 {
 	return ms.MaxAddr - ms.MinAddr + uint64(ms.Op.MemBytes())
@@ -424,6 +313,7 @@ func (ms *MemStat) record(addr uint64) {
 	ms.Count++
 	if !ms.seenFirst {
 		ms.seenFirst = true
+		ms.FirstAddr = addr
 		ms.lastAddr = addr
 		ms.MinAddr, ms.MaxAddr = addr, addr
 		ms.runLen = 1
@@ -436,29 +326,28 @@ func (ms *MemStat) record(addr uint64) {
 		ms.MaxAddr = addr
 	}
 	stride := int64(addr) - int64(ms.lastAddr)
-	ms.strideHist[stride]++
 	ms.lastAddr = addr
 	// Stream runs: a run is a maximal sequence of accesses at one
-	// stride. Isolated break strides (stream resets, pointer jumps) are
-	// not runs; only runs of at least three accesses count toward the
-	// mean stream length.
-	if !ms.runValid {
-		ms.runValid = true
-		ms.lastStride = stride
-		ms.runLen = 2
-		return
-	}
-	if stride == ms.lastStride {
+	// stride. A run of r accesses holds r-1 strides, which closeRun adds
+	// to the stride histogram in one step.
+	if ms.runValid && stride == ms.lastStride {
 		ms.runLen++
 		return
 	}
-	ms.closeRun()
+	if ms.runValid {
+		ms.closeRun()
+	}
+	ms.runValid = true
 	ms.lastStride = stride
 	ms.runLen = 2
 }
 
-// closeRun folds the current run into the stream-length statistics.
+// closeRun folds the current run into the stride histogram and the
+// stream-length statistics. Isolated break strides (stream resets,
+// pointer jumps) are not runs; only runs of at least three accesses
+// count toward the mean stream length.
 func (ms *MemStat) closeRun() {
+	ms.strideHist[ms.lastStride] += ms.runLen - 1
 	if ms.runLen >= 3 {
 		ms.runs++
 		ms.runTotal += ms.runLen
@@ -468,6 +357,14 @@ func (ms *MemStat) closeRun() {
 // finalize computes derived statistics and deterministic orderings.
 func (pr *Profile) finalize() {
 	for _, ms := range pr.Mem {
+		// Close the trailing run, then clear the run-tracking state so a
+		// second finalize (e.g. a defensive re-finalize) cannot fold the
+		// same trailing run into the statistics twice.
+		if ms.runValid {
+			ms.closeRun()
+			ms.runValid = false
+			ms.runLen = 0
+		}
 		var bestS int64
 		var bestC uint64
 		// Deterministic tie-break: smallest stride wins.
@@ -483,13 +380,6 @@ func (pr *Profile) finalize() {
 		}
 		ms.DominantStride = bestS
 		ms.DominantCount = bestC
-		// Close the trailing run, then clear the run-tracking state so a
-		// second finalize (e.g. after a deserialization round-trip or a
-		// defensive re-finalize) cannot fold the same trailing run into
-		// the statistics twice.
-		ms.closeRun()
-		ms.runValid = false
-		ms.runLen = 0
 		if ms.runs > 0 {
 			ms.MeanStreamLen = float64(ms.runTotal) / float64(ms.runs)
 		} else {
