@@ -22,7 +22,7 @@ import (
 
 	"perfclone/internal/bpred"
 	"perfclone/internal/cache"
-	"perfclone/internal/funcsim"
+	"perfclone/internal/dyntrace"
 	"perfclone/internal/profile"
 	"perfclone/internal/prog"
 	"perfclone/internal/supervise"
@@ -77,30 +77,34 @@ func MeasureTargets(p *prog.Program, t TrainingConfig) (Targets, error) {
 // Measure executes p for up to maxInsts instructions, feeding every data
 // reference to c and every conditional branch to pred, and returns c's
 // miss rate and pred's misprediction rate over the run. A nil c or pred
-// skips that half (its rate reads 0). Events arrive from the functional
-// simulator a chunk at a time, so nothing is called per instruction.
+// skips that half (its rate reads 0). The run is one dyntrace.Stream, so
+// references and branches arrive a chunk of columns at a time and
+// nothing is called per instruction.
 func Measure(p *prog.Program, c *cache.Cache, pred bpred.Predictor, maxInsts uint64) (Targets, error) {
-	m, err := funcsim.New(p)
-	if err != nil {
-		return Targets{}, err
-	}
 	var bLook, bMiss uint64
-	_, err = m.RunBatch(funcsim.Limits{MaxInsts: maxInsts}, func(events []funcsim.Event) error {
-		for i := range events {
-			ev := &events[i]
-			op := ev.Inst.Op
-			if c != nil && op.IsMem() {
-				c.Access(ev.Addr, op.IsStore())
-			}
-			if pred != nil && op.IsBranch() {
-				bLook++
-				if pred.Predict(ev.PC) != ev.Taken {
-					bMiss++
+	_, err := dyntrace.Stream(context.Background(), p, maxInsts, func(static []dyntrace.Static) func(*dyntrace.Chunk) error {
+		return func(ch *dyntrace.Chunk) error {
+			if c != nil {
+				for j, a := range ch.Addrs {
+					c.Access(a, ch.Stores[j>>6]>>(j&63)&1 != 0)
 				}
-				pred.Update(ev.PC, ev.Taken)
 			}
+			if pred != nil {
+				for k, sid := range ch.SIDs {
+					st := &static[sid]
+					if !st.Branch {
+						continue
+					}
+					taken := ch.Taken[k>>6]>>(k&63)&1 != 0
+					bLook++
+					if pred.Predict(st.PC) != taken {
+						bMiss++
+					}
+					pred.Update(st.PC, taken)
+				}
+			}
+			return nil
 		}
-		return nil
 	})
 	if err != nil {
 		return Targets{}, err

@@ -13,9 +13,11 @@
 // Per-program static-instruction metadata is stored once in a Static
 // table. The dynamic stream has one form, in memory and on disk alike:
 // the PCDT v2 encoding (see Save). Capture writes it as the program
-// runs: a uvarint static-instruction id per retired instruction, a taken
-// bitset indexed by dynamic position, and, per memory reference (not per
-// instruction), a zigzag-delta varint address and a store bit. A trace
+// runs, from the column batches the functional simulator retires into
+// (funcsim.RunColumns, passed through by Stream): a uvarint
+// static-instruction id per retired instruction, a taken bitset indexed
+// by dynamic position, and, per memory reference (not per instruction),
+// a zigzag-delta varint address and a store bit. A trace
 // loaded from the store holds the same bytes, often mmapped. Every
 // consumer reads them through one chunked Walk, so a result cannot
 // depend on whether its trace was captured or loaded. No per-event
@@ -25,7 +27,8 @@
 //	~1 B/inst (id) + 1 bit/inst (taken) + ~1–3 B/memref (addr) + 1 bit/memref (store)
 //
 // which comes to 1.2–1.9 B/inst on the bundled workloads, versus
-// ~100 B/inst for a slice of funcsim.Event.
+// 4 B/inst plus 8 B/memref for the simulator's raw columns and 64 B/inst
+// for a slice of funcsim.Event.
 package dyntrace
 
 import (
@@ -140,13 +143,16 @@ func CaptureContext(ctx context.Context, p *prog.Program, maxInsts uint64) (*Tra
 }
 
 // Stream executes p functionally for up to n dynamic instructions (0 =
-// to completion) and hands its stream to fn one Chunk at a time, in the
-// functional simulator's batches of funcsim.EventChunk, without building
-// a Trace. It is the one place dyntrace runs the functional simulator:
-// Capture encodes the chunks, and a profile accumulates them. Before the
-// run, Stream calls open once with p's static table, which the chunks'
-// static ids index, and open returns the chunk consumer fn. Stream polls
-// ctx once per chunk, returning the context's cause once it is done, and
+// to completion) and hands its stream to fn one Chunk at a time, without
+// building a Trace. It is the one place dyntrace runs the functional
+// simulator: Capture encodes the chunks, a profile accumulates them, and
+// the baseline generator's training measurement feeds them to a cache
+// and a branch predictor. Before the run, Stream calls open once with
+// p's static table, which the chunks' static ids index, and open returns
+// the chunk consumer fn. Each chunk is one of the simulator's column
+// batches (funcsim.RunColumns, up to funcsim.EventChunk instructions),
+// passed through as it was retired: Stream only sets Base. It polls ctx
+// once per chunk, returning the context's cause once it is done, and
 // ticks any supervision heartbeat ctx carries. The chunk and its slices
 // are valid only during the call to fn; an error from fn aborts the run
 // with that error. halted reports that p reached halt within the budget.
@@ -155,41 +161,18 @@ func Stream(ctx context.Context, p *prog.Program, n uint64, open func(static []S
 	if err != nil {
 		return false, err
 	}
-	static, base := buildStatic(p)
-	fn := open(static)
-	c := Chunk{
-		SIDs:   make([]uint32, 0, funcsim.EventChunk),
-		Taken:  make([]uint64, funcsim.EventChunk/64),
-		Addrs:  make([]uint64, 0, funcsim.EventChunk),
-		Stores: make([]uint64, funcsim.EventChunk/64),
-	}
+	fn := open(buildStatic(p))
+	var c Chunk
 	var next uint64 // dynamic index of the next chunk's first instruction
-	res, err := m.RunBatch(funcsim.Limits{MaxInsts: n}, func(events []funcsim.Event) error {
+	res, err := m.RunColumns(funcsim.Limits{MaxInsts: n}, func(cols *funcsim.Columns) error {
 		if err := supervise.Cause(ctx); err != nil {
 			return err
 		}
 		supervise.Beat(ctx)
-		c.Base, c.SIDs, c.Addrs = next, c.SIDs[:0], c.Addrs[:0]
-		c.Taken, c.Stores = c.Taken[:(len(events)+63)/64], c.Stores[:cap(c.Stores)]
-		clear(c.Taken)
-		clear(c.Stores)
-		for k := range events {
-			ev := &events[k]
-			sid := base[ev.Block] + uint32(ev.Index)
-			c.SIDs = append(c.SIDs, sid)
-			if ev.Taken {
-				c.Taken[k>>6] |= 1 << (k & 63)
-			}
-			if st := &static[sid]; st.Mem {
-				if st.Store {
-					j := len(c.Addrs)
-					c.Stores[j>>6] |= 1 << (j & 63)
-				}
-				c.Addrs = append(c.Addrs, ev.Addr)
-			}
-		}
-		c.Stores = c.Stores[:(len(c.Addrs)+63)/64]
-		next += uint64(len(events))
+		// Every batch but the last holds EventChunk (a multiple of 64)
+		// instructions, so Base is 64-aligned.
+		c = Chunk{Base: next, SIDs: cols.SIDs, Taken: cols.Taken, Addrs: cols.Addrs, Stores: cols.Stores}
+		next += uint64(len(cols.SIDs))
 		return fn(&c)
 	})
 	return res.Halted, err
@@ -200,9 +183,8 @@ func Stream(ctx context.Context, p *prog.Program, n uint64, open func(static []S
 // tests that need malformed traces: a column that disagrees with the
 // header or the program surfaces as an error from Walk, not a panic.
 func FromColumns(p *prog.Program, sid []uint32, taken, memAddr, memStore []uint64, insts uint64, halted bool) *Trace {
-	static, _ := buildStatic(p)
 	t := &Trace{
-		prog: p, static: static, taken: taken, memStore: memStore,
+		prog: p, static: buildStatic(p), taken: taken, memStore: memStore,
 		insts: insts, numMem: uint64(len(memAddr)), halted: halted,
 	}
 	for _, v := range sid {
@@ -223,14 +205,12 @@ func appendAddr(dst []byte, a, prev uint64) []byte {
 	return binary.AppendVarint(dst, int64(a-prev))
 }
 
-// buildStatic flattens the program's blocks into the static table and
-// returns per-block base offsets into it.
-func buildStatic(p *prog.Program) ([]Static, []uint32) {
+// buildStatic flattens the program's blocks into the static table,
+// indexed by the block-major static id of prog.Program.BlockStarts.
+func buildStatic(p *prog.Program) []Static {
 	static := make([]Static, 0, p.NumStaticInsts())
-	base := make([]uint32, len(p.Blocks))
 	var srcBuf [2]isa.Reg
 	for bi := range p.Blocks {
-		base[bi] = uint32(len(static))
 		blk := &p.Blocks[bi]
 		for ii := range blk.Insts {
 			in := &blk.Insts[ii]
@@ -258,7 +238,7 @@ func buildStatic(p *prog.Program) ([]Static, []uint32) {
 			static = append(static, s)
 		}
 	}
-	return static, base
+	return static
 }
 
 func appendBit(bits []uint64, i uint64, v bool) []uint64 {

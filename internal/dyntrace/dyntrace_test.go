@@ -235,3 +235,40 @@ func walkAll(t testing.TB, tr *Trace, n uint64) columns {
 	}
 	return out
 }
+
+// TestConcurrentStreamsShareProgram runs two captures of one freshly
+// built program at once. Both build the program's static numbering
+// (prog.Program.BlockStarts) on first use, which must be race-free under
+// -race, and both must record the same trace.
+func TestConcurrentStreamsShareProgram(t *testing.T) {
+	w, err := workloads.ByName("qsort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := w.Build()
+	var traces [2]*Trace
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range traces {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			traces[i], errs[i] = Capture(p, 50_000)
+		}()
+	}
+	wg.Wait()
+	var saved [2][]byte
+	for i, tr := range traces {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		var buf bytes.Buffer
+		if err := tr.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		saved[i] = buf.Bytes()
+	}
+	if !bytes.Equal(saved[0], saved[1]) {
+		t.Fatal("concurrent captures of one program differ")
+	}
+}

@@ -314,7 +314,7 @@ func LoadBytes(data []byte, release func() error, p *prog.Program) (*Trace, erro
 	if rt.name != p.Name {
 		return nil, fmt.Errorf("dyntrace: load: trace is for %q, not %q", rt.name, p.Name)
 	}
-	static, _ := buildStatic(p)
+	static := buildStatic(p)
 	t := &Trace{
 		prog:     p,
 		static:   static,

@@ -1,9 +1,15 @@
 // Package funcsim executes programs functionally — the role SimpleScalar's
 // sim-safe plays in the paper. It maintains architected register and memory
-// state, follows control flow, and reports every retired instruction to an
-// optional trace observer. The profiler (internal/profile) and the timing
-// simulator (internal/uarch) are both built on the dynamic stream it
-// produces.
+// state, follows control flow, and reports the retired instruction stream
+// to an optional observer. The profiler (internal/profile) and the trace
+// capture (internal/dyntrace) are both built on that stream.
+//
+// The interpreter retires straight into column form (RunColumns): per
+// instruction a block-major static id (prog.Program.BlockStarts) and a
+// taken bit, and per memory reference an address and a store bit — the
+// shape of a dyntrace.Chunk. Run and RunBatch expand those columns into
+// per-instruction Events for callers that want one struct per
+// instruction.
 package funcsim
 
 import (
@@ -46,9 +52,33 @@ type Observer func(ev *Event) error
 // event when a BatchObserver aborts.
 type BatchObserver func(events []Event) error
 
-// EventChunk is the number of events buffered between BatchObserver
-// deliveries. It balances per-call overhead against cache footprint
-// (4096 events ≈ 360 KB).
+// Columns is one batch of retired instructions in column form.
+type Columns struct {
+	// SIDs holds one block-major static id (prog.Program.BlockStarts)
+	// per retired instruction, in order.
+	SIDs []uint32
+	// Taken is the taken bitset over SIDs: bit k is set when SIDs[k] is
+	// a taken conditional branch.
+	Taken []uint64
+	// Addrs holds the effective address of each memory reference, in
+	// order.
+	Addrs []uint64
+	// Stores is the store bitset over Addrs: bit j is set when Addrs[j]
+	// is a store.
+	Stores []uint64
+}
+
+// ColumnObserver receives retired instructions in batches of up to
+// EventChunk. The batch and its slices are reused between calls;
+// implementations must not retain them. Returning a non-nil error aborts
+// simulation with that error; architected state is then at the end of
+// the delivered batch.
+type ColumnObserver func(c *Columns) error
+
+// EventChunk is the number of retired instructions per observer batch,
+// in column form and as Events alike. A column batch holds at most
+// 16 KiB of ids, 32 KiB of addresses and 1 KiB of bitsets; the same
+// batch expanded to 64-byte Events is 256 KiB.
 const EventChunk = 4096
 
 // Limits bounds a simulation run.
@@ -97,10 +127,14 @@ func (m *Machine) IntReg(i int) int64 { return m.ireg[i] }
 // FPReg returns the value of floating-point register i.
 func (m *Machine) FPReg(i int) float64 { return m.freg[i] }
 
-// ReadMem copies n bytes at addr.
+// ReadMem copies n bytes at addr. A negative n, or a range that leaves
+// memory or wraps past 2^64, is an error.
 func (m *Machine) ReadMem(addr uint64, n int) ([]byte, error) {
-	if addr+uint64(n) > uint64(len(m.mem)) {
-		return nil, fmt.Errorf("funcsim: read [%d,%d) out of range (mem %d)", addr, addr+uint64(n), len(m.mem))
+	if n < 0 {
+		return nil, fmt.Errorf("funcsim: read of negative length %d at %d", n, addr)
+	}
+	if err := m.checkAddr(addr, n); err != nil {
+		return nil, err
 	}
 	out := make([]byte, n)
 	copy(out, m.mem[addr:])
@@ -136,13 +170,13 @@ func (m *Machine) checkAddr(addr uint64, n int) error {
 }
 
 // Run executes the program from its entry block until halt, the limit, or
-// an error. obs may be nil. Internally events are produced in chunks (see
-// RunBatch); the per-event contract is preserved: obs sees every retired
-// instruction in order, and an observer error aborts with Result.Insts
-// counting only the events delivered before the erroring one.
+// an error. obs may be nil. Events are expanded from the column batches
+// (see RunBatch); the per-event contract is preserved: obs sees every
+// retired instruction in order, and an observer error aborts with
+// Result.Insts counting only the events delivered before the erroring one.
 func (m *Machine) Run(lim Limits, obs Observer) (Result, error) {
 	if obs == nil {
-		return m.RunBatch(lim, nil)
+		return m.RunColumns(lim, nil)
 	}
 	var consumed uint64
 	res, err := m.RunBatch(lim, func(events []Event) error {
@@ -163,38 +197,100 @@ func (m *Machine) Run(lim Limits, obs Observer) (Result, error) {
 	return res, nil
 }
 
-// RunBatch executes the program like Run but delivers retired-instruction
-// events to obs in chunks of up to EventChunk, avoiding a function call
-// and Event construction per instruction on the hot path. obs may be nil
-// (pure execution). On an execution error the chunk accumulated so far is
-// flushed before the error is returned, so obs still sees every retired
-// instruction.
+// RunBatch executes the program like RunColumns but delivers each batch
+// to obs as Events, expanded from the columns through a per-static-id
+// table. obs may be nil (pure execution). On an execution error the batch
+// accumulated so far is delivered before the error is returned, so obs
+// still sees every retired instruction.
 func (m *Machine) RunBatch(lim Limits, obs BatchObserver) (Result, error) {
-	var res Result
-	var buf []Event
-	if obs != nil {
-		buf = make([]Event, 0, EventChunk)
+	if obs == nil {
+		return m.RunColumns(lim, nil)
 	}
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
+	tab := eventTable(m.prog)
+	events := make([]Event, 0, EventChunk)
+	var seq uint64
+	return m.RunColumns(lim, func(c *Columns) error {
+		events = events[:0]
+		j := 0 // next memory reference
+		for k, sid := range c.SIDs {
+			ev := tab[sid]
+			ev.Seq = seq + uint64(k)
+			if c.Taken[k>>6]>>(k&63)&1 != 0 {
+				ev.Taken = true
+				ev.NextBlock = ev.Inst.Target
+			}
+			if ev.Inst.Op.IsMem() {
+				ev.Addr = c.Addrs[j]
+				j++
+			}
+			events = append(events, ev)
 		}
-		err := obs(buf)
-		buf = buf[:0]
-		return err
+		seq += uint64(len(c.SIDs))
+		return obs(events)
+	})
+}
+
+// eventTable holds, per static id, the Event fields that follow from the
+// instruction alone. NextBlock is the successor when no branch is taken:
+// -1 after halt, the target after a jump, and the next block otherwise.
+func eventTable(p *prog.Program) []Event {
+	tab := make([]Event, 0, p.NumStaticInsts())
+	for bi := range p.Blocks {
+		blk := &p.Blocks[bi]
+		for ii := range blk.Insts {
+			in := &blk.Insts[ii]
+			next := bi + 1
+			switch in.Op {
+			case isa.OpHalt:
+				next = -1
+			case isa.OpJmp:
+				next = in.Target
+			}
+			tab = append(tab, Event{Block: bi, Index: ii, PC: p.InstAddr(bi, ii), Inst: in, NextBlock: next})
+		}
 	}
-	bi := m.prog.Entry
-	for bi >= 0 {
-		blk := &m.prog.Blocks[bi]
+	return tab
+}
+
+// RunColumns is the interpreter: it executes the program from its entry
+// block until halt, the limit, or an error, writing each retired
+// instruction into column form and handing obs a batch every EventChunk
+// instructions and at the end of the run. obs may be nil (pure
+// execution). On an execution error the batch accumulated so far is
+// delivered before the error is returned, so obs sees every retired
+// instruction; Result.Insts then counts the instructions retired before
+// the failing one.
+func (m *Machine) RunColumns(lim Limits, obs ColumnObserver) (Result, error) {
+	var res Result
+	p := m.prog
+	starts := p.BlockStarts()
+	limit := lim.MaxInsts
+	if limit == 0 {
+		limit = math.MaxUint64
+	}
+	var b batch
+	if obs != nil {
+		b = batch{
+			sids:   make([]uint32, 0, EventChunk),
+			taken:  make([]uint64, EventChunk/64),
+			addrs:  make([]uint64, 0, EventChunk),
+			stores: make([]uint64, EventChunk/64),
+			out:    new(Columns),
+		}
+	}
+	bi := p.Entry
+	for {
+		blk := &p.Blocks[bi]
+		sid := starts[bi]
 		next := bi + 1 // fall-through default
 		for ii := range blk.Insts {
 			in := &blk.Insts[ii]
-			if lim.MaxInsts > 0 && res.Insts >= lim.MaxInsts {
-				return res, flush()
+			if res.Insts >= limit {
+				return res, b.deliver(obs)
 			}
-			addr, taken, nb, err := m.exec(in)
+			addr, ref, taken, nb, err := m.exec(in)
 			if err != nil {
-				if ferr := flush(); ferr != nil {
+				if ferr := b.deliver(obs); ferr != nil {
 					return res, ferr
 				}
 				return res, err
@@ -202,51 +298,85 @@ func (m *Machine) RunBatch(lim Limits, obs BatchObserver) (Result, error) {
 			if nb != fallThrough {
 				next = nb
 			}
+			res.Insts++
 			if obs != nil {
-				nextBlock := next
-				if in.Op == isa.OpHalt {
-					nextBlock = -1
+				k := len(b.sids)
+				b.sids = append(b.sids, sid+uint32(ii))
+				if taken {
+					b.taken[k>>6] |= 1 << (k & 63)
 				}
-				buf = append(buf, Event{
-					Seq:       res.Insts,
-					Block:     bi,
-					Index:     ii,
-					PC:        m.prog.InstAddr(bi, ii),
-					Inst:      in,
-					Addr:      addr,
-					Taken:     taken,
-					NextBlock: nextBlock,
-				})
-				if len(buf) == cap(buf) {
-					if err := flush(); err != nil {
+				if ref != noRef {
+					j := len(b.addrs)
+					if ref == storeRef {
+						b.stores[j>>6] |= 1 << (j & 63)
+					}
+					b.addrs = append(b.addrs, addr)
+				}
+				if len(b.sids) == EventChunk {
+					if err := b.deliver(obs); err != nil {
 						return res, err
 					}
 				}
 			}
-			res.Insts++
 			if in.Op == isa.OpHalt {
 				res.Halted = true
-				return res, flush()
+				return res, b.deliver(obs)
 			}
 		}
 		bi = next
-		if bi >= len(m.prog.Blocks) {
-			if err := flush(); err != nil {
+		if bi >= len(p.Blocks) {
+			if err := b.deliver(obs); err != nil {
 				return res, err
 			}
-			return res, fmt.Errorf("funcsim: %s fell off program at block %d", m.prog.Name, bi)
+			return res, fmt.Errorf("funcsim: %s fell off program at block %d", p.Name, bi)
 		}
 	}
-	return res, flush()
+}
+
+// batch accumulates RunColumns' columns between deliveries.
+type batch struct {
+	sids   []uint32
+	taken  []uint64 // EventChunk/64 words, zeroed after each delivery
+	addrs  []uint64
+	stores []uint64 // EventChunk/64 words, zeroed after each delivery
+	out    *Columns // the view handed to the observer
+}
+
+// deliver hands the accumulated columns to obs, if there are any, and
+// empties the batch.
+func (b *batch) deliver(obs ColumnObserver) error {
+	if len(b.sids) == 0 {
+		return nil
+	}
+	*b.out = Columns{
+		SIDs:   b.sids,
+		Taken:  b.taken[:(len(b.sids)+63)/64],
+		Addrs:  b.addrs,
+		Stores: b.stores[:(len(b.addrs)+63)/64],
+	}
+	err := obs(b.out)
+	b.sids, b.addrs = b.sids[:0], b.addrs[:0]
+	clear(b.taken)
+	clear(b.stores)
+	return err
 }
 
 // fallThrough is the sentinel exec returns for non-control instructions.
 const fallThrough = -2
 
-// exec executes one instruction, returning the memory address touched (for
-// loads/stores), the branch direction, and the next block (fallThrough when
-// control does not transfer).
-func (m *Machine) exec(in *isa.Inst) (addr uint64, taken bool, next int, err error) {
+// refKind is the kind of memory reference exec reports.
+type refKind uint8
+
+const (
+	noRef refKind = iota
+	loadRef
+	storeRef
+)
+
+// exec executes one instruction, returning the memory address touched and
+// the kind of reference (for loads/stores), the branch direction, and the
+// next block (fallThrough when control does not transfer).
+func (m *Machine) exec(in *isa.Inst) (addr uint64, ref refKind, taken bool, next int, err error) {
 	next = fallThrough
 	switch in.Op {
 	case isa.OpAdd:
@@ -313,7 +443,7 @@ func (m *Machine) exec(in *isa.Inst) (addr uint64, taken bool, next int, err err
 		}
 
 	case isa.OpLd, isa.OpLd4, isa.OpLd1, isa.OpFLd:
-		addr = uint64(m.get(in.Rs1) + in.Imm)
+		addr, ref = uint64(m.get(in.Rs1)+in.Imm), loadRef
 		n := in.Op.MemBytes()
 		if err = m.checkAddr(addr, n); err != nil {
 			return
@@ -330,7 +460,7 @@ func (m *Machine) exec(in *isa.Inst) (addr uint64, taken bool, next int, err err
 		}
 
 	case isa.OpSt, isa.OpSt4, isa.OpSt1, isa.OpFSt:
-		addr = uint64(m.get(in.Rs1) + in.Imm)
+		addr, ref = uint64(m.get(in.Rs1)+in.Imm), storeRef
 		n := in.Op.MemBytes()
 		if err = m.checkAddr(addr, n); err != nil {
 			return

@@ -409,3 +409,35 @@ func TestRunDeterminism(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestReadMemRejectsBadRanges: a read whose end wraps past 2^64, one
+// past the end of memory, and one of negative length are errors, not
+// panics; an in-range read returns the bytes.
+func TestReadMemRejectsBadRanges(t *testing.T) {
+	b := prog.NewBuilder("read")
+	base := b.Words("w", []int64{0x0102030405060708})
+	b.Label("e")
+	b.Halt()
+	m, err := New(b.MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := uint64(len(m.mem))
+	for _, c := range []struct {
+		addr uint64
+		n    int
+	}{
+		{math.MaxUint64 - 3, 8}, // wraps to a small end
+		{size - 4, 8},
+		{0, -1},
+		{base, -8},
+	} {
+		if got, err := m.ReadMem(c.addr, c.n); err == nil {
+			t.Errorf("ReadMem(%#x, %d) = %v, want an error", c.addr, c.n, got)
+		}
+	}
+	got, err := m.ReadMem(base, 8)
+	if err != nil || got[0] != 0x08 || got[7] != 0x01 {
+		t.Fatalf("ReadMem(%d, 8) = %v, %v", base, got, err)
+	}
+}

@@ -7,6 +7,7 @@ package prog
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"perfclone/internal/isa"
 )
@@ -50,7 +51,9 @@ type Program struct {
 	// simulators size memory from it.
 	MemSize uint64
 
-	blockBase []uint64 // lazy per-block text offsets for InstAddr
+	// starts caches BlockStarts' table ([]uint32). An atomic.Value
+	// rather than a sync.Once keeps Program copyable.
+	starts atomic.Value
 }
 
 // NumStaticInsts returns the total static instruction count.
@@ -62,21 +65,36 @@ func (p *Program) NumStaticInsts() int {
 	return n
 }
 
+// BlockStarts returns the program's block-major static numbering: the
+// instructions are numbered 0, 1, … in block order, entry bi is the id
+// of block bi's first instruction, and the final entry is
+// NumStaticInsts. It is the one numbering of static instructions: the
+// functional simulator's retired ids, the dynamic trace's static table
+// and InstAddr all use it. The table is built on first use and shared,
+// so concurrent callers are safe and must not modify it. Blocks must not
+// change shape once it is built.
+func (p *Program) BlockStarts() []uint32 {
+	if s, ok := p.starts.Load().([]uint32); ok {
+		return s
+	}
+	s := make([]uint32, len(p.Blocks)+1)
+	var id uint32
+	for i := range p.Blocks {
+		s[i] = id
+		id += uint32(len(p.Blocks[i].Insts))
+	}
+	s[len(p.Blocks)] = id
+	// Racing first callers store equal tables; either one serves.
+	p.starts.Store(s)
+	return s
+}
+
 // InstAddr returns a unique static "address" for instruction instIdx of
 // block blockIdx, used as the PC by caches and branch predictors. Each
-// instruction occupies 8 bytes of a synthetic text segment.
+// instruction occupies 8 bytes of a synthetic text segment, in the
+// BlockStarts order.
 func (p *Program) InstAddr(blockIdx, instIdx int) uint64 {
-	// Precomputed on first use.
-	if p.blockBase == nil {
-		p.blockBase = make([]uint64, len(p.Blocks)+1)
-		var off uint64
-		for i := range p.Blocks {
-			p.blockBase[i] = off
-			off += uint64(len(p.Blocks[i].Insts)) * 8
-		}
-		p.blockBase[len(p.Blocks)] = off
-	}
-	return textBase + p.blockBase[blockIdx] + uint64(instIdx)*8
+	return textBase + (uint64(p.BlockStarts()[blockIdx])+uint64(instIdx))*8
 }
 
 // textBase is the base address of the synthetic text segment. It is placed
