@@ -116,7 +116,7 @@ func run(name, file string, useClone, useStatsim bool, cfgName string, insts, wa
 		if err != nil {
 			return err
 		}
-		rates, err := statsim.MeasureRates(t, cfg, insts)
+		rates, err := statsim.MeasureRates(ctx, t, cfg, insts)
 		if err != nil {
 			return err
 		}

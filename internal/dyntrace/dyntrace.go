@@ -111,27 +111,47 @@ func CaptureContext(ctx context.Context, p *prog.Program, maxInsts uint64) (*Tra
 	if hint == 0 || hint > 1<<20 {
 		hint = 1 << 20
 	}
+	// An id takes at most as many uvarint bytes as the static count: one
+	// for a real workload, two for a clone of ~1400 instructions. The
+	// bundled workloads make 0.01–0.33 memory references and 0.04–0.8
+	// address bytes per instruction, so half the budget holds the
+	// address stream of nearly all of them without regrowing.
+	var idBuf [binary.MaxVarintLen64]byte
+	idBytes := uint64(binary.PutUvarint(idBuf[:], uint64(p.NumStaticInsts())))
 	t := &Trace{
-		prog:   p,
-		sidEnc: make([]byte, 0, hint),
-		taken:  make([]uint64, 0, (hint+63)/64),
+		prog:     p,
+		sidEnc:   make([]byte, 0, hint*idBytes),
+		taken:    make([]uint64, 0, (hint+63)/64),
+		memEnc:   make([]byte, 0, hint/2),
+		memStore: make([]uint64, 0, (hint/2+63)/64),
 	}
 	var prev uint64 // last address: the address stream is delta-coded
 	halted, err := Stream(ctx, p, maxInsts, func(static []Static) func(*Chunk) error {
 		t.static = static
 		return func(c *Chunk) error {
+			// Encode into locals and store them back once per chunk: the
+			// Trace's fields live on the heap, its locals in registers.
+			sidEnc := t.sidEnc
 			for _, sid := range c.SIDs {
-				t.sidEnc = binary.AppendUvarint(t.sidEnc, uint64(sid))
+				if sid < 0x80 { // one-byte uvarint: nearly every id
+					sidEnc = append(sidEnc, byte(sid))
+				} else {
+					sidEnc = binary.AppendUvarint(sidEnc, uint64(sid))
+				}
 			}
+			t.sidEnc = sidEnc
 			// Base is 64-aligned, so the chunk's taken words are the trace's.
 			t.taken = append(t.taken, c.Taken...)
 			t.insts += uint64(len(c.SIDs))
-			for j, a := range c.Addrs {
-				t.memEnc = appendAddr(t.memEnc, a, prev)
-				prev = a
-				t.memStore = appendBit(t.memStore, t.numMem, c.Stores[j>>6]>>(j&63)&1 != 0)
-				t.numMem++
+			memEnc, last := t.memEnc, prev
+			for _, a := range c.Addrs {
+				memEnc = appendAddr(memEnc, a, last)
+				last = a
 			}
+			t.memEnc, prev = memEnc, last
+			n := uint64(len(c.Addrs))
+			t.memStore = appendBits(t.memStore, t.numMem, c.Stores, n)
+			t.numMem += n
 			return nil
 		}
 	})
@@ -139,7 +159,21 @@ func CaptureContext(ctx context.Context, p *prog.Program, maxInsts uint64) (*Tra
 		return nil, fmt.Errorf("dyntrace: capture %s: %w", p.Name, err)
 	}
 	t.halted = halted
+	// A captured trace lives as long as its pair, so its streams keep no
+	// spare capacity: a budget hint is far above the need of a program
+	// that halts early or touches memory rarely.
+	t.sidEnc, t.taken = fit(t.sidEnc), fit(t.taken)
+	t.memEnc, t.memStore = fit(t.memEnc), fit(t.memStore)
 	return t, nil
+}
+
+// fit returns s, or a copy of it with no spare capacity when more than
+// an eighth of its backing array is unused.
+func fit[T any](s []T) []T {
+	if cap(s)-len(s) <= len(s)/8 {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // Stream executes p functionally for up to n dynamic instructions (0 =
@@ -241,14 +275,23 @@ func buildStatic(p *prog.Program) []Static {
 	return static
 }
 
-func appendBit(bits []uint64, i uint64, v bool) []uint64 {
-	if i&63 == 0 {
-		bits = append(bits, 0)
+// appendBits appends the first k bits of src to the bitset dst, which
+// holds n bits, a word at a time. Bits of src past k are ignored.
+func appendBits(dst []uint64, n uint64, src []uint64, k uint64) []uint64 {
+	sh := n & 63
+	for i, w := range src[:(k+63)/64] {
+		if r := k - uint64(i)*64; r < 64 {
+			w &= 1<<r - 1
+		}
+		if sh == 0 {
+			dst = append(dst, w)
+			continue
+		}
+		dst[len(dst)-1] |= w << sh
+		dst = append(dst, w>>(64-sh))
 	}
-	if v {
-		bits[i>>6] |= 1 << (i & 63)
-	}
-	return bits
+	// The last word appended may hold no bit at all.
+	return dst[:(n+k+63)/64]
 }
 
 // Program returns the traced program.

@@ -3,6 +3,7 @@ package dyntrace
 import (
 	"bytes"
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -270,5 +271,40 @@ func TestConcurrentStreamsShareProgram(t *testing.T) {
 	}
 	if !bytes.Equal(saved[0], saved[1]) {
 		t.Fatal("concurrent captures of one program differ")
+	}
+}
+
+// TestAppendBitsMatchesBitwise: the word-at-a-time bitset append that
+// capture uses builds the same words as appending one bit at a time,
+// at every alignment of the existing bits, for runs shorter than, equal
+// to and longer than a word, with garbage in src past the run.
+func TestAppendBitsMatchesBitwise(t *testing.T) {
+	src := []uint64{0x8000_0000_0000_0001, 0xdead_beef_0123_4567, ^uint64(0), 0x0f0f_0f0f_0f0f_0f0f}
+	bit := func(bits []uint64, i uint64) bool { return bits[i>>6]>>(i&63)&1 != 0 }
+	for n := uint64(0); n <= 130; n++ {
+		for _, k := range []uint64{0, 1, 5, 63, 64, 65, 127, 128, 200, 256} {
+			var want []uint64
+			for i := uint64(0); i < n+k; i++ {
+				if i&63 == 0 {
+					want = append(want, 0)
+				}
+				if (i < n && i%3 == 0) || (i >= n && bit(src, i-n)) {
+					want[i>>6] |= 1 << (i & 63)
+				}
+			}
+			var got []uint64
+			for i := uint64(0); i < n; i++ {
+				if i&63 == 0 {
+					got = append(got, 0)
+				}
+				if i%3 == 0 {
+					got[i>>6] |= 1 << (i & 63)
+				}
+			}
+			got = appendBits(got, n, src, k)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d k=%d: got %x want %x", n, k, got, want)
+			}
+		}
 	}
 }

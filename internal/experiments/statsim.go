@@ -40,7 +40,7 @@ func StatsimComparisonContext(ctx context.Context, pairs []*Pair, opts Options) 
 		if err != nil {
 			return StatsimRow{}, err
 		}
-		rates, err := statsim.MeasureRates(t, base, n)
+		rates, err := statsim.MeasureRates(ctx, t, base, n)
 		if err != nil {
 			return StatsimRow{}, err
 		}

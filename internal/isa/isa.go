@@ -9,7 +9,10 @@
 // (internal/uarch) for performance measurement.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Op enumerates every opcode in the ISA.
 type Op uint8
@@ -161,7 +164,15 @@ func (op Op) String() string {
 	if int(op) < NumOps {
 		return opNames[op]
 	}
-	return fmt.Sprintf("op(%d)", uint8(op))
+	return string(op.appendText(make([]byte, 0, 8)))
+}
+
+// appendText appends the opcode's mnemonic to b.
+func (op Op) appendText(b []byte) []byte {
+	if int(op) < NumOps {
+		return append(b, opNames[op]...)
+	}
+	return append(strconv.AppendUint(append(b, "op("...), uint64(op), 10), ')')
 }
 
 // IsBranch reports whether op is a conditional branch.
@@ -233,16 +244,20 @@ func (r Reg) IsFP() bool { return r >= NumIntRegs && r < NumRegs }
 // Valid reports whether r names an architected register.
 func (r Reg) Valid() bool { return r < NumRegs }
 
-func (r Reg) String() string {
+func (r Reg) String() string { return string(r.AppendText(make([]byte, 0, 8))) }
+
+// AppendText appends the register's assembly name to b: r0..r31,
+// f0..f31, "-" for NoReg and reg(N) for any other value.
+func (r Reg) AppendText(b []byte) []byte {
 	switch {
 	case r == NoReg:
-		return "-"
+		return append(b, '-')
 	case r < NumIntRegs:
-		return fmt.Sprintf("r%d", r)
+		return strconv.AppendUint(append(b, 'r'), uint64(r), 10)
 	case r < NumRegs:
-		return fmt.Sprintf("f%d", r-NumIntRegs)
+		return strconv.AppendUint(append(b, 'f'), uint64(r-NumIntRegs), 10)
 	}
-	return fmt.Sprintf("reg(%d)", uint8(r))
+	return append(strconv.AppendUint(append(b, "reg("...), uint64(r), 10), ')')
 }
 
 // Inst is one instruction. Instructions live inside basic blocks
@@ -290,27 +305,52 @@ func (in *Inst) Sources(dst []Reg) []Reg {
 }
 
 // String disassembles the instruction.
-func (in *Inst) String() string {
+func (in *Inst) String() string { return string(in.AppendText(make([]byte, 0, 32))) }
+
+// AppendText appends the instruction's assembly text, as String returns
+// it, to b. Program dumps and store keys format through it, so a
+// listing costs no allocation per instruction.
+func (in *Inst) AppendText(b []byte) []byte {
 	switch {
 	case in.Op == OpHalt:
-		return "halt"
+		return append(b, "halt"...)
 	case in.Op == OpJmp:
-		return fmt.Sprintf("jmp .B%d", in.Target)
+		return strconv.AppendInt(append(b, "jmp .B"...), int64(in.Target), 10)
 	case in.Op.IsBranch():
-		return fmt.Sprintf("%s %s, %s, .B%d", in.Op, in.Rs1, in.Rs2, in.Target)
+		b = append(appendRegs(in.Op.appendText(b), in.Rs1, in.Rs2), ", .B"...)
+		return strconv.AppendInt(b, int64(in.Target), 10)
 	case in.Op.IsStore():
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, in.Rs2, in.Imm, in.Rs1)
+		return in.appendMem(b, in.Rs2)
 	case in.Op.IsLoad():
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, in.Rd, in.Imm, in.Rs1)
+		return in.appendMem(b, in.Rd)
 	case in.Op == OpAddi:
-		return fmt.Sprintf("addi %s, %s, %d", in.Rd, in.Rs1, in.Imm)
+		return strconv.AppendInt(append(appendRegs(append(b, "addi"...), in.Rd, in.Rs1), ", "...), in.Imm, 10)
 	case in.Op == OpLui:
-		return fmt.Sprintf("lui %s, %d", in.Rd, in.Imm)
+		return strconv.AppendInt(append(appendRegs(append(b, "lui"...), in.Rd), ", "...), in.Imm, 10)
 	case in.Op == OpFNeg, in.Op == OpCvtIF, in.Op == OpCvtFI:
-		return fmt.Sprintf("%s %s, %s", in.Op, in.Rd, in.Rs1)
+		return appendRegs(in.Op.appendText(b), in.Rd, in.Rs1)
 	default:
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, in.Rd, in.Rs1, in.Rs2)
+		return appendRegs(in.Op.appendText(b), in.Rd, in.Rs1, in.Rs2)
 	}
+}
+
+// appendRegs appends the operand list " r1, r2, ..." to b.
+func appendRegs(b []byte, regs ...Reg) []byte {
+	for i, r := range regs {
+		if i == 0 {
+			b = append(b, ' ')
+		} else {
+			b = append(b, ", "...)
+		}
+		b = r.AppendText(b)
+	}
+	return b
+}
+
+// appendMem appends a memory instruction, "op r, imm(base)".
+func (in *Inst) appendMem(b []byte, r Reg) []byte {
+	b = strconv.AppendInt(append(appendRegs(in.Op.appendText(b), r), ", "...), in.Imm, 10)
+	return append(in.Rs1.AppendText(append(b, '(')), ')')
 }
 
 // Latency returns the execution latency in cycles used by the timing

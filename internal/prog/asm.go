@@ -2,6 +2,7 @@ package prog
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -17,32 +18,93 @@ import (
 // Disassemble. DumpAsm → Parse is a lossless round trip.
 func (p *Program) DumpAsm() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, ".program %s\n", p.Name)
-	fmt.Fprintf(&sb, ".memsize %d\n", p.MemSize)
-	for _, s := range p.Segments {
-		if allZeroBytes(s.Data) {
-			fmt.Fprintf(&sb, ".reserve %s %d %d\n", s.Name, s.Base, len(s.Data))
-			continue
-		}
-		fmt.Fprintf(&sb, ".segment %s %d\n", s.Name, s.Base)
-		const perLine = 32
-		for off := 0; off < len(s.Data); off += perLine {
-			end := off + perLine
-			if end > len(s.Data) {
-				end = len(s.Data)
-			}
-			fmt.Fprintf(&sb, ".data %s\n", hex.EncodeToString(s.Data[off:end]))
-		}
-	}
-	sb.WriteString(p.Disassemble())
+	p.writeText(&sb, true) // a strings.Builder never fails a write
 	return sb.String()
 }
 
+// WriteAsm writes DumpAsm's text to w without building it as one
+// string: the store hashes a program by streaming it into a digest.
+func (p *Program) WriteAsm(w io.Writer) error {
+	return p.writeText(w, true)
+}
+
+// Disassemble renders the whole program as text.
+func (p *Program) Disassemble() string {
+	var sb strings.Builder
+	p.writeText(&sb, false)
+	return sb.String()
+}
+
+// writeText is the one assembly writer: the header and data image when
+// data is set, then the block listing. It formats into one reused
+// buffer, handed to w whenever it passes asmFlush bytes.
+func (p *Program) writeText(w io.Writer, data bool) error {
+	const asmFlush = 16 << 10
+	buf := make([]byte, 0, asmFlush+256)
+	var err error
+	line := func() {
+		buf = append(buf, '\n')
+		if len(buf) >= asmFlush && err == nil {
+			_, err = w.Write(buf)
+			buf = buf[:0]
+		}
+	}
+	if data {
+		buf = append(append(buf, ".program "...), p.Name...)
+		line()
+		buf = strconv.AppendUint(append(buf, ".memsize "...), p.MemSize, 10)
+		line()
+		for _, s := range p.Segments {
+			if allZeroBytes(s.Data) {
+				buf = append(append(append(buf, ".reserve "...), s.Name...), ' ')
+				buf = strconv.AppendInt(append(strconv.AppendUint(buf, s.Base, 10), ' '), int64(len(s.Data)), 10)
+				line()
+				continue
+			}
+			buf = append(append(append(buf, ".segment "...), s.Name...), ' ')
+			buf = strconv.AppendUint(buf, s.Base, 10)
+			line()
+			const perLine = 32
+			for off := 0; off < len(s.Data); off += perLine {
+				buf = hex.AppendEncode(append(buf, ".data "...), s.Data[off:min(off+perLine, len(s.Data))])
+				line()
+			}
+		}
+	}
+	buf = append(append(buf, "; program "...), p.Name...)
+	buf = strconv.AppendInt(append(buf, ": "...), int64(len(p.Blocks)), 10)
+	buf = strconv.AppendInt(append(buf, " blocks, "...), int64(p.NumStaticInsts()), 10)
+	buf = append(buf, " insts"...)
+	line()
+	for bi := range p.Blocks {
+		b := &p.Blocks[bi]
+		buf = append(strconv.AppendInt(append(buf, ".B"...), int64(bi), 10), ':')
+		if b.Label != "" {
+			buf = append(append(buf, " ; "...), b.Label...)
+		}
+		line()
+		for ii := range b.Insts {
+			buf = b.Insts[ii].AppendText(append(buf, '\t'))
+			line()
+		}
+	}
+	if err == nil && len(buf) > 0 {
+		_, err = w.Write(buf)
+	}
+	return err
+}
+
+// zeroBlock is compared against a segment a block at a time: a zeroed
+// image is checked at memequal speed, not a byte per loop iteration.
+var zeroBlock [4096]byte
+
 func allZeroBytes(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
+	for len(b) > 0 {
+		n := min(len(b), len(zeroBlock))
+		if !bytes.Equal(b[:n], zeroBlock[:n]) {
 			return false
 		}
+		b = b[n:]
 	}
 	return true
 }

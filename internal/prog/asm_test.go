@@ -1,6 +1,7 @@
 package prog
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -126,5 +127,60 @@ func TestParseMinimal(t *testing.T) {
 	}
 	if p.Name != "mini" || len(p.Blocks) != 1 || len(p.Segments) != 1 {
 		t.Fatalf("parsed %+v", p)
+	}
+}
+
+// failAfter accepts n writes and then fails every one.
+type failAfter struct {
+	n      int
+	writes int
+	got    strings.Builder
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	f.writes++
+	if f.writes > f.n {
+		return 0, errors.New("disk full")
+	}
+	return f.got.Write(p)
+}
+
+// TestWriteAsmStreamsDumpAsm: WriteAsm writes exactly DumpAsm's bytes,
+// in several writes for a data image larger than its buffer, and the
+// listing ends with Disassemble's text. A failing writer's error comes
+// back and nothing is written after it.
+func TestWriteAsmStreamsDumpAsm(t *testing.T) {
+	b := NewBuilder("stream")
+	big := make([]int64, 10_000)
+	for i := range big {
+		big[i] = int64(i) * 0x9e3779b9
+	}
+	b.Words("big", big)
+	b.Zeros("pad", 40)
+	b.Label("entry")
+	b.Li(isa.IntReg(1), 3)
+	b.Halt()
+	p := b.MustBuild()
+
+	text := p.DumpAsm()
+	if !strings.HasSuffix(text, p.Disassemble()) {
+		t.Fatal("DumpAsm does not end with the Disassemble listing")
+	}
+	w := &failAfter{n: 1 << 30}
+	if err := p.WriteAsm(w); err != nil {
+		t.Fatal(err)
+	}
+	if w.got.String() != text {
+		t.Fatal("WriteAsm differs from DumpAsm")
+	}
+	if w.writes < 2 {
+		t.Fatalf("an %d-byte dump arrived in %d write", len(text), w.writes)
+	}
+	fail := &failAfter{n: 1}
+	if err := p.WriteAsm(fail); err == nil || err.Error() != "disk full" {
+		t.Fatalf("WriteAsm to a failing writer: %v", err)
+	}
+	if fail.writes != 2 {
+		t.Fatalf("%d writes after the first failure", fail.writes-2)
 	}
 }

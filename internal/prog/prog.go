@@ -6,7 +6,6 @@ package prog
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"perfclone/internal/isa"
@@ -154,22 +153,4 @@ func (p *Program) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Disassemble renders the whole program as text.
-func (p *Program) Disassemble() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "; program %s: %d blocks, %d insts\n", p.Name, len(p.Blocks), p.NumStaticInsts())
-	for bi := range p.Blocks {
-		b := &p.Blocks[bi]
-		if b.Label != "" {
-			fmt.Fprintf(&sb, ".B%d: ; %s\n", bi, b.Label)
-		} else {
-			fmt.Fprintf(&sb, ".B%d:\n", bi)
-		}
-		for ii := range b.Insts {
-			fmt.Fprintf(&sb, "\t%s\n", b.Insts[ii].String())
-		}
-	}
-	return sb.String()
 }

@@ -38,8 +38,9 @@ type Rates struct {
 // trace (0 = the whole trace) against the configuration's data caches and
 // predictor, in one walk: each data reference goes through L1D, and on to
 // L2 on an L1D miss; the conditional branches' outcomes go through the
-// predictor. No functional execution is involved.
-func MeasureRates(t *dyntrace.Trace, cfg uarch.Config, maxInsts uint64) (Rates, error) {
+// predictor. No functional execution is involved. The walk polls ctx
+// and ticks any supervision heartbeat it carries once per chunk.
+func MeasureRates(ctx context.Context, t *dyntrace.Trace, cfg uarch.Config, maxInsts uint64) (Rates, error) {
 	l1, err := cache.New(cfg.L1D)
 	if err != nil {
 		return Rates{}, err
@@ -54,7 +55,7 @@ func MeasureRates(t *dyntrace.Trace, cfg uarch.Config, maxInsts uint64) (Rates, 
 	}
 	m := mispredCounter{pred: pred}
 	for w := t.Walk(maxInsts); !w.Done(); {
-		c, err := w.Next(context.TODO()) // the signature predates cancellation
+		c, err := w.Next(ctx)
 		if err != nil {
 			return Rates{}, err
 		}

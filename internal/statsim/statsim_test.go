@@ -12,6 +12,7 @@ import (
 	"perfclone/internal/funcsim"
 	"perfclone/internal/profile"
 	"perfclone/internal/prog"
+	"perfclone/internal/supervise"
 	"perfclone/internal/uarch"
 	"perfclone/internal/workloads"
 )
@@ -55,7 +56,7 @@ func setup(t *testing.T, name string) (*profile.Profile, Rates, uarch.Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rates, err := MeasureRates(tr, cfg, 300_000)
+	rates, err := MeasureRates(context.Background(), tr, cfg, 300_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestMeasureRatesMatchesExecution(t *testing.T) {
 	const budget = 300_000
 	for _, name := range []string{"crc32", "qsort", "fft"} {
 		p, tr := capture(t, name, 2*budget)
-		got, err := MeasureRates(tr, cfg, budget)
+		got, err := MeasureRates(context.Background(), tr, cfg, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +221,7 @@ func TestStatisticalSimulationIsMicroarchDependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseRates, err := MeasureRates(tr, base, 300_000)
+	baseRates, err := MeasureRates(context.Background(), tr, base, 300_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestStatisticalSimulationIsMicroarchDependent(t *testing.T) {
 	}
 	// With re-measured rates it does fine — the point is that the
 	// profile must be re-collected per configuration.
-	freshRates, err := MeasureRates(tr, tiny, 300_000)
+	freshRates, err := MeasureRates(context.Background(), tr, tiny, 300_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,5 +252,40 @@ func TestStatisticalSimulationIsMicroarchDependent(t *testing.T) {
 		detailedTiny.IPC(), estStale.IPC(), 100*staleErr, estFresh.IPC(), 100*freshErr)
 	if staleErr < freshErr {
 		t.Errorf("stale rates tracked the new configuration better than fresh ones — unexpected")
+	}
+}
+
+// TestMeasureRatesContext: the rate walk observes its context. A
+// cancelled ctx returns its cause before any rate is computed, and a
+// supervised ctx's heartbeat ticks at least once per walk chunk, so a
+// long walk under a watchdog never reads as stuck. The ticking ctx
+// yields the same rates as an unsupervised one.
+func TestMeasureRatesContext(t *testing.T) {
+	_, tr := capture(t, "crc32", 300_000)
+	cfg := uarch.BaseConfig()
+
+	cause := errors.New("stage deadline")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	if _, err := MeasureRates(ctx, tr, cfg, 0); !errors.Is(err, cause) {
+		t.Fatalf("cancelled ctx: err = %v, want %v", err, cause)
+	}
+
+	beats := 0
+	live := supervise.WithTicker(context.Background(), func() { beats++ })
+	got, err := MeasureRates(live, tr, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := int((tr.Insts() + dyntrace.ChunkLen - 1) / dyntrace.ChunkLen)
+	if chunks < 2 || beats < chunks {
+		t.Fatalf("%d heartbeat ticks over %d chunks", beats, chunks)
+	}
+	want, err := MeasureRates(context.Background(), tr, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("rates under a heartbeat %+v, unsupervised %+v", got, want)
 	}
 }

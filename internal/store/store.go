@@ -132,9 +132,12 @@ func (s *Store) Counters() Counters {
 // ProgramHash returns the content hash that keys artifacts derived from
 // p: a SHA-256 over the canonical assembly dump, truncated to 16 hex
 // digits (64 bits — far beyond collision range for tens of artifacts).
+// The dump streams into the digest (prog.Program.WriteAsm), so the text
+// is never built as one string; its bytes are DumpAsm's.
 func ProgramHash(p *prog.Program) string {
-	sum := sha256.Sum256([]byte(p.DumpAsm()))
-	return hex.EncodeToString(sum[:8])
+	h := sha256.New()
+	_ = p.WriteAsm(h) // a hash.Hash never fails a write
+	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
 // sanitize keeps artifact file names portable.
