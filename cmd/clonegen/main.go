@@ -143,10 +143,7 @@ func generate(ctx context.Context, o options, prof *profile.Profile, cfg synth.C
 	if !o.validate {
 		return synth.GenerateContext(ctx, prof, cfg)
 	}
-	fo := fidelity.Options{MaxRepair: o.maxRepair, Log: os.Stderr}
-	if o.tolerance > 0 {
-		fo.Tol = fidelity.DefaultTolerances().Scale(o.tolerance)
-	}
+	fo := fidelity.Options{Scale: o.tolerance, MaxRepair: o.maxRepair, Log: os.Stderr}
 	clone, rep, err := fidelity.GenerateContext(ctx, prof, cfg, fo)
 	if o.report != "" && rep != nil {
 		raw, jerr := json.MarshalIndent(rep, "", "  ")

@@ -84,6 +84,8 @@ func main() {
 	lines := strings.Split(src, "\n")
 	fmt.Printf("\nfirst lines of the distributable clone (%d lines total):\n", len(lines))
 	for _, l := range lines[:12] {
-		fmt.Println("  ", l)
+		// Trim the indent off blank lines: the pinned Example output
+		// cannot hold trailing spaces.
+		fmt.Println(strings.TrimRight("   "+l, " "))
 	}
 }

@@ -202,11 +202,7 @@ func (s *Server) runClone(ctx context.Context, j jobqueue.Job) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	seed := j.Spec.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	cfg := synth.Config{Seed: seed}
+	cfg := synth.Config{Seed: j.Spec.Seed}
 	var clone *synth.Clone
 	if j.Spec.Validate {
 		clone, _, err = fidelity.GenerateContext(ctx, prof, cfg, fidelity.Options{Log: s.log})

@@ -182,6 +182,30 @@ func TestCloneJobRendersC(t *testing.T) {
 	}
 }
 
+// TestCloneSeedZeroIsSeedOne: a clone job's seed 0 means the
+// generator's default seed 1, so both commit the same artifact bytes,
+// with and without the fidelity gate.
+func TestCloneSeedZeroIsSeedOne(t *testing.T) {
+	_, _, ts := testServer(t, t.TempDir(), jobqueue.Options{}, Config{Workers: 2})
+	for _, validate := range []bool{false, true} {
+		var arts [2][]byte
+		for i, seed := range []uint64{0, 1} {
+			spec := jobqueue.Spec{Kind: jobqueue.KindClone, Workload: "crc32", Insts: 50_000, Seed: seed, Validate: validate}
+			code, j, _ := submit(t, ts, "alice", spec)
+			if code != http.StatusAccepted {
+				t.Fatalf("submit %+v: %d", spec, code)
+			}
+			if done := waitTerminal(t, ts, j.ID); done.State != jobqueue.StateDone {
+				t.Fatalf("clone job %+v failed: %+v", spec, done)
+			}
+			arts[i] = fetchArtifact(t, ts, j.ID)
+		}
+		if !bytes.Equal(arts[0], arts[1]) {
+			t.Errorf("validate=%v: seed 0 and seed 1 artifacts differ", validate)
+		}
+	}
+}
+
 // TestRunNamesAreTheRegistry: the daemon admits exactly the CLI's run
 // names, and its 400 for any other name lists them all.
 func TestRunNamesAreTheRegistry(t *testing.T) {

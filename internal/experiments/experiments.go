@@ -281,11 +281,7 @@ func generateClone(ctx context.Context, prof *profile.Profile, opts Options) (*s
 	if !opts.Fidelity && !opts.StrictFidelity {
 		return synth.GenerateContext(ctx, prof, synth.Config{})
 	}
-	fo := fidelity.Options{}
-	if opts.FidelityTolerance > 0 {
-		fo.Tol = fidelity.DefaultTolerances().Scale(opts.FidelityTolerance)
-	}
-	clone, rep, err := fidelity.GenerateContext(ctx, prof, synth.Config{}, fo)
+	clone, rep, err := fidelity.GenerateContext(ctx, prof, synth.Config{}, fidelity.Options{Scale: opts.FidelityTolerance})
 	if err == nil {
 		if rep.Attempt > 1 {
 			fmt.Fprintf(opts.Log, "experiments: fidelity repaired %s on attempt %d (seed %d)\n",

@@ -11,9 +11,8 @@
 // 12-step generator: a silent regression in synthesis becomes a
 // structured, greppable "fidelity: FAIL <attr>" report instead of a wrong
 // number in a figure. On failure a bounded, deterministic repair loop
-// regenerates the clone with derived seeds (optionally widening the block
-// budget) and reports which retry passed; persistent failure is a hard
-// error carrying the full report.
+// regenerates the clone with derived seeds and reports which retry
+// passed; persistent failure is a hard error carrying the full report.
 package fidelity
 
 import (
@@ -103,7 +102,7 @@ func DefaultTolerances() Tolerances {
 }
 
 // Scale returns the tolerances uniformly scaled by f (>1 loosens,
-// <1 tightens) — the -tolerance command-line knob.
+// <1 tightens) — what Options.Scale applies to the defaults.
 func (t Tolerances) Scale(f float64) Tolerances {
 	t.MixJSD *= f
 	t.DepJSD *= f
@@ -116,24 +115,18 @@ func (t Tolerances) Scale(f float64) Tolerances {
 	return t
 }
 
-// isZero reports whether t is the zero value (caller wants defaults).
-func (t Tolerances) isZero() bool { return t == Tolerances{} }
+// profileInsts bounds the clone re-profiling run: enough to cover
+// hundreds of outer-loop iterations of any bundled clone.
+const profileInsts = 400_000
 
 // Options configure the fidelity gate.
 type Options struct {
-	// Tol holds the per-attribute tolerances (zero value = defaults).
-	Tol Tolerances
-	// ProfileInsts bounds the clone re-profiling run (0 = 400k — enough
-	// to cover hundreds of outer-loop iterations of any bundled clone).
-	ProfileInsts uint64
+	// Scale uniformly scales DefaultTolerances (≤0 = 1; >1 loosens,
+	// <1 tightens).
+	Scale float64
 	// MaxRepair bounds the regeneration attempts after a failed check
 	// (0 = default 3; negative = no repair, first verdict is final).
 	MaxRepair int
-	// Widen lets later repair attempts raise the chain's block budget —
-	// more chain slots give the SFG walk and the apportionment more room
-	// when a profile's node distribution is hard to hit at the default
-	// size.
-	Widen bool
 	// Log receives one greppable line per attribute check and per repair
 	// attempt (nil = silent).
 	Log io.Writer
@@ -146,11 +139,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Tol.isZero() {
-		o.Tol = DefaultTolerances()
-	}
-	if o.ProfileInsts == 0 {
-		o.ProfileInsts = 400_000
+	if o.Scale <= 0 {
+		o.Scale = 1
 	}
 	if o.MaxRepair == 0 {
 		o.MaxRepair = 3
@@ -173,7 +163,7 @@ func (o Options) withDefaults() Options {
 // deadlines and ticks its watchdog heartbeat.
 func CheckContext(ctx context.Context, target *profile.Profile, clone *synth.Clone, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
-	observed, err := profile.CollectContext(ctx, clone.Program, profile.Options{MaxInsts: opts.ProfileInsts})
+	observed, err := profile.CollectContext(ctx, clone.Program, profile.Options{MaxInsts: profileInsts})
 	if err != nil {
 		return nil, fmt.Errorf("fidelity: re-profiling clone of %q: %w", target.Name, err)
 	}
@@ -181,7 +171,7 @@ func CheckContext(ctx context.Context, target *profile.Profile, clone *synth.Clo
 	if opts.reportAttempt > 0 {
 		rep.Attempt = opts.reportAttempt
 	}
-	tol := opts.Tol
+	tol := DefaultTolerances().Scale(opts.Scale)
 
 	// Instruction-class mix.
 	rep.add(distAttr("mix-jsd", counts(target.GlobalMix[:]), counts(observed.GlobalMix[:]), tol.MixJSD, stats.JensenShannon))
@@ -446,12 +436,12 @@ func deriveSeed(base uint64, attempt int) uint64 {
 }
 
 // GenerateContext is the closed loop: synthesize, check, and — on a
-// failed check — regenerate with derived seeds up to MaxRepair times,
-// widening the block budget when Options.Widen is set. It returns the
-// first passing clone with its report (Report.Attempt says which retry
-// succeeded). When every attempt fails, the error carries the final
-// attempt's full report so a generator bug can never silently ship a bad
-// clone.
+// failed check — regenerate with derived seeds up to MaxRepair times.
+// It returns the first passing clone with its report (Report.Attempt
+// says which retry succeeded). When every attempt fails, the error
+// carries the final attempt's full report so a generator bug can never
+// silently ship a bad clone. It is the one clone gate: callers keep
+// their own ungated path and their own policy for a failed gate.
 //
 // The repair loop polls ctx before every attempt (returning the
 // context's cancellation cause alongside the last report) and threads
@@ -464,13 +454,9 @@ func GenerateContext(ctx context.Context, target *profile.Profile, cfg synth.Con
 	if baseSeed == 0 {
 		baseSeed = 1
 	}
-	// The loop owns checking; a caller-provided self-check hook would
-	// fail generation before the repair loop could see the report.
-	cfg.SelfCheck = nil
 
 	var failedSeeds []uint64
 	var lastRep *Report
-	var baseBlocks int
 	for attempt := 1; attempt <= 1+opts.MaxRepair; attempt++ {
 		if err := supervise.Cause(ctx); err != nil {
 			return nil, lastRep, err
@@ -478,19 +464,9 @@ func GenerateContext(ctx context.Context, target *profile.Profile, cfg synth.Con
 		supervise.Beat(ctx)
 		acfg := cfg
 		acfg.Seed = deriveSeed(baseSeed, attempt)
-		if opts.Widen && attempt >= 3 && baseBlocks > 0 {
-			// Attempts 3, 4, … widen the chain by 50% steps over the
-			// first attempt's realized size.
-			acfg.TargetBlocks = baseBlocks + baseBlocks*(attempt-2)/2
-		}
 		clone, err := synth.GenerateContext(ctx, target, acfg)
 		if err != nil {
 			return nil, lastRep, fmt.Errorf("fidelity: regenerating %q (attempt %d, seed %d): %w", target.Name, attempt, acfg.Seed, err)
-		}
-		if baseBlocks == 0 {
-			for _, c := range clone.NodeInstances {
-				baseBlocks += c
-			}
 		}
 		aopts := opts
 		aopts.reportSeed = acfg.Seed
@@ -514,21 +490,4 @@ func GenerateContext(ctx context.Context, target *profile.Profile, cfg synth.Con
 	}
 	return nil, lastRep, fmt.Errorf("fidelity: clone of %q failed the fidelity gate after %d attempt(s):\n%s",
 		target.Name, 1+opts.MaxRepair, lastRep)
-}
-
-// SelfCheck adapts the fidelity gate to synth.Config's opt-in SelfCheck
-// hook: generation itself fails when the clone diverges. Use GenerateContext for
-// the repairing closed loop; use this when a single verdict must be
-// embedded in synth.Generate (e.g. library callers that cannot loop).
-func SelfCheck(opts Options) func(*profile.Profile, *synth.Clone) error {
-	return func(p *profile.Profile, c *synth.Clone) error {
-		rep, err := CheckContext(context.Background(), p, c, opts)
-		if err != nil {
-			return err
-		}
-		if !rep.Pass {
-			return fmt.Errorf("fidelity gate failed:\n%s", rep)
-		}
-		return nil
-	}
 }

@@ -144,22 +144,6 @@ func TestDeriveSeed(t *testing.T) {
 	}
 }
 
-// TestSelfCheckHook: the synth.Config opt-in self-check wires the gate
-// into Generate itself — good clones generate, broken ones error.
-func TestSelfCheckHook(t *testing.T) {
-	prof := collect(t, "crc32")
-	if _, err := synth.Generate(prof, synth.Config{SelfCheck: SelfCheck(Options{})}); err != nil {
-		t.Fatalf("self-check failed a healthy clone: %v", err)
-	}
-	_, err := synth.Generate(prof, synth.Config{
-		TestBreakDepDist: true,
-		SelfCheck:        SelfCheck(Options{}),
-	})
-	if err == nil || !strings.Contains(err.Error(), "self-check") {
-		t.Fatalf("broken generator passed the self-check: %v", err)
-	}
-}
-
 // TestReportJSONRoundTrip: the -report artifact must survive JSON.
 func TestReportJSONRoundTrip(t *testing.T) {
 	prof := collect(t, "crc32")
@@ -184,20 +168,47 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestToleranceScale: scaling tightens or loosens every bound uniformly;
-// a zero-tolerance gate must fail (nothing matches exactly), proving the
-// attributes are actually measured rather than vacuously passed.
+// TestToleranceScale: Options.Scale multiplies every default bound
+// uniformly — scale 0 and 1 report the defaults bit for bit, scale 2
+// exactly doubles them — and a near-zero-tolerance gate must fail
+// (nothing matches exactly), proving the attributes are actually
+// measured rather than vacuously passed.
 func TestToleranceScale(t *testing.T) {
-	tol := DefaultTolerances().Scale(2)
-	if tol.MixJSD != DefaultTolerances().MixJSD*2 {
-		t.Error("Scale did not scale MixJSD")
+	def := DefaultTolerances()
+	byName := map[string]float64{
+		"mix-jsd":           def.MixJSD,
+		"dep-jsd":           def.DepJSD,
+		"dep-chi2":          def.DepChi2,
+		"dep-mid":           def.DepMid,
+		"stride-coverage":   def.StrideCoverage,
+		"branch-taken":      def.BranchTaken,
+		"branch-transition": def.BranchTransition,
+		"sfg-corr":          def.SFGCorr,
 	}
 	prof := collect(t, "fft")
 	clone, err := synth.Generate(prof, synth.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := CheckContext(context.Background(), prof, clone, Options{Tol: DefaultTolerances().Scale(1e-9)})
+	for _, tc := range []struct{ scale, factor float64 }{{0, 1}, {1, 1}, {2, 2}} {
+		rep, err := CheckContext(context.Background(), prof, clone, Options{Scale: tc.scale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Attributes) != len(byName) {
+			t.Fatalf("scale %g: %d attributes reported, want %d", tc.scale, len(rep.Attributes), len(byName))
+		}
+		for _, a := range rep.Attributes {
+			want, ok := byName[a.Name]
+			if !ok {
+				t.Fatalf("scale %g: unexpected attribute %q", tc.scale, a.Name)
+			}
+			if a.Tolerance != want*tc.factor {
+				t.Errorf("scale %g: %s tolerance %v, want %v", tc.scale, a.Name, a.Tolerance, want*tc.factor)
+			}
+		}
+	}
+	rep, err := CheckContext(context.Background(), prof, clone, Options{Scale: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}

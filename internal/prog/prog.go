@@ -110,6 +110,7 @@ func (p *Program) Validate() error {
 	if p.Entry < 0 || p.Entry >= len(p.Blocks) {
 		return fmt.Errorf("prog %q: entry %d out of range", p.Name, p.Entry)
 	}
+	var srcs [2]isa.Reg // Sources' stack buffer: validating allocates nothing
 	for bi := range p.Blocks {
 		b := &p.Blocks[bi]
 		if len(b.Insts) == 0 {
@@ -129,7 +130,7 @@ func (p *Program) Validate() error {
 			if d := in.Dest(); d != isa.NoReg && !d.Valid() {
 				return fmt.Errorf("prog %q: block %d inst %d: bad dest %d", p.Name, bi, ii, d)
 			}
-			for _, s := range in.Sources(nil) {
+			for _, s := range in.Sources(srcs[:0]) {
 				if !s.Valid() {
 					return fmt.Errorf("prog %q: block %d inst %d: bad source %d", p.Name, bi, ii, s)
 				}

@@ -37,16 +37,6 @@ type Config struct {
 	// matches only per-branch taken rates (the strawman of Section
 	// 3.1.5) — for the branch-model ablation.
 	TakenRateOnlyBranches bool
-	// MaxStreamPools caps the number of distinct stream pointer
-	// registers. Default 12 (bounded by the architected register file).
-	MaxStreamPools int
-	// SelfCheck, when non-nil, runs against the finished clone before
-	// Generate returns; a non-nil error fails generation. The fidelity
-	// package supplies the standard checker (fidelity.SelfCheck), which
-	// re-profiles the clone and compares its microarchitecture-
-	// independent attributes against p — the hook lives here so synth
-	// does not import its own validator.
-	SelfCheck func(p *profile.Profile, c *Clone) error
 	// TestBreakDepDist disables dependency-distance sampling (every
 	// sampled distance collapses to 1) — a deliberately broken generator
 	// used by tests to prove the fidelity gate catches regressions.
@@ -79,12 +69,6 @@ func (c Config) withDefaults(p *profile.Profile) Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.MaxStreamPools <= 0 {
-		c.MaxStreamPools = numStreamRegs
-	}
-	if c.MaxStreamPools > numStreamRegs {
-		c.MaxStreamPools = numStreamRegs
 	}
 	return c
 }
@@ -246,11 +230,6 @@ func GenerateContext(ctx context.Context, p *profile.Profile, cfg Config) (*Clon
 	for ref, pi := range g.memPool {
 		clone.RefStrides[ref] = g.pools[pi].stride
 	}
-	if cfg.SelfCheck != nil {
-		if err := cfg.SelfCheck(p, clone); err != nil {
-			return nil, fmt.Errorf("synth: self-check: %w", err)
-		}
-	}
 	return clone, nil
 }
 
@@ -404,9 +383,9 @@ func (g *generator) buildPools() {
 		}
 		return all[i].stride < all[j].stride
 	})
-	if len(all) > g.cfg.MaxStreamPools {
-		kept := all[:g.cfg.MaxStreamPools]
-		for _, extra := range all[g.cfg.MaxStreamPools:] {
+	if len(all) > numStreamRegs {
+		kept := all[:numStreamRegs]
+		for _, extra := range all[numStreamRegs:] {
 			best, bestScore := 0, math.MaxFloat64
 			for i, ps := range kept {
 				score := float64(strideDist(ps.stride, extra.stride))
