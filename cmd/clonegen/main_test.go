@@ -59,12 +59,29 @@ func TestValidatePassWritesCloneAndReport(t *testing.T) {
 
 // TestValidateFailStillWritesReport: -tolerance scales every bound, so a
 // near-zero scale with no repair fails the gate. The run errors and emits
-// no clone, but the report that explains the failure is still written.
+// no clone, but the report that explains the failure is still written,
+// and stderr announces no retry, since none follows.
 func TestValidateFailStillWritesReport(t *testing.T) {
 	o := validateOptions(t.TempDir())
 	o.tolerance, o.maxRepair = 1e-9, -1
-	if err := run(context.Background(), o, supervise.New(supervise.Options{})); err == nil {
+	stderr, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	saved := os.Stderr
+	os.Stderr = stderr
+	err = run(context.Background(), o, supervise.New(supervise.Options{}))
+	os.Stderr = saved
+	if err == nil {
 		t.Fatal("near-zero tolerance passed the gate")
+	}
+	logged, rerr := os.ReadFile(stderr.Name())
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if !strings.Contains(string(logged), "fidelity: FAIL") || strings.Contains(string(logged), "retrying") {
+		t.Errorf("stderr must show the failed check and no retry:\n%s", logged)
 	}
 	rep := readReport(t, o.report)
 	if rep.Pass || rep.Attempt != 1 {

@@ -12,17 +12,6 @@ import (
 	"perfclone/internal/supervise"
 )
 
-// Policy selects the replacement policy.
-type Policy string
-
-// Replacement policies. The paper fixes LRU for its 28-configuration
-// sweep; FIFO and random exist for replacement studies.
-const (
-	PolicyLRU    Policy = "" // default
-	PolicyFIFO   Policy = "fifo"
-	PolicyRandom Policy = "random"
-)
-
 // Config describes one cache.
 type Config struct {
 	// Name labels the configuration in reports.
@@ -33,8 +22,6 @@ type Config struct {
 	Assoc int
 	// LineSize is the block size in bytes (power of two).
 	LineSize int
-	// Replacement selects the victim policy (default LRU).
-	Replacement Policy
 }
 
 // Validate checks the configuration for structural errors.
@@ -59,11 +46,6 @@ func (c Config) Validate() error {
 	sets := lines / assoc
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cache: set count %d not a power of two", sets)
-	}
-	switch c.Replacement {
-	case PolicyLRU, PolicyFIFO, PolicyRandom:
-	default:
-		return fmt.Errorf("cache: unknown replacement policy %q", c.Replacement)
 	}
 	return nil
 }
@@ -118,7 +100,6 @@ type Cache struct {
 	setMask   uint64
 	lineShift uint
 	clock     uint64
-	rng       uint64 // random-policy state
 	stats     Stats
 }
 
@@ -133,7 +114,6 @@ func New(cfg Config) (*Cache, error) {
 		sets:      make([][]line, nsets),
 		setMask:   uint64(nsets - 1),
 		lineShift: log2(uint64(cfg.LineSize)),
-		rng:       0x9e3779b97f4a7c15,
 	}
 	for i := range c.sets {
 		c.sets[i] = make([]line, ways)
@@ -208,9 +188,7 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	tag := addr >> c.lineShift
 	set := c.sets[tag&c.setMask]
 	if wi := lookup(set, tag); wi >= 0 {
-		if c.cfg.Replacement != PolicyFIFO {
-			set[wi].lru = c.clock // FIFO ignores recency on hits
-		}
+		set[wi].lru = c.clock
 		if write {
 			set[wi].dirty = true
 		}
@@ -231,21 +209,14 @@ func (c *Cache) fill(set []line, tag uint64, dirty bool) {
 	set[victim] = line{tag: tag, valid: true, dirty: dirty, lru: c.clock}
 }
 
-// victim picks the way to replace: an invalid way if any, else per the
-// configured policy.
+// victim picks the way to replace: an invalid way if any, else the least
+// recently used.
 func (c *Cache) victim(set []line) int {
 	for wi := range set {
 		if !set[wi].valid {
 			return wi
 		}
 	}
-	if c.cfg.Replacement == PolicyRandom {
-		c.rng ^= c.rng >> 12
-		c.rng ^= c.rng << 25
-		c.rng ^= c.rng >> 27
-		return int((c.rng * 0x2545f4914f6cdd1d) % uint64(len(set)))
-	}
-	// LRU, and FIFO (whose lru field is the insertion time).
 	victim := 0
 	for wi := range set {
 		if set[wi].lru < set[victim].lru {
@@ -263,9 +234,7 @@ func (c *Cache) Prefetch(addr uint64) bool {
 	tag := addr >> c.lineShift
 	set := c.sets[tag&c.setMask]
 	if wi := lookup(set, tag); wi >= 0 {
-		if c.cfg.Replacement != PolicyFIFO {
-			set[wi].lru = c.clock
-		}
+		set[wi].lru = c.clock
 		return true
 	}
 	c.fill(set, tag, false)
@@ -312,8 +281,7 @@ func Sweep28() []Config {
 // A-way cache — that cache writes it back if dirtyFrom ≤ A.
 //
 // Every configuration's Stats are bit-identical to those of a Cache fed
-// the same stream. Only LRU has the inclusion property, so FIFO and
-// random configurations are rejected.
+// the same stream.
 type ReplaySet struct {
 	groups []*stackGroup
 	slots  []slot // one per configuration, in input order
@@ -360,9 +328,8 @@ const shallowDepth = 16
 // clean is dirtyFrom for a line dirty in no configuration.
 const clean = math.MaxInt32
 
-// NewReplaySet groups the LRU configurations cfgs by line size and set
-// count. It rejects invalid configurations and other replacement
-// policies.
+// NewReplaySet groups the configurations cfgs by line size and set
+// count. It rejects invalid configurations.
 func NewReplaySet(cfgs []Config) (*ReplaySet, error) {
 	type geom struct{ line, sets int }
 	byGeom := map[geom]int{}
@@ -370,9 +337,6 @@ func NewReplaySet(cfgs []Config) (*ReplaySet, error) {
 	for i, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
 			return nil, err
-		}
-		if cfg.Replacement != PolicyLRU {
-			return nil, fmt.Errorf("cache: replay set simulates LRU only, %s uses %q", cfg, cfg.Replacement)
 		}
 		sets, ways := cfg.geometry()
 		key := geom{cfg.LineSize, sets}

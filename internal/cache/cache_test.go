@@ -212,62 +212,6 @@ func TestMissRateMonotonicity(t *testing.T) {
 	}
 }
 
-func TestFIFOReplacement(t *testing.T) {
-	// 1 set, 2 ways. Insert A, B; touch A (FIFO ignores recency); insert
-	// C: A (the oldest insertion) is evicted even though it was just
-	// used.
-	c := MustNew(Config{Size: 64, Assoc: 2, LineSize: 32, Replacement: PolicyFIFO})
-	a, b2, c3 := uint64(0), uint64(64), uint64(128)
-	c.Access(a, false)
-	c.Access(b2, false)
-	c.Access(a, false)  // hit, but FIFO does not refresh
-	c.Access(c3, false) // evicts A (oldest insertion)
-	if !c.Access(b2, false) {
-		t.Fatal("B should still be resident under FIFO")
-	}
-	if c.Access(a, false) {
-		t.Fatal("FIFO should have evicted A despite the recent hit")
-	}
-}
-
-func TestRandomReplacementDeterministicAndBounded(t *testing.T) {
-	run := func() Stats {
-		c := MustNew(Config{Size: 256, Assoc: 2, LineSize: 32, Replacement: PolicyRandom})
-		s := uint64(7)
-		for i := 0; i < 10000; i++ {
-			s ^= s >> 12
-			s ^= s << 25
-			s ^= s >> 27
-			c.Access((s*0x2545f4914f6cdd1d)%(4<<10), false)
-		}
-		return c.Stats()
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatal("random policy must still be deterministic per run")
-	}
-	// Random replacement on a uniform stream performs in the same
-	// ballpark as LRU (within a few points).
-	lru := MustNew(Config{Size: 256, Assoc: 2, LineSize: 32})
-	s := uint64(7)
-	for i := 0; i < 10000; i++ {
-		s ^= s >> 12
-		s ^= s << 25
-		s ^= s >> 27
-		lru.Access((s*0x2545f4914f6cdd1d)%(4<<10), false)
-	}
-	if d := a.MissRate() - lru.Stats().MissRate(); d < -0.1 || d > 0.1 {
-		t.Fatalf("random vs LRU miss rates too far apart: %f vs %f", a.MissRate(), lru.Stats().MissRate())
-	}
-}
-
-func TestBadPolicyRejected(t *testing.T) {
-	cfg := Config{Size: 256, Assoc: 2, LineSize: 32, Replacement: "plru"}
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-}
-
 func TestPrefetchDoesNotCountAsDemand(t *testing.T) {
 	c := MustNew(Config{Size: 256, Assoc: 2, LineSize: 32})
 	c.Prefetch(0)

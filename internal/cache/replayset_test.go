@@ -143,14 +143,3 @@ func TestReplaySetMatchesCachesOnWorkloadTraces(t *testing.T) {
 		t.Error("no configuration wrote anything back; the writeback comparison is vacuous")
 	}
 }
-
-// TestReplaySetRejectsNonLRU: FIFO and random replacement have no
-// inclusion property, so a one-pass stack walk cannot simulate them.
-func TestReplaySetRejectsNonLRU(t *testing.T) {
-	for _, pol := range []Policy{PolicyFIFO, PolicyRandom} {
-		cfgs := []Config{{Size: 1 << 10, Assoc: 2, LineSize: 32}, {Size: 1 << 10, Assoc: 2, LineSize: 32, Replacement: pol}}
-		if _, err := NewReplaySet(cfgs); err == nil {
-			t.Errorf("%s replacement accepted", pol)
-		}
-	}
-}

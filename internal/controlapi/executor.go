@@ -91,10 +91,10 @@ func (s *Server) artifactPath(name string) string {
 // terminal record on a rename that may not be durable.
 func (s *Server) commitArtifact(name string, data []byte) error {
 	dir := filepath.Join(s.cfg.DataDir, "artifacts")
-	if err := faultinject.Retry(s.cfg.Retry, func() error { return s.fs.MkdirAll(dir, 0o755) }); err != nil {
+	if err := faultinject.Retry(func() error { return s.fs.MkdirAll(dir, 0o755) }); err != nil {
 		return fmt.Errorf("controlapi: %w", err)
 	}
-	return faultinject.Retry(s.cfg.Retry, func() error {
+	return faultinject.Retry(func() error {
 		err := faultinject.CommitFile(s.fs, filepath.Join(dir, name), func(w io.Writer) error {
 			_, err := w.Write(data)
 			return err

@@ -48,8 +48,6 @@ type Config struct {
 	DataDir string
 	// FS routes artifact-commit I/O (default faultinject.OS).
 	FS faultinject.FS
-	// Retry is the transient-failure policy for artifact commits.
-	Retry faultinject.RetryPolicy
 	// Workers bounds the pool (default 1).
 	Workers int
 	// JobTimeout bounds one job's wall clock (0 = unbounded).

@@ -684,7 +684,7 @@ func (d dirSyncEIO) Open(name string) (faultinject.File, error) {
 // with EIO fails the artifact commit, so the job is journalled failed
 // and never reaches done on a rename that may not be durable.
 func TestArtifactDirSyncFaultFailsJob(t *testing.T) {
-	cfg := Config{Workers: 1, FS: dirSyncEIO{faultinject.OS}, Retry: faultinject.RetryPolicy{Sleep: func(time.Duration) {}}}
+	cfg := Config{Workers: 1, FS: dirSyncEIO{faultinject.OS}}
 	srv, _, ts := testServer(t, t.TempDir(), jobqueue.Options{}, cfg)
 	if err := srv.commitArtifact("direct.out", []byte("x")); !errors.Is(err, syscall.EIO) || !strings.Contains(err.Error(), "controlapi: sync ") {
 		t.Fatalf("commitArtifact = %v, want a controlapi sync error wrapping EIO", err)

@@ -175,8 +175,8 @@ func trainingTargets(ctx context.Context, pr *Pair, train baseline.TrainingConfi
 // budget and the training cache and predictor — in a file-name-safe form.
 func baselineLabel(name string, train baseline.TrainingConfig) string {
 	c := train.Cache
-	return fmt.Sprintf("%s-baseline-t%d-c%d_%d_%d%s-%s", name, train.MaxInsts,
-		c.Size, c.Assoc, c.LineSize, c.Replacement, train.Predictor)
+	return fmt.Sprintf("%s-baseline-t%d-c%d_%d_%d-%s", name, train.MaxInsts,
+		c.Size, c.Assoc, c.LineSize, train.Predictor)
 }
 
 // baselineClone returns pr's calibrated baseline clone and its captured

@@ -355,8 +355,7 @@ func TestDegradedWritesStillRenderIdentical(t *testing.T) {
 	// completes with identical output.
 	ffs := faultinject.New(faultinject.OS, faultinject.Plan{Seed: 42, TornWrite: 1.0})
 	var log bytes.Buffer
-	st, err := store.Open(t.TempDir(), store.WithFS(ffs), store.WithLog(&log),
-		store.WithRetry(faultinject.RetryPolicy{Attempts: 2, BaseDelay: time.Microsecond}))
+	st, err := store.Open(t.TempDir(), store.WithFS(ffs), store.WithLog(&log))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,19 +35,17 @@ func TestClassify(t *testing.T) {
 }
 
 func TestRetryBoundedAndClassAware(t *testing.T) {
-	noSleep := RetryPolicy{Attempts: 4, Sleep: func(time.Duration) {}}
-
 	calls := 0
-	err := Retry(noSleep, func() error { calls++; return MarkTransient(errors.New("eio")) })
-	if err == nil || calls != 4 {
-		t.Fatalf("always-transient: err=%v calls=%d, want error after 4", err, calls)
+	err := Retry(func() error { calls++; return MarkTransient(errors.New("eio")) })
+	if err == nil || calls != retryAttempts {
+		t.Fatalf("always-transient: err=%v calls=%d, want error after %d", err, calls, retryAttempts)
 	}
 	if !IsTransient(err) {
 		t.Fatalf("exhausted retry must keep the transient class: %v", err)
 	}
 
 	calls = 0
-	err = Retry(noSleep, func() error {
+	err = Retry(func() error {
 		calls++
 		if calls < 3 {
 			return MarkTransient(errors.New("eio"))
@@ -60,7 +58,7 @@ func TestRetryBoundedAndClassAware(t *testing.T) {
 
 	calls = 0
 	fatal := errors.New("permission denied")
-	err = Retry(noSleep, func() error { calls++; return fatal })
+	err = Retry(func() error { calls++; return fatal })
 	if !errors.Is(err, fatal) || calls != 1 {
 		t.Fatalf("fatal error must not retry: err=%v calls=%d", err, calls)
 	}

@@ -8,80 +8,62 @@ import (
 	"time"
 )
 
-// RetryPolicy bounds how hard the store fights a transient failure. The
-// zero value means "use the defaults below" so it can live inline in a
-// config struct. Sleep is the clock seam: tests substitute a recorder so
-// retries cost no wall time.
-type RetryPolicy struct {
-	// Attempts is the total number of tries, including the first
-	// (default 5).
-	Attempts int
-	// BaseDelay is the backoff before the second attempt; it doubles per
-	// round up to MaxDelay (defaults 1ms, 100ms). The actual sleep is
-	// drawn uniformly from [0, delay] ("full jitter") so concurrent
-	// retriers don't stampede in lockstep.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Sleep defaults to a context-aware wait (see RetryContext); tests
-	// substitute a fake clock here.
-	Sleep func(time.Duration)
-}
-
-// DefaultRetry is the store's policy: worst case ~15ms of backoff.
-var DefaultRetry = RetryPolicy{Attempts: 5, BaseDelay: time.Millisecond, MaxDelay: 100 * time.Millisecond}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Attempts <= 0 {
-		p.Attempts = DefaultRetry.Attempts
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = DefaultRetry.BaseDelay
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = DefaultRetry.MaxDelay
-	}
-	return p
-}
+// The retry policy for transient failures: at most retryAttempts tries.
+// The wait before the second try is drawn uniformly from
+// [0, retryBaseDelay] ("full jitter", so concurrent retriers don't
+// stampede in lockstep), and each later wait's ceiling doubles up to
+// retryMaxDelay: worst case ~15ms of backoff.
+const (
+	retryAttempts  = 5
+	retryBaseDelay = time.Millisecond
+	retryMaxDelay  = 100 * time.Millisecond
+)
 
 // Retry runs op until it succeeds, fails with a non-transient error, or
-// exhausts p.Attempts. The returned error keeps its class, so an
-// exhausted transient failure still reports IsTransient (callers decide
-// whether persistence upgrades it to fatal).
-func Retry(p RetryPolicy, op func() error) error {
-	return RetryContext(context.Background(), p, op)
+// exhausts the policy's attempts. The returned error keeps its class, so
+// an exhausted transient failure still reports IsTransient (callers
+// decide whether persistence upgrades it to fatal).
+func Retry(op func() error) error {
+	return RetryContext(context.Background(), 0, op)
 }
 
-// RetryContext is Retry bounded by ctx: the loop checks the context
-// before every attempt and every backoff sleep, and a sleep in progress
-// is cut short the moment the context dies — a task whose deadline has
-// already expired stops immediately instead of sleeping through the
-// remaining backoff. When the loop is abandoned mid-retry, the returned
-// error joins the context's cancellation cause (context.Cause, so a
-// watchdog's sentinel survives) with the last attempt's error; callers
-// can errors.Is against either.
-func RetryContext(ctx context.Context, p RetryPolicy, op func() error) error {
-	p = p.withDefaults()
-	delay := p.BaseDelay
+// RetryContext is Retry with at most attempts tries (attempts <= 0
+// means the policy's default), bounded by ctx: the loop checks the
+// context before every attempt and every backoff sleep, and a sleep in
+// progress is cut short the moment the context dies — a task whose
+// deadline has already expired stops immediately instead of sleeping
+// through the remaining backoff. When the loop is abandoned mid-retry,
+// the returned error joins the context's cancellation cause
+// (context.Cause, so a watchdog's sentinel survives) with the last
+// attempt's error; callers can errors.Is against either.
+func RetryContext(ctx context.Context, attempts int, op func() error) error {
+	return retry(ctx, attempts, sleep, op)
+}
+
+// retry is RetryContext with its clock seam: wait sleeps out one backoff
+// and reports the context's cause if the context died meanwhile.
+func retry(ctx context.Context, attempts int, wait func(context.Context, time.Duration) error, op func() error) error {
+	if attempts <= 0 {
+		attempts = retryAttempts
+	}
+	delay := retryBaseDelay
 	var err error
-	for attempt := 0; attempt < p.Attempts; attempt++ {
+	for attempt := 0; attempt < attempts; attempt++ {
 		if cerr := ctxCause(ctx); cerr != nil {
 			return abandoned(attempt, cerr, err)
 		}
 		if attempt > 0 {
-			if serr := p.sleep(ctx, time.Duration(rand.Int64N(int64(delay)+1))); serr != nil {
+			if serr := wait(ctx, time.Duration(rand.Int64N(int64(delay)+1))); serr != nil {
 				return abandoned(attempt, serr, err)
 			}
-			delay *= 2
-			if delay > p.MaxDelay {
-				delay = p.MaxDelay
-			}
+			delay = min(2*delay, retryMaxDelay)
 		}
 		err = op()
 		if err == nil || !IsTransient(err) {
 			return err
 		}
 	}
-	return fmt.Errorf("faultinject: %d attempts exhausted: %w", p.Attempts, err)
+	return fmt.Errorf("faultinject: %d attempts exhausted: %w", attempts, err)
 }
 
 // abandoned reports a retry loop cut short by its context. Before the
@@ -96,15 +78,8 @@ func abandoned(attempts int, cause, last error) error {
 }
 
 // sleep waits d or until ctx dies, whichever comes first, returning the
-// context's cause when it cut the wait short. A user-supplied Sleep (the
-// test clock seam) is called as-is and the context re-checked afterwards,
-// so a fake clock that cancels the context mid-"sleep" stops the loop
-// exactly like a real expired deadline.
-func (p RetryPolicy) sleep(ctx context.Context, d time.Duration) error {
-	if p.Sleep != nil {
-		p.Sleep(d)
-		return ctxCause(ctx)
-	}
+// context's cause when it cut the wait short.
+func sleep(ctx context.Context, d time.Duration) error {
 	if ctx.Done() == nil {
 		time.Sleep(d)
 		return nil

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// fakeClock drives RetryContext's Sleep seam without wall time: each
+// fakeClock drives the retry loop's sleep seam without wall time: each
 // "sleep" advances a virtual clock and, once it crosses the deadline,
 // cancels the context with context.DeadlineExceeded — exactly what a
 // real timer-backed context would have done mid-backoff.
@@ -18,7 +18,7 @@ type fakeClock struct {
 	sleeps   []time.Duration
 }
 
-func (c *fakeClock) sleep(d time.Duration) {
+func (c *fakeClock) sleep(ctx context.Context, d time.Duration) error {
 	c.sleeps = append(c.sleeps, d)
 	// Full jitter can draw a zero sleep; a real clock still advances, so
 	// the fake one ticks at least a nanosecond per wait.
@@ -26,6 +26,7 @@ func (c *fakeClock) sleep(d time.Duration) {
 	if c.deadline > 0 && c.now >= c.deadline && c.cancel != nil {
 		c.cancel(context.DeadlineExceeded)
 	}
+	return ctxCause(ctx)
 }
 
 // TestRetryContextDeadline is the deadline-interaction table: a retry
@@ -60,7 +61,7 @@ func TestRetryContextDeadline(t *testing.T) {
 		},
 		{
 			name: "expires during first backoff: one sleep, one op, no second op",
-			// BaseDelay is 1ms and the clock advances by the drawn jitter
+			// The base delay is 1ms and the clock advances by the drawn jitter
 			// (<= delay), so any positive deadline at or below the first
 			// sleep's span trips during that sleep. Use the smallest.
 			deadline:   time.Nanosecond,
@@ -78,7 +79,7 @@ func TestRetryContextDeadline(t *testing.T) {
 				cancel(context.DeadlineExceeded)
 			}
 			ops := 0
-			err := RetryContext(ctx, RetryPolicy{Attempts: 3, Sleep: clk.sleep}, func() error {
+			err := retry(ctx, 3, clk.sleep, func() error {
 				ops++
 				return transient
 			})
@@ -105,7 +106,7 @@ func TestRetryContextDeadline(t *testing.T) {
 func TestRetryContextPreCancelReturnsBareCause(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := RetryContext(ctx, RetryPolicy{Attempts: 3, Sleep: func(time.Duration) {}}, func() error {
+	err := RetryContext(ctx, 3, func() error {
 		t.Fatal("op must not run")
 		return nil
 	})
@@ -123,21 +124,21 @@ func TestRetryContextJoinsCauseAndLastError(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
 	clk := &fakeClock{deadline: time.Nanosecond, cancel: func(error) { cancel(stuck) }}
-	err := RetryContext(ctx, RetryPolicy{Attempts: 3, Sleep: clk.sleep}, func() error { return opErr })
+	err := retry(ctx, 3, clk.sleep, func() error { return opErr })
 	if !errors.Is(err, stuck) || !errors.Is(err, opErr) {
 		t.Fatalf("err = %v, want both the cause and the op error reachable", err)
 	}
 }
 
-// TestRetryContextRealSleepCutShort exercises the timer path (no Sleep
-// seam): a context that expires during a long backoff returns promptly
-// instead of serving the full delay.
+// TestRetryContextRealSleepCutShort exercises the timer path: a context
+// that expires during a long backoff returns promptly instead of serving
+// the full delay.
 func TestRetryContextRealSleepCutShort(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := RetryContext(ctx, RetryPolicy{Attempts: 2, BaseDelay: 10 * time.Second, MaxDelay: 10 * time.Second},
-		func() error { return MarkTransient(errors.New("transient")) })
+	long := func(ctx context.Context, _ time.Duration) error { return sleep(ctx, 10*time.Second) }
+	err := retry(ctx, 2, long, func() error { return MarkTransient(errors.New("transient")) })
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("retry slept %v through an expired context", elapsed)
 	}

@@ -485,8 +485,10 @@ func GenerateContext(ctx context.Context, target *profile.Profile, cfg synth.Con
 		}
 		failedSeeds = append(failedSeeds, acfg.Seed)
 		lastRep = rep
-		fmt.Fprintf(opts.Log, "fidelity: attempt %d/%d for %s failed; retrying with derived seed\n",
-			attempt, 1+opts.MaxRepair, target.Name)
+		if attempt < 1+opts.MaxRepair { // another attempt follows
+			fmt.Fprintf(opts.Log, "fidelity: attempt %d/%d for %s failed; retrying with derived seed\n",
+				attempt, 1+opts.MaxRepair, target.Name)
+		}
 	}
 	return nil, lastRep, fmt.Errorf("fidelity: clone of %q failed the fidelity gate after %d attempt(s):\n%s",
 		target.Name, 1+opts.MaxRepair, lastRep)

@@ -85,16 +85,22 @@ func TestBrokenGeneratorCaught(t *testing.T) {
 }
 
 // TestRepairLoopBoundedAndDeterministic: persistent failure runs exactly
-// 1+MaxRepair attempts with distinct derived seeds, deterministically.
+// 1+MaxRepair attempts with distinct derived seeds, deterministically,
+// and logs a retry only for the attempts another one follows.
 func TestRepairLoopBoundedAndDeterministic(t *testing.T) {
 	prof := collect(t, "qsort")
+	var log bytes.Buffer
 	run := func() (*Report, error) {
+		log.Reset()
 		_, rep, err := GenerateContext(context.Background(), prof, synth.Config{Seed: 5, TestBreakDepDist: true},
-			Options{MaxRepair: 2})
+			Options{MaxRepair: 2, Log: &log})
 		return rep, err
 	}
 	rep1, err1 := run()
 	rep2, err2 := run()
+	if got := strings.Count(log.String(), "retrying"); got != 2 || strings.Contains(log.String(), "attempt 3/3") {
+		t.Errorf("%d retry lines, want one each after attempts 1 and 2 of 3:\n%s", got, log.String())
+	}
 	if err1 == nil || err2 == nil {
 		t.Fatal("broken generator passed")
 	}

@@ -137,8 +137,6 @@ type Options struct {
 	// FS routes all WAL I/O (default faultinject.OS; chaos tests inject
 	// a FaultFS).
 	FS faultinject.FS
-	// Retry is the transient-failure policy for WAL I/O.
-	Retry faultinject.RetryPolicy
 	// Log receives greppable recovery/degradation lines (default stderr).
 	Log io.Writer
 	// Quota caps live (non-terminal) jobs per tenant (0 = unlimited).
@@ -154,11 +152,10 @@ type Options struct {
 // Queue is the durable job queue. All methods are safe for concurrent
 // use by the HTTP handlers and the worker pool.
 type Queue struct {
-	path  string
-	fs    faultinject.FS
-	retry faultinject.RetryPolicy
-	log   io.Writer
-	adm   *admission
+	path string
+	fs   faultinject.FS
+	log  io.Writer
+	adm  *admission
 
 	mu       sync.Mutex
 	f        faultinject.File
@@ -184,7 +181,6 @@ func Open(path string, opts Options) (*Queue, error) {
 	q := &Queue{
 		path:     path,
 		fs:       opts.FS,
-		retry:    opts.Retry,
 		log:      opts.Log,
 		adm:      newAdmission(opts),
 		jobs:     make(map[string]*Job),
@@ -192,7 +188,7 @@ func Open(path string, opts Options) (*Queue, error) {
 		nextSeq:  1,
 		wake:     make(chan struct{}),
 	}
-	if err := faultinject.Retry(q.retry, func() error {
+	if err := faultinject.Retry(func() error {
 		return q.fs.MkdirAll(filepath.Dir(path), 0o755)
 	}); err != nil {
 		return nil, fmt.Errorf("jobqueue: %w", err)
@@ -202,7 +198,7 @@ func Open(path string, opts Options) (*Queue, error) {
 		return nil, err
 	}
 	var f faultinject.File
-	err = faultinject.Retry(q.retry, func() error {
+	err = faultinject.Retry(func() error {
 		var err error
 		f, err = q.fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		return err
@@ -227,7 +223,7 @@ func Open(path string, opts Options) (*Queue, error) {
 // running jobs rewind to pending. It reports whether the WAL ends in a
 // torn append.
 func (q *Queue) replay() (tornTail bool, err error) {
-	jobs, dropped, tornTail, err := scanWAL(q.fs, q.retry, q.path)
+	jobs, dropped, tornTail, err := scanWAL(q.fs, q.path)
 	if errors.Is(err, iofs.ErrNotExist) {
 		return false, nil
 	}

@@ -32,7 +32,7 @@ func (q *Queue) appendLocked(j Job, sync bool) error {
 	if err != nil {
 		return fmt.Errorf("jobqueue: job %s: %w", j.ID, err)
 	}
-	err = faultinject.Retry(q.retry, func() error {
+	err = faultinject.Retry(func() error {
 		if err := q.wal.Write(line); err != nil || !sync {
 			return err
 		}
@@ -48,8 +48,8 @@ func (q *Queue) appendLocked(j Job, sync bool) error {
 // snapshots in record order (duplicates per ID included — the caller
 // applies last-wins), the number of dropped lines, and whether the file
 // ends mid-line (a crash tore the final append).
-func scanWAL(fsys faultinject.FS, retry faultinject.RetryPolicy, path string) (jobs []Job, dropped int, tornTail bool, err error) {
-	err = faultinject.Retry(retry, func() error {
+func scanWAL(fsys faultinject.FS, path string) (jobs []Job, dropped int, tornTail bool, err error) {
+	err = faultinject.Retry(func() error {
 		f, err := fsys.Open(path)
 		if err != nil {
 			return err
@@ -77,6 +77,6 @@ func scanWAL(fsys faultinject.FS, retry faultinject.RetryPolicy, path string) (j
 // line count. Chaos tests use it to assert replay invariants — e.g. at
 // most one terminal record per job (exactly-once commits).
 func ScanWAL(path string) ([]Job, int, error) {
-	jobs, dropped, _, err := scanWAL(faultinject.OS, faultinject.RetryPolicy{}, path)
+	jobs, dropped, _, err := scanWAL(faultinject.OS, path)
 	return jobs, dropped, err
 }

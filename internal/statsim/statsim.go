@@ -138,8 +138,6 @@ type Options struct {
 	// TraceLen is the synthetic trace length (default 1M, the length the
 	// statistical-simulation literature reports as sufficient).
 	TraceLen uint64
-	// Seed drives the trace generator.
-	Seed uint64
 }
 
 // Estimate generates a synthetic trace from the profile with the given
@@ -153,10 +151,7 @@ func Estimate(ctx context.Context, prof *profile.Profile, rates Rates, cfg uarch
 	if opts.TraceLen == 0 {
 		opts.TraceLen = 1_000_000
 	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	g := newTraceGen(prof, rates, cfg, opts.Seed)
+	g := newTraceGen(prof, rates, cfg)
 	return uarch.RunTrace(ctx, cfg, uarch.Limits{}, opts.TraceLen, g.next)
 }
 
@@ -193,8 +188,10 @@ const (
 	tgFPPoolN  = 16
 )
 
-func newTraceGen(prof *profile.Profile, rates Rates, cfg uarch.Config, seed uint64) *traceGen {
-	g := &traceGen{prof: prof, rates: rates, cfg: cfg, rng: seed | 1}
+// newTraceGen seeds every generator alike, so an estimate depends only
+// on its inputs.
+func newTraceGen(prof *profile.Profile, rates Rates, cfg uarch.Config) *traceGen {
+	g := &traceGen{prof: prof, rates: rates, cfg: cfg, rng: 1}
 	// Region layout: one hot line; an L2-resident region larger than L1D
 	// but smaller than L2; a memory region far larger than L2.
 	g.hitLine = 64

@@ -61,7 +61,7 @@ func (s *Store) Doctor() (*DoctorReport, error) {
 func (s *Store) doctorDir(rep *DoctorReport, sub, ext string, verify func(io.Reader) error) error {
 	dir := filepath.Join(s.dir, sub)
 	var entries []iofs.DirEntry
-	err := faultinject.Retry(s.retry, func() error {
+	err := faultinject.Retry(func() error {
 		var err error
 		entries, err = s.fs.ReadDir(dir)
 		return err
@@ -102,7 +102,7 @@ func (s *Store) sweepDebris(rep *DoctorReport, path string, e iofs.DirEntry) {
 	if err != nil || time.Since(info.ModTime()) < staleTempAge {
 		return
 	}
-	if err := faultinject.Retry(s.retry, func() error { return s.fs.Remove(path) }); err == nil {
+	if err := faultinject.Retry(func() error { return s.fs.Remove(path) }); err == nil {
 		rep.Cleaned = append(rep.Cleaned, path)
 		fmt.Fprintf(s.log, "store: doctor removed stale %s\n", path)
 	}

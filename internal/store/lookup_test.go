@@ -13,7 +13,6 @@ import (
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 
 	"perfclone/internal/dyntrace"
 	"perfclone/internal/faultinject"
@@ -242,8 +241,7 @@ func TestGetOrComputeWriteFaultDegraded(t *testing.T) {
 	for _, k := range lookupKinds(t) {
 		t.Run(k.name, func(t *testing.T) {
 			var log bytes.Buffer
-			st, err := Open(t.TempDir(), WithFS(failTempFS{faultinject.OS}), WithLog(&log),
-				WithRetry(faultinject.RetryPolicy{Sleep: func(time.Duration) {}}))
+			st, err := Open(t.TempDir(), WithFS(failTempFS{faultinject.OS}), WithLog(&log))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -59,7 +59,6 @@ type Store struct {
 	fs     faultinject.FS
 	strict bool
 	log    io.Writer
-	retry  faultinject.RetryPolicy
 
 	traceHits     atomic.Uint64
 	traceMisses   atomic.Uint64
@@ -82,9 +81,6 @@ func WithStrict(strict bool) Option { return func(s *Store) { s.strict = strict 
 // WithLog redirects the store's degradation warnings (default os.Stderr).
 func WithLog(w io.Writer) Option { return func(s *Store) { s.log = w } }
 
-// WithRetry overrides the transient-failure retry policy.
-func WithRetry(p faultinject.RetryPolicy) Option { return func(s *Store) { s.retry = p } }
-
 // Counters is a snapshot of the store's accounting; the CLI reports it
 // and the golden resume and chaos tests assert on it.
 type Counters struct {
@@ -101,7 +97,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		o(s)
 	}
 	for _, sub := range []string{"traces", "profiles", "checkpoints", "quarantine"} {
-		err := faultinject.Retry(s.retry, func() error {
+		err := faultinject.Retry(func() error {
 			return s.fs.MkdirAll(filepath.Join(dir, sub), 0o755)
 		})
 		if err != nil {
@@ -164,7 +160,7 @@ func (s *Store) profilePath(name, hash string, insts uint64) string {
 // transient faults with a fresh open each attempt. A missing file
 // surfaces as iofs.ErrNotExist.
 func (s *Store) readArtifact(path string, load func(io.Reader) error) error {
-	return faultinject.Retry(s.retry, func() error {
+	return faultinject.Retry(func() error {
 		f, err := s.fs.Open(path)
 		if err != nil {
 			return err
@@ -191,9 +187,9 @@ func (s *Store) degradeLoad(path string, err error) error {
 // warning. The artifact is counted once either way.
 func (s *Store) quarantine(path string, cause error) {
 	dest := filepath.Join(s.dir, "quarantine", filepath.Base(path))
-	err := faultinject.Retry(s.retry, func() error { return s.fs.Rename(path, dest) })
+	err := faultinject.Retry(func() error { return s.fs.Rename(path, dest) })
 	if err != nil {
-		if rerr := faultinject.Retry(s.retry, func() error { return s.fs.Remove(path) }); rerr == nil {
+		if rerr := faultinject.Retry(func() error { return s.fs.Remove(path) }); rerr == nil {
 			dest = "(deleted: quarantine rename failed)"
 		} else {
 			dest = "(left in place: quarantine failed)"
@@ -218,7 +214,7 @@ func (s *Store) LoadTrace(name string, p *prog.Program, budget uint64) (t *dyntr
 		// the trace adopts the mapping and unmaps it on Close; on any
 		// failure the mapping is dropped here and the error feeds the
 		// same degrade/quarantine policy as the copying path.
-		lerr = faultinject.Retry(s.retry, func() error {
+		lerr = faultinject.Retry(func() error {
 			data, release, err := m.Map(path)
 			if err != nil {
 				return err
@@ -348,7 +344,7 @@ func (s *Store) saveArtifact(path string, write func(io.Writer) error) error {
 // It takes no lock: concurrent writers of one path each rename their own
 // temp file into place, and all of them install the same bytes.
 func (s *Store) atomicWrite(path string, write func(w io.Writer) error) error {
-	return faultinject.Retry(s.retry, func() error {
+	return faultinject.Retry(func() error {
 		if err := faultinject.CommitFile(s.fs, path, write); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}

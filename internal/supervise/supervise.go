@@ -115,9 +115,6 @@ type Spec struct {
 	// tick-free span of the work (the pipeline's loops tick at least
 	// every 64 Ki instructions); 0 disables the watchdog.
 	Quiet time.Duration
-	// Backoff overrides the retry backoff (zero value = faultinject
-	// defaults, ~15ms worst case).
-	Backoff faultinject.RetryPolicy
 }
 
 // Counts aggregates task outcomes across a Supervisor's lifetime.
@@ -189,10 +186,8 @@ func (s *Supervisor) Run(ctx context.Context, spec Spec, fn func(context.Context
 	if spec.Name == "" {
 		spec.Name = "task"
 	}
-	pol := spec.Backoff
-	pol.Attempts = spec.Retries + 1
 	attempt := 0
-	err := faultinject.RetryContext(ctx, pol, func() error {
+	err := faultinject.RetryContext(ctx, spec.Retries+1, func() error {
 		attempt++
 		return s.runOnce(ctx, spec, attempt, fn)
 	})

@@ -15,9 +15,6 @@ import (
 	"perfclone/internal/faultinject"
 )
 
-// noBackoff keeps retry tests wall-time free.
-var noBackoff = faultinject.RetryPolicy{BaseDelay: time.Nanosecond, MaxDelay: time.Nanosecond, Sleep: func(time.Duration) {}}
-
 func TestCauseNilWhileLive(t *testing.T) {
 	if err := Cause(context.Background()); err != nil {
 		t.Fatalf("Cause(live ctx) = %v, want nil", err)
@@ -79,7 +76,7 @@ func TestRunRetriesTransientAndLogsRecovered(t *testing.T) {
 	var log bytes.Buffer
 	s := New(Options{Log: &log})
 	calls := 0
-	err := s.Run(context.Background(), Spec{Name: "fig4/crc32", Retries: 2, Backoff: noBackoff}, func(ctx context.Context) error {
+	err := s.Run(context.Background(), Spec{Name: "fig4/crc32", Retries: 2}, func(ctx context.Context) error {
 		calls++
 		if a := AttemptFrom(ctx); a != calls {
 			t.Fatalf("AttemptFrom = %d on call %d", a, calls)
@@ -108,7 +105,7 @@ func TestRunDoesNotRetryNonTransient(t *testing.T) {
 	s := New(Options{Log: &bytes.Buffer{}})
 	calls := 0
 	fatal := errors.New("bad input")
-	err := s.Run(context.Background(), Spec{Name: "t", Retries: 3, Backoff: noBackoff}, func(context.Context) error {
+	err := s.Run(context.Background(), Spec{Name: "t", Retries: 3}, func(context.Context) error {
 		calls++
 		return fatal
 	})
@@ -126,7 +123,7 @@ func TestRunDoesNotRetryNonTransient(t *testing.T) {
 func TestRunExhaustedRetriesFails(t *testing.T) {
 	s := New(Options{Log: &bytes.Buffer{}})
 	calls := 0
-	err := s.Run(context.Background(), Spec{Name: "t", Retries: 1, Backoff: noBackoff}, func(context.Context) error {
+	err := s.Run(context.Background(), Spec{Name: "t", Retries: 1}, func(context.Context) error {
 		calls++
 		return faultinject.MarkTransient(errors.New("always"))
 	})
@@ -161,7 +158,7 @@ func TestRunRecoversPanicAndRetries(t *testing.T) {
 	var log bytes.Buffer
 	s := New(Options{Log: &log})
 	calls := 0
-	err := s.Run(context.Background(), Spec{Name: "fig6/sha", Retries: 1, Backoff: noBackoff}, func(context.Context) error {
+	err := s.Run(context.Background(), Spec{Name: "fig6/sha", Retries: 1}, func(context.Context) error {
 		calls++
 		if calls == 1 {
 			panic("index out of range [simulated]")
@@ -204,7 +201,7 @@ func TestWatchdogKillsQuietTaskAndRetries(t *testing.T) {
 	var log bytes.Buffer
 	s := New(Options{Log: &log})
 	calls := 0
-	err := s.Run(context.Background(), Spec{Name: "fig4/crc32", Retries: 1, Quiet: 50 * time.Millisecond, Backoff: noBackoff},
+	err := s.Run(context.Background(), Spec{Name: "fig4/crc32", Retries: 1, Quiet: 50 * time.Millisecond},
 		func(ctx context.Context) error {
 			calls++
 			if calls == 1 {
@@ -253,7 +250,7 @@ func TestWatchdogSparedByHeartbeats(t *testing.T) {
 
 func TestWatchdogErrorIsErrStuckEvenWhenCalleeMangles(t *testing.T) {
 	s := New(Options{Log: &bytes.Buffer{}})
-	err := s.Run(context.Background(), Spec{Name: "t", Quiet: 30 * time.Millisecond, Backoff: noBackoff},
+	err := s.Run(context.Background(), Spec{Name: "t", Quiet: 30 * time.Millisecond},
 		func(ctx context.Context) error {
 			<-ctx.Done()
 			// A callee that loses the cause and reports the bare ctx error.
@@ -268,7 +265,7 @@ func TestWedgeHookRecoversEndToEnd(t *testing.T) {
 	var log bytes.Buffer
 	s := New(Options{Log: &log, Wedge: "fig4/crc32"})
 	var ran atomic.Int32
-	err := s.Run(context.Background(), Spec{Name: "fig4/crc32", Retries: 1, Quiet: 50 * time.Millisecond, Backoff: noBackoff},
+	err := s.Run(context.Background(), Spec{Name: "fig4/crc32", Retries: 1, Quiet: 50 * time.Millisecond},
 		func(ctx context.Context) error {
 			ran.Add(1)
 			Beat(ctx)
@@ -348,7 +345,7 @@ func TestSummaryCountersConcurrent(t *testing.T) {
 			}
 			for i := 0; i < recRuns; i++ {
 				first := true
-				err := s.Run(ctx, Spec{Name: fmt.Sprintf("rec/%d-%d", g, i), Retries: 1, Backoff: noBackoff}, func(context.Context) error {
+				err := s.Run(ctx, Spec{Name: fmt.Sprintf("rec/%d-%d", g, i), Retries: 1}, func(context.Context) error {
 					if first {
 						first = false
 						return faultinject.MarkTransient(errors.New("flaky"))
@@ -360,7 +357,7 @@ func TestSummaryCountersConcurrent(t *testing.T) {
 				}
 			}
 			for i := 0; i < failRuns; i++ {
-				err := s.Run(ctx, Spec{Name: fmt.Sprintf("fail/%d-%d", g, i), Retries: 2, Backoff: noBackoff}, func(context.Context) error {
+				err := s.Run(ctx, Spec{Name: fmt.Sprintf("fail/%d-%d", g, i), Retries: 2}, func(context.Context) error {
 					return errors.New("hard failure")
 				})
 				if err == nil {
@@ -369,7 +366,7 @@ func TestSummaryCountersConcurrent(t *testing.T) {
 			}
 			for i := 0; i < panicRuns; i++ {
 				first := true
-				err := s.Run(ctx, Spec{Name: fmt.Sprintf("panic/%d-%d", g, i), Retries: 1, Backoff: noBackoff}, func(context.Context) error {
+				err := s.Run(ctx, Spec{Name: fmt.Sprintf("panic/%d-%d", g, i), Retries: 1}, func(context.Context) error {
 					if first {
 						first = false
 						panic("boom")

@@ -26,8 +26,6 @@ type Config struct {
 	ROBSize int
 	// LSQSize is the load/store queue capacity.
 	LSQSize int
-	// FetchQueue is the fetch-queue depth.
-	FetchQueue int
 	// InOrder forces in-order issue (design change 5).
 	InOrder bool
 	// Functional units.
@@ -56,8 +54,8 @@ type Config struct {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Width <= 0 || c.ROBSize <= 0 || c.LSQSize <= 0 || c.FetchQueue <= 0 {
-		return fmt.Errorf("uarch: bad width/rob/lsq/fetchq %d/%d/%d/%d", c.Width, c.ROBSize, c.LSQSize, c.FetchQueue)
+	if c.Width <= 0 || c.ROBSize <= 0 || c.LSQSize <= 0 {
+		return fmt.Errorf("uarch: bad width/rob/lsq %d/%d/%d", c.Width, c.ROBSize, c.LSQSize)
 	}
 	if c.IntALUs <= 0 || c.FPALUs <= 0 || c.FPMulDiv <= 0 || c.IntMulDiv <= 0 || c.MemPorts <= 0 {
 		return fmt.Errorf("uarch: every functional-unit pool needs at least one unit")
@@ -77,16 +75,16 @@ func (c Config) Validate() error {
 }
 
 // BaseConfig returns the paper's Table 2 base configuration: 1-wide
-// out-of-order, 16-entry ROB, 8-entry LSQ, 8-entry fetch queue, 2 integer
-// ALUs, 1 FP multiplier, 1 FP ALU, 2-level GAp predictor, 16 KB 2-way L1
-// caches with 32 B lines, 64 KB 4-way L2 with 64 B lines, 40-cycle memory.
+// out-of-order, 16-entry ROB, 8-entry LSQ, 2 integer ALUs, 1 FP
+// multiplier, 1 FP ALU, 2-level GAp predictor, 16 KB 2-way L1 caches with
+// 32 B lines, 64 KB 4-way L2 with 64 B lines, 40-cycle memory. Table 2's
+// 8-entry fetch queue is not modelled: fetch feeds dispatch directly.
 func BaseConfig() Config {
 	return Config{
 		Name:              "base",
 		Width:             1,
 		ROBSize:           16,
 		LSQSize:           8,
-		FetchQueue:        8,
 		IntALUs:           2,
 		IntMulDiv:         1,
 		FPALUs:            1,

@@ -134,7 +134,6 @@ func fuzzConfig(b []byte) uarch.Config {
 		if k := next() % 10; k > 0 {
 			c.Assoc = 1 << (k - 1)
 		}
-		c.Replacement = []cache.Policy{cache.PolicyLRU, cache.PolicyFIFO, cache.PolicyRandom}[next()%3]
 		return c
 	}
 	predictors := []uarch.PredictorSpec{"gap", "not-taken", "taken", "bimodal", "gshare", "unknown"}
@@ -143,7 +142,6 @@ func fuzzConfig(b []byte) uarch.Config {
 		Width:             next() % 17,
 		ROBSize:           next(),
 		LSQSize:           next(),
-		FetchQueue:        next(),
 		InOrder:           next()&1 == 1,
 		IntALUs:           next() % 5,
 		IntMulDiv:         next() % 5,
@@ -218,13 +216,13 @@ func FuzzReplay(f *testing.F) {
 		empties = append(empties, dyntrace.FromColumns(w.Build(), nil, nil, nil, nil, 0, false))
 	}
 	base := []byte{
-		1, 16, 8, 8, 0, 2, 1, 1, 1, 1, 0, 3, 0, // Table 2 core, GAp
-		14, 5, 2, 0, 14, 5, 2, 0, 16, 6, 3, 0, // 16 KB 2-way L1s, 64 KB 4-way L2
+		1, 16, 8, 0, 2, 1, 1, 1, 1, 0, 3, 0, // Table 2 core, GAp
+		14, 5, 2, 14, 5, 2, 16, 6, 3, // 16 KB 2-way L1s, 64 KB 4-way L2
 		1, 6, 40,
 	}
 	wide := []byte{
-		4, 64, 32, 16, 0, 4, 2, 2, 2, 2, 4, 7, 1, // gshare, prefetch
-		10, 4, 0, 1, 8, 3, 2, 2, 12, 6, 1, 0, // full-assoc FIFO L1I, tiny random L1D
+		4, 64, 32, 0, 4, 2, 2, 2, 2, 4, 7, 1, // gshare, prefetch
+		10, 4, 0, 8, 3, 2, 12, 6, 1, // full-assoc L1I, tiny L1D
 		2, 9, 200,
 	}
 	want := uarch.BaseConfig()
@@ -233,7 +231,7 @@ func FuzzReplay(f *testing.F) {
 		f.Fatalf("seed configurations decode wrong: base %+v", got)
 	}
 	inOrder := slices.Clone(base)
-	inOrder[4] = 1
+	inOrder[3] = 1
 	stream := []byte{0, 0, 0}
 	for i := range 600 {
 		stream = binary.LittleEndian.AppendUint16(stream, uint16(i*7919))
