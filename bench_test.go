@@ -63,7 +63,7 @@ func freshPairs(b *testing.B, opts experiments.Options) []*experiments.Pair {
 // trace on the base configuration.
 func timeBase(b *testing.B, p *prog.Program, lim uarch.Limits) uarch.Stats {
 	b.Helper()
-	t, err := dyntrace.Capture(p, lim.MaxInsts)
+	t, err := dyntrace.CaptureContext(context.Background(), p, lim.MaxInsts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -236,11 +236,11 @@ func BenchmarkAblationContext(b *testing.B) {
 				b.Fatal(err)
 			}
 			p := w.Build()
-			prof, err := profile.Collect(p, profile.Options{MaxInsts: 400_000, PerBlockNodes: perBlock})
+			prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: 400_000, PerBlockNodes: perBlock})
 			if err != nil {
 				b.Fatal(err)
 			}
-			clone, err := synth.Generate(prof, synth.Config{})
+			clone, err := synth.GenerateContext(context.Background(), prof, synth.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -273,11 +273,11 @@ func BenchmarkAblationBranchModel(b *testing.B) {
 				b.Fatal(err)
 			}
 			p := w.Build()
-			prof, err := profile.Collect(p, profile.Options{MaxInsts: 400_000})
+			prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: 400_000})
 			if err != nil {
 				b.Fatal(err)
 			}
-			clone, err := synth.Generate(prof, synth.Config{TakenRateOnlyBranches: takenOnly})
+			clone, err := synth.GenerateContext(context.Background(), prof, synth.Config{TakenRateOnlyBranches: takenOnly})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -306,7 +306,7 @@ func BenchmarkBaselineTraining(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := w.Build()
-	prof, err := profile.Collect(p, profile.Options{MaxInsts: 300_000})
+	prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: 300_000})
 	if err != nil {
 		b.Fatal(err)
 	}

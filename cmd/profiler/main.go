@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -44,7 +45,7 @@ func run(name string, asJSON, asDot bool, maxInsts uint64) error {
 	if err != nil {
 		return err
 	}
-	prof, err := profile.Collect(w.Build(), profile.Options{MaxInsts: maxInsts})
+	prof, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{MaxInsts: maxInsts})
 	if err != nil {
 		return err
 	}

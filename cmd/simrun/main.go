@@ -86,12 +86,13 @@ func run(name, file string, useClone, useStatsim bool, cfgName string, insts, wa
 		}
 		p = w.Build()
 	}
+	ctx := context.Background()
 	if useClone {
-		prof, err := profile.Collect(p, profile.Options{MaxInsts: profile.DefaultMaxInsts})
+		prof, err := profile.CollectContext(ctx, p, profile.Options{MaxInsts: profile.DefaultMaxInsts})
 		if err != nil {
 			return err
 		}
-		clone, err := synth.Generate(prof, synth.Config{})
+		clone, err := synth.GenerateContext(ctx, prof, synth.Config{})
 		if err != nil {
 			return err
 		}
@@ -105,11 +106,10 @@ func run(name, file string, useClone, useStatsim bool, cfgName string, insts, wa
 	if useStatsim && insts != 0 {
 		captureInsts = max(insts, profile.DefaultMaxInsts)
 	}
-	t, err := dyntrace.Capture(p, captureInsts)
+	t, err := dyntrace.CaptureContext(ctx, p, captureInsts)
 	if err != nil {
 		return err
 	}
-	ctx := context.Background()
 	var st uarch.Stats
 	if useStatsim {
 		prof, err := profile.FromTrace(ctx, t, profile.Options{MaxInsts: profile.DefaultMaxInsts})

@@ -75,7 +75,7 @@ func parseSize(s string) (int, error) {
 
 // loadProfile reads the profile from profIn, or collects the named
 // workload's through the store (a nil store just collects).
-func loadProfile(name, profIn, storeDir string, strictStore bool) (*profile.Profile, error) {
+func loadProfile(ctx context.Context, name, profIn, storeDir string, strictStore bool) (*profile.Profile, error) {
 	if profIn != "" {
 		f, err := os.Open(profIn)
 		if err != nil {
@@ -97,7 +97,7 @@ func loadProfile(name, profIn, storeDir string, strictStore bool) (*profile.Prof
 		}
 	}
 	prof, _, err := st.Profile(name, p, profile.DefaultMaxInsts, func() (*profile.Profile, error) {
-		return profile.Collect(p, profile.Options{MaxInsts: profile.DefaultMaxInsts})
+		return profile.CollectContext(ctx, p, profile.Options{MaxInsts: profile.DefaultMaxInsts})
 	})
 	return prof, err
 }
@@ -120,17 +120,16 @@ func run(stdout, stderr io.Writer, name, profIn string, n int, replay, storeDir 
 			return err
 		}
 	}
-	prof, err := loadProfile(name, profIn, storeDir, strictStore)
+	ctx := context.Background()
+	prof, err := loadProfile(ctx, name, profIn, storeDir, strictStore)
 	if err != nil {
 		return err
 	}
-
-	ctx := context.Background()
 	clone, err := synth.GenerateContext(ctx, prof, synth.Config{})
 	if err != nil {
 		return err
 	}
-	tr, err := dyntrace.Capture(clone.Program, 0)
+	tr, err := dyntrace.CaptureContext(ctx, clone.Program, 0)
 	if err != nil {
 		return err
 	}

@@ -35,7 +35,7 @@ func cloneStream(t *testing.T, name string) (profPath string, refs []ref, firstC
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := profile.Collect(w.Build(), profile.Options{MaxInsts: profile.DefaultMaxInsts})
+	prof, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{MaxInsts: profile.DefaultMaxInsts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +50,11 @@ func cloneStream(t *testing.T, name string) (profPath string, refs []ref, firstC
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	clone, err := synth.Generate(prof, synth.Config{})
+	clone, err := synth.GenerateContext(context.Background(), prof, synth.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := dyntrace.Capture(clone.Program, 0)
+	tr, err := dyntrace.CaptureContext(context.Background(), clone.Program, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +157,15 @@ func TestReplayMatchesStandaloneCaches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := cache.MustNew(cache.Config{Size: size, Assoc: 2, LineSize: 32})
+		cfg := cache.Config{Size: size, Assoc: 2, LineSize: 32}
+		c := cache.MustNew(cfg)
 		for _, r := range refs {
 			c.Access(r.addr, r.write)
 		}
 		st := c.Stats()
 		writebacks += st.Writebacks
 		fmt.Fprintf(&want, "rsynth on %s: %d accesses, %.3f%% miss, %d writebacks\n",
-			c.Config(), st.Accesses, 100*st.MissRate(), st.Writebacks)
+			cfg, st.Accesses, 100*st.MissRate(), st.Writebacks)
 	}
 	if replayed != want.String() {
 		t.Errorf("-replay output\n%s\nstandalone caches\n%s", replayed, want.String())

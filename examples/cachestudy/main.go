@@ -35,11 +35,12 @@ func main() {
 		log.Fatal(err)
 	}
 	app := w.Build()
-	prof, err := profile.Collect(app, profile.Options{MaxInsts: 1_000_000})
+	ctx := context.Background()
+	prof, err := profile.CollectContext(ctx, app, profile.Options{MaxInsts: 1_000_000})
 	if err != nil {
 		log.Fatal(err)
 	}
-	clone, err := synth.Generate(prof, synth.Config{})
+	clone, err := synth.GenerateContext(ctx, prof, synth.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,11 +49,11 @@ func main() {
 	// replays the captured data-reference stream through all 28 caches.
 	cfgs := cache.Sweep28()
 	mpi := func(p *prog.Program) []float64 {
-		t, err := dyntrace.Capture(p, 1_000_000)
+		t, err := dyntrace.CaptureContext(ctx, p, 1_000_000)
 		if err != nil {
 			log.Fatal(err)
 		}
-		v, err := experiments.CacheMPI(context.Background(), t, cfgs, 1_000_000)
+		v, err := experiments.CacheMPI(ctx, t, cfgs, 1_000_000)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -26,13 +26,13 @@ import (
 // measure captures p's first 500k instructions once and replays the trace
 // on every configuration in a single fused walk, returning each
 // configuration's IPC and average power.
-func measure(p *prog.Program, cfgs []uarch.Config) (ipc, pw []float64, err error) {
+func measure(ctx context.Context, p *prog.Program, cfgs []uarch.Config) (ipc, pw []float64, err error) {
 	lim := uarch.Limits{Warmup: 150_000, MaxInsts: 500_000}
-	t, err := dyntrace.Capture(p, lim.MaxInsts)
+	t, err := dyntrace.CaptureContext(ctx, p, lim.MaxInsts)
 	if err != nil {
 		return nil, nil, err
 	}
-	sts, err := uarch.ReplayMultiWorkers(context.Background(), t, cfgs, lim, 1)
+	sts, err := uarch.ReplayMultiWorkers(ctx, t, cfgs, lim, 1)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -53,11 +53,12 @@ func main() {
 		log.Fatal(err)
 	}
 	app := w.Build()
-	prof, err := profile.Collect(app, profile.Options{MaxInsts: 1_000_000})
+	ctx := context.Background()
+	prof, err := profile.CollectContext(ctx, app, profile.Options{MaxInsts: 1_000_000})
 	if err != nil {
 		log.Fatal(err)
 	}
-	clone, err := synth.Generate(prof, synth.Config{})
+	clone, err := synth.GenerateContext(ctx, prof, synth.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,11 +70,11 @@ func main() {
 	for _, ch := range changes {
 		cfgs = append(cfgs, ch.Apply(base))
 	}
-	realIPC, realPow, err := measure(app, cfgs)
+	realIPC, realPow, err := measure(ctx, app, cfgs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cloneIPC, clonePow, err := measure(clone.Program, cfgs)
+	cloneIPC, clonePow, err := measure(ctx, clone.Program, cfgs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,10 +33,11 @@ func main() {
 		log.Fatal(err)
 	}
 	app := w.Build()
+	ctx := context.Background()
 
 	// 2. Profile its microarchitecture-independent characteristics
 	//    (instruction mix, SFG, strides, branch transition rates).
-	prof, err := profile.Collect(app, profile.Options{MaxInsts: 1_000_000})
+	prof, err := profile.CollectContext(ctx, app, profile.Options{MaxInsts: 1_000_000})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func main() {
 		prof.Name, prof.TotalInsts, len(prof.NodeList), 100*prof.StrideCoverage())
 
 	// 3. Generate the synthetic benchmark clone.
-	clone, err := synth.Generate(prof, synth.Config{})
+	clone, err := synth.GenerateContext(ctx, prof, synth.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,11 +57,11 @@ func main() {
 	//    model.
 	lim := uarch.Limits{Warmup: 150_000, MaxInsts: 500_000}
 	timed := func(p *prog.Program) uarch.Stats {
-		t, err := dyntrace.Capture(p, lim.MaxInsts)
+		t, err := dyntrace.CaptureContext(ctx, p, lim.MaxInsts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		st, err := uarch.ReplayContext(context.Background(), t, uarch.BaseConfig(), lim)
+		st, err := uarch.ReplayContext(ctx, t, uarch.BaseConfig(), lim)
 		if err != nil {
 			log.Fatal(err)
 		}

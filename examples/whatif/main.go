@@ -46,7 +46,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof, err := profile.Collect(w.Build(), profile.Options{MaxInsts: 1_000_000})
+	ctx := context.Background()
+	prof, err := profile.CollectContext(ctx, w.Build(), profile.Options{MaxInsts: 1_000_000})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,16 +67,16 @@ func main() {
 	fmt.Println("what-if study on gsm's memory behaviour (base configuration)")
 	fmt.Printf("\n%-18s %8s %10s %10s\n", "scenario", "IPC", "L1D miss", "L2 miss")
 	for _, sc := range scenarios {
-		clone, err := synth.Generate(sc, synth.Config{})
+		clone, err := synth.GenerateContext(ctx, sc, synth.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		lim := uarch.Limits{Warmup: 150_000, MaxInsts: 500_000}
-		t, err := dyntrace.Capture(clone.Program, lim.MaxInsts)
+		t, err := dyntrace.CaptureContext(ctx, clone.Program, lim.MaxInsts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		st, err := uarch.ReplayContext(context.Background(), t, base, lim)
+		st, err := uarch.ReplayContext(ctx, t, base, lim)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -21,7 +21,7 @@ func prep(t *testing.T, name string) (*profile.Profile, TrainingConfig, *synth.C
 		t.Fatal(err)
 	}
 	p := w.Build()
-	prof, err := profile.Collect(p, profile.Options{MaxInsts: 300_000})
+	prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: 300_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestRewriteProfileReplacesModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := profile.Collect(w.Build(), profile.Options{MaxInsts: 200_000})
+	prof, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{MaxInsts: 200_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +128,11 @@ func TestBaselineDriftsOffTrainingPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := w.Build()
-	prof, err := profile.Collect(p, profile.Options{MaxInsts: 300_000})
+	prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: 300_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	indep, err := synth.Generate(prof, synth.Config{})
+	indep, err := synth.GenerateContext(context.Background(), prof, synth.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestCalibrateCancelledWithinOneCandidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := w.Build()
-	prof, err := profile.Collect(p, profile.Options{MaxInsts: 200_000})
+	prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: 200_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestCalibrateCancelledWithinOneCandidate(t *testing.T) {
 	if beats < 12 {
 		t.Fatalf("live search ticked %d times, want >= 12 (one per candidate)", beats)
 	}
-	again, err := synth.Generate(rewritten, synth.Config{})
+	again, err := synth.GenerateContext(context.Background(), rewritten, synth.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

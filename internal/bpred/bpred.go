@@ -12,25 +12,6 @@ type Predictor interface {
 	Predict(pc uint64) bool
 	// Update trains the predictor with the resolved direction.
 	Update(pc uint64, taken bool)
-	// Name identifies the predictor in reports.
-	Name() string
-	// Reset clears all state.
-	Reset()
-}
-
-// Stats tracks prediction accuracy. Callers drive it: record one Lookup
-// per prediction.
-type Stats struct {
-	Lookups uint64
-	Mispred uint64
-}
-
-// MispredRate is Mispred/Lookups.
-func (s Stats) MispredRate() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.Mispred) / float64(s.Lookups)
 }
 
 // counter is a 2-bit saturating counter; ≥2 predicts taken.
@@ -60,12 +41,6 @@ func (NotTaken) Predict(uint64) bool { return false }
 // Update implements Predictor.
 func (NotTaken) Update(uint64, bool) {}
 
-// Name implements Predictor.
-func (NotTaken) Name() string { return "not-taken" }
-
-// Reset implements Predictor.
-func (NotTaken) Reset() {}
-
 // Taken always predicts taken.
 type Taken struct{}
 
@@ -74,12 +49,6 @@ func (Taken) Predict(uint64) bool { return true }
 
 // Update implements Predictor.
 func (Taken) Update(uint64, bool) {}
-
-// Name implements Predictor.
-func (Taken) Name() string { return "taken" }
-
-// Reset implements Predictor.
-func (Taken) Reset() {}
 
 // Bimodal is a table of 2-bit counters indexed by PC.
 type Bimodal struct {
@@ -103,16 +72,6 @@ func (b *Bimodal) Predict(pc uint64) bool { return b.table[b.idx(pc)].taken() }
 func (b *Bimodal) Update(pc uint64, taken bool) {
 	i := b.idx(pc)
 	b.table[i] = b.table[i].update(taken)
-}
-
-// Name implements Predictor.
-func (b *Bimodal) Name() string { return fmt.Sprintf("bimodal-%d", len(b.table)) }
-
-// Reset implements Predictor.
-func (b *Bimodal) Reset() {
-	for i := range b.table {
-		b.table[i] = 0
-	}
 }
 
 // GAp is the paper's base predictor (Table 2): a two-level predictor with
@@ -162,21 +121,6 @@ func (g *GAp) Update(pc uint64, taken bool) {
 	}
 }
 
-// Name implements Predictor.
-func (g *GAp) Name() string {
-	return fmt.Sprintf("gap-%dx%d", len(g.hist), g.histBits)
-}
-
-// Reset implements Predictor.
-func (g *GAp) Reset() {
-	for i := range g.hist {
-		g.hist[i] = 0
-	}
-	for i := range g.pht {
-		g.pht[i] = 0
-	}
-}
-
 // GShare XORs a global history register with the PC to index one pattern
 // table.
 type GShare struct {
@@ -207,17 +151,6 @@ func (g *GShare) Update(pc uint64, taken bool) {
 	g.hist = (g.hist << 1) & ((1 << g.histBits) - 1)
 	if taken {
 		g.hist |= 1
-	}
-}
-
-// Name implements Predictor.
-func (g *GShare) Name() string { return fmt.Sprintf("gshare-%d", len(g.pht)) }
-
-// Reset implements Predictor.
-func (g *GShare) Reset() {
-	g.hist = 0
-	for i := range g.pht {
-		g.pht[i] = 0
 	}
 }
 

@@ -34,7 +34,7 @@ func TestBimodalLearnsBias(t *testing.T) {
 	if m := train(p, 0x4000, func(int) bool { return true }, 1000); m > 0.01 {
 		t.Errorf("bimodal on constant-taken: %f", m)
 	}
-	p.Reset()
+	p = NewBimodal(1024)
 	// 90% taken: bimodal should approach the 10% floor.
 	s := uint64(7)
 	if m := train(p, 0x4000, func(int) bool {
@@ -89,18 +89,7 @@ func TestRandomSequenceFloor(t *testing.T) {
 	for _, p := range []Predictor{NewGAp(512, 8), NewBimodal(1024), NewGShare(4096, 12)} {
 		m := train(p, 0x900, seq, 20000)
 		if m < 0.08 || m > 0.30 {
-			t.Errorf("%s on iid 0.875: %f (should be near the 0.125 floor)", p.Name(), m)
-		}
-	}
-}
-
-func TestReset(t *testing.T) {
-	preds := []Predictor{NewGAp(512, 8), NewBimodal(1024), NewGShare(4096, 12)}
-	for _, p := range preds {
-		train(p, 0x40, func(int) bool { return true }, 100)
-		p.Reset()
-		if p.Predict(0x40) {
-			t.Errorf("%s: prediction survived Reset", p.Name())
+			t.Errorf("%T on iid 0.875: %f (should be near the 0.125 floor)", p, m)
 		}
 	}
 }
@@ -140,16 +129,6 @@ func TestPredictorsAreDeterministic(t *testing.T) {
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMispredRateHelper(t *testing.T) {
-	s := Stats{Lookups: 100, Mispred: 12}
-	if s.MispredRate() != 0.12 {
-		t.Fatal("rate")
-	}
-	if (Stats{}).MispredRate() != 0 {
-		t.Fatal("zero lookups")
 	}
 }
 

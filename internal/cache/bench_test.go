@@ -46,7 +46,7 @@ func BenchmarkReplaySet28Stream(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, err := dyntrace.Capture(w.Build(), 1_000_000)
+	tr, err := dyntrace.CaptureContext(context.Background(), w.Build(), 1_000_000)
 	if err != nil {
 		b.Fatal(err)
 	}

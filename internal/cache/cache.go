@@ -95,7 +95,6 @@ type line struct {
 // Cache is one level of set-associative cache with true-LRU replacement
 // (the policy the paper fixes for all 28 configurations).
 type Cache struct {
-	cfg       Config
 	sets      [][]line
 	setMask   uint64
 	lineShift uint
@@ -110,7 +109,6 @@ func New(cfg Config) (*Cache, error) {
 	}
 	nsets, ways := cfg.geometry()
 	c := &Cache{
-		cfg:       cfg,
 		sets:      make([][]line, nsets),
 		setMask:   uint64(nsets - 1),
 		lineShift: log2(uint64(cfg.LineSize)),
@@ -151,24 +149,12 @@ func log2(v uint64) uint {
 	return n
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
 // ResetStats zeroes the counters but keeps the cache contents — used at
 // the end of a measurement warmup phase.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
-
-// Reset clears contents and statistics.
-func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		clear(set)
-	}
-	c.clock = 0
-	c.stats = Stats{}
-}
 
 // lookup finds the way of set holding tag, or -1.
 func lookup(set []line, tag uint64) int {

@@ -119,16 +119,16 @@ func TestReplaySetMatchesCachesOnWorkloadTraces(t *testing.T) {
 				t.Fatal(err)
 			}
 			real := w.Build()
-			prof, err := profile.Collect(real, profile.Options{MaxInsts: 1_000_000})
+			prof, err := profile.CollectContext(context.Background(), real, profile.Options{MaxInsts: 1_000_000})
 			if err != nil {
 				t.Fatal(err)
 			}
-			clone, err := synth.Generate(prof, synth.Config{})
+			clone, err := synth.GenerateContext(context.Background(), prof, synth.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, p := range []*prog.Program{real, clone.Program} {
-				tr, err := dyntrace.Capture(p, budget)
+				tr, err := dyntrace.CaptureContext(context.Background(), p, budget)
 				if err != nil {
 					t.Fatal(err)
 				}

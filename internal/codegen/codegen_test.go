@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,11 +17,11 @@ func cloneOf(t *testing.T, name string) *synth.Clone {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := profile.Collect(w.Build(), profile.Options{MaxInsts: 200_000})
+	prof, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{MaxInsts: 200_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := synth.Generate(prof, synth.Config{})
+	c, err := synth.GenerateContext(context.Background(), prof, synth.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

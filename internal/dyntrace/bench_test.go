@@ -1,6 +1,7 @@
 package dyntrace_test
 
 import (
+	"context"
 	"testing"
 
 	"perfclone/internal/dyntrace"
@@ -22,11 +23,11 @@ func BenchmarkCapture(b *testing.B) {
 		b.Fatal(err)
 	}
 	real := w.Build()
-	prof, err := profile.Collect(real, profile.Options{MaxInsts: profile.DefaultMaxInsts})
+	prof, err := profile.CollectContext(context.Background(), real, profile.Options{MaxInsts: profile.DefaultMaxInsts})
 	if err != nil {
 		b.Fatal(err)
 	}
-	clone, err := synth.Generate(prof, synth.Config{})
+	clone, err := synth.GenerateContext(context.Background(), prof, synth.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func BenchmarkCapture(b *testing.B) {
 			b.ReportAllocs()
 			var insts uint64
 			for i := 0; i < b.N; i++ {
-				tr, err := dyntrace.Capture(c.p, 1<<20)
+				tr, err := dyntrace.CaptureContext(context.Background(), c.p, 1<<20)
 				if err != nil {
 					b.Fatal(err)
 				}

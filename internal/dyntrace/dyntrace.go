@@ -12,12 +12,12 @@
 //
 // Per-program static-instruction metadata is stored once in a Static
 // table. The dynamic stream has one form, in memory and on disk alike:
-// the PCDT v2 encoding (see Save). Capture writes it as the program
-// runs, from the column batches the functional simulator retires into
-// (funcsim.RunColumns, passed through by Stream): a uvarint
-// static-instruction id per retired instruction, a taken bitset indexed
-// by dynamic position, and, per memory reference (not per instruction),
-// a zigzag-delta varint address and a store bit. A trace
+// the PCDT v2 encoding (see Save). CaptureContext writes it as the
+// program runs, from the column batches the functional simulator
+// retires into (funcsim.RunColumns, passed through by Stream): a
+// uvarint static-instruction id per retired instruction, a taken bitset
+// indexed by dynamic position, and, per memory reference (not per
+// instruction), a zigzag-delta varint address and a store bit. A trace
 // loaded from the store holds the same bytes, often mmapped. Every
 // consumer reads them through one chunked Walk, so a result cannot
 // depend on whether its trace was captured or loaded. No per-event
@@ -35,8 +35,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"perfclone/internal/funcsim"
 	"perfclone/internal/isa"
@@ -71,8 +69,8 @@ type Static struct {
 
 // Trace is one captured dynamic instruction stream, held in its encoded
 // form (see Save for the layout). Consumers read it through Walk or a
-// Cursor. A Trace is immutable after Capture or Load and safe for
-// concurrent walks from many goroutines.
+// Cursor. A Trace is immutable after CaptureContext or LoadBytes and
+// safe for concurrent walks from many goroutines.
 type Trace struct {
 	prog     *prog.Program
 	static   []Static
@@ -84,28 +82,17 @@ type Trace struct {
 	numMem   uint64 // memory references (== addresses in memEnc)
 	halted   bool
 
-	// decodeCache memoizes one consumer-defined decode product (see
-	// DecodeCache); stored as any so dyntrace stays free of consumer
-	// types. decodeOnce makes the build single-flight.
-	decodeOnce  sync.Once
-	decodeCache atomic.Value
-
 	// release unmaps or otherwise frees the backing storage of a
 	// zero-copy load (see LoadBytes and Close).
 	release func() error
 }
 
-// Capture executes p functionally (up to maxInsts dynamic instructions;
-// 0 = to completion) and records the dynamic stream.
-func Capture(p *prog.Program, maxInsts uint64) (*Trace, error) {
-	return CaptureContext(context.Background(), p, maxInsts)
-}
-
-// CaptureContext is Capture with cooperative cancellation: it is one
-// Stream over p that encodes each chunk as it arrives, so the trace
-// never holds a raw column. Stream polls ctx and ticks any supervision
-// heartbeat once per chunk, so a long capture under a watchdog never
-// reads as a wedged task.
+// CaptureContext executes p functionally (up to maxInsts dynamic
+// instructions; 0 = to completion) and records the dynamic stream. It
+// is one Stream over p that encodes each chunk as it arrives, so the
+// trace never holds a raw column. Stream polls ctx and ticks any
+// supervision heartbeat once per chunk, so a long capture under a
+// watchdog never reads as a wedged task.
 func CaptureContext(ctx context.Context, p *prog.Program, maxInsts uint64) (*Trace, error) {
 	hint := maxInsts
 	if hint == 0 || hint > 1<<20 {
@@ -179,9 +166,9 @@ func fit[T any](s []T) []T {
 // Stream executes p functionally for up to n dynamic instructions (0 =
 // to completion) and hands its stream to fn one Chunk at a time, without
 // building a Trace. It is the one place dyntrace runs the functional
-// simulator: Capture encodes the chunks, a profile accumulates them, and
-// the baseline generator's training measurement feeds them to a cache
-// and a branch predictor. Before the run, Stream calls open once with
+// simulator: CaptureContext encodes the chunks, a profile accumulates
+// them, and the baseline generator's training measurement feeds them to
+// a cache and a branch predictor. Before the run, Stream calls open once with
 // p's static table, which the chunks' static ids index, and open returns
 // the chunk consumer fn. Each chunk is one of the simulator's column
 // batches (funcsim.RunColumns, up to funcsim.EventChunk instructions),
@@ -316,24 +303,6 @@ func (t *Trace) NumMem() uint64 { return t.numMem }
 
 // Statics returns the static-instruction table (read-only).
 func (t *Trace) Statics() []Static { return t.static }
-
-// DecodeCache memoizes one consumer-defined decode product on the
-// trace, so repeated sweeps over the same trace skip its construction
-// (uarch stores its per-static TraceInst template table here). The
-// build is single-flight: it runs exactly once per trace, concurrent
-// callers block until the winner has stored the product, and every
-// caller — then and forever after — receives the same value, so
-// pointer-identity comparisons on the product are safe. build must
-// return a non-nil value.
-func (t *Trace) DecodeCache(build func() any) any {
-	if v := t.decodeCache.Load(); v != nil {
-		return v
-	}
-	t.decodeOnce.Do(func() {
-		t.decodeCache.Store(build())
-	})
-	return t.decodeCache.Load()
-}
 
 // Close releases the backing storage of a zero-copy load (the mmap
 // behind LoadBytes). The Trace must not be used afterwards. Closing a

@@ -5,7 +5,6 @@ import (
 	"context"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"perfclone/internal/funcsim"
@@ -33,43 +32,49 @@ func loopProgram(t *testing.T) *prog.Program {
 }
 
 // TestCaptureMatchesObserver: the trace's columns must agree event-for-
-// event with the funcsim observer stream it was derived from.
+// event with the funcsim Event stream of the same program.
 func TestCaptureMatchesObserver(t *testing.T) {
 	p := loopProgram(t)
-	tr, err := Capture(p, 0)
+	tr, err := CaptureContext(context.Background(), p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cols := walkAll(t, tr, 0)
 	var i, mi uint64
-	obs := func(ev *funcsim.Event) error {
-		st := tr.Statics()[cols.sids[i]]
-		if int(st.Block) != ev.Block || int(st.Index) != ev.Index {
-			t.Fatalf("inst %d: static (%d,%d) want (%d,%d)", i, st.Block, st.Index, ev.Block, ev.Index)
-		}
-		if st.PC != ev.PC {
-			t.Fatalf("inst %d: PC %d want %d", i, st.PC, ev.PC)
-		}
-		if st.Op != ev.Inst.Op {
-			t.Fatalf("inst %d: op %v want %v", i, st.Op, ev.Inst.Op)
-		}
-		if cols.taken[i] != ev.Taken {
-			t.Fatalf("inst %d: taken %v want %v", i, cols.taken[i], ev.Taken)
-		}
-		if st.Mem {
-			if got := cols.addrs[mi]; got != ev.Addr {
-				t.Fatalf("memref %d: addr %d want %d", mi, got, ev.Addr)
-			}
-			if cols.stores[mi] != ev.Inst.Op.IsStore() {
-				t.Fatalf("memref %d: store bit %v", mi, cols.stores[mi])
-			}
-			mi++
-		}
-		i++
-		return nil
+	m, err := funcsim.New(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := funcsim.RunProgram(p, funcsim.Limits{}, obs)
+	res, err := m.RunBatch(funcsim.Limits{}, func(evs []funcsim.Event) error {
+		for k := range evs {
+			ev := &evs[k]
+			st := tr.Statics()[cols.sids[i]]
+			if int(st.Block) != ev.Block || int(st.Index) != ev.Index {
+				t.Fatalf("inst %d: static (%d,%d) want (%d,%d)", i, st.Block, st.Index, ev.Block, ev.Index)
+			}
+			if st.PC != ev.PC {
+				t.Fatalf("inst %d: PC %d want %d", i, st.PC, ev.PC)
+			}
+			if st.Op != ev.Inst.Op {
+				t.Fatalf("inst %d: op %v want %v", i, st.Op, ev.Inst.Op)
+			}
+			if cols.taken[i] != ev.Taken {
+				t.Fatalf("inst %d: taken %v want %v", i, cols.taken[i], ev.Taken)
+			}
+			if st.Mem {
+				if got := cols.addrs[mi]; got != ev.Addr {
+					t.Fatalf("memref %d: addr %d want %d", mi, got, ev.Addr)
+				}
+				if cols.stores[mi] != ev.Inst.Op.IsStore() {
+					t.Fatalf("memref %d: store bit %v", mi, cols.stores[mi])
+				}
+				mi++
+			}
+			i++
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +93,7 @@ func TestCaptureMatchesObserver(t *testing.T) {
 // exactly like funcsim.Limits.
 func TestCaptureRespectsLimit(t *testing.T) {
 	p := loopProgram(t)
-	tr, err := Capture(p, 7)
+	tr, err := CaptureContext(context.Background(), p, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +109,7 @@ func TestCaptureRespectsLimit(t *testing.T) {
 // first n instructions.
 func TestMemPrefix(t *testing.T) {
 	p := loopProgram(t)
-	tr, err := Capture(p, 0)
+	tr, err := CaptureContext(context.Background(), p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +145,7 @@ func TestCaptureWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Capture(w.Build(), 100_000)
+	tr, err := CaptureContext(context.Background(), w.Build(), 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,56 +158,6 @@ func TestCaptureWorkload(t *testing.T) {
 	}
 	if perInst := float64(img.Len()) / float64(tr.Insts()); perInst > 4 {
 		t.Fatalf("saved trace is %.2f B/inst, want at most 4", perInst)
-	}
-}
-
-// TestDecodeCacheSingleFlight hammers DecodeCache from many goroutines
-// released by a single barrier: the build must run exactly once, and
-// every caller must receive the identical pointer. The old
-// check-then-store implementation let two concurrent callers both run
-// build, with the loser's pointer differing from the winner's; run
-// under -race this also proves the single-flight path publishes the
-// product safely.
-func TestDecodeCacheSingleFlight(t *testing.T) {
-	tr, err := Capture(loopProgram(t), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const goroutines = 32
-	var builds atomic.Int32
-	results := make([]any, goroutines)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			<-start
-			results[g] = tr.DecodeCache(func() any {
-				builds.Add(1)
-				return &struct{ n int }{n: g}
-			})
-		}(g)
-	}
-	close(start)
-	wg.Wait()
-	if n := builds.Load(); n != 1 {
-		t.Errorf("build ran %d times, want exactly 1", n)
-	}
-	for g := 1; g < goroutines; g++ {
-		if results[g] != results[0] {
-			t.Fatalf("goroutine %d received a different product than goroutine 0", g)
-		}
-	}
-	// Later callers keep getting the winner, never a fresh build.
-	if v := tr.DecodeCache(func() any {
-		builds.Add(1)
-		return &struct{ n int }{n: -1}
-	}); v != results[0] {
-		t.Error("post-race caller received a different product")
-	}
-	if n := builds.Load(); n != 1 {
-		t.Errorf("build re-ran after the cache was populated (%d total)", n)
 	}
 }
 
@@ -254,7 +209,7 @@ func TestConcurrentStreamsShareProgram(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			traces[i], errs[i] = Capture(p, 50_000)
+			traces[i], errs[i] = CaptureContext(context.Background(), p, 50_000)
 		}()
 	}
 	wg.Wait()

@@ -2,6 +2,7 @@ package dyntrace
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"slices"
 	"testing"
@@ -10,12 +11,12 @@ import (
 )
 
 // FuzzTraceLoad throws arbitrary bytes at the PCDT decoder. Neither
-// Verify nor Load may panic or allocate unboundedly, whatever the input;
-// returning an error is the only acceptable failure mode, and an image
-// whose header names any version but the current one must be rejected.
-// Any image Load accepts must walk to its end without error, yielding
-// exactly Insts() static ids and NumMem() addresses, and Mem(0) must
-// return the same addresses.
+// Verify nor LoadBytes may panic or allocate unboundedly, whatever the
+// input; returning an error is the only acceptable failure mode, and an
+// image whose header names any version but the current one must be
+// rejected. Any image LoadBytes accepts must walk to its end without
+// error, yielding exactly Insts() static ids and NumMem() addresses,
+// and Mem(0) must return the same addresses.
 // The seed corpus contains a valid image, the same image under a
 // retired version-1 and an unknown version-3 header, and targeted
 // mutations (truncation, flipped CRC, oversized column counts).
@@ -25,7 +26,7 @@ func FuzzTraceLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	p := w.Build()
-	tr, err := Capture(p, 2_000)
+	tr, err := CaptureContext(context.Background(), p, 2_000)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -58,14 +59,14 @@ func FuzzTraceLoad(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		verr := Verify(bytes.NewReader(data))
-		lt, err := Load(bytes.NewReader(data), p)
+		lt, err := LoadBytes(data, nil, p)
 		if len(data) >= 8 && binary.LittleEndian.Uint32(data[4:]) != traceVersion && (verr == nil || err == nil) {
-			t.Fatalf("version %d image accepted (Verify %v, Load %v)", binary.LittleEndian.Uint32(data[4:]), verr, err)
+			t.Fatalf("version %d image accepted (Verify %v, LoadBytes %v)", binary.LittleEndian.Uint32(data[4:]), verr, err)
 		}
 		if err == nil {
 			// A successful load must yield a self-consistent trace.
 			if err := lt.check(); err != nil {
-				t.Fatalf("Load accepted a trace that fails check: %v", err)
+				t.Fatalf("LoadBytes accepted a trace that fails check: %v", err)
 			}
 			cols := walkAll(t, lt, 0)
 			if uint64(len(cols.sids)) != lt.Insts() || uint64(len(cols.addrs)) != lt.NumMem() {

@@ -2,6 +2,7 @@ package dyntrace
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"os"
@@ -12,7 +13,7 @@ import (
 )
 
 // TestPCDTGolden pins the saved bytes of every workload's trace:
-// testdata/pcdt.sha256 holds the SHA-256 of Save(Capture(w.Build(), n))
+// testdata/pcdt.sha256 holds the SHA-256 of Save(CaptureContext(context.Background(), w.Build(), n))
 // for all workloads at n = 20 000 (inside the first walk chunk) and
 // n = 200 000 (across three chunk edges). A cold store is made of exactly
 // these images, so a change to capture or encoding that moves a single
@@ -27,7 +28,7 @@ func TestPCDTGolden(t *testing.T) {
 	for _, w := range workloads.All() {
 		p := w.Build()
 		for _, n := range []uint64{20_000, 200_000} {
-			tr, err := Capture(p, n)
+			tr, err := CaptureContext(context.Background(), p, n)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -37,8 +37,8 @@ import (
 //
 // The static table is not serialized: it is a pure function of the
 // traced program, and the store keys trace files by a hash of that
-// program, so Load rebuilds it with buildStatic and then cross-checks
-// the dynamic columns against it (see Trace.check). That keeps the
+// program, so LoadBytes rebuilds it with buildStatic and then
+// cross-checks the dynamic columns against it (see Trace.check). That keeps the
 // format free of isa enum encodings and makes a program/trace mismatch
 // a load-time error instead of a silent misreplay.
 
@@ -237,8 +237,8 @@ func scanStreams(sidEnc, memEnc []byte, insts, numMem uint64, onIDs func(base ui
 }
 
 // checkShape validates the program-independent invariants that bind the
-// dynamic columns to each other. Load additionally cross-checks against
-// the program's static table (Trace.check).
+// dynamic columns to each other. LoadBytes additionally cross-checks
+// against the program's static table (Trace.check).
 func checkShape(insts, numMem uint64, nTaken, nMemStore int) error {
 	if want := (insts + 63) / 64; uint64(nTaken) != want {
 		return fmt.Errorf("taken bitset has %d words, want %d for %d instructions", nTaken, want, insts)
@@ -268,7 +268,7 @@ func checkHeader(data []byte) error {
 // structural invariants binding the columns together. The store's
 // doctor pass uses it to audit artifacts it cannot attach to a program
 // (static-id bounds and the memory-reference cross-count are only
-// checkable by Load).
+// checkable by LoadBytes).
 func Verify(r io.Reader) error {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -285,19 +285,6 @@ func Verify(r io.Reader) error {
 		return fmt.Errorf("dyntrace: verify %s: %w", rt.name, err)
 	}
 	return nil
-}
-
-// Load reads a trace written by Save and attaches it to p, the program
-// it was captured from. The static table is rebuilt from p and the
-// dynamic columns are self-checked against it, so feeding a trace to
-// the wrong program (or a corrupted file) fails here rather than during
-// replay.
-func Load(r io.Reader, p *prog.Program) (*Trace, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("dyntrace: load: %w", err)
-	}
-	return LoadBytes(data, nil, p)
 }
 
 // LoadBytes loads a serialized trace from an in-memory image — usually
@@ -334,9 +321,9 @@ func LoadBytes(data []byte, release func() error, p *prog.Program) (*Trace, erro
 }
 
 // check validates the dynamic columns against each other and against the
-// static table rebuilt from the program. Load runs it so corruption or a
-// program mismatch surfaces before any consumer replays garbage. The
-// encoded columns are validated by streaming them through a Cursor.
+// static table rebuilt from the program. LoadBytes runs it so corruption
+// or a program mismatch surfaces before any consumer replays garbage.
+// The encoded columns are validated by streaming them through a Cursor.
 func (t *Trace) check() error {
 	if err := checkShape(t.insts, t.numMem, len(t.taken), len(t.memStore)); err != nil {
 		return err

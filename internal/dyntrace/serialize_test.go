@@ -2,6 +2,7 @@ package dyntrace
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,7 +15,7 @@ import (
 // only these columns; the uarch golden test pins end-to-end equality).
 func TestSaveLoadRoundTrip(t *testing.T) {
 	p := loopProgram(t)
-	tr, err := Capture(p, 0)
+	tr, err := CaptureContext(context.Background(), p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +23,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := tr.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(bytes.NewReader(buf.Bytes()), p)
+	got, err := LoadBytes(buf.Bytes(), nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestSaveLoadWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := w.Build()
-	tr, err := Capture(p, 50_000)
+	tr, err := CaptureContext(context.Background(), p, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestSaveLoadWorkload(t *testing.T) {
 	if err := tr.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(bytes.NewReader(buf.Bytes()), p)
+	got, err := LoadBytes(buf.Bytes(), nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestSaveLoadWorkload(t *testing.T) {
 // checksum (or a structural check), never load silently.
 func TestLoadRejectsCorruption(t *testing.T) {
 	p := loopProgram(t)
-	tr, err := Capture(p, 0)
+	tr, err := CaptureContext(context.Background(), p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +79,12 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	for _, off := range []int{0, 5, 12, len(raw) / 2, len(raw) - 3} {
 		mut := bytes.Clone(raw)
 		mut[off] ^= 0x40
-		if _, err := Load(bytes.NewReader(mut), p); err == nil {
+		if _, err := LoadBytes(mut, nil, p); err == nil {
 			t.Errorf("bit flip at offset %d loaded without error", off)
 		}
 	}
 	// Truncation must also fail cleanly.
-	if _, err := Load(bytes.NewReader(raw[:len(raw)/2]), p); err == nil {
+	if _, err := LoadBytes(raw[:len(raw)/2], nil, p); err == nil {
 		t.Error("truncated trace loaded without error")
 	}
 }
@@ -92,7 +93,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 // the one it was captured from is a load-time error.
 func TestLoadRejectsWrongProgram(t *testing.T) {
 	p := loopProgram(t)
-	tr, err := Capture(p, 0)
+	tr, err := CaptureContext(context.Background(), p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestLoadRejectsWrongProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Load(bytes.NewReader(buf.Bytes()), w.Build())
+	_, err = LoadBytes(buf.Bytes(), nil, w.Build())
 	if err == nil || !strings.Contains(err.Error(), "loop") {
 		t.Fatalf("wrong-program load: err=%v", err)
 	}

@@ -2,6 +2,7 @@ package dyntrace
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"slices"
 	"testing"
@@ -18,7 +19,7 @@ func TestLoadBytesZeroCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := w.Build()
-	tr, err := Capture(p, 50_000)
+	tr, err := CaptureContext(context.Background(), p, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}

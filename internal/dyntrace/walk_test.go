@@ -20,7 +20,7 @@ import (
 func TestWalkColdEqualsWarm(t *testing.T) {
 	for _, w := range workloads.All() {
 		p := w.Build()
-		cold, err := Capture(p, 3*ChunkLen)
+		cold, err := CaptureContext(context.Background(), p, 3*ChunkLen)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -194,7 +194,7 @@ func TestChaosMmapParallelReplay(t *testing.T) {
 	}
 	p := w.Build()
 	const budget = 120_000
-	tr, err := dyntrace.Capture(p, budget)
+	tr, err := dyntrace.CaptureContext(context.Background(), p, budget)
 	if err != nil {
 		t.Fatal(err)
 	}

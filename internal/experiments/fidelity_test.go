@@ -95,16 +95,16 @@ func cloneIPCWithSeed(opts Options, seed uint64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	prof, err := profile.Collect(w.Build(), profile.Options{MaxInsts: opts.ProfileInsts})
+	prof, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{MaxInsts: opts.ProfileInsts})
 	if err != nil {
 		return 0, err
 	}
-	clone, err := synth.Generate(prof, synth.Config{Seed: seed})
+	clone, err := synth.GenerateContext(context.Background(), prof, synth.Config{Seed: seed})
 	if err != nil {
 		return 0, err
 	}
 	lim := uarch.Limits{Warmup: opts.TimingWarmup, MaxInsts: opts.TimingInsts}
-	tr, err := dyntrace.Capture(clone.Program, lim.MaxInsts)
+	tr, err := dyntrace.CaptureContext(context.Background(), clone.Program, lim.MaxInsts)
 	if err != nil {
 		return 0, err
 	}

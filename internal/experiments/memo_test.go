@@ -210,7 +210,7 @@ func TestComputeOnceTrainingTargets(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := w.Build()
-		tr, err := dyntrace.Capture(p, 2*train.MaxInsts)
+		tr, err := dyntrace.CaptureContext(context.Background(), p, 2*train.MaxInsts)
 		if err != nil {
 			t.Fatal(err)
 		}

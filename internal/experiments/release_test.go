@@ -29,7 +29,7 @@ func (c *countingFS) Map(name string) ([]byte, func() error, error) {
 	if c.failAfter > 0 && len(c.releases) >= c.failAfter {
 		return nil, nil, errMapRefused
 	}
-	data, release, err := c.FS.(faultinject.Mapper).Map(name)
+	data, release, err := c.FS.Map(name)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -63,9 +63,6 @@ func (c *countingFS) check(t *testing.T, min int) {
 // release every pair's traces once it has rendered, and a Prepare cell
 // that fails after mapping its real trace must release that one itself.
 func TestRunReleasesMappedTraces(t *testing.T) {
-	if _, ok := faultinject.OS.(faultinject.Mapper); !ok {
-		t.Skip("no mmap on this platform")
-	}
 	dir := t.TempDir()
 	opts := Options{
 		Workloads:    []string{"crc32", "qsort", "fft"},

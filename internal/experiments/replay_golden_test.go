@@ -44,11 +44,11 @@ func TestReplayGoldenCacheMPI(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := w.Build()
-		tr, err := dyntrace.Capture(p, c.maxInsts)
+		tr, err := dyntrace.CaptureContext(context.Background(), p, c.maxInsts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		long, err := dyntrace.Capture(p, 2*c.maxInsts)
+		long, err := dyntrace.CaptureContext(context.Background(), p, 2*c.maxInsts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func executedMPI(t *testing.T, p *prog.Program, cfgs []cache.Config, maxInsts ui
 // pipeline: one decode pass feeding 28 independent Sims must be
 // bit-identical, per uarch.Stats field, to 28 separate trace walks. Run
 // under `go test -race` in CI this also covers concurrent fused replays
-// sharing one trace's decode cache across workloads.
+// of one trace across workloads.
 func TestReplayMultiGolden28(t *testing.T) {
 	base := uarch.BaseConfig()
 	sweep := cache.Sweep28()
@@ -126,7 +126,7 @@ func TestReplayMultiGolden28(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := w.Build()
-		tr, err := dyntrace.Capture(p, lim.MaxInsts)
+		tr, err := dyntrace.CaptureContext(context.Background(), p, lim.MaxInsts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestMissRateForCancelled(t *testing.T) {
 	}
 	p := w.Build()
 	const budget = 100_000
-	tr, err := dyntrace.Capture(p, budget)
+	tr, err := dyntrace.CaptureContext(context.Background(), p, budget)
 	if err != nil {
 		t.Fatal(err)
 	}

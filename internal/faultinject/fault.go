@@ -228,12 +228,11 @@ func (f *FaultFS) ReadDir(name string) ([]iofs.DirEntry, error) {
 	return f.inner.ReadDir(name)
 }
 
-// Map implements Mapper by reading the file through this FaultFS's own
-// faulty Open/Read path, so chaos runs exercise the store's zero-copy
-// load branch (dyntrace.LoadBytes) under the full fault schedule:
-// injected EIOs surface as transient Map errors and bit-flips land in
-// the returned image for the CRC layer to catch. The bytes are a heap
-// copy, so release is a no-op.
+// Map reads the file through this FaultFS's own faulty Open/Read path,
+// so chaos runs exercise the store's trace load (dyntrace.LoadBytes)
+// under the full fault schedule: injected EIOs surface as transient Map
+// errors and bit-flips land in the returned image for the CRC layer to
+// catch. The bytes are a heap copy, so release is a no-op.
 func (f *FaultFS) Map(name string) (data []byte, release func() error, err error) {
 	file, err := f.Open(name)
 	if err != nil {

@@ -48,17 +48,11 @@ type FS interface {
 	MkdirAll(path string, perm iofs.FileMode) error
 	ReadDir(name string) ([]iofs.DirEntry, error)
 	Stat(name string) (iofs.FileInfo, error)
-}
-
-// Mapper is the optional zero-copy extension of FS: Map returns a
-// file's entire contents as a read-only byte slice — an mmap when the
-// implementation supports it — plus a release function that must be
-// called exactly once when the caller is done with the bytes (the
-// slice must not be touched afterwards). Callers type-assert
-// `fs.(Mapper)` and fall back to Open+ReadAll when the assertion
-// fails, so an FS without mmap support (or a non-unix build) degrades
-// to the copying path, never to an error.
-type Mapper interface {
+	// Map returns a file's entire contents as a read-only byte slice —
+	// an mmap where the platform supports it, a heap copy otherwise —
+	// plus a release function that must be called exactly once when
+	// the caller is done with the bytes (the slice must not be touched
+	// afterwards).
 	Map(name string) (data []byte, release func() error, err error)
 }
 

@@ -8,13 +8,10 @@ import (
 	"syscall"
 )
 
-// Map implements Mapper by mmap'ing the file read-only, so loads out of
-// a warm store alias the page cache instead of copying artifact bytes
-// into the heap. The descriptor is closed before returning — the
-// mapping keeps the pages alive — and release is a single Munmap.
-//
-// On non-unix builds osFS simply lacks this method, the store's
-// `fs.(Mapper)` assertion fails, and loads take the copying path.
+// Map mmaps the file read-only, so loads out of a warm store alias the
+// page cache instead of copying artifact bytes into the heap. The
+// descriptor is closed before returning — the mapping keeps the pages
+// alive — and release is a single Munmap.
 func (osFS) Map(name string) (data []byte, release func() error, err error) {
 	f, err := os.Open(name)
 	if err != nil {

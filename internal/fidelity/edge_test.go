@@ -22,7 +22,7 @@ import (
 // tolerances, and returns the (passing) report.
 func gateEdge(t *testing.T, p *prog.Program) *Report {
 	t.Helper()
-	prof, err := profile.Collect(p, profile.Options{MaxInsts: 200_000})
+	prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: 200_000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func collect(t *testing.T, name string) *profile.Profile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := profile.Collect(w.Build(), profile.Options{MaxInsts: 400_000})
+	p, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{MaxInsts: 400_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestAllWorkloadsPassDefaultGate(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			prof, err := profile.Collect(w.Build(), profile.Options{MaxInsts: 400_000})
+			prof, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{MaxInsts: 400_000})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +153,7 @@ func TestDeriveSeed(t *testing.T) {
 // TestReportJSONRoundTrip: the -report artifact must survive JSON.
 func TestReportJSONRoundTrip(t *testing.T) {
 	prof := collect(t, "crc32")
-	clone, err := synth.Generate(prof, synth.Config{})
+	clone, err := synth.GenerateContext(context.Background(), prof, synth.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestToleranceScale(t *testing.T) {
 		"sfg-corr":          def.SFGCorr,
 	}
 	prof := collect(t, "fft")
-	clone, err := synth.Generate(prof, synth.Config{})
+	clone, err := synth.GenerateContext(context.Background(), prof, synth.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,11 @@ func BenchmarkFunctionalSimulation(b *testing.B) {
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
-		res, err := funcsim.RunProgram(p, funcsim.Limits{}, nil)
+		m, err := funcsim.New(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := m.RunColumns(funcsim.Limits{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -27,8 +31,8 @@ func BenchmarkFunctionalSimulation(b *testing.B) {
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
 
-// BenchmarkFunctionalSimulationWithObserver adds the profiling-style
-// per-instruction callback.
+// BenchmarkFunctionalSimulationWithObserver adds a per-instruction
+// loop over the Event batches RunBatch delivers.
 func BenchmarkFunctionalSimulationWithObserver(b *testing.B) {
 	w, err := workloads.ByName("crc32")
 	if err != nil {
@@ -36,16 +40,22 @@ func BenchmarkFunctionalSimulationWithObserver(b *testing.B) {
 	}
 	p := w.Build()
 	var memRefs uint64
-	obs := func(ev *funcsim.Event) error {
-		if ev.Inst.Op.IsMem() {
-			memRefs++
+	obs := func(evs []funcsim.Event) error {
+		for i := range evs {
+			if evs[i].Inst.Op.IsMem() {
+				memRefs++
+			}
 		}
 		return nil
 	}
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
-		res, err := funcsim.RunProgram(p, funcsim.Limits{}, obs)
+		m, err := funcsim.New(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := m.RunBatch(funcsim.Limits{}, obs)
 		if err != nil {
 			b.Fatal(err)
 		}

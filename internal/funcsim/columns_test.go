@@ -2,6 +2,7 @@ package funcsim_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"slices"
 	"sync"
@@ -219,11 +220,11 @@ func fresh(build func() *prog.Program) machineFunc {
 // cloneOf returns the default clone of w's 1M-instruction profile.
 func cloneOf(t testing.TB, w workloads.Workload) *prog.Program {
 	t.Helper()
-	prof, err := profile.Collect(w.Build(), profile.Options{MaxInsts: profile.DefaultMaxInsts})
+	prof, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{MaxInsts: profile.DefaultMaxInsts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone, err := synth.Generate(prof, synth.Config{})
+	clone, err := synth.GenerateContext(context.Background(), prof, synth.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +344,7 @@ func FuzzColumns(f *testing.F) {
 		i := int(wl) % len(all)
 		w := all[i]
 		if profs[i] == nil {
-			prof, err := profile.Collect(w.Build(), profile.Options{MaxInsts: 200_000})
+			prof, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{MaxInsts: 200_000})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -351,7 +352,7 @@ func FuzzColumns(f *testing.F) {
 		}
 		// A short synthesized loop keeps each input fast, also when the
 		// budget is 0 and the clone runs to halt.
-		clone, err := synth.Generate(profs[i], synth.Config{Seed: seed, Iterations: 50})
+		clone, err := synth.GenerateContext(context.Background(), profs[i], synth.Config{Seed: seed, Iterations: 50})
 		if err != nil {
 			t.Fatal(err)
 		}

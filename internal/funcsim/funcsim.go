@@ -7,14 +7,13 @@
 // The interpreter retires straight into column form (RunColumns): per
 // instruction a block-major static id (prog.Program.BlockStarts) and a
 // taken bit, and per memory reference an address and a store bit — the
-// shape of a dyntrace.Chunk. Run and RunBatch expand those columns into
+// shape of a dyntrace.Chunk. RunBatch expands those columns into
 // per-instruction Events for callers that want one struct per
 // instruction.
 package funcsim
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
@@ -39,10 +38,6 @@ type Event struct {
 	// NextBlock is the block executed next (-1 after halt).
 	NextBlock int
 }
-
-// Observer receives each retired instruction. Returning a non-nil error
-// aborts simulation with that error.
-type Observer func(ev *Event) error
 
 // BatchObserver receives retired instructions in chunks of up to
 // EventChunk events. The slice is reused between calls; implementations
@@ -96,10 +91,6 @@ type Result struct {
 	// opposed to hitting Limits.MaxInsts).
 	Halted bool
 }
-
-// ErrLimit is returned inside Result handling when the instruction budget
-// is exhausted; Run does not surface it as an error.
-var errLimit = errors.New("funcsim: instruction limit reached")
 
 // Machine is the architected state of one program run.
 type Machine struct {
@@ -167,34 +158,6 @@ func (m *Machine) checkAddr(addr uint64, n int) error {
 		return fmt.Errorf("funcsim: %s access at %d width %d out of range (mem %d)", m.prog.Name, addr, n, len(m.mem))
 	}
 	return nil
-}
-
-// Run executes the program from its entry block until halt, the limit, or
-// an error. obs may be nil. Events are expanded from the column batches
-// (see RunBatch); the per-event contract is preserved: obs sees every
-// retired instruction in order, and an observer error aborts with
-// Result.Insts counting only the events delivered before the erroring one.
-func (m *Machine) Run(lim Limits, obs Observer) (Result, error) {
-	if obs == nil {
-		return m.RunColumns(lim, nil)
-	}
-	var consumed uint64
-	res, err := m.RunBatch(lim, func(events []Event) error {
-		for i := range events {
-			if err := obs(&events[i]); err != nil {
-				consumed += uint64(i)
-				return err
-			}
-		}
-		consumed += uint64(len(events))
-		return nil
-	})
-	if err != nil {
-		// Per-event semantics: the erroring instruction (and anything the
-		// batched engine executed beyond it) is not counted.
-		return Result{Insts: consumed}, err
-	}
-	return res, nil
 }
 
 // RunBatch executes the program like RunColumns but delivers each batch
@@ -504,14 +467,4 @@ func b2i(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-// RunProgram is a convenience wrapper: build a machine, run it, return the
-// result.
-func RunProgram(p *prog.Program, lim Limits, obs Observer) (Result, error) {
-	m, err := New(p)
-	if err != nil {
-		return Result{}, err
-	}
-	return m.Run(lim, obs)
 }

@@ -23,7 +23,7 @@ func buildAndRun(t *testing.T, fn func(b *prog.Builder)) *Machine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(Limits{MaxInsts: 100000}, nil)
+	res, err := m.RunColumns(Limits{MaxInsts: 100000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +221,11 @@ func TestMemoryOutOfBounds(t *testing.T) {
 	b.Li(r(1), 1<<40)
 	b.Ld(r(2), r(1), 0)
 	b.Halt()
-	p := b.MustBuild()
-	_, err := RunProgram(p, Limits{}, nil)
-	if err == nil {
+	m, err := New(b.MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RunColumns(Limits{}, nil); err == nil {
 		t.Fatal("expected out-of-range error")
 	}
 }
@@ -286,23 +288,29 @@ func TestObserverEvents(t *testing.T) {
 	var addrs []uint64
 	branches := 0
 	takens := 0
-	obs := func(ev *Event) error {
-		seqs = append(seqs, ev.Seq)
-		if ev.Inst.Op.IsMem() {
-			addrs = append(addrs, ev.Addr)
-		}
-		if ev.Inst.Op.IsBranch() {
-			branches++
-			if ev.Taken {
-				takens++
+	m, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.RunBatch(Limits{}, func(evs []Event) error {
+		for i := range evs {
+			ev := &evs[i]
+			seqs = append(seqs, ev.Seq)
+			if ev.Inst.Op.IsMem() {
+				addrs = append(addrs, ev.Addr)
+			}
+			if ev.Inst.Op.IsBranch() {
+				branches++
+				if ev.Taken {
+					takens++
+				}
+			}
+			if ev.PC == 0 {
+				t.Error("zero PC")
 			}
 		}
-		if ev.PC == 0 {
-			t.Error("zero PC")
-		}
 		return nil
-	}
-	res, err := RunProgram(p, Limits{}, obs)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,31 +335,34 @@ func TestObserverEvents(t *testing.T) {
 	}
 }
 
+// TestObserverErrorAborts: an observer error ends the run with that
+// error, and no later batch is delivered.
 func TestObserverErrorAborts(t *testing.T) {
-	p := loopProgram(t)
+	m, err := New(loopProgram(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	boom := errors.New("boom")
 	n := 0
-	_, err := RunProgram(p, Limits{}, func(ev *Event) error {
+	_, err = m.RunBatch(Limits{}, func([]Event) error {
 		n++
-		if n == 5 {
-			return boom
-		}
-		return nil
+		return boom
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("want observer error, got %v", err)
 	}
-	if n != 5 {
-		t.Fatalf("ran %d events after abort", n)
+	if n != 1 {
+		t.Fatalf("observer saw %d batches, want 1", n)
 	}
 }
 
-// loopProgram counts down from 100.
+// loopProgram counts down from 5000, so a run to halt spans more than
+// one observer batch.
 func loopProgram(t *testing.T) *prog.Program {
 	t.Helper()
 	b := prog.NewBuilder("loop")
 	b.Label("e")
-	b.Li(r(1), 100)
+	b.Li(r(1), 5000)
 	b.Label("loop")
 	b.Addi(r(1), r(1), -1)
 	b.Bne(r(1), isa.RZero, "loop")
@@ -361,8 +372,11 @@ func loopProgram(t *testing.T) *prog.Program {
 }
 
 func TestInstructionLimit(t *testing.T) {
-	p := loopProgram(t)
-	res, err := RunProgram(p, Limits{MaxInsts: 10}, nil)
+	m, err := New(loopProgram(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.RunColumns(Limits{MaxInsts: 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +412,7 @@ func TestRunDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := m.Run(Limits{}, nil); err != nil {
+			if _, err := m.RunColumns(Limits{}, nil); err != nil {
 				t.Fatal(err)
 			}
 			return m.IntReg(4)

@@ -78,7 +78,7 @@ func TestProfileFromTraceChunkInvariant(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			tr, err := dyntrace.Capture(w.Build(), budget)
+			tr, err := dyntrace.CaptureContext(context.Background(), w.Build(), budget)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +118,7 @@ func FuzzProfileChunking(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := dyntrace.Capture(p, opts.MaxInsts)
+		tr, err := dyntrace.CaptureContext(context.Background(), p, opts.MaxInsts)
 		if err != nil {
 			t.Fatal(err)
 		}

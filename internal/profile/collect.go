@@ -9,20 +9,15 @@ import (
 	"perfclone/internal/prog"
 )
 
-// Collect profiles a program by functional execution, the role the
-// modified sim-safe plays in the paper's Figure 1. (On a real workload a
-// binary instrumentation tool such as ATOM or Pin would produce the same
-// event stream.)
-func Collect(p *prog.Program, opts Options) (*Profile, error) {
-	return CollectContext(context.Background(), p, opts)
-}
-
-// CollectContext is Collect with cooperative cancellation. It streams
-// the program's execution (dyntrace.Stream) into the profile accumulator
-// one chunk at a time, without building a trace. The stream polls ctx
-// once per chunk, stopping with the context's cancellation cause, and
-// ticks any supervision heartbeat carried by ctx at the same cadence, so
-// a long profiling pass under a watchdog never reads as a wedged task.
+// CollectContext profiles a program by functional execution, the role
+// the modified sim-safe plays in the paper's Figure 1. (On a real
+// workload a binary instrumentation tool such as ATOM or Pin would
+// produce the same event stream.) It streams the program's execution
+// (dyntrace.Stream) into the profile accumulator one chunk at a time,
+// without building a trace. The stream polls ctx once per chunk,
+// stopping with the context's cancellation cause, and ticks any
+// supervision heartbeat carried by ctx at the same cadence, so a long
+// profiling pass under a watchdog never reads as a wedged task.
 func CollectContext(ctx context.Context, p *prog.Program, opts Options) (*Profile, error) {
 	var c *collector
 	if _, err := dyntrace.Stream(ctx, p, opts.MaxInsts, func(static []dyntrace.Static) func(*dyntrace.Chunk) error {

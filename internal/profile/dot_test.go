@@ -1,13 +1,14 @@
 package profile
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestWriteDot(t *testing.T) {
 	p := stridedProgram(t, 50, 8)
-	prof, err := Collect(p, Options{})
+	prof, err := CollectContext(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,11 +75,11 @@ func TestProfileFromTraceMatchesCollect(t *testing.T) {
 		w := w
 		real := func(*testing.T) *prog.Program { return w.Build() }
 		progs = append(progs, program{w.Name, real}, program{w.Name + "-clone", func(t *testing.T) *prog.Program {
-			prof, err := profile.Collect(w.Build(), profile.Options{MaxInsts: profile.DefaultMaxInsts})
+			prof, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{MaxInsts: profile.DefaultMaxInsts})
 			if err != nil {
 				t.Fatal(err)
 			}
-			clone, err := synth.Generate(prof, synth.Config{})
+			clone, err := synth.GenerateContext(context.Background(), prof, synth.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +95,7 @@ func TestProfileFromTraceMatchesCollect(t *testing.T) {
 		t.Run(pg.name, func(t *testing.T) {
 			t.Parallel()
 			p := pg.build(t)
-			whole, err := dyntrace.Capture(p, 0)
+			whole, err := dyntrace.CaptureContext(context.Background(), p, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +121,7 @@ func TestProfileFromTraceMatchesCollect(t *testing.T) {
 				}
 				// A trace of the whole run serves every budget; a capture
 				// of exactly the budget is the shortest one that does.
-				exact, err := dyntrace.Capture(p, c.budget)
+				exact, err := dyntrace.CaptureContext(context.Background(), p, c.budget)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -147,7 +147,7 @@ func TestFromTraceRejectsShortTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := dyntrace.Capture(w.Build(), 10_000)
+	tr, err := dyntrace.CaptureContext(context.Background(), w.Build(), 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}

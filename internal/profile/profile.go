@@ -80,22 +80,6 @@ type Node struct {
 	Succ map[int]uint64 `json:"succ"`
 }
 
-// MixFractions returns the node's instruction-class mix as fractions.
-func (n *Node) MixFractions() [isa.NumClasses]float64 {
-	var out [isa.NumClasses]float64
-	var tot uint64
-	for _, c := range n.ClassCounts {
-		tot += c
-	}
-	if tot == 0 {
-		return out
-	}
-	for i, c := range n.ClassCounts {
-		out[i] = float64(c) / float64(tot)
-	}
-	return out
-}
-
 // StaticRef identifies a static instruction.
 type StaticRef struct {
 	Block int `json:"block"`

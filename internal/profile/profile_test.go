@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -53,7 +54,7 @@ func TestDepBucketBoundaries(t *testing.T) {
 func TestStrideDetection(t *testing.T) {
 	for _, stride := range []int64{8, -8, 16, 1} {
 		p := stridedProgram(t, 100, stride)
-		prof, err := Collect(p, Options{})
+		prof, err := CollectContext(context.Background(), p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +102,7 @@ func TestStreamRunLengths(t *testing.T) {
 	b.Bne(r(4), isa.RZero, "outer")
 	b.Label("end")
 	b.Halt()
-	prof, err := Collect(b.MustBuild(), Options{})
+	prof, err := CollectContext(context.Background(), b.MustBuild(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestSFGStructure(t *testing.T) {
 	b.Label("end")
 	b.Halt()
 	diamond := b.MustBuild()
-	prof, err := Collect(diamond, Options{})
+	prof, err := CollectContext(context.Background(), diamond, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestSFGStructure(t *testing.T) {
 		t.Fatalf("join block has %d context nodes, want 2 (per-predecessor profiling)", joinNodes)
 	}
 	// With PerBlockNodes the context collapses.
-	flat, err := Collect(diamond, Options{PerBlockNodes: true})
+	flat, err := CollectContext(context.Background(), diamond, Options{PerBlockNodes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestBranchRates(t *testing.T) {
 	b.Bne(r(1), isa.RZero, "head")
 	b.Label("end")
 	b.Halt()
-	prof, err := Collect(b.MustBuild(), Options{})
+	prof, err := CollectContext(context.Background(), b.MustBuild(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestDependencyDistances(t *testing.T) {
 	b.Bne(r(4), isa.RZero, "loop")
 	b.Label("end")
 	b.Halt()
-	prof, err := Collect(b.MustBuild(), Options{})
+	prof, err := CollectContext(context.Background(), b.MustBuild(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestTermKinds(t *testing.T) {
 	b.Jmp("end")
 	b.Label("end")
 	b.Halt()
-	prof, err := Collect(b.MustBuild(), Options{})
+	prof, err := CollectContext(context.Background(), b.MustBuild(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestProfileCountsConsistent(t *testing.T) {
 	fn := func(seed uint8) bool {
 		n := 50 + int(seed)%100
 		p := stridedProgram(t, n, 8)
-		prof, err := Collect(p, Options{})
+		prof, err := CollectContext(context.Background(), p, Options{})
 		if err != nil {
 			return false
 		}
@@ -307,7 +308,7 @@ func TestProfileCountsConsistent(t *testing.T) {
 
 func TestMaxInstsBound(t *testing.T) {
 	p := stridedProgram(t, 1000, 8)
-	prof, err := Collect(p, Options{MaxInsts: 100})
+	prof, err := CollectContext(context.Background(), p, Options{MaxInsts: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +348,7 @@ func TestFinalizeIdempotent(t *testing.T) {
 	// serialization round-trip) used to re-close the last run and skew
 	// MeanStreamLen upward.
 	p := stridedProgram(t, 100, 8)
-	prof, err := Collect(p, Options{})
+	prof, err := CollectContext(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

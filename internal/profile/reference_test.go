@@ -27,90 +27,97 @@ func collectReference(ctx context.Context, p *prog.Program, opts Options) (*Prof
 	var curNode *Node
 	var srcBuf [2]isa.Reg
 
-	obs := func(ev *funcsim.Event) error {
-		if ev.Seq&(1<<16-1) == 0 {
-			if err := supervise.Cause(ctx); err != nil {
-				return err
-			}
-		}
-		if ev.Index == 0 {
-			key := NodeKey{Prev: prevBlock, Block: ev.Block}
-			if opts.PerBlockNodes {
-				key.Prev = -1
-			}
-			n := pr.Nodes[key]
-			if n == nil {
-				n = &Node{
-					Key:  key,
-					Size: len(p.Blocks[ev.Block].Insts),
-					Term: termKind(p.Blocks[ev.Block].Terminator()),
-					Succ: make(map[int]uint64),
+	obs := func(evs []funcsim.Event) error {
+		for k := range evs {
+			ev := &evs[k]
+			if ev.Seq&(1<<16-1) == 0 {
+				if err := supervise.Cause(ctx); err != nil {
+					return err
 				}
-				pr.Nodes[key] = n
 			}
-			n.Count++
-			curNode = n
-		}
-		in := ev.Inst
-		cls := in.Op.Class()
-		pr.GlobalMix[cls]++
-		curNode.ClassCounts[cls]++
-
-		for _, s := range in.Sources(srcBuf[:0]) {
-			if s == isa.RZero {
-				continue
-			}
-			if lw := lastWrite[s]; lw != 0 {
-				d := ev.Seq - (lw - 1)
-				if d == 0 {
-					d = 1
+			if ev.Index == 0 {
+				key := NodeKey{Prev: prevBlock, Block: ev.Block}
+				if opts.PerBlockNodes {
+					key.Prev = -1
 				}
-				b := DepBucket(d)
-				pr.GlobalDepDist[b]++
-				curNode.DepDist[b]++
+				n := pr.Nodes[key]
+				if n == nil {
+					n = &Node{
+						Key:  key,
+						Size: len(p.Blocks[ev.Block].Insts),
+						Term: termKind(p.Blocks[ev.Block].Terminator()),
+						Succ: make(map[int]uint64),
+					}
+					pr.Nodes[key] = n
+				}
+				n.Count++
+				curNode = n
 			}
-		}
-		if d := in.Dest(); d != isa.NoReg && d != isa.RZero {
-			lastWrite[d] = ev.Seq + 1
-		}
+			in := ev.Inst
+			cls := in.Op.Class()
+			pr.GlobalMix[cls]++
+			curNode.ClassCounts[cls]++
 
-		if in.Op.IsMem() {
-			ref := StaticRef{ev.Block, ev.Index}
-			ms := pr.Mem[ref]
-			if ms == nil {
-				ms = &MemStat{Ref: ref, Op: in.Op, strideHist: make(map[int64]uint64), FirstAddr: ev.Addr}
-				pr.Mem[ref] = ms
+			for _, s := range in.Sources(srcBuf[:0]) {
+				if s == isa.RZero {
+					continue
+				}
+				if lw := lastWrite[s]; lw != 0 {
+					d := ev.Seq - (lw - 1)
+					if d == 0 {
+						d = 1
+					}
+					b := DepBucket(d)
+					pr.GlobalDepDist[b]++
+					curNode.DepDist[b]++
+				}
 			}
-			referenceRecord(ms, ev.Addr)
-		}
+			if d := in.Dest(); d != isa.NoReg && d != isa.RZero {
+				lastWrite[d] = ev.Seq + 1
+			}
 
-		if in.Op.IsBranch() {
-			ref := StaticRef{ev.Block, ev.Index}
-			bs := pr.Branches[ref]
-			if bs == nil {
-				bs = &BranchStat{Ref: ref}
-				pr.Branches[ref] = bs
+			if in.Op.IsMem() {
+				ref := StaticRef{ev.Block, ev.Index}
+				ms := pr.Mem[ref]
+				if ms == nil {
+					ms = &MemStat{Ref: ref, Op: in.Op, strideHist: make(map[int64]uint64), FirstAddr: ev.Addr}
+					pr.Mem[ref] = ms
+				}
+				referenceRecord(ms, ev.Addr)
 			}
-			bs.Count++
-			if ev.Taken {
-				bs.Taken++
-			}
-			if bs.seen && bs.lastDir != ev.Taken {
-				bs.Transitions++
-			}
-			bs.lastDir = ev.Taken
-			bs.seen = true
-		}
 
-		if ev.Index == len(p.Blocks[ev.Block].Insts)-1 && ev.NextBlock >= 0 {
-			curNode.Succ[ev.NextBlock]++
+			if in.Op.IsBranch() {
+				ref := StaticRef{ev.Block, ev.Index}
+				bs := pr.Branches[ref]
+				if bs == nil {
+					bs = &BranchStat{Ref: ref}
+					pr.Branches[ref] = bs
+				}
+				bs.Count++
+				if ev.Taken {
+					bs.Taken++
+				}
+				if bs.seen && bs.lastDir != ev.Taken {
+					bs.Transitions++
+				}
+				bs.lastDir = ev.Taken
+				bs.seen = true
+			}
+
+			if ev.Index == len(p.Blocks[ev.Block].Insts)-1 && ev.NextBlock >= 0 {
+				curNode.Succ[ev.NextBlock]++
+			}
+			prevBlock = ev.Block
+			pr.TotalInsts++
 		}
-		prevBlock = ev.Block
-		pr.TotalInsts++
 		return nil
 	}
 
-	if _, err := funcsim.RunProgram(p, funcsim.Limits{MaxInsts: opts.MaxInsts}, obs); err != nil {
+	m, err := funcsim.New(p)
+	if err != nil {
+		return nil, fmt.Errorf("profile: %w", err)
+	}
+	if _, err := m.RunBatch(funcsim.Limits{MaxInsts: opts.MaxInsts}, obs); err != nil {
 		return nil, fmt.Errorf("profile: %w", err)
 	}
 	// Close each trailing run here, so finalize only derives the

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -9,7 +10,7 @@ import (
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	p := stridedProgram(t, 200, 8)
-	orig, err := Collect(p, Options{})
+	orig, err := CollectContext(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadDetectsAnyBitFlip(t *testing.T) {
 	p := stridedProgram(t, 200, 8)
-	orig, err := Collect(p, Options{})
+	orig, err := CollectContext(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestLoadDetectsAnyBitFlip(t *testing.T) {
 
 func TestLoadAcceptsLegacyBareJSON(t *testing.T) {
 	p := stridedProgram(t, 200, 8)
-	orig, err := Collect(p, Options{})
+	orig, err := CollectContext(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"strings"
@@ -17,7 +18,7 @@ func collectSmall(t *testing.T, name string, insts uint64) *Profile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Collect(w.Build(), Options{MaxInsts: insts})
+	p, err := CollectContext(context.Background(), w.Build(), Options{MaxInsts: insts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestCollectedProfilesValidate(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, budget := range []uint64{50_000, 777} {
-				p, err := Collect(w.Build(), Options{MaxInsts: budget})
+				p, err := CollectContext(context.Background(), w.Build(), Options{MaxInsts: budget})
 				if err != nil {
 					t.Fatalf("collect @%d: %v", budget, err)
 				}

@@ -1,6 +1,7 @@
 package prog_test
 
 import (
+	"context"
 	"testing"
 
 	"perfclone/internal/profile"
@@ -15,11 +16,11 @@ import (
 func TestValidateAllocatesNothing(t *testing.T) {
 	for _, w := range workloads.All() {
 		p := w.Build()
-		prof, err := profile.Collect(p, profile.Options{MaxInsts: 100_000})
+		prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: 100_000})
 		if err != nil {
 			t.Fatal(err)
 		}
-		clone, err := synth.Generate(prof, synth.Config{})
+		clone, err := synth.GenerateContext(context.Background(), prof, synth.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,7 +26,7 @@ func capture(t *testing.T, name string, maxInsts uint64) (*prog.Program, *dyntra
 		t.Fatal(err)
 	}
 	p := w.Build()
-	tr, err := dyntrace.Capture(p, maxInsts)
+	tr, err := dyntrace.CaptureContext(context.Background(), p, maxInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func capture(t *testing.T, name string, maxInsts uint64) (*prog.Program, *dyntra
 func timeDetailed(t *testing.T, p *prog.Program, cfg uarch.Config) uarch.Stats {
 	t.Helper()
 	lim := uarch.Limits{Warmup: 100_000, MaxInsts: 400_000}
-	tr, err := dyntrace.Capture(p, lim.MaxInsts)
+	tr, err := dyntrace.CaptureContext(context.Background(), p, lim.MaxInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func setup(t *testing.T, name string) (*profile.Profile, Rates, uarch.Config) {
 	t.Helper()
 	p, tr := capture(t, name, 300_000)
 	cfg := uarch.BaseConfig()
-	prof, err := profile.Collect(p, profile.Options{MaxInsts: 300_000})
+	prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: 300_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,22 +75,29 @@ func measureRatesExecuted(p *prog.Program, cfg uarch.Config, maxInsts uint64) (R
 		return Rates{}, err
 	}
 	var bLook, bMiss uint64
-	obs := func(ev *funcsim.Event) error {
-		if ev.Inst.Op.IsMem() {
-			if !l1.Access(ev.Addr, ev.Inst.Op.IsStore()) {
-				l2.Access(ev.Addr, ev.Inst.Op.IsStore())
+	obs := func(evs []funcsim.Event) error {
+		for k := range evs {
+			ev := &evs[k]
+			if ev.Inst.Op.IsMem() {
+				if !l1.Access(ev.Addr, ev.Inst.Op.IsStore()) {
+					l2.Access(ev.Addr, ev.Inst.Op.IsStore())
+				}
 			}
-		}
-		if ev.Inst.Op.IsBranch() {
-			bLook++
-			if pred.Predict(ev.PC) != ev.Taken {
-				bMiss++
+			if ev.Inst.Op.IsBranch() {
+				bLook++
+				if pred.Predict(ev.PC) != ev.Taken {
+					bMiss++
+				}
+				pred.Update(ev.PC, ev.Taken)
 			}
-			pred.Update(ev.PC, ev.Taken)
 		}
 		return nil
 	}
-	if _, err := funcsim.RunProgram(p, funcsim.Limits{MaxInsts: maxInsts}, obs); err != nil {
+	m, err := funcsim.New(p)
+	if err != nil {
+		return Rates{}, err
+	}
+	if _, err := m.RunBatch(funcsim.Limits{MaxInsts: maxInsts}, obs); err != nil {
 		return Rates{}, err
 	}
 	r := Rates{L1DMiss: l1.Stats().MissRate(), L2Miss: l2.Stats().MissRate()}
@@ -217,7 +224,7 @@ func TestEstimateRejectsEmptyProfile(t *testing.T) {
 func TestStatisticalSimulationIsMicroarchDependent(t *testing.T) {
 	p, tr := capture(t, "basicmath", 300_000)
 	base := uarch.BaseConfig()
-	prof, err := profile.Collect(p, profile.Options{MaxInsts: 300_000})
+	prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: 300_000})
 	if err != nil {
 		t.Fatal(err)
 	}

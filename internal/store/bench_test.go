@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"testing"
 
 	"perfclone/internal/profile"
@@ -22,11 +23,11 @@ func BenchmarkProgramHash(b *testing.B) {
 		b.Fatal(err)
 	}
 	real := w.Build()
-	prof, err := profile.Collect(real, profile.Options{MaxInsts: profile.DefaultMaxInsts})
+	prof, err := profile.CollectContext(context.Background(), real, profile.Options{MaxInsts: profile.DefaultMaxInsts})
 	if err != nil {
 		b.Fatal(err)
 	}
-	clone, err := synth.Generate(prof, synth.Config{})
+	clone, err := synth.GenerateContext(context.Background(), prof, synth.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -185,7 +185,7 @@ func TestConcurrentWritersConverge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := dyntrace.Capture(w.Build(), 20_000)
+	tr, err := dyntrace.CaptureContext(context.Background(), w.Build(), 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,9 +216,6 @@ func TestMappedTraceSurvivesConcurrentCommits(t *testing.T) {
 	b, err := Open(a.Dir(), WithLog(io.Discard))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := a.fs.(faultinject.Mapper); !ok {
-		t.Skip("store FS does not map artifacts on this platform")
 	}
 	var orig bytes.Buffer
 	if err := tr.Save(&orig); err != nil {
@@ -307,7 +304,7 @@ func TestAtomicWriteFsyncsFileAndDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := dyntrace.Capture(w.Build(), 20_000)
+	tr, err := dyntrace.CaptureContext(context.Background(), w.Build(), 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -33,11 +34,11 @@ func goldenPrograms(t testing.TB) []struct {
 	for _, w := range workloads.All() {
 		p := w.Build()
 		add(w.Name, p)
-		prof, err := profile.Collect(p, profile.Options{MaxInsts: profile.DefaultMaxInsts})
+		prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: profile.DefaultMaxInsts})
 		if err != nil {
 			t.Fatal(err)
 		}
-		clone, err := synth.Generate(prof, synth.Config{})
+		clone, err := synth.GenerateContext(context.Background(), prof, synth.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

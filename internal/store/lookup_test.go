@@ -5,6 +5,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -37,11 +38,11 @@ func lookupKinds(t *testing.T) []lookupKind {
 		t.Fatal(err)
 	}
 	p := w.Build()
-	prof, err := profile.Collect(p, profile.Options{MaxInsts: 10_000})
+	prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := dyntrace.Capture(p, 20_000)
+	tr, err := dyntrace.CaptureContext(context.Background(), p, 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}

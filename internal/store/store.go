@@ -206,37 +206,25 @@ func (s *Store) quarantine(path string, cause error) {
 // — unless the store is strict, in which case it is an error.
 func (s *Store) LoadTrace(name string, p *prog.Program, budget uint64) (t *dyntrace.Trace, ok bool, err error) {
 	path := s.tracePath(name, ProgramHash(p), budget)
+	// Map the artifact and let the trace alias it (PCDT v2 replays
+	// straight out of the page cache where the FS mmaps). On success the
+	// trace adopts the mapping and releases it on Close; on any failure
+	// the mapping is dropped here and the error feeds the degrade and
+	// quarantine policy.
 	var tr *dyntrace.Trace
-	var lerr error
-	if m, isMapper := s.fs.(faultinject.Mapper); isMapper {
-		// Zero-copy path: mmap the artifact and let the trace alias it
-		// (PCDT v2 replays straight out of the page cache). On success
-		// the trace adopts the mapping and unmaps it on Close; on any
-		// failure the mapping is dropped here and the error feeds the
-		// same degrade/quarantine policy as the copying path.
-		lerr = faultinject.Retry(func() error {
-			data, release, err := m.Map(path)
-			if err != nil {
-				return err
-			}
-			t2, err := dyntrace.LoadBytes(data, release, p)
-			if err != nil {
-				release()
-				return err
-			}
-			tr = t2
-			return nil
-		})
-	} else {
-		lerr = s.readArtifact(path, func(r io.Reader) error {
-			t2, err := dyntrace.Load(r, p)
-			if err != nil {
-				return err
-			}
-			tr = t2
-			return nil
-		})
-	}
+	lerr := faultinject.Retry(func() error {
+		data, release, err := s.fs.Map(path)
+		if err != nil {
+			return err
+		}
+		t2, err := dyntrace.LoadBytes(data, release, p)
+		if err != nil {
+			release()
+			return err
+		}
+		tr = t2
+		return nil
+	})
 	switch {
 	case lerr == nil:
 		s.traceHits.Add(1)

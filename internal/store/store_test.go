@@ -22,7 +22,7 @@ func testProgramAndTrace(t *testing.T) (*Store, *dyntrace.Trace) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := dyntrace.Capture(w.Build(), 20_000)
+	tr, err := dyntrace.CaptureContext(context.Background(), w.Build(), 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestProfileRoundTrip(t *testing.T) {
 	}
 	p := w.Build()
 	hash := ProgramHash(p)
-	prof, err := profile.Collect(p, profile.Options{MaxInsts: 10_000})
+	prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}

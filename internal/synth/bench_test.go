@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"testing"
 
 	"perfclone/internal/profile"
@@ -18,7 +19,7 @@ func BenchmarkProfileCollect(b *testing.B) {
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
-		prof, err := profile.Collect(p, profile.Options{})
+		prof, err := profile.CollectContext(context.Background(), p, profile.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -34,13 +35,13 @@ func BenchmarkGenerate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prof, err := profile.Collect(w.Build(), profile.Options{})
+	prof, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Generate(prof, Config{Seed: uint64(i) + 1}); err != nil {
+		if _, err := GenerateContext(context.Background(), prof, Config{Seed: uint64(i) + 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -101,16 +102,17 @@ func randomProfile(seed uint64) *profile.Profile {
 func TestGenerateFromRandomProfiles(t *testing.T) {
 	fn := func(seed uint64) bool {
 		prof := randomProfile(seed)
-		clone, err := Generate(prof, Config{Iterations: 30})
+		clone, err := GenerateContext(context.Background(), prof, Config{Iterations: 30})
 		if err != nil {
 			t.Logf("seed %d: generate error: %v", seed, err)
 			return false
 		}
-		if err := clone.Program.Validate(); err != nil {
+		m, err := funcsim.New(clone.Program)
+		if err != nil {
 			t.Logf("seed %d: invalid program: %v", seed, err)
 			return false
 		}
-		res, err := funcsim.RunProgram(clone.Program, funcsim.Limits{MaxInsts: 5_000_000}, nil)
+		res, err := m.RunColumns(funcsim.Limits{MaxInsts: 5_000_000}, nil)
 		if err != nil {
 			t.Logf("seed %d: run error: %v", seed, err)
 			return false
@@ -150,7 +152,7 @@ func FuzzGenerate(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		p, err := profile.Collect(w.Build(), profile.Options{MaxInsts: 50_000})
+		p, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{MaxInsts: 50_000})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -171,16 +173,17 @@ func FuzzGenerate(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		clone, err := Generate(p, Config{Iterations: 5})
+		clone, err := GenerateContext(context.Background(), p, Config{Iterations: 5})
 		if err != nil {
 			// A loadable profile the generator rejects with an error is
 			// fine; only a panic (caught by the fuzz driver) is a bug.
 			return
 		}
-		if err := clone.Program.Validate(); err != nil {
+		m, err := funcsim.New(clone.Program)
+		if err != nil {
 			t.Fatalf("generated invalid program: %v", err)
 		}
-		res, err := funcsim.RunProgram(clone.Program, funcsim.Limits{MaxInsts: 2_000_000}, nil)
+		res, err := m.RunColumns(funcsim.Limits{MaxInsts: 2_000_000}, nil)
 		if err != nil {
 			t.Fatalf("clone failed to run: %v", err)
 		}

@@ -176,18 +176,13 @@ var dirPatterns = [numDirRegs]dirPattern{
 	{dirRandom, 8192, 0.125, 0.21875}, // random 12.5 %
 }
 
-// Generate builds a synthetic clone from a profile, following the
-// 12-step algorithm of Section 3.2.
-func Generate(p *profile.Profile, cfg Config) (*Clone, error) {
-	return GenerateContext(context.Background(), p, cfg)
-}
-
-// GenerateContext is Generate with cooperative cancellation: the
-// generator polls ctx between its phases (validate → pools → chain →
-// emit → self-check), returning the context's cancellation cause, and
-// ticks any supervision heartbeat carried by ctx at each boundary so a
-// supervised synthesis task stays live under a watchdog. Cancellation
-// never yields a partial clone — the result is either complete or nil.
+// GenerateContext builds a synthetic clone from a profile, following the
+// 12-step algorithm of Section 3.2. It polls ctx between its phases
+// (validate → pools → chain → emit), returning the context's
+// cancellation cause, and ticks any supervision heartbeat carried by ctx
+// at each boundary so a supervised synthesis task stays live under a
+// watchdog. Cancellation never yields a partial clone — the result is
+// either complete or nil.
 func GenerateContext(ctx context.Context, p *profile.Profile, cfg Config) (*Clone, error) {
 	phase := func() error {
 		if err := supervise.Cause(ctx); err != nil {

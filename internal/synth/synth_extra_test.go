@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 // strides the clone was built from, for the heavy pools.
 func TestCloneStrideFidelity(t *testing.T) {
 	prof := collect(t, "crc32")
-	clone, err := Generate(prof, Config{})
+	clone, err := GenerateContext(context.Background(), prof, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestCloneStrideFidelity(t *testing.T) {
 	// each unrolled instance steps by the stride, the pointer by
 	// instances × stride, so per-static-op dominant strides stay small
 	// and positive for the byte pool.
-	cloneProf, err := profile.Collect(clone.Program, profile.Options{MaxInsts: 400_000})
+	cloneProf, err := profile.CollectContext(context.Background(), clone.Program, profile.Options{MaxInsts: 400_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestCloneFootprint(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			prof := collect(t, name)
-			clone, err := Generate(prof, Config{})
+			clone, err := GenerateContext(context.Background(), prof, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,11 +91,11 @@ func TestCloneLoopBodyFitsL1I(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			prof, err := profile.Collect(w.Build(), profile.Options{MaxInsts: 300_000})
+			prof, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{MaxInsts: 300_000})
 			if err != nil {
 				t.Fatal(err)
 			}
-			clone, err := Generate(prof, Config{})
+			clone, err := GenerateContext(context.Background(), prof, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,20 +165,27 @@ func TestCloneMemoryAccessesInBounds(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			prof := collect(t, name)
-			clone, err := Generate(prof, Config{})
+			clone, err := GenerateContext(context.Background(), prof, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			memSize := clone.Program.MemSize
-			obs := func(ev *funcsim.Event) error {
-				if ev.Inst.Op.IsMem() && ev.Addr >= memSize {
-					t.Fatalf("access at %d outside memory %d", ev.Addr, memSize)
+			obs := func(evs []funcsim.Event) error {
+				for k := range evs {
+					ev := &evs[k]
+					if ev.Inst.Op.IsMem() && ev.Addr >= memSize {
+						t.Fatalf("access at %d outside memory %d", ev.Addr, memSize)
+					}
 				}
 				return nil
 			}
 			// funcsim itself errors on out-of-range, but the explicit
 			// observer gives a better failure message.
-			if _, err := funcsim.RunProgram(clone.Program, funcsim.Limits{MaxInsts: 2_000_000}, obs); err != nil {
+			m, err := funcsim.New(clone.Program)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.RunBatch(funcsim.Limits{MaxInsts: 2_000_000}, obs); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -189,11 +197,11 @@ func TestCloneMemoryAccessesInBounds(t *testing.T) {
 // dominated.
 func TestDepDistanceRealization(t *testing.T) {
 	prof := collect(t, "basicmath") // Newton chains: serial dependences
-	clone, err := Generate(prof, Config{})
+	clone, err := GenerateContext(context.Background(), prof, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cloneProf, err := profile.Collect(clone.Program, profile.Options{MaxInsts: 400_000})
+	cloneProf, err := profile.CollectContext(context.Background(), clone.Program, profile.Options{MaxInsts: 400_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +226,11 @@ func TestDepDistanceRealization(t *testing.T) {
 // measures nothing).
 func TestTakenRateOnlyAblationDiffers(t *testing.T) {
 	prof := collect(t, "qsort")
-	full, err := Generate(prof, Config{Seed: 3})
+	full, err := GenerateContext(context.Background(), prof, Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	strawman, err := Generate(prof, Config{Seed: 3, TakenRateOnlyBranches: true})
+	strawman, err := GenerateContext(context.Background(), prof, Config{Seed: 3, TakenRateOnlyBranches: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +241,7 @@ func TestTakenRateOnlyAblationDiffers(t *testing.T) {
 
 // TestGenerateRejectsEmptyProfile guards the API contract.
 func TestGenerateRejectsEmptyProfile(t *testing.T) {
-	if _, err := Generate(&profile.Profile{Name: "empty"}, Config{}); err == nil {
+	if _, err := GenerateContext(context.Background(), &profile.Profile{Name: "empty"}, Config{}); err == nil {
 		t.Fatal("empty profile accepted")
 	}
 }
@@ -242,19 +250,19 @@ func TestGenerateRejectsEmptyProfile(t *testing.T) {
 // mix again (the profile → synthesis loop is a near-fixed-point).
 func TestCloneOfCloneIsStable(t *testing.T) {
 	prof := collect(t, "adpcm")
-	c1, err := Generate(prof, Config{})
+	c1, err := GenerateContext(context.Background(), prof, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := profile.Collect(c1.Program, profile.Options{MaxInsts: 400_000})
+	p1, err := profile.CollectContext(context.Background(), c1.Program, profile.Options{MaxInsts: 400_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Generate(p1, Config{})
+	c2, err := GenerateContext(context.Background(), p1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := profile.Collect(c2.Program, profile.Options{MaxInsts: 400_000})
+	p2, err := profile.CollectContext(context.Background(), c2.Program, profile.Options{MaxInsts: 400_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,15 +291,19 @@ func TestGenerateFromHandMadeProfile(t *testing.T) {
 	b.Bne(isa.IntReg(2), isa.RZero, "loop")
 	b.Label("end")
 	b.Halt()
-	prof, err := profile.Collect(b.MustBuild(), profile.Options{})
+	prof, err := profile.CollectContext(context.Background(), b.MustBuild(), profile.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone, err := Generate(prof, Config{TargetBlocks: 20, Iterations: 50})
+	clone, err := GenerateContext(context.Background(), prof, Config{TargetBlocks: 20, Iterations: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := funcsim.RunProgram(clone.Program, funcsim.Limits{MaxInsts: 1_000_000}, nil)
+	m, err := funcsim.New(clone.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.RunColumns(funcsim.Limits{MaxInsts: 1_000_000}, nil)
 	if err != nil || !res.Halted {
 		t.Fatalf("hand-made clone run: halted=%v err=%v", res.Halted, err)
 	}

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -17,7 +18,7 @@ func collect(t *testing.T, name string) *profile.Profile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := profile.Collect(w.Build(), profile.Options{MaxInsts: 400_000})
+	p, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{MaxInsts: 400_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,18 +33,19 @@ func TestCloneRunsToCompletion(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			prof, err := profile.Collect(w.Build(), profile.Options{MaxInsts: 300_000})
+			prof, err := profile.CollectContext(context.Background(), w.Build(), profile.Options{MaxInsts: 300_000})
 			if err != nil {
 				t.Fatal(err)
 			}
-			clone, err := Generate(prof, Config{})
+			clone, err := GenerateContext(context.Background(), prof, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := clone.Program.Validate(); err != nil {
+			m, err := funcsim.New(clone.Program)
+			if err != nil {
 				t.Fatalf("clone validate: %v", err)
 			}
-			res, err := funcsim.RunProgram(clone.Program, funcsim.Limits{MaxInsts: 10_000_000}, nil)
+			res, err := m.RunColumns(funcsim.Limits{MaxInsts: 10_000_000}, nil)
 			if err != nil {
 				t.Fatalf("clone run: %v", err)
 			}
@@ -69,11 +71,11 @@ func TestCloneMatchesInstructionMix(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			prof := collect(t, name)
-			clone, err := Generate(prof, Config{})
+			clone, err := GenerateContext(context.Background(), prof, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			cloneProf, err := profile.Collect(clone.Program, profile.Options{MaxInsts: 400_000})
+			cloneProf, err := profile.CollectContext(context.Background(), clone.Program, profile.Options{MaxInsts: 400_000})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,11 +98,11 @@ func TestCloneMatchesBranchBehavior(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			prof := collect(t, name)
-			clone, err := Generate(prof, Config{})
+			clone, err := GenerateContext(context.Background(), prof, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			cloneProf, err := profile.Collect(clone.Program, profile.Options{MaxInsts: 400_000})
+			cloneProf, err := profile.CollectContext(context.Background(), clone.Program, profile.Options{MaxInsts: 400_000})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,18 +134,18 @@ func weightedBranchRates(p *profile.Profile) (taken, trans float64) {
 // TestCloneDeterminism: same profile + same seed → identical programs.
 func TestCloneDeterminism(t *testing.T) {
 	prof := collect(t, "crc32")
-	c1, err := Generate(prof, Config{Seed: 7})
+	c1, err := GenerateContext(context.Background(), prof, Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Generate(prof, Config{Seed: 7})
+	c2, err := GenerateContext(context.Background(), prof, Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c1.Program.Disassemble() != c2.Program.Disassemble() {
 		t.Error("same seed produced different clones")
 	}
-	c3, err := Generate(prof, Config{Seed: 8})
+	c3, err := GenerateContext(context.Background(), prof, Config{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +159,7 @@ func TestCloneDeterminism(t *testing.T) {
 // stream pools.
 func TestCloneHidesFunction(t *testing.T) {
 	prof := collect(t, "sha")
-	clone, err := Generate(prof, Config{})
+	clone, err := GenerateContext(context.Background(), prof, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

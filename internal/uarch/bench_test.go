@@ -16,7 +16,7 @@ func BenchmarkTimingSimulation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, err := dyntrace.Capture(w.Build(), 200_000)
+	tr, err := dyntrace.CaptureContext(context.Background(), w.Build(), 200_000)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func BenchmarkTimingSimulationWide(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, err := dyntrace.Capture(w.Build(), 200_000)
+	tr, err := dyntrace.CaptureContext(context.Background(), w.Build(), 200_000)
 	if err != nil {
 		b.Fatal(err)
 	}

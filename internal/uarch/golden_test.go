@@ -25,35 +25,42 @@ func runExecuted(p *prog.Program, cfg Config, lim Limits) (Stats, error) {
 	}
 	trace := make([]TraceInst, 0, streamChunk)
 	var srcBuf [2]isa.Reg
-	obs := func(ev *funcsim.Event) error {
-		in := ev.Inst
-		ti := TraceInst{
-			PC:    ev.PC,
-			Addr:  ev.Addr,
-			Class: in.Op.Class(),
-			Dest:  in.Dest(),
-			Taken: ev.Taken,
-		}
-		ti.Branch = in.Op.IsBranch()
-		ti.Jump = in.Op == isa.OpJmp
-		ti.IsMem = ti.Class == isa.ClassLoad || ti.Class == isa.ClassStore
-		srcs := in.Sources(srcBuf[:0])
-		ti.Src1, ti.Src2 = isa.NoReg, isa.NoReg
-		if len(srcs) > 0 {
-			ti.Src1 = srcs[0]
-		}
-		if len(srcs) > 1 {
-			ti.Src2 = srcs[1]
-		}
-		trace = append(trace, ti)
-		if len(trace) == cap(trace) {
-			s.consume(trace)
-			trace = trace[:0]
+	obs := func(evs []funcsim.Event) error {
+		for k := range evs {
+			ev := &evs[k]
+			in := ev.Inst
+			ti := TraceInst{
+				PC:    ev.PC,
+				Addr:  ev.Addr,
+				Class: in.Op.Class(),
+				Dest:  in.Dest(),
+				Taken: ev.Taken,
+			}
+			ti.Branch = in.Op.IsBranch()
+			ti.Jump = in.Op == isa.OpJmp
+			ti.IsMem = ti.Class == isa.ClassLoad || ti.Class == isa.ClassStore
+			srcs := in.Sources(srcBuf[:0])
+			ti.Src1, ti.Src2 = isa.NoReg, isa.NoReg
+			if len(srcs) > 0 {
+				ti.Src1 = srcs[0]
+			}
+			if len(srcs) > 1 {
+				ti.Src2 = srcs[1]
+			}
+			trace = append(trace, ti)
+			if len(trace) == cap(trace) {
+				s.consume(trace)
+				trace = trace[:0]
+			}
 		}
 		return nil
 	}
 	s.warmup = lim.Warmup
-	if _, err := funcsim.RunProgram(p, funcsim.Limits{MaxInsts: lim.MaxInsts}, obs); err != nil {
+	m, err := funcsim.New(p)
+	if err != nil {
+		return Stats{}, err
+	}
+	if _, err := m.RunBatch(funcsim.Limits{MaxInsts: lim.MaxInsts}, obs); err != nil {
 		return Stats{}, err
 	}
 	s.consume(trace)
@@ -64,7 +71,7 @@ func runExecuted(p *prog.Program, cfg Config, lim Limits) (Stats, error) {
 // completion) and times the trace on cfg.
 func replayProgram(tb testing.TB, p *prog.Program, cfg Config, lim Limits) Stats {
 	tb.Helper()
-	tr, err := dyntrace.Capture(p, lim.MaxInsts)
+	tr, err := dyntrace.CaptureContext(context.Background(), p, lim.MaxInsts)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -92,7 +99,7 @@ func TestReplayGoldenUarch(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := w.Build()
-		tr, err := dyntrace.Capture(p, lim.MaxInsts)
+		tr, err := dyntrace.CaptureContext(context.Background(), p, lim.MaxInsts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,11 +80,11 @@ func TestStatsAccounting(t *testing.T) {
 	for _, w := range workloads.All() {
 		t.Run(w.Name, func(t *testing.T) {
 			real := w.Build()
-			prof, err := profile.Collect(real, profile.Options{MaxInsts: profile.DefaultMaxInsts})
+			prof, err := profile.CollectContext(context.Background(), real, profile.Options{MaxInsts: profile.DefaultMaxInsts})
 			if err != nil {
 				t.Fatal(err)
 			}
-			clone, err := synth.Generate(prof, synth.Config{})
+			clone, err := synth.GenerateContext(context.Background(), prof, synth.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +92,7 @@ func TestStatsAccounting(t *testing.T) {
 				kind string
 				prog *prog.Program
 			}{{"real", real}, {"clone", clone.Program}} {
-				tr, err := dyntrace.Capture(p.prog, budget)
+				tr, err := dyntrace.CaptureContext(context.Background(), p.prog, budget)
 				if err != nil {
 					t.Fatal(err)
 				}

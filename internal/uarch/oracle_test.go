@@ -123,18 +123,20 @@ func TestOracleNotTakenOnTakenBranches(t *testing.T) {
 	}
 }
 
-// TestOracleCyclicFootprint: loads that walk a footprint of F bytes line
-// by line, over and over, map the same number of lines to every set when
-// F and the cache size are powers of two. Under LRU such a loop hits on
-// every pass after the first while it fits (F <= size) and misses on
-// every reference once it does not: each set then cycles through more
-// lines than it has ways, and LRU always evicts the line needed next.
-// So an S-byte cache misses F/line times (the cold pass) when F <= S,
-// and on all passes*F/line references otherwise.
+// TestOracleCyclicFootprint: loads that walk a footprint of N lines
+// line by line, over and over, starting at an address aligned to every
+// cache. With S sets and A ways, line i maps to set i mod S, so set s
+// holds k_s = floor(N/S) + [s < N mod S] of the lines. Under LRU a set
+// with k_s <= A hits on every pass after the cold one, and a set with
+// k_s > A misses on every reference: it cycles through more lines than
+// it has ways, and LRU always evicts the line needed next. So the loop
+// misses N + (passes-1) * sum over k_s > A of k_s times. Footprints that
+// are powers of two fill every set alike; the others leave some sets
+// one line fuller than the rest.
 func TestOracleCyclicFootprint(t *testing.T) {
 	const passes = 4
 	cfgs := cache.Sweep28()
-	for _, footprint := range []int{128, 256, 1 << 10, 4 << 10, 16 << 10, 32 << 10} {
+	for _, footprint := range []int{128, 256, 384, 1 << 10, 3 << 10, 4 << 10, 12 << 10, 16 << 10, 17 << 10, 24 << 10, 32 << 10} {
 		rs, err := cache.NewReplaySet(cfgs)
 		if err != nil {
 			t.Fatal(err)
@@ -145,14 +147,27 @@ func TestOracleCyclicFootprint(t *testing.T) {
 			}
 		}
 		for k, st := range rs.Stats() {
-			lines := uint64(footprint / cfgs[k].LineSize)
-			want := lines
-			if footprint > cfgs[k].Size {
-				want = passes * lines
+			cfg := cfgs[k]
+			n := footprint / cfg.LineSize
+			ways := cfg.Assoc
+			if ways == 0 { // fully associative: one set
+				ways = cfg.Size / cfg.LineSize
 			}
-			if st.Accesses != passes*lines || st.Misses != want {
+			sets := cfg.Size / cfg.LineSize / ways
+			thrashing := 0 // lines in sets that hold more lines than ways
+			for s := range sets {
+				ks := n / sets
+				if s < n%sets {
+					ks++
+				}
+				if ks > ways {
+					thrashing += ks
+				}
+			}
+			want := uint64(n + (passes-1)*thrashing)
+			if st.Accesses != uint64(passes*n) || st.Misses != want {
 				t.Errorf("%s, %d-byte loop: %d misses in %d accesses, closed form %d in %d",
-					cfgs[k], footprint, st.Misses, st.Accesses, want, passes*lines)
+					cfg, footprint, st.Misses, st.Accesses, want, passes*n)
 			}
 		}
 	}

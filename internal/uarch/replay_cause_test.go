@@ -23,7 +23,7 @@ func TestReplayMultiWorkersStuckCause(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := w.Build()
-	tr, err := dyntrace.Capture(p, 3*65536)
+	tr, err := dyntrace.CaptureContext(context.Background(), p, 3*65536)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestReplayMultiWorkersDeadlineCause(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := w.Build()
-	tr, err := dyntrace.Capture(p, 2*65536)
+	tr, err := dyntrace.CaptureContext(context.Background(), p, 2*65536)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,30 +8,26 @@ import (
 	"perfclone/internal/supervise"
 )
 
-// templatesFor returns the per-trace decode product the replay walk
-// memoizes on the trace (dyntrace.Trace.DecodeCache): a TraceInst
-// template per static instruction, since everything but Addr and Taken
-// is static. Building it is O(statics) and happens once per trace, no
-// matter how many sweeps replay it.
+// templatesFor builds a TraceInst template per static instruction of
+// the trace, since everything but Addr and Taken is static. It is
+// O(statics), small against any replay of the trace.
 func templatesFor(t *dyntrace.Trace) []TraceInst {
-	return t.DecodeCache(func() any {
-		statics := t.Statics()
-		tmpl := make([]TraceInst, len(statics))
-		for i := range statics {
-			st := &statics[i]
-			tmpl[i] = TraceInst{
-				PC:     st.PC,
-				Class:  st.Class,
-				Dest:   st.Dest,
-				Src1:   st.Src1,
-				Src2:   st.Src2,
-				Branch: st.Branch,
-				Jump:   st.Jump,
-				IsMem:  st.Mem,
-			}
+	statics := t.Statics()
+	tmpl := make([]TraceInst, len(statics))
+	for i := range statics {
+		st := &statics[i]
+		tmpl[i] = TraceInst{
+			PC:     st.PC,
+			Class:  st.Class,
+			Dest:   st.Dest,
+			Src1:   st.Src1,
+			Src2:   st.Src2,
+			Branch: st.Branch,
+			Jump:   st.Jump,
+			IsMem:  st.Mem,
 		}
-		return tmpl
-	}).([]TraceInst)
+	}
+	return tmpl
 }
 
 // expand turns one chunk of a trace walk into full TraceInst records in

@@ -56,7 +56,7 @@ func TestReplayMultiMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := w.Build()
-	tr, err := dyntrace.Capture(p, 120_000)
+	tr, err := dyntrace.CaptureContext(context.Background(), p, 120_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,18 +93,17 @@ func TestReplayMultiMatchesSerial(t *testing.T) {
 
 // TestReplayMultiWorkersRace runs several parallel fused replays of the
 // same trace concurrently — the shape a parallel Table 3 run produces,
-// where forEach workers each launch a multi-worker walk over traces
-// sharing a decode cache. Run under -race this checks the
-// producer/barrier/worker topology and the single-flight decode cache;
-// the result comparison checks that concurrency never leaks between
-// pipelines.
+// where forEach workers each launch a multi-worker walk over the same
+// trace. Run under -race this checks the producer/barrier/worker
+// topology; the result comparison checks that concurrency never leaks
+// between pipelines.
 func TestReplayMultiWorkersRace(t *testing.T) {
 	w, err := workloads.ByName("qsort")
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := w.Build()
-	tr, err := dyntrace.Capture(p, 90_000)
+	tr, err := dyntrace.CaptureContext(context.Background(), p, 90_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +163,7 @@ func TestReplayMultiWorkersCancelDrains(t *testing.T) {
 	}
 	p := w.Build()
 	// >2 chunks so a 2-poll cancel lands strictly mid-trace.
-	tr, err := dyntrace.Capture(p, 3*65536)
+	tr, err := dyntrace.CaptureContext(context.Background(), p, 3*65536)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +199,7 @@ func TestReplayMultiValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := w.Build()
-	good, err := dyntrace.Capture(p, 10_000)
+	good, err := dyntrace.CaptureContext(context.Background(), p, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,6 +151,11 @@ type Sim struct {
 	committed   uint64
 	measureFrom uint64
 	seqCounter  uint64
+
+	// stepEveryCycle makes pump simulate every stall cycle instead of
+	// jumping over it with fastForward. Only tests set it: it is the
+	// reference stall skipping must reproduce bit for bit.
+	stepEveryCycle bool
 }
 
 // Limits bounds a timing run.
@@ -327,6 +332,7 @@ func (s *Sim) pump(trace []TraceInst, drainAll bool) {
 	stCommitted, stInsts := s.st.Committed, s.st.Insts
 	stIssued := s.st.Issued
 	stRegReads, stRegWrites := s.st.RegReads, s.st.RegWrites
+	skipStalls := !s.stepEveryCycle
 
 	i := 0
 	for i < len(trace) || (drainAll && robCount > 0) {
@@ -630,7 +636,7 @@ func (s *Sim) pump(trace []TraceInst, drainAll bool) {
 		// A cycle with zero commits, issues, and fetches is the start of a
 		// pure stall; fastForward jumps over the provably event-free cycles
 		// instead of simulating them one by one.
-		if nCommit == 0 && nIssue == 0 && fetched == 0 && (robCount > 0 || fetchBlocked) {
+		if skipStalls && nCommit == 0 && nIssue == 0 && fetched == 0 && (robCount > 0 || fetchBlocked) {
 			if robCount > 0 {
 				// When the head completes next cycle the earliest wake is
 				// cycle+1 and fastForward cannot skip; don't pay the call.

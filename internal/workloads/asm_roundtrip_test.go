@@ -26,7 +26,7 @@ func TestAsmRoundTripExecution(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := m.Run(funcsim.Limits{MaxInsts: 50_000_000}, nil)
+				res, err := m.RunColumns(funcsim.Limits{MaxInsts: 50_000_000}, nil)
 				if err != nil || !res.Halted {
 					t.Fatalf("run: halted=%v err=%v", res.Halted, err)
 				}

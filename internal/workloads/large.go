@@ -28,13 +28,3 @@ func Large() []Workload {
 	copy(out, largeRegistry)
 	return out
 }
-
-// LargeByName returns a large-input variant by name.
-func LargeByName(name string) (Workload, bool) {
-	for _, w := range largeRegistry {
-		if w.Name == name {
-			return w, true
-		}
-	}
-	return Workload{}, false
-}

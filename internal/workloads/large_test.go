@@ -14,10 +14,11 @@ func TestLargeVariantsHalt(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
 			p := w.Build()
-			if err := p.Validate(); err != nil {
+			m, err := funcsim.New(p)
+			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := funcsim.RunProgram(p, funcsim.Limits{MaxInsts: 300_000_000}, nil)
+			res, err := m.RunColumns(funcsim.Limits{MaxInsts: 300_000_000}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -30,7 +31,11 @@ func TestLargeVariantsHalt(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sres, err := funcsim.RunProgram(sw.Build(), funcsim.Limits{MaxInsts: 300_000_000}, nil)
+			sm, err := funcsim.New(sw.Build())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sres, err := sm.RunColumns(funcsim.Limits{MaxInsts: 300_000_000}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,11 +57,5 @@ func TestLargeVariantsDisjointFromAll(t *testing.T) {
 		if _, err := ByName(w.Name); err == nil {
 			t.Errorf("%s leaked into the canonical registry", w.Name)
 		}
-	}
-	if _, ok := LargeByName("crc32-large"); !ok {
-		t.Error("LargeByName lookup failed")
-	}
-	if _, ok := LargeByName("nope"); ok {
-		t.Error("LargeByName accepted unknown name")
 	}
 }

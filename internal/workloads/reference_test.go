@@ -32,7 +32,7 @@ func runKernel(t *testing.T, name string) (*prog.Program, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(funcsim.Limits{MaxInsts: 50_000_000}, nil)
+	res, err := m.RunColumns(funcsim.Limits{MaxInsts: 50_000_000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

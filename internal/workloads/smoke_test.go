@@ -15,10 +15,11 @@ func TestAllWorkloadsHalt(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
 			p := w.Build()
-			if err := p.Validate(); err != nil {
+			m, err := funcsim.New(p)
+			if err != nil {
 				t.Fatalf("validate: %v", err)
 			}
-			res, err := funcsim.RunProgram(p, funcsim.Limits{MaxInsts: 50_000_000}, nil)
+			res, err := m.RunColumns(funcsim.Limits{MaxInsts: 50_000_000}, nil)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -64,7 +65,7 @@ func runOnce(t *testing.T, w Workload) (uint64, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(funcsim.Limits{MaxInsts: 50_000_000}, nil)
+	res, err := m.RunColumns(funcsim.Limits{MaxInsts: 50_000_000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
