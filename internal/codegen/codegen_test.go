@@ -148,10 +148,10 @@ func TestDialects(t *testing.T) {
 }
 
 func TestCName(t *testing.T) {
-	if got := cName("pool0"); got != "pool0" {
+	if got := string(appendCName(nil, "pool0")); got != "pool0" {
 		t.Fatal(got)
 	}
-	if got := cName("a-b.c d"); got != "a_b_c_d" {
+	if got := string(appendCName(nil, "a-b.c d")); got != "a_b_c_d" {
 		t.Fatal(got)
 	}
 }

@@ -58,14 +58,16 @@ var mnemonics = map[Dialect]map[isa.Op]string{
 	},
 }
 
-// mnemonic returns the dialect spelling of op.
-func mnemonic(d Dialect, op isa.Op) string {
-	if tbl, ok := mnemonics[d]; ok {
-		if m, ok := tbl[op]; ok {
-			return m
+// mnemonicTable returns the dialect spelling of every opcode.
+func mnemonicTable(d Dialect) (t [isa.NumOps]string) {
+	for op := range t {
+		if m, ok := mnemonics[d][isa.Op(op)]; ok {
+			t[op] = m
+		} else {
+			t[op] = isa.Op(op).String()
 		}
 	}
-	return op.String()
+	return t
 }
 
 // validDialect reports whether d names a known dialect.

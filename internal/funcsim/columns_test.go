@@ -3,6 +3,7 @@ package funcsim_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -365,4 +366,91 @@ func FuzzColumns(f *testing.F) {
 		}
 		checkThreeWays(t, w.Name, fresh(w.Build), n)
 	})
+}
+
+// blockEnds returns the dynamic instruction counts at which the first n
+// blocks of p's run end, from a reference run.
+func blockEnds(t *testing.T, p *prog.Program, n int) []uint64 {
+	t.Helper()
+	_, m := newMachine(t, p)
+	var ends []uint64
+	_, err := m.RunReference(funcsim.Limits{MaxInsts: 1 << 20}, func(evs []funcsim.Event) error {
+		for i := range evs {
+			ev := &evs[i]
+			if len(ends) < n && ev.Index == len(p.Blocks[ev.Block].Insts)-1 {
+				ends = append(ends, ev.Seq+1)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ends) < n {
+		t.Fatalf("%s: only %d blocks ended", p.Name, len(ends))
+	}
+	return ends
+}
+
+// faultAt returns a program that retires exactly f instructions and
+// then loads from outside memory: a loop of three instructions, padded
+// by up to two additions so the fault lands on f. f must be at least 3.
+func faultAt(f int) *prog.Program {
+	b := prog.NewBuilder("fault")
+	buf := b.Zeros("buf", 64)
+	b.Label("e")
+	b.Li(isa.IntReg(1), int64(buf))
+	b.Li(isa.IntReg(2), int64((f-3)/3))
+	for range (f - 3) % 3 {
+		b.Addi(isa.IntReg(5), isa.IntReg(5), 1)
+	}
+	b.Label("loop")
+	b.St(isa.IntReg(2), isa.IntReg(1), 8)
+	b.Addi(isa.IntReg(2), isa.IntReg(2), -1)
+	b.Bne(isa.IntReg(2), isa.RZero, "loop")
+	b.Label("bad")
+	b.Li(isa.IntReg(3), 1<<40)
+	b.Ld(isa.IntReg(4), isa.IntReg(3), 0)
+	b.Halt()
+	return b.MustBuild()
+}
+
+// TestColumnsEdgeSweep runs the column interpreter against the
+// reference at every budget within 3 of the edges where it cuts a block
+// into segments: the ends of the first blocks, and the first and second
+// batch boundaries. It also runs a load fault placed as the last
+// instruction of a batch and as the first of the next.
+func TestColumnsEdgeSweep(t *testing.T) {
+	var progs []*prog.Program
+	for _, name := range []string{"crc32", "qsort", "fft"} {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, w.Build())
+	}
+	w, err := workloads.ByName("crc32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs = append(progs, cloneOf(t, w))
+	for _, p := range progs {
+		edges := append(blockEnds(t, p, 4), funcsim.EventChunk, 2*funcsim.EventChunk)
+		for _, e := range edges {
+			for d := -3; d <= 3; d++ {
+				if budget := int64(e) + int64(d); budget > 0 {
+					checkThreeWays(t, p.Name, func(t testing.TB) (*prog.Program, *funcsim.Machine) {
+						return newMachine(t, p)
+					}, uint64(budget))
+				}
+			}
+		}
+	}
+	for _, f := range []int{funcsim.EventChunk - 1, funcsim.EventChunk} {
+		_, cols, _, _ := runThreeWays(t, fresh(func() *prog.Program { return faultAt(f) }), 0)
+		if cols.err == "" || cols.res.Insts != uint64(f) {
+			t.Fatalf("fault at %d: result %+v, error %q; want %d instructions and an error", f, cols.res, cols.err, f)
+		}
+		checkThreeWays(t, fmt.Sprintf("fault at %d", f), fresh(func() *prog.Program { return faultAt(f) }), 0)
+	}
 }

@@ -95,9 +95,12 @@ type Result struct {
 // Machine is the architected state of one program run.
 type Machine struct {
 	prog *prog.Program
-	ireg [isa.NumIntRegs]int64
-	freg [isa.NumFPRegs]float64
-	mem  []byte
+	// reg is the register file, indexed by isa.Reg: the integer
+	// registers at 0..31 and the bits of the floating-point registers at
+	// 32..63. It has an entry for every Reg value, so no operand read
+	// needs a bounds check; reg[RZero] is reset after every instruction.
+	reg [256]uint64
+	mem []byte
 }
 
 // New creates a Machine with the program's initial memory image loaded.
@@ -113,10 +116,12 @@ func New(p *prog.Program) (*Machine, error) {
 }
 
 // IntReg returns the value of integer register i.
-func (m *Machine) IntReg(i int) int64 { return m.ireg[i] }
+func (m *Machine) IntReg(i int) int64 { return int64(m.reg[:isa.NumIntRegs][i]) }
 
 // FPReg returns the value of floating-point register i.
-func (m *Machine) FPReg(i int) float64 { return m.freg[i] }
+func (m *Machine) FPReg(i int) float64 {
+	return math.Float64frombits(m.reg[isa.NumIntRegs:isa.NumRegs][i])
+}
 
 // ReadMem copies n bytes at addr. A negative n, or a range that leaves
 // memory or wraps past 2^64, is an error.
@@ -130,27 +135,6 @@ func (m *Machine) ReadMem(addr uint64, n int) ([]byte, error) {
 	out := make([]byte, n)
 	copy(out, m.mem[addr:])
 	return out, nil
-}
-
-func (m *Machine) get(r isa.Reg) int64 {
-	if r == isa.RZero {
-		return 0
-	}
-	return m.ireg[r]
-}
-
-func (m *Machine) getF(r isa.Reg) float64 {
-	return m.freg[r-isa.NumIntRegs]
-}
-
-func (m *Machine) set(r isa.Reg, v int64) {
-	if r != isa.RZero {
-		m.ireg[r] = v
-	}
-}
-
-func (m *Machine) setF(r isa.Reg, v float64) {
-	m.freg[r-isa.NumIntRegs] = v
 }
 
 func (m *Machine) checkAddr(addr uint64, n int) error {
@@ -223,6 +207,12 @@ func eventTable(p *prog.Program) []Event {
 // delivered before the error is returned, so obs sees every retired
 // instruction; Result.Insts then counts the instructions retired before
 // the failing one.
+//
+// Each block runs as one or more segments: a segment ends at the block's
+// end, at the instruction limit or where the batch fills, so the inner
+// loop only executes instructions and records memory references, and the
+// static ids, the taken bit and the instruction count are written once
+// per segment.
 func (m *Machine) RunColumns(lim Limits, obs ColumnObserver) (Result, error) {
 	var res Result
 	p := m.prog
@@ -231,57 +221,192 @@ func (m *Machine) RunColumns(lim Limits, obs ColumnObserver) (Result, error) {
 	if limit == 0 {
 		limit = math.MaxUint64
 	}
-	var b batch
-	if obs != nil {
-		b = batch{
-			sids:   make([]uint32, 0, EventChunk),
-			taken:  make([]uint64, EventChunk/64),
-			addrs:  make([]uint64, 0, EventChunk),
-			stores: make([]uint64, EventChunk/64),
-			out:    new(Columns),
-		}
+	b := batch{
+		sids:   make([]uint32, 0, EventChunk),
+		taken:  new([EventChunk / 64]uint64),
+		addrs:  make([]uint64, 0, EventChunk),
+		stores: new([EventChunk / 64]uint64),
+		out:    new(Columns),
 	}
+	r := &m.reg
+	mem := m.mem
+	memLen := uint64(len(mem))
 	bi := p.Entry
 	for {
-		blk := &p.Blocks[bi]
+		insts := p.Blocks[bi].Insts
 		sid := starts[bi]
 		next := bi + 1 // fall-through default
-		for ii := range blk.Insts {
-			in := &blk.Insts[ii]
+		taken, halted := false, false
+		for ii := 0; ii < len(insts); {
 			if res.Insts >= limit {
 				return res, b.deliver(obs)
 			}
-			addr, ref, taken, nb, err := m.exec(in)
+			n := min(uint64(len(insts)-ii), limit-res.Insts, uint64(EventChunk-len(b.sids)))
+			seg := insts[ii : ii+int(n)]
+			addrs := b.addrs
+			var err error
+			k := 0
+		exec:
+			for ; k < len(seg); k++ {
+				in := &seg[k]
+				switch in.Op {
+				case isa.OpAdd:
+					r[in.Rd] = r[in.Rs1] + r[in.Rs2]
+				case isa.OpSub:
+					r[in.Rd] = r[in.Rs1] - r[in.Rs2]
+				case isa.OpAnd:
+					r[in.Rd] = r[in.Rs1] & r[in.Rs2]
+				case isa.OpOr:
+					r[in.Rd] = r[in.Rs1] | r[in.Rs2]
+				case isa.OpXor:
+					r[in.Rd] = r[in.Rs1] ^ r[in.Rs2]
+				case isa.OpShl:
+					r[in.Rd] = r[in.Rs1] << (r[in.Rs2] & 63)
+				case isa.OpShr:
+					r[in.Rd] = r[in.Rs1] >> (r[in.Rs2] & 63)
+				case isa.OpSar:
+					r[in.Rd] = uint64(int64(r[in.Rs1]) >> (r[in.Rs2] & 63))
+				case isa.OpAddi:
+					r[in.Rd] = r[in.Rs1] + uint64(in.Imm)
+				case isa.OpLui:
+					r[in.Rd] = uint64(in.Imm)
+				case isa.OpSlt:
+					r[in.Rd] = b2u(int64(r[in.Rs1]) < int64(r[in.Rs2]))
+				case isa.OpSltu:
+					r[in.Rd] = b2u(r[in.Rs1] < r[in.Rs2])
+				case isa.OpMul:
+					r[in.Rd] = r[in.Rs1] * r[in.Rs2]
+				case isa.OpDiv:
+					if d := int64(r[in.Rs2]); d != 0 {
+						r[in.Rd] = uint64(int64(r[in.Rs1]) / d)
+					} else {
+						r[in.Rd] = 0
+					}
+				case isa.OpRem:
+					if d := int64(r[in.Rs2]); d != 0 {
+						r[in.Rd] = uint64(int64(r[in.Rs1]) % d)
+					} else {
+						r[in.Rd] = 0
+					}
+
+				case isa.OpFAdd:
+					r[in.Rd] = math.Float64bits(f64(r[in.Rs1]) + f64(r[in.Rs2]))
+				case isa.OpFSub:
+					r[in.Rd] = math.Float64bits(f64(r[in.Rs1]) - f64(r[in.Rs2]))
+				case isa.OpFMul:
+					r[in.Rd] = math.Float64bits(f64(r[in.Rs1]) * f64(r[in.Rs2]))
+				case isa.OpFDiv:
+					r[in.Rd] = math.Float64bits(f64(r[in.Rs1]) / f64(r[in.Rs2]))
+				case isa.OpFNeg:
+					r[in.Rd] = math.Float64bits(-f64(r[in.Rs1]))
+				case isa.OpFCmp:
+					r[in.Rd] = b2u(f64(r[in.Rs1]) < f64(r[in.Rs2]))
+				case isa.OpCvtIF:
+					r[in.Rd] = math.Float64bits(float64(int64(r[in.Rs1])))
+				case isa.OpCvtFI:
+					if f := f64(r[in.Rs1]); math.IsNaN(f) || math.IsInf(f, 0) {
+						r[in.Rd] = 0
+					} else {
+						r[in.Rd] = uint64(int64(f))
+					}
+
+				case isa.OpLd, isa.OpFLd:
+					a := r[in.Rs1] + uint64(in.Imm)
+					if a+8 > memLen || a+8 < a {
+						err = m.checkAddr(a, 8)
+						break exec
+					}
+					r[in.Rd] = binary.LittleEndian.Uint64(mem[a:])
+					addrs = append(addrs, a)
+				case isa.OpLd4:
+					a := r[in.Rs1] + uint64(in.Imm)
+					if a+4 > memLen || a+4 < a {
+						err = m.checkAddr(a, 4)
+						break exec
+					}
+					r[in.Rd] = uint64(int64(int32(binary.LittleEndian.Uint32(mem[a:]))))
+					addrs = append(addrs, a)
+				case isa.OpLd1:
+					a := r[in.Rs1] + uint64(in.Imm)
+					if a >= memLen {
+						err = m.checkAddr(a, 1)
+						break exec
+					}
+					r[in.Rd] = uint64(mem[a])
+					addrs = append(addrs, a)
+				case isa.OpSt, isa.OpFSt:
+					a := r[in.Rs1] + uint64(in.Imm)
+					if a+8 > memLen || a+8 < a {
+						err = m.checkAddr(a, 8)
+						break exec
+					}
+					binary.LittleEndian.PutUint64(mem[a:], r[in.Rs2])
+					setBit(b.stores, len(addrs))
+					addrs = append(addrs, a)
+				case isa.OpSt4:
+					a := r[in.Rs1] + uint64(in.Imm)
+					if a+4 > memLen || a+4 < a {
+						err = m.checkAddr(a, 4)
+						break exec
+					}
+					binary.LittleEndian.PutUint32(mem[a:], uint32(r[in.Rs2]))
+					setBit(b.stores, len(addrs))
+					addrs = append(addrs, a)
+				case isa.OpSt1:
+					a := r[in.Rs1] + uint64(in.Imm)
+					if a >= memLen {
+						err = m.checkAddr(a, 1)
+						break exec
+					}
+					mem[a] = byte(r[in.Rs2])
+					setBit(b.stores, len(addrs))
+					addrs = append(addrs, a)
+
+				// Control instructions end their block, so they end the
+				// segment too.
+				case isa.OpBeq:
+					taken = r[in.Rs1] == r[in.Rs2]
+				case isa.OpBne:
+					taken = r[in.Rs1] != r[in.Rs2]
+				case isa.OpBlt:
+					taken = int64(r[in.Rs1]) < int64(r[in.Rs2])
+				case isa.OpBge:
+					taken = int64(r[in.Rs1]) >= int64(r[in.Rs2])
+				case isa.OpBltu:
+					taken = r[in.Rs1] < r[in.Rs2]
+				case isa.OpJmp:
+					next = in.Target
+				case isa.OpHalt:
+					halted = true
+				default:
+					err = fmt.Errorf("funcsim: unknown op %d", in.Op)
+					break exec
+				}
+				r[isa.RZero] = 0
+			}
+			b.addrs = addrs
+			base := sid + uint32(ii)
+			for j := range uint32(k) {
+				b.sids = append(b.sids, base+j)
+			}
+			res.Insts += uint64(k)
 			if err != nil {
 				if ferr := b.deliver(obs); ferr != nil {
 					return res, ferr
 				}
 				return res, err
 			}
-			if nb != fallThrough {
-				next = nb
+			ii += k
+			if taken {
+				next = seg[k-1].Target
+				setBit(b.taken, len(b.sids)-1)
 			}
-			res.Insts++
-			if obs != nil {
-				k := len(b.sids)
-				b.sids = append(b.sids, sid+uint32(ii))
-				if taken {
-					b.taken[k>>6] |= 1 << (k & 63)
-				}
-				if ref != noRef {
-					j := len(b.addrs)
-					if ref == storeRef {
-						b.stores[j>>6] |= 1 << (j & 63)
-					}
-					b.addrs = append(b.addrs, addr)
-				}
-				if len(b.sids) == EventChunk {
-					if err := b.deliver(obs); err != nil {
-						return res, err
-					}
+			if len(b.sids) == EventChunk {
+				if err := b.deliver(obs); err != nil {
+					return res, err
 				}
 			}
-			if in.Op == isa.OpHalt {
+			if halted {
 				res.Halted = true
 				return res, b.deliver(obs)
 			}
@@ -299,170 +424,43 @@ func (m *Machine) RunColumns(lim Limits, obs ColumnObserver) (Result, error) {
 // batch accumulates RunColumns' columns between deliveries.
 type batch struct {
 	sids   []uint32
-	taken  []uint64 // EventChunk/64 words, zeroed after each delivery
+	taken  *[EventChunk / 64]uint64 // zeroed after each delivery
 	addrs  []uint64
-	stores []uint64 // EventChunk/64 words, zeroed after each delivery
-	out    *Columns // the view handed to the observer
+	stores *[EventChunk / 64]uint64 // zeroed after each delivery
+	out    *Columns                 // the view handed to the observer
 }
 
-// deliver hands the accumulated columns to obs, if there are any, and
-// empties the batch.
+// deliver hands the accumulated columns to obs, if there are any and obs
+// is not nil, and empties the batch.
 func (b *batch) deliver(obs ColumnObserver) error {
 	if len(b.sids) == 0 {
 		return nil
 	}
-	*b.out = Columns{
-		SIDs:   b.sids,
-		Taken:  b.taken[:(len(b.sids)+63)/64],
-		Addrs:  b.addrs,
-		Stores: b.stores[:(len(b.addrs)+63)/64],
+	var err error
+	if obs != nil {
+		*b.out = Columns{
+			SIDs:   b.sids,
+			Taken:  b.taken[:(len(b.sids)+63)/64],
+			Addrs:  b.addrs,
+			Stores: b.stores[:(len(b.addrs)+63)/64],
+		}
+		err = obs(b.out)
 	}
-	err := obs(b.out)
 	b.sids, b.addrs = b.sids[:0], b.addrs[:0]
-	clear(b.taken)
-	clear(b.stores)
+	clear(b.taken[:])
+	clear(b.stores[:])
 	return err
 }
 
-// fallThrough is the sentinel exec returns for non-control instructions.
-const fallThrough = -2
-
-// refKind is the kind of memory reference exec reports.
-type refKind uint8
-
-const (
-	noRef refKind = iota
-	loadRef
-	storeRef
-)
-
-// exec executes one instruction, returning the memory address touched and
-// the kind of reference (for loads/stores), the branch direction, and the
-// next block (fallThrough when control does not transfer).
-func (m *Machine) exec(in *isa.Inst) (addr uint64, ref refKind, taken bool, next int, err error) {
-	next = fallThrough
-	switch in.Op {
-	case isa.OpAdd:
-		m.set(in.Rd, m.get(in.Rs1)+m.get(in.Rs2))
-	case isa.OpSub:
-		m.set(in.Rd, m.get(in.Rs1)-m.get(in.Rs2))
-	case isa.OpAnd:
-		m.set(in.Rd, m.get(in.Rs1)&m.get(in.Rs2))
-	case isa.OpOr:
-		m.set(in.Rd, m.get(in.Rs1)|m.get(in.Rs2))
-	case isa.OpXor:
-		m.set(in.Rd, m.get(in.Rs1)^m.get(in.Rs2))
-	case isa.OpShl:
-		m.set(in.Rd, m.get(in.Rs1)<<(uint64(m.get(in.Rs2))&63))
-	case isa.OpShr:
-		m.set(in.Rd, int64(uint64(m.get(in.Rs1))>>(uint64(m.get(in.Rs2))&63)))
-	case isa.OpSar:
-		m.set(in.Rd, m.get(in.Rs1)>>(uint64(m.get(in.Rs2))&63))
-	case isa.OpAddi:
-		m.set(in.Rd, m.get(in.Rs1)+in.Imm)
-	case isa.OpLui:
-		m.set(in.Rd, in.Imm)
-	case isa.OpSlt:
-		m.set(in.Rd, b2i(m.get(in.Rs1) < m.get(in.Rs2)))
-	case isa.OpSltu:
-		m.set(in.Rd, b2i(uint64(m.get(in.Rs1)) < uint64(m.get(in.Rs2))))
-	case isa.OpMul:
-		m.set(in.Rd, m.get(in.Rs1)*m.get(in.Rs2))
-	case isa.OpDiv:
-		d := m.get(in.Rs2)
-		if d == 0 {
-			m.set(in.Rd, 0)
-		} else {
-			m.set(in.Rd, m.get(in.Rs1)/d)
-		}
-	case isa.OpRem:
-		d := m.get(in.Rs2)
-		if d == 0 {
-			m.set(in.Rd, 0)
-		} else {
-			m.set(in.Rd, m.get(in.Rs1)%d)
-		}
-
-	case isa.OpFAdd:
-		m.setF(in.Rd, m.getF(in.Rs1)+m.getF(in.Rs2))
-	case isa.OpFSub:
-		m.setF(in.Rd, m.getF(in.Rs1)-m.getF(in.Rs2))
-	case isa.OpFMul:
-		m.setF(in.Rd, m.getF(in.Rs1)*m.getF(in.Rs2))
-	case isa.OpFDiv:
-		m.setF(in.Rd, m.getF(in.Rs1)/m.getF(in.Rs2))
-	case isa.OpFNeg:
-		m.setF(in.Rd, -m.getF(in.Rs1))
-	case isa.OpFCmp:
-		m.set(in.Rd, b2i(m.getF(in.Rs1) < m.getF(in.Rs2)))
-	case isa.OpCvtIF:
-		m.setF(in.Rd, float64(m.get(in.Rs1)))
-	case isa.OpCvtFI:
-		f := m.getF(in.Rs1)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			m.set(in.Rd, 0)
-		} else {
-			m.set(in.Rd, int64(f))
-		}
-
-	case isa.OpLd, isa.OpLd4, isa.OpLd1, isa.OpFLd:
-		addr, ref = uint64(m.get(in.Rs1)+in.Imm), loadRef
-		n := in.Op.MemBytes()
-		if err = m.checkAddr(addr, n); err != nil {
-			return
-		}
-		switch in.Op {
-		case isa.OpLd:
-			m.set(in.Rd, int64(binary.LittleEndian.Uint64(m.mem[addr:])))
-		case isa.OpLd4:
-			m.set(in.Rd, int64(int32(binary.LittleEndian.Uint32(m.mem[addr:]))))
-		case isa.OpLd1:
-			m.set(in.Rd, int64(m.mem[addr]))
-		case isa.OpFLd:
-			m.setF(in.Rd, math.Float64frombits(binary.LittleEndian.Uint64(m.mem[addr:])))
-		}
-
-	case isa.OpSt, isa.OpSt4, isa.OpSt1, isa.OpFSt:
-		addr, ref = uint64(m.get(in.Rs1)+in.Imm), storeRef
-		n := in.Op.MemBytes()
-		if err = m.checkAddr(addr, n); err != nil {
-			return
-		}
-		switch in.Op {
-		case isa.OpSt:
-			binary.LittleEndian.PutUint64(m.mem[addr:], uint64(m.get(in.Rs2)))
-		case isa.OpSt4:
-			binary.LittleEndian.PutUint32(m.mem[addr:], uint32(m.get(in.Rs2)))
-		case isa.OpSt1:
-			m.mem[addr] = byte(m.get(in.Rs2))
-		case isa.OpFSt:
-			binary.LittleEndian.PutUint64(m.mem[addr:], math.Float64bits(m.getF(in.Rs2)))
-		}
-
-	case isa.OpBeq:
-		taken = m.get(in.Rs1) == m.get(in.Rs2)
-	case isa.OpBne:
-		taken = m.get(in.Rs1) != m.get(in.Rs2)
-	case isa.OpBlt:
-		taken = m.get(in.Rs1) < m.get(in.Rs2)
-	case isa.OpBge:
-		taken = m.get(in.Rs1) >= m.get(in.Rs2)
-	case isa.OpBltu:
-		taken = uint64(m.get(in.Rs1)) < uint64(m.get(in.Rs2))
-	case isa.OpJmp:
-		next = in.Target
-	case isa.OpHalt:
-		// handled by caller
-	default:
-		err = fmt.Errorf("funcsim: unknown op %d", in.Op)
-	}
-	if in.Op.IsBranch() && taken {
-		next = in.Target
-	}
-	return
+// setBit sets bit i of a batch bitset; i is below EventChunk.
+func setBit(words *[EventChunk / 64]uint64, i int) {
+	words[i>>6&(EventChunk/64-1)] |= 1 << (i & 63)
 }
 
-func b2i(b bool) int64 {
+// f64 reads a floating-point register's bits as its value.
+func f64(bits uint64) float64 { return math.Float64frombits(bits) }
+
+func b2u(b bool) uint64 {
 	if b {
 		return 1
 	}

@@ -101,8 +101,11 @@ func (p *Program) InstAddr(blockIdx, instIdx int) uint64 {
 const textBase = 1 << 40
 
 // Validate checks structural invariants: control-flow instructions appear
-// only at block ends, all targets are in range, registers are valid, and
-// the entry index is in range. It returns the first violation found.
+// only at block ends, all targets are in range, every opcode is known,
+// every register an opcode reads or writes is an architected register of
+// the class it uses (an integer base address for memory operations, a
+// floating-point operand for fadd, …), and the entry index is in range.
+// It returns the first violation found.
 func (p *Program) Validate() error {
 	if len(p.Blocks) == 0 {
 		return fmt.Errorf("prog %q: no blocks", p.Name)
@@ -110,7 +113,6 @@ func (p *Program) Validate() error {
 	if p.Entry < 0 || p.Entry >= len(p.Blocks) {
 		return fmt.Errorf("prog %q: entry %d out of range", p.Name, p.Entry)
 	}
-	var srcs [2]isa.Reg // Sources' stack buffer: validating allocates nothing
 	for bi := range p.Blocks {
 		b := &p.Blocks[bi]
 		if len(b.Insts) == 0 {
@@ -127,12 +129,16 @@ func (p *Program) Validate() error {
 					return fmt.Errorf("prog %q: block %d inst %d: target %d out of range", p.Name, bi, ii, in.Target)
 				}
 			}
-			if d := in.Dest(); d != isa.NoReg && !d.Valid() {
-				return fmt.Errorf("prog %q: block %d inst %d: bad dest %d", p.Name, bi, ii, d)
+			if int(in.Op) >= isa.NumOps {
+				return fmt.Errorf("prog %q: block %d inst %d: unknown opcode %d", p.Name, bi, ii, in.Op)
 			}
-			for _, s := range in.Sources(srcs[:0]) {
-				if !s.Valid() {
-					return fmt.Errorf("prog %q: block %d inst %d: bad source %d", p.Name, bi, ii, s)
+			for k, r := range [3]isa.Reg{in.Rd, in.Rs1, in.Rs2} {
+				if want := operands[in.Op][k]; want != noOperand && regClassOf(r) != want {
+					role := "source"
+					if k == 0 {
+						role = "dest"
+					}
+					return fmt.Errorf("prog %q: block %d inst %d: bad %s %s for %s (want %s register)", p.Name, bi, ii, role, r, in.Op, want)
 				}
 			}
 			// Branches must fall through to bi+1; a branch in the last
@@ -154,4 +160,61 @@ func (p *Program) Validate() error {
 		}
 	}
 	return nil
+}
+
+// regClass is the register class of an instruction operand.
+type regClass uint8
+
+const (
+	noOperand  regClass = iota // the opcode ignores the field
+	intOperand                 // r0..r31
+	fpOperand                  // f0..f31
+)
+
+func (c regClass) String() string {
+	if c == fpOperand {
+		return "floating-point"
+	}
+	return "integer"
+}
+
+// regClassOf reports the class of register r; NoReg and values beyond
+// the architected registers are noOperand, which no operand accepts.
+func regClassOf(r isa.Reg) regClass {
+	switch {
+	case r < isa.NumIntRegs:
+		return intOperand
+	case r.IsFP():
+		return fpOperand
+	}
+	return noOperand
+}
+
+// operands gives, per opcode, the class of the Rd, Rs1 and Rs2 fields
+// the functional simulator writes or reads; noOperand marks a field the
+// opcode ignores.
+var operands = [isa.NumOps][3]regClass{
+	isa.OpAdd: {intOperand, intOperand, intOperand}, isa.OpSub: {intOperand, intOperand, intOperand},
+	isa.OpAnd: {intOperand, intOperand, intOperand}, isa.OpOr: {intOperand, intOperand, intOperand},
+	isa.OpXor: {intOperand, intOperand, intOperand}, isa.OpShl: {intOperand, intOperand, intOperand},
+	isa.OpShr: {intOperand, intOperand, intOperand}, isa.OpSar: {intOperand, intOperand, intOperand},
+	isa.OpAddi: {intOperand, intOperand, noOperand}, isa.OpLui: {intOperand, noOperand, noOperand},
+	isa.OpSlt: {intOperand, intOperand, intOperand}, isa.OpSltu: {intOperand, intOperand, intOperand},
+	isa.OpMul: {intOperand, intOperand, intOperand}, isa.OpDiv: {intOperand, intOperand, intOperand},
+	isa.OpRem: {intOperand, intOperand, intOperand},
+
+	isa.OpFAdd: {fpOperand, fpOperand, fpOperand}, isa.OpFSub: {fpOperand, fpOperand, fpOperand},
+	isa.OpFMul: {fpOperand, fpOperand, fpOperand}, isa.OpFDiv: {fpOperand, fpOperand, fpOperand},
+	isa.OpFNeg: {fpOperand, fpOperand, noOperand}, isa.OpFCmp: {intOperand, fpOperand, fpOperand},
+	isa.OpCvtIF: {fpOperand, intOperand, noOperand}, isa.OpCvtFI: {intOperand, fpOperand, noOperand},
+
+	isa.OpLd: {intOperand, intOperand, noOperand}, isa.OpLd4: {intOperand, intOperand, noOperand},
+	isa.OpLd1: {intOperand, intOperand, noOperand}, isa.OpFLd: {fpOperand, intOperand, noOperand},
+	isa.OpSt: {noOperand, intOperand, intOperand}, isa.OpSt4: {noOperand, intOperand, intOperand},
+	isa.OpSt1: {noOperand, intOperand, intOperand}, isa.OpFSt: {noOperand, intOperand, fpOperand},
+
+	isa.OpBeq: {noOperand, intOperand, intOperand}, isa.OpBne: {noOperand, intOperand, intOperand},
+	isa.OpBlt: {noOperand, intOperand, intOperand}, isa.OpBge: {noOperand, intOperand, intOperand},
+	isa.OpBltu: {noOperand, intOperand, intOperand},
+	// OpJmp and OpHalt read and write no register.
 }
