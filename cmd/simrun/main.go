@@ -98,24 +98,27 @@ func run(name, file string, useClone, useStatsim bool, cfgName string, insts, wa
 		}
 		p = clone.Program
 	}
-	// One capture serves both modes: the detailed run replays it, and
-	// statistical simulation profiles it and measures its rates on it, so
-	// under -statsim it also covers the profiling budget. Replay and
+	// One run of p serves either mode: the detailed run replays its
+	// capture. Under -statsim the same run is also profiled
+	// (profile.CaptureContext) and the rates are measured on the capture,
+	// so the capture also covers the profiling budget. Replay and
 	// MeasureRates stop at insts.
 	captureInsts := insts
 	if useStatsim && insts != 0 {
 		captureInsts = max(insts, profile.DefaultMaxInsts)
 	}
-	t, err := dyntrace.CaptureContext(ctx, p, captureInsts)
+	var t *dyntrace.Trace
+	var prof *profile.Profile
+	if useStatsim {
+		t, prof, err = profile.CaptureContext(ctx, p, captureInsts, profile.Options{MaxInsts: profile.DefaultMaxInsts})
+	} else {
+		t, err = dyntrace.CaptureContext(ctx, p, captureInsts)
+	}
 	if err != nil {
 		return err
 	}
 	var st uarch.Stats
 	if useStatsim {
-		prof, err := profile.FromTrace(ctx, t, profile.Options{MaxInsts: profile.DefaultMaxInsts})
-		if err != nil {
-			return err
-		}
 		rates, err := statsim.MeasureRates(ctx, t, cfg, insts)
 		if err != nil {
 			return err

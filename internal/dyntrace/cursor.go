@@ -41,10 +41,23 @@ func (c *Cursor) NextSIDs(buf []uint32) ([]uint32, error) {
 	off := 0
 	enc := c.sidEnc
 	for k := range buf {
-		if off < len(enc) && enc[off] < 0x80 { // fast path: ids below 128, nearly all of them
-			buf[k] = uint32(enc[off])
-			off++
-			continue
+		// Fast paths: ids below 2^7 take one byte (nearly every id of a
+		// real program) and ids below 2^14 two (nearly every id of a
+		// clone). Each decodes exactly as binary.Uvarint does.
+		if off < len(enc) {
+			b0 := enc[off]
+			if b0 < 0x80 {
+				buf[k] = uint32(b0)
+				off++
+				continue
+			}
+			if off+1 < len(enc) {
+				if b1 := enc[off+1]; b1 < 0x80 {
+					buf[k] = uint32(b0&0x7f) | uint32(b1)<<7
+					off += 2
+					continue
+				}
+			}
 		}
 		v, w := binary.Uvarint(enc[off:])
 		if w <= 0 || v > maxColumn {

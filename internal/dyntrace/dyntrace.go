@@ -89,11 +89,38 @@ type Trace struct {
 
 // CaptureContext executes p functionally (up to maxInsts dynamic
 // instructions; 0 = to completion) and records the dynamic stream. It
-// is one Stream over p that encodes each chunk as it arrives, so the
-// trace never holds a raw column. Stream polls ctx and ticks any
-// supervision heartbeat once per chunk, so a long capture under a
-// watchdog never reads as a wedged task.
+// is one Stream over p whose consumer is an Encoder, so the trace never
+// holds a raw column. Stream polls ctx and ticks any supervision
+// heartbeat once per chunk, so a long capture under a watchdog never
+// reads as a wedged task.
 func CaptureContext(ctx context.Context, p *prog.Program, maxInsts uint64) (*Trace, error) {
+	var e *Encoder
+	halted, err := Stream(ctx, p, maxInsts, func(static []Static) func(*Chunk) error {
+		e = NewEncoder(p, static, maxInsts)
+		return func(c *Chunk) error {
+			e.Add(c)
+			return nil
+		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("dyntrace: capture %s: %w", p.Name, err)
+	}
+	return e.Finish(halted), nil
+}
+
+// Encoder builds a Trace from a Stream's chunks as they arrive. It is
+// CaptureContext's chunk consumer, exported so that a caller can feed
+// one Stream to a trace and to a second consumer at once (see
+// profile.CaptureContext) and run the program only once.
+type Encoder struct {
+	t    *Trace
+	prev uint64 // last address: the address stream is delta-coded
+}
+
+// NewEncoder starts a trace of p, whose static table is static (the one
+// Stream hands its consumer), sized for a run of up to maxInsts
+// instructions (0 = to completion).
+func NewEncoder(p *prog.Program, static []Static, maxInsts uint64) *Encoder {
 	hint := maxInsts
 	if hint == 0 || hint > 1<<20 {
 		hint = 1 << 20
@@ -104,54 +131,61 @@ func CaptureContext(ctx context.Context, p *prog.Program, maxInsts uint64) (*Tra
 	// address bytes per instruction, so half the budget holds the
 	// address stream of nearly all of them without regrowing.
 	var idBuf [binary.MaxVarintLen64]byte
-	idBytes := uint64(binary.PutUvarint(idBuf[:], uint64(p.NumStaticInsts())))
-	t := &Trace{
+	idBytes := uint64(binary.PutUvarint(idBuf[:], uint64(len(static))))
+	return &Encoder{t: &Trace{
 		prog:     p,
+		static:   static,
 		sidEnc:   make([]byte, 0, hint*idBytes),
 		taken:    make([]uint64, 0, (hint+63)/64),
 		memEnc:   make([]byte, 0, hint/2),
 		memStore: make([]uint64, 0, (hint/2+63)/64),
-	}
-	var prev uint64 // last address: the address stream is delta-coded
-	halted, err := Stream(ctx, p, maxInsts, func(static []Static) func(*Chunk) error {
-		t.static = static
-		return func(c *Chunk) error {
-			// Encode into locals and store them back once per chunk: the
-			// Trace's fields live on the heap, its locals in registers.
-			sidEnc := t.sidEnc
-			for _, sid := range c.SIDs {
-				if sid < 0x80 { // one-byte uvarint: nearly every id
-					sidEnc = append(sidEnc, byte(sid))
-				} else {
-					sidEnc = binary.AppendUvarint(sidEnc, uint64(sid))
-				}
-			}
-			t.sidEnc = sidEnc
-			// Base is 64-aligned, so the chunk's taken words are the trace's.
-			t.taken = append(t.taken, c.Taken...)
-			t.insts += uint64(len(c.SIDs))
-			memEnc, last := t.memEnc, prev
-			for _, a := range c.Addrs {
-				memEnc = appendAddr(memEnc, a, last)
-				last = a
-			}
-			t.memEnc, prev = memEnc, last
-			n := uint64(len(c.Addrs))
-			t.memStore = appendBits(t.memStore, t.numMem, c.Stores, n)
-			t.numMem += n
-			return nil
+	}}
+}
+
+// Add encodes the next chunk of the stream. Chunks must arrive in
+// order, as Stream yields them.
+func (e *Encoder) Add(c *Chunk) {
+	t := e.t
+	// Encode into locals and store them back once per chunk: the Trace's
+	// fields live on the heap, its locals in registers.
+	sidEnc := t.sidEnc
+	for _, sid := range c.SIDs {
+		switch {
+		case sid < 1<<7: // one-byte uvarint: nearly every id of a real program
+			sidEnc = append(sidEnc, byte(sid))
+		case sid < 1<<14: // two bytes: nearly every id of a clone
+			sidEnc = append(sidEnc, byte(sid)|0x80, byte(sid>>7))
+		default:
+			sidEnc = binary.AppendUvarint(sidEnc, uint64(sid))
 		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("dyntrace: capture %s: %w", p.Name, err)
 	}
+	t.sidEnc = sidEnc
+	// Base is 64-aligned, so the chunk's taken words are the trace's.
+	t.taken = append(t.taken, c.Taken...)
+	t.insts += uint64(len(c.SIDs))
+	memEnc, last := t.memEnc, e.prev
+	for _, a := range c.Addrs {
+		memEnc = appendAddr(memEnc, a, last)
+		last = a
+	}
+	t.memEnc, e.prev = memEnc, last
+	n := uint64(len(c.Addrs))
+	t.memStore = appendBits(t.memStore, t.numMem, c.Stores, n)
+	t.numMem += n
+}
+
+// Finish returns the trace; halted is what Stream reported. The Encoder
+// must not be used afterwards.
+func (e *Encoder) Finish(halted bool) *Trace {
+	t := e.t
+	e.t = nil
 	t.halted = halted
 	// A captured trace lives as long as its pair, so its streams keep no
 	// spare capacity: a budget hint is far above the need of a program
 	// that halts early or touches memory rarely.
 	t.sidEnc, t.taken = fit(t.sidEnc), fit(t.taken)
 	t.memEnc, t.memStore = fit(t.memEnc), fit(t.memStore)
-	return t, nil
+	return t
 }
 
 // fit returns s, or a copy of it with no spare capacity when more than
@@ -166,9 +200,10 @@ func fit[T any](s []T) []T {
 // Stream executes p functionally for up to n dynamic instructions (0 =
 // to completion) and hands its stream to fn one Chunk at a time, without
 // building a Trace. It is the one place dyntrace runs the functional
-// simulator: CaptureContext encodes the chunks, a profile accumulates
-// them, and the baseline generator's training measurement feeds them to
-// a cache and a branch predictor. Before the run, Stream calls open once with
+// simulator: CaptureContext encodes the chunks (Encoder), a profile
+// accumulates them, profile.CaptureContext does both in one run, and the
+// baseline generator's training measurement feeds them to a cache and a
+// branch predictor. Before the run, Stream calls open once with
 // p's static table, which the chunks' static ids index, and open returns
 // the chunk consumer fn. Each chunk is one of the simulator's column
 // batches (funcsim.RunColumns, up to funcsim.EventChunk instructions),

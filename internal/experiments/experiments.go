@@ -194,12 +194,12 @@ func Prepare(opts Options) ([]*Pair, error) {
 // PrepareContext is Prepare with cancellation and store reuse: when
 // opts.Store is set, each workload's profile and both dynamic traces are
 // looked up by (name, program hash, budget) before anything executes, and
-// captured artifacts are written back, so a later run — or a crashed
+// computed artifacts are written back, so a later run — or a crashed
 // run's successor — loads instead of re-executing. Clone programs are
 // regenerated from the (possibly cached) profile: synthesis is cheap and
 // deterministic, so the clone's program hash keys its trace stably. The
-// real trace comes first: when it covers ProfileInsts, a profile miss
-// walks it (profile.FromTrace) instead of executing the program again.
+// real program runs at most once when its profile fits in its trace, as
+// at the default options (see realArtifacts).
 // A cell that fails releases the trace it already holds; the caller
 // closes the traces of the pairs it gets back.
 // Prepare runs as stage "prepare", one cell per workload, without a
@@ -216,17 +216,7 @@ func PrepareContext(ctx context.Context, opts Options) ([]*Pair, error) {
 		p := w.Build()
 
 		budget := traceBudget(opts)
-		capture := func(label string, tp *prog.Program) (*dyntrace.Trace, bool, error) {
-			supervise.Beat(ctx)
-			return opts.Store.Trace(label, tp, budget, func() (*dyntrace.Trace, error) {
-				t, err := dyntrace.CaptureContext(ctx, tp, budget)
-				if err != nil {
-					return nil, fmt.Errorf("trace %s: %w", label, err)
-				}
-				return t, nil
-			})
-		}
-		rt, rtHit, err := capture(name, p)
+		rt, prof, realHit, err := realArtifacts(ctx, opts, name, p, budget)
 		if err != nil {
 			return nil, err
 		}
@@ -235,40 +225,91 @@ func PrepareContext(ctx context.Context, opts Options) ([]*Pair, error) {
 				rt.Close() // a store hit is a mapping
 			}
 		}()
-		profOpts := profile.Options{MaxInsts: opts.ProfileInsts}
-		prof, profHit, err := opts.Store.Profile(name, p, opts.ProfileInsts, func() (*profile.Profile, error) {
-			// The real trace is the profile's execution whenever it covers
-			// the budget, as it does at the default options.
-			var prof *profile.Profile
-			var err error
-			if rt.Covers(opts.ProfileInsts) {
-				prof, err = profile.FromTrace(ctx, rt, profOpts)
-			} else {
-				prof, err = profile.CollectContext(ctx, p, profOpts)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("profile %s: %w", name, err)
-			}
-			return prof, nil
-		})
-		if err != nil {
-			return nil, err
-		}
 		supervise.Beat(ctx)
 		clone, err := generateClone(ctx, prof, opts)
 		if err != nil {
 			return nil, fmt.Errorf("clone %s: %w", name, err)
 		}
-		ct, ctHit, err := capture(name+"-clone", clone.Program)
+		supervise.Beat(ctx)
+		label := name + "-clone"
+		ct, ctHit, err := opts.Store.Trace(label, clone.Program, budget, func() (*dyntrace.Trace, error) {
+			return captureTrace(ctx, label, clone.Program, budget)
+		})
 		if err != nil {
 			return nil, err
 		}
-		c.cached = rtHit && profHit && ctHit
+		c.cached = realHit && ctHit
 		return &Pair{
 			Name: name, Real: p, Profile: prof, Clone: clone,
 			RealTrace: rt, CloneTrace: ct,
 		}, nil
 	})
+}
+
+// realArtifacts returns the real program p's trace of budget
+// instructions and its profile of opts.ProfileInsts, each loaded from
+// opts.Store when the store holds it; hit reports that both were. Both
+// are looked up before anything runs. When both miss and the profile
+// fits in the trace, one run of p produces both (profile.CaptureContext);
+// otherwise a missing trace is a capture and a missing profile a
+// CollectContext of its own.
+func realArtifacts(ctx context.Context, opts Options, name string, p *prog.Program, budget uint64) (rt *dyntrace.Trace, prof *profile.Profile, hit bool, err error) {
+	st := opts.Store
+	var rtHit, profHit bool
+	var hash string
+	if st != nil {
+		if rt, rtHit, err = st.LoadTrace(name, p, budget); err != nil {
+			return nil, nil, false, err
+		}
+		loaded := rt // a store hit is a mapping
+		defer func() {
+			if err != nil && loaded != nil {
+				loaded.Close()
+			}
+		}()
+		hash = store.ProgramHash(p)
+		if prof, profHit, err = st.LoadProfile(name, hash, opts.ProfileInsts); err != nil {
+			return nil, nil, false, err
+		}
+	}
+	profOpts := profile.Options{MaxInsts: opts.ProfileInsts}
+	supervise.Beat(ctx)
+	switch {
+	case !rtHit && !profHit && opts.ProfileInsts <= budget:
+		if rt, prof, err = profile.CaptureContext(ctx, p, budget, profOpts); err != nil {
+			return nil, nil, false, fmt.Errorf("trace %s: %w", name, err)
+		}
+	case !rtHit:
+		if rt, err = captureTrace(ctx, name, p, budget); err != nil {
+			return nil, nil, false, err
+		}
+	}
+	if prof == nil {
+		if prof, err = profile.CollectContext(ctx, p, profOpts); err != nil {
+			return nil, nil, false, fmt.Errorf("profile %s: %w", name, err)
+		}
+	}
+	if st != nil && !rtHit {
+		if err = st.SaveTrace(name, rt, budget); err != nil {
+			return nil, nil, false, err
+		}
+	}
+	if st != nil && !profHit {
+		if err = st.SaveProfile(name, hash, opts.ProfileInsts, prof); err != nil {
+			return nil, nil, false, err
+		}
+	}
+	return rt, prof, rtHit && profHit, nil
+}
+
+// captureTrace is dyntrace.CaptureContext with the artifact's label on
+// its error.
+func captureTrace(ctx context.Context, label string, p *prog.Program, budget uint64) (*dyntrace.Trace, error) {
+	t, err := dyntrace.CaptureContext(ctx, p, budget)
+	if err != nil {
+		return nil, fmt.Errorf("trace %s: %w", label, err)
+	}
+	return t, nil
 }
 
 // generateClone synthesizes one workload's clone, applying the fidelity

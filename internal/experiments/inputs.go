@@ -63,11 +63,8 @@ func InputSensitivityContext(ctx context.Context, opts Options) ([]InputRow, err
 		budget := max(profOpts.MaxInsts, lim.MaxInsts)
 		var traces [4]*dyntrace.Trace // small, large, and their clones
 		for k, p := range []*prog.Program{smallProg, largeProg} {
-			if traces[k], err = dyntrace.CaptureContext(ctx, p, budget); err != nil {
-				return InputRow{}, err
-			}
-			prof, err := profile.FromTrace(ctx, traces[k], profOpts)
-			if err != nil {
+			var prof *profile.Profile
+			if traces[k], prof, err = profile.CaptureContext(ctx, p, budget, profOpts); err != nil {
 				return InputRow{}, err
 			}
 			clone, err := synth.GenerateContext(ctx, prof, synth.Config{})

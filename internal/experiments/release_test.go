@@ -3,12 +3,16 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"perfclone/internal/faultinject"
 	"perfclone/internal/store"
+	"perfclone/internal/workloads"
 )
 
 // countingFS is the OS filesystem whose mappings count their releases.
@@ -61,7 +65,8 @@ func (c *countingFS) check(t *testing.T, min int) {
 
 // TestRunReleasesMappedTraces: a store hit maps its trace, so Run must
 // release every pair's traces once it has rendered, and a Prepare cell
-// that fails after mapping its real trace must release that one itself.
+// that fails after mapping its real trace, on its clone's trace or on
+// its own profile, must release that one itself.
 func TestRunReleasesMappedTraces(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{
@@ -108,5 +113,29 @@ func TestRunReleasesMappedTraces(t *testing.T) {
 			t.Fatalf("Run: %v, want the refused mapping", err)
 		}
 		fs.check(t, 3)
+	})
+
+	t.Run("profile failure", func(t *testing.T) {
+		// crc32 maps its real trace and then fails on its corrupt
+		// profile, which a strict store refuses to load.
+		w, err := workloads.ByName("crc32")
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "profiles", fmt.Sprintf("crc32-%s-p%d.json", store.ProgramHash(w.Build()), opts.ProfileInsts))
+		if err := os.WriteFile(path, []byte("{"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fs := &countingFS{FS: faultinject.OS}
+		st, err := store.Open(dir, store.WithFS(fs), store.WithLog(io.Discard), store.WithStrict(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := opts
+		opts.Store = st
+		if err := Run(context.Background(), "fig3", opts, io.Discard); err == nil {
+			t.Fatal("Run loaded a corrupt profile from a strict store")
+		}
+		fs.check(t, 1)
 	})
 }

@@ -69,9 +69,9 @@ func saveBytes(t testing.TB, pr *Profile) []byte {
 }
 
 // TestProfileFromTraceChunkInvariant: how the stream is cut into chunks
-// is not part of a chunk's contract, so re-slicing the walk's chunks
+// is not part of a chunk's contract, so re-slicing a trace walk's chunks
 // into 1-, 7-, 64- and 4096-instruction pieces must leave the profile's
-// bytes unchanged.
+// bytes what CollectContext's execution chunks give.
 func TestProfileFromTraceChunkInvariant(t *testing.T) {
 	const budget = 150_000
 	for _, w := range workloads.All() {
@@ -84,7 +84,7 @@ func TestProfileFromTraceChunkInvariant(t *testing.T) {
 			}
 			for _, perBlock := range []bool{false, true} {
 				opts := Options{MaxInsts: budget, PerBlockNodes: perBlock}
-				whole, err := FromTrace(context.Background(), tr, opts)
+				whole, err := CollectContext(context.Background(), tr.Program(), opts)
 				if err != nil {
 					t.Fatal(err)
 				}

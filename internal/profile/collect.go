@@ -32,26 +32,32 @@ func CollectContext(ctx context.Context, p *prog.Program, opts Options) (*Profil
 	return c.finish(), nil
 }
 
-// FromTrace profiles the first opts.MaxInsts instructions of a captured
-// or loaded trace through one Walk; the result equals CollectContext's
-// on the trace's program. The trace must cover the budget: it halted,
-// or it holds at least opts.MaxInsts instructions.
-func FromTrace(ctx context.Context, t *dyntrace.Trace, opts Options) (*Profile, error) {
-	p := t.Program()
-	if !t.Covers(opts.MaxInsts) {
-		return nil, fmt.Errorf("profile: trace of %s holds %d instructions and did not halt; budget %d",
-			p.Name, t.Insts(), opts.MaxInsts)
+// CaptureContext runs p once, for up to budget dynamic instructions
+// (0 = to completion), and returns both its trace and the profile of
+// its first opts.MaxInsts instructions: one dyntrace.Stream feeds a
+// dyntrace.Encoder and the profile accumulator chunk by chunk. The trace
+// equals dyntrace.CaptureContext's and the profile CollectContext's; the
+// collector stops at its own budget. The profile must fit in the run:
+// budget is 0, or opts.MaxInsts is nonzero and at most budget.
+func CaptureContext(ctx context.Context, p *prog.Program, budget uint64, opts Options) (*dyntrace.Trace, *Profile, error) {
+	if budget != 0 && (opts.MaxInsts == 0 || opts.MaxInsts > budget) {
+		return nil, nil, fmt.Errorf("profile: %s: profile budget %d exceeds trace budget %d", p.Name, opts.MaxInsts, budget)
 	}
-	c := newCollector(p, t.Statics(), opts)
-	w := t.Walk(opts.MaxInsts)
-	for !w.Done() {
-		ch, err := w.Next(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("profile: %w", err)
+	var e *dyntrace.Encoder
+	var c *collector
+	halted, err := dyntrace.Stream(ctx, p, budget, func(static []dyntrace.Static) func(*dyntrace.Chunk) error {
+		e = dyntrace.NewEncoder(p, static, budget)
+		c = newCollector(p, static, opts)
+		return func(ch *dyntrace.Chunk) error {
+			e.Add(ch)
+			c.add(ch)
+			return nil
 		}
-		c.add(ch)
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("profile: capture %s: %w", p.Name, err)
 	}
-	return c.finish(), nil
+	return e.Finish(halted), c.finish(), nil
 }
 
 // depBucket is DepBucket as a table over distances 0..32; every larger
@@ -117,9 +123,9 @@ type blockCache struct {
 	acc  *nodeAcc
 }
 
-// collector is the one profile accumulator. Both feeds hand it the
-// dynamic stream chunk by chunk: FromTrace from a trace walk,
-// CollectContext from a streamed execution. Everything keyed by static
+// collector is the one profile accumulator. Both feeds hand it a
+// streamed execution chunk by chunk: CollectContext alone, and
+// CaptureContext beside the trace encoder. Everything keyed by static
 // instruction lives in dense per-static-id slices, made up front; a
 // profile keeps the entries that executed. Only SFG nodes, keyed by
 // (predecessor, block), need a map.
@@ -197,10 +203,15 @@ func newCollector(p *prog.Program, static []dyntrace.Static, opts Options) *coll
 	return c
 }
 
-// add accumulates one chunk.
+// add accumulates one chunk, up to the profile's budget: a stream that
+// runs longer also feeds a trace.
 func (c *collector) add(ch *dyntrace.Chunk) {
+	sids := ch.SIDs
+	if n := c.opts.MaxInsts; n != 0 && c.insts+uint64(len(sids)) > n {
+		sids = sids[:n-c.insts]
+	}
 	mi := 0
-	for k, sid := range ch.SIDs {
+	for k, sid := range sids {
 		s := &c.info[sid]
 		if s.flags&fFirst != 0 {
 			c.enter(s.block)
@@ -241,7 +252,7 @@ func (c *collector) add(ch *dyntrace.Chunk) {
 			}
 		}
 	}
-	c.insts += uint64(len(ch.SIDs))
+	c.insts += uint64(len(sids))
 }
 
 // bucket is DepBucket for a distance ≥ 1.

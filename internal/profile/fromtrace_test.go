@@ -55,15 +55,27 @@ func blockBudgets(t *testing.T, tr *dyntrace.Trace, n uint64) (mid, end uint64) 
 	return mid, end
 }
 
-// TestProfileFromTraceMatchesCollect: the collector's two feeds, a walk
-// over a captured trace (FromTrace) and a streamed execution
-// (CollectContext), save the same bytes as the per-event reference
-// profiler. It covers every workload, its default clone and the large
-// input variants, at the default budget, the fidelity gate's budget, a
-// budget ending inside a block, one ending on a block's last instruction
-// (where the reference records an edge to a block that may never run),
-// and 0, which runs past nothing to halt. PerBlockNodes is checked at
-// the fidelity budget.
+// traceBytes is the trace's Save bytes, the form the store keeps.
+func traceBytes(t *testing.T, tr *dyntrace.Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestProfileFromTraceMatchesCollect: the collector's two feeds, a
+// streamed execution (CollectContext) and one run that also captures the
+// trace (CaptureContext), save the same profile bytes as the per-event
+// reference profiler, and the fused run's trace saves
+// dyntrace.CaptureContext's bytes. It covers every workload, its default
+// clone and the large input variants, at the default budget, the
+// fidelity gate's budget, a budget ending inside a block, one ending on a
+// block's last instruction (where the reference records an edge to a
+// block that may never run), 0, which runs past nothing to halt, and
+// profile budgets below the trace budget, where the collector stops
+// inside a chunk. PerBlockNodes is checked at the fidelity budget.
 func TestProfileFromTraceMatchesCollect(t *testing.T) {
 	ctx := context.Background()
 	type program struct {
@@ -101,12 +113,15 @@ func TestProfileFromTraceMatchesCollect(t *testing.T) {
 			}
 			mid, end := blockBudgets(t, whole, 150_000)
 			type tc struct {
-				budget   uint64
-				perBlock bool
+				trace, prof uint64
+				perBlock    bool
 			}
-			cases := []tc{{1_000_000, false}, {400_000, false}, {mid, false}, {end, false}, {0, false}, {400_000, true}}
+			cases := []tc{
+				{1_000_000, 1_000_000, false}, {400_000, 400_000, false}, {mid, mid, false}, {end, end, false},
+				{0, 0, false}, {400_000, 400_000, true}, {1_000_000, end, false}, {0, mid, true},
+			}
 			for _, c := range cases {
-				opts := profile.Options{MaxInsts: c.budget, PerBlockNodes: c.perBlock}
+				opts := profile.Options{MaxInsts: c.prof, PerBlockNodes: c.perBlock}
 				ref, err := profile.CollectReference(ctx, p, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -117,43 +132,40 @@ func TestProfileFromTraceMatchesCollect(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(saved(t, streamed), want) {
-					t.Errorf("budget %d perBlock %v: CollectContext differs from the reference", c.budget, c.perBlock)
+					t.Errorf("budget %d perBlock %v: CollectContext differs from the reference", c.prof, c.perBlock)
 				}
-				// A trace of the whole run serves every budget; a capture
-				// of exactly the budget is the shortest one that does.
-				exact, err := dyntrace.CaptureContext(context.Background(), p, c.budget)
+				tr, fused, err := profile.CaptureContext(ctx, p, c.trace, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, tr := range []*dyntrace.Trace{whole, exact} {
-					walked, err := profile.FromTrace(ctx, tr, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(saved(t, walked), want) {
-						t.Errorf("budget %d perBlock %v, trace of %d: FromTrace differs from the reference",
-							c.budget, c.perBlock, tr.Insts())
-					}
+				if !bytes.Equal(saved(t, fused), want) {
+					t.Errorf("trace %d, profile %d, perBlock %v: CaptureContext's profile differs from the reference",
+						c.trace, c.prof, c.perBlock)
+				}
+				captured, err := dyntrace.CaptureContext(ctx, p, c.trace)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(traceBytes(t, tr), traceBytes(t, captured)) {
+					t.Errorf("trace %d, profile %d: CaptureContext's trace differs from dyntrace.CaptureContext's",
+						c.trace, c.prof)
 				}
 			}
 		})
 	}
 }
 
-// TestFromTraceRejectsShortTrace: a trace that stopped short of the
-// budget without halting cannot stand in for the profile's execution.
-func TestFromTraceRejectsShortTrace(t *testing.T) {
+// TestCaptureRejectsProfilePastTrace: a profile budget the run would stop
+// short of is an argument error, whether or not the program halts first.
+func TestCaptureRejectsProfilePastTrace(t *testing.T) {
 	w, err := workloads.ByName("crc32")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := dyntrace.CaptureContext(context.Background(), w.Build(), 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, budget := range []uint64{10_001, 0} {
-		if _, err := profile.FromTrace(context.Background(), tr, profile.Options{MaxInsts: budget}); err == nil {
-			t.Errorf("budget %d: FromTrace accepted a %d-instruction trace that did not halt", budget, tr.Insts())
+	p := w.Build()
+	for _, c := range []struct{ trace, prof uint64 }{{10_000, 10_001}, {10_000, 0}, {1 << 40, 1<<40 + 1}} {
+		if _, _, err := profile.CaptureContext(context.Background(), p, c.trace, profile.Options{MaxInsts: c.prof}); err == nil {
+			t.Errorf("trace budget %d, profile budget %d: accepted", c.trace, c.prof)
 		}
 	}
 }

@@ -11,9 +11,10 @@
 //
 // One accumulator builds every profile from the dynamic stream, a
 // dyntrace.Chunk at a time, with dense per-static-instruction counters.
-// It has two feeds: FromTrace walks a captured or stored trace, and
-// CollectContext streams a fresh execution (dyntrace.Stream) without
-// keeping a trace. Both poll their context once per chunk, and how the
+// Both of its feeds stream a fresh execution (dyntrace.Stream):
+// CollectContext keeps no trace, and CaptureContext encodes the same
+// chunks into a trace as well, so one run of a program yields its trace
+// and its profile. Both poll their context once per chunk, and how the
 // stream is cut into chunks never changes the profile.
 package profile
 
