@@ -100,7 +100,7 @@ func main() {
 	// tells the two apart (130 vs 143).
 	ctx, drain := sigdrain.Notify(context.Background())
 	defer drain.Stop()
-	super := supervise.New(supervise.Options{Log: os.Stderr, Wedge: os.Getenv("PERFCLONE_WEDGE")})
+	super := supervise.New(supervise.Options{Log: os.Stderr})
 	err := run(ctx, o, super)
 	if o.stageTimeout > 0 || o.watchdog > 0 || o.taskRetries > 0 {
 		fmt.Fprintln(os.Stderr, super.Summary())

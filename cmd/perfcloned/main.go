@@ -96,7 +96,7 @@ func run(addr, data string, o options) error {
 	if err != nil {
 		return err
 	}
-	super := supervise.New(supervise.Options{Log: os.Stderr, Wedge: os.Getenv("PERFCLONE_WEDGE")})
+	super := supervise.New(supervise.Options{Log: os.Stderr})
 	srv := controlapi.New(controlapi.Config{
 		Queue: queue, Store: st, DataDir: data,
 		Workers: o.workers, JobTimeout: o.jobTimeout,

@@ -20,11 +20,10 @@ import (
 	"math"
 	"sort"
 
-	"perfclone/internal/bpred"
 	"perfclone/internal/cache"
-	"perfclone/internal/dyntrace"
 	"perfclone/internal/profile"
 	"perfclone/internal/prog"
+	"perfclone/internal/statsim"
 	"perfclone/internal/supervise"
 	"perfclone/internal/synth"
 )
@@ -60,63 +59,15 @@ type Targets struct {
 	MispredRate float64
 }
 
-// MeasureTargets replays the program on the training cache and predictor.
+// MeasureTargets executes p for up to t.MaxInsts instructions through a
+// statsim.Meter over the training cache and predictor.
 func MeasureTargets(p *prog.Program, t TrainingConfig) (Targets, error) {
 	t = t.withDefaults()
-	c, err := cache.New(t.Cache)
-	if err != nil {
+	m := statsim.NewMeter([]cache.Config{t.Cache}, []string{t.Predictor})
+	if err := m.Run(context.Background(), p, t.MaxInsts); err != nil {
 		return Targets{}, err
 	}
-	pred, err := bpred.ByName(t.Predictor)
-	if err != nil {
-		return Targets{}, err
-	}
-	return Measure(p, c, pred, t.MaxInsts)
-}
-
-// Measure executes p for up to maxInsts instructions, feeding every data
-// reference to c and every conditional branch to pred, and returns c's
-// miss rate and pred's misprediction rate over the run. A nil c or pred
-// skips that half (its rate reads 0). The run is one dyntrace.Stream, so
-// references and branches arrive a chunk of columns at a time and
-// nothing is called per instruction.
-func Measure(p *prog.Program, c *cache.Cache, pred bpred.Predictor, maxInsts uint64) (Targets, error) {
-	var bLook, bMiss uint64
-	_, err := dyntrace.Stream(context.Background(), p, maxInsts, func(static []dyntrace.Static) func(*dyntrace.Chunk) error {
-		return func(ch *dyntrace.Chunk) error {
-			if c != nil {
-				for j, a := range ch.Addrs {
-					c.Access(a, ch.Stores[j>>6]>>(j&63)&1 != 0)
-				}
-			}
-			if pred != nil {
-				for k, sid := range ch.SIDs {
-					st := &static[sid]
-					if !st.Branch {
-						continue
-					}
-					taken := ch.Taken[k>>6]>>(k&63)&1 != 0
-					bLook++
-					if pred.Predict(st.PC) != taken {
-						bMiss++
-					}
-					pred.Update(st.PC, taken)
-				}
-			}
-			return nil
-		}
-	})
-	if err != nil {
-		return Targets{}, err
-	}
-	var out Targets
-	if c != nil {
-		out.MissRate = c.Stats().MissRate()
-	}
-	if bLook > 0 {
-		out.MispredRate = float64(bMiss) / float64(bLook)
-	}
-	return out, nil
+	return Targets{MissRate: m.Cache(0).MissRate(), MispredRate: m.MispredRate(0)}, nil
 }
 
 // Generate builds a microarchitecture-dependent clone of p calibrated
@@ -139,8 +90,9 @@ func Generate(p *prog.Program, prof *profile.Profile, t TrainingConfig, cfg synt
 // and returns that clone with the rewritten profile it was generated
 // from (synthesizing the profile again yields the same program). Each of
 // the candidates costs a synthesis and a functional run, so ctx is
-// checked, and its heartbeat ticked, once per candidate: a cancelled
-// search returns the cancellation cause within one candidate.
+// checked, and its heartbeat ticked, once per candidate and once per
+// chunk of the run: a cancelled search returns the cancellation cause
+// within one candidate.
 func Calibrate(ctx context.Context, prof *profile.Profile, targets Targets, t TrainingConfig, cfg synth.Config) (*synth.Clone, *profile.Profile, error) {
 	t = t.withDefaults()
 	line := int64(t.Cache.LineSize)
@@ -157,15 +109,11 @@ func Calibrate(ctx context.Context, prof *profile.Profile, targets Targets, t Tr
 		if err != nil {
 			return nil, nil, err
 		}
-		c, err := cache.New(t.Cache)
-		if err != nil {
+		m := statsim.NewMeter([]cache.Config{t.Cache}, nil)
+		if err := m.Run(ctx, clone.Program, t.MaxInsts); err != nil {
 			return nil, nil, err
 		}
-		got, err := Measure(clone.Program, c, nil, t.MaxInsts)
-		if err != nil {
-			return nil, nil, err
-		}
-		if e := math.Abs(got.MissRate - targets.MissRate); e < bestErr {
+		if e := math.Abs(m.Cache(0).MissRate() - targets.MissRate); e < bestErr {
 			bestErr = e
 			best, bestProf = clone, rewritten
 		}

@@ -9,6 +9,7 @@ import (
 	"perfclone/internal/cache"
 	"perfclone/internal/profile"
 	"perfclone/internal/prog"
+	"perfclone/internal/statsim"
 	"perfclone/internal/supervise"
 	"perfclone/internal/synth"
 	"perfclone/internal/workloads"
@@ -36,11 +37,11 @@ func prep(t *testing.T, name string) (*profile.Profile, TrainingConfig, *synth.C
 // missRate executes p on the training cache alone.
 func missRate(t *testing.T, p *prog.Program, train TrainingConfig) float64 {
 	t.Helper()
-	got, err := Measure(p, cache.MustNew(train.Cache), nil, train.MaxInsts)
-	if err != nil {
+	m := statsim.NewMeter([]cache.Config{train.Cache}, nil)
+	if err := m.Run(context.Background(), p, train.MaxInsts); err != nil {
 		t.Fatal(err)
 	}
-	return got.MissRate
+	return m.Cache(0).MissRate()
 }
 
 func TestBaselineMatchesTrainingMissRate(t *testing.T) {

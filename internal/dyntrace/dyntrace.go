@@ -201,9 +201,9 @@ func fit[T any](s []T) []T {
 // to completion) and hands its stream to fn one Chunk at a time, without
 // building a Trace. It is the one place dyntrace runs the functional
 // simulator: CaptureContext encodes the chunks (Encoder), a profile
-// accumulates them, profile.CaptureContext does both in one run, and the
-// baseline generator's training measurement feeds them to a cache and a
-// branch predictor. Before the run, Stream calls open once with
+// accumulates them, profile.CaptureContext does both in one run, and
+// statsim.Meter.Run feeds them to caches and branch predictors. Before
+// the run, Stream calls open once with
 // p's static table, which the chunks' static ids index, and open returns
 // the chunk consumer fn. Each chunk is one of the simulator's column
 // batches (funcsim.RunColumns, up to funcsim.EventChunk instructions),

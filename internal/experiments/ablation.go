@@ -9,7 +9,6 @@ import (
 	"perfclone/internal/cache"
 	"perfclone/internal/dyntrace"
 	"perfclone/internal/profile"
-	"perfclone/internal/prog"
 	"perfclone/internal/stats"
 	"perfclone/internal/statsim"
 	"perfclone/internal/supervise"
@@ -46,20 +45,29 @@ func AblationContext(ctx context.Context, pairs []*Pair, opts Options) ([]Ablati
 	cfgs := cache.Sweep28()
 	return runStage(ctx, opts, "ablation", pairNames(pairs), func(ctx context.Context, c *cell, i int) (AblationRow, error) {
 		pr, opts := pairs[i], c.opts
+		n := opts.TimingInsts
 		train := baseline.TrainingConfig{
 			Cache:     cache.Config{Size: 16 << 10, Assoc: 2, LineSize: 32},
 			Predictor: "gap",
-			MaxInsts:  opts.TimingInsts,
+			MaxInsts:  n,
 		}
 		budget := traceBudget(opts)
-		targets, err := trainingTargets(ctx, pr, train)
+		// One meter walk per trace: the real trace feeds the training
+		// cache, the training predictor and the predictor sweep; the
+		// clone's feeds the sweep; the baseline clone's feeds the
+		// training cache and the sweep.
+		realT, err := pr.trace(false, n)
 		if err != nil {
 			return AblationRow{}, err
 		}
-		// The baseline clone and its trace are built (or loaded) here,
-		// then shared by the cache sweep, the predictor sweep, and the
+		realM, targets, err := trainingWalk(ctx, realT, train)
+		if err != nil {
+			return AblationRow{}, err
+		}
+		// The baseline clone's trace is built (or loaded) here, then
+		// shared by the cache sweep, the predictor sweep, and the
 		// training-point check below.
-		bl, blTrace, err := baselineClone(ctx, pr, targets, train, opts)
+		blTrace, err := baselineTrace(ctx, pr, targets, train, opts)
 		if err != nil {
 			return AblationRow{}, err
 		}
@@ -88,85 +96,49 @@ func AblationContext(ctx context.Context, pairs []*Pair, opts Options) ([]Ablati
 			blR = 0
 		}
 
-		realT, err := pr.trace(ctx, false, opts.TimingInsts)
+		cloneT, err := pr.trace(true, n)
 		if err != nil {
 			return AblationRow{}, err
 		}
-		cloneT, err := pr.trace(ctx, true, opts.TimingInsts)
-		if err != nil {
+		cloneM := statsim.NewMeter(nil, ablationPredictors)
+		if err := cloneM.Walk(ctx, cloneT, n); err != nil {
 			return AblationRow{}, err
 		}
-		// One walk per trace feeds all of ablationPredictors.
-		realM, err := statsim.MispredRates(ctx, realT, ablationPredictors, opts.TimingInsts)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		cloneM, err := statsim.MispredRates(ctx, cloneT, ablationPredictors, opts.TimingInsts)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		blM, err := statsim.MispredRates(ctx, blTrace, ablationPredictors, opts.TimingInsts)
-		if err != nil {
+		blM := statsim.NewMeter([]cache.Config{train.Cache}, ablationPredictors)
+		if err := blM.Walk(ctx, blTrace, n); err != nil {
 			return AblationRow{}, err
 		}
 		var cloneMAE, blMAE float64
 		for i := range ablationPredictors {
-			cloneMAE += math.Abs(cloneM[i] - realM[i])
-			blMAE += math.Abs(blM[i] - realM[i])
+			realRate := realM.MispredRate(1 + i) // predictor 0 is the training one
+			cloneMAE += math.Abs(cloneM.MispredRate(i) - realRate)
+			blMAE += math.Abs(blM.MispredRate(i) - realRate)
 		}
-		n := float64(len(ablationPredictors))
-
-		blTrainMiss, err := missRateFor(ctx, bl.Program, blTrace, train.Cache, opts.TimingInsts)
-		if err != nil {
-			return AblationRow{}, err
-		}
+		k := float64(len(ablationPredictors))
 		return AblationRow{
 			Workload:           pr.Name,
 			CloneR:             cloneR,
 			BaselineR:          blR,
-			CloneMispredMAE:    cloneMAE / n,
-			BaselineMispredMAE: blMAE / n,
+			CloneMispredMAE:    cloneMAE / k,
+			BaselineMispredMAE: blMAE / k,
 			TrainMissReal:      targets.MissRate,
-			TrainMissBaseline:  blTrainMiss,
+			TrainMissBaseline:  blM.Cache(0).MissRate(),
 		}, nil
 	})
 }
 
-// missRateFor computes the single-config miss rate of the first maxInsts
-// instructions by replaying the data-reference stream of traceFor's
-// trace. The replay polls ctx like every other cache sweep.
-func missRateFor(ctx context.Context, p *prog.Program, t *dyntrace.Trace, cfg cache.Config, maxInsts uint64) (float64, error) {
-	rs, err := cache.NewReplaySet([]cache.Config{cfg})
-	if err != nil {
-		return 0, err
-	}
-	if t, err = traceFor(ctx, p, t, maxInsts); err != nil {
-		return 0, err
-	}
-	if err := replayRefs(ctx, rs, t, maxInsts); err != nil {
-		return 0, err
-	}
-	return rs.Stats()[0].MissRate(), nil
-}
-
-// trainingTargets measures the baseline's training targets on the real
-// program by walking its trace: the same data references and branch
+// trainingWalk walks the first train.MaxInsts instructions of a real
+// program's trace t once, through the training cache, the training
+// predictor and then ablationPredictors, and returns the meter with the
+// baseline's training targets. The walk sees the same references and
 // outcomes, in the same order, as baseline.MeasureTargets executing the
 // program, so the targets are bit-identical without the interpreter.
-func trainingTargets(ctx context.Context, pr *Pair, train baseline.TrainingConfig) (baseline.Targets, error) {
-	t, err := pr.trace(ctx, false, train.MaxInsts)
-	if err != nil {
-		return baseline.Targets{}, err
+func trainingWalk(ctx context.Context, t *dyntrace.Trace, train baseline.TrainingConfig) (*statsim.Meter, baseline.Targets, error) {
+	m := statsim.NewMeter([]cache.Config{train.Cache}, append([]string{train.Predictor}, ablationPredictors...))
+	if err := m.Walk(ctx, t, train.MaxInsts); err != nil {
+		return nil, baseline.Targets{}, err
 	}
-	miss, err := missRateFor(ctx, pr.Real, t, train.Cache, train.MaxInsts)
-	if err != nil {
-		return baseline.Targets{}, err
-	}
-	mispred, err := statsim.MispredRates(ctx, t, []string{train.Predictor}, train.MaxInsts)
-	if err != nil {
-		return baseline.Targets{}, err
-	}
-	return baseline.Targets{MissRate: miss, MispredRate: mispred[0]}, nil
+	return m, baseline.Targets{MissRate: m.Cache(0).MissRate(), MispredRate: m.MispredRate(0)}, nil
 }
 
 // baselineLabel names a pair's baseline artifacts in the store. The
@@ -179,14 +151,14 @@ func baselineLabel(name string, train baseline.TrainingConfig) string {
 		c.Size, c.Assoc, c.LineSize, train.Predictor)
 }
 
-// baselineClone returns pr's calibrated baseline clone and its captured
-// trace; the caller closes the trace. The calibrated profile and the
-// trace are ordinary get-or-compute artifacts under baselineLabel: a miss
-// runs the footprint search and captures the clone, and a warm run
-// regenerates the clone from the stored profile and maps its trace, with
-// no search and no capture. A corrupt artifact is quarantined and
-// recomputed like any other.
-func baselineClone(ctx context.Context, pr *Pair, targets baseline.Targets, train baseline.TrainingConfig, opts Options) (*synth.Clone, *dyntrace.Trace, error) {
+// baselineTrace returns the captured trace of pr's calibrated baseline
+// clone; the caller closes it. The calibrated profile and the trace are
+// ordinary get-or-compute artifacts under baselineLabel: a miss runs the
+// footprint search and captures the clone, and a warm run regenerates
+// the clone from the stored profile and maps its trace, with no search
+// and no capture. A corrupt artifact is quarantined and recomputed like
+// any other.
+func baselineTrace(ctx context.Context, pr *Pair, targets baseline.Targets, train baseline.TrainingConfig, opts Options) (*dyntrace.Trace, error) {
 	label := baselineLabel(pr.Name, train)
 	var bl *synth.Clone
 	prof, _, err := opts.Store.Profile(label, pr.Real, opts.ProfileInsts, func() (prof *profile.Profile, err error) {
@@ -197,15 +169,12 @@ func baselineClone(ctx context.Context, pr *Pair, targets baseline.Targets, trai
 		bl, err = synth.GenerateContext(ctx, prof, synth.Config{})
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	budget := traceBudget(opts)
 	t, _, err := opts.Store.Trace(label, bl.Program, budget, func() (*dyntrace.Trace, error) {
 		supervise.Beat(ctx)
 		return dyntrace.CaptureContext(ctx, bl.Program, budget)
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return bl, t, nil
+	return t, err
 }

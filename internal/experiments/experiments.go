@@ -171,20 +171,6 @@ func (o Options) timingLimits() uarch.Limits {
 	return uarch.Limits{Warmup: o.TimingWarmup, MaxInsts: o.TimingInsts}
 }
 
-// traceFor returns a trace covering the first n instructions of p (n = 0:
-// the complete run) — the single front end of every timing run, cache
-// sweep, and predictor walk. It returns t itself when t covers the window:
-// the trace holds the complete run (halted) or at least n instructions.
-// Otherwise (a Pair built by hand, or options asking for more instructions
-// than Prepare captured) it returns a fresh capture of p. Consumers
-// downstream of traceFor only ever replay.
-func traceFor(ctx context.Context, p *prog.Program, t *dyntrace.Trace, n uint64) (*dyntrace.Trace, error) {
-	if t != nil && t.Covers(n) {
-		return t, nil
-	}
-	return dyntrace.CaptureContext(ctx, p, n)
-}
-
 // Prepare profiles each selected workload, generates its clone, and
 // captures both programs' dynamic traces for replay.
 func Prepare(opts Options) ([]*Pair, error) {
@@ -425,8 +411,7 @@ type Fig4Row struct {
 // CacheMPI measures misses-per-instruction for every configuration in
 // cfgs over the first maxInsts instructions of a captured trace (0 = the
 // whole trace): the data-reference stream goes through all caches in one
-// walk (replayRefs), polling ctx as it goes. No functional execution is
-// involved.
+// walk, polling ctx as it goes. No functional execution is involved.
 func CacheMPI(ctx context.Context, t *dyntrace.Trace, cfgs []cache.Config, maxInsts uint64) ([]float64, error) {
 	rs, err := cache.NewReplaySet(cfgs)
 	if err != nil {
@@ -439,29 +424,20 @@ func CacheMPI(ctx context.Context, t *dyntrace.Trace, cfgs []cache.Config, maxIn
 	if insts == 0 {
 		return nil, fmt.Errorf("experiments: %s trace has no instructions; misses-per-instruction is undefined", t.Program().Name)
 	}
-	if err := replayRefs(ctx, rs, t, insts); err != nil {
-		return nil, err
+	for w := t.Walk(insts); !w.Done(); {
+		c, err := w.Next(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if err := rs.AccessStreamContext(ctx, c.Addrs, c.Stores); err != nil {
+			return nil, err
+		}
 	}
 	mpi := make([]float64, len(cfgs))
 	for i, st := range rs.Stats() {
 		mpi[i] = float64(st.Misses) / float64(insts)
 	}
 	return mpi, nil
-}
-
-// replayRefs feeds the data references of the first n instructions of t
-// (0 = the whole trace) through rs, one walk chunk at a time.
-func replayRefs(ctx context.Context, rs *cache.ReplaySet, t *dyntrace.Trace, n uint64) error {
-	for w := t.Walk(n); !w.Done(); {
-		c, err := w.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if err := rs.AccessStreamContext(ctx, c.Addrs, c.Stores); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Fig4Context reproduces Figure 4: per-workload Pearson correlation of

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"sync"
 
@@ -49,14 +50,19 @@ func newStatsKey(clone bool, cfg uarch.Config, lim uarch.Limits) statsKey {
 // seam for asserting that nothing is simulated twice.
 var testComputeHook func(pair string, key any)
 
-// trace returns a trace covering the first n instructions of pr's real
-// program or its clone: the pair's captured trace, or a fresh capture
-// when that one is too short (see traceFor).
-func (pr *Pair) trace(ctx context.Context, clone bool, n uint64) (*dyntrace.Trace, error) {
+// trace returns the captured trace of pr's real program or its clone,
+// the front end of every timing run, cache sweep, and meter walk. Every
+// consumer asks for at most traceBudget instructions, what Prepare
+// captured, so a trace that does not cover n is an error, not a capture.
+func (pr *Pair) trace(clone bool, n uint64) (*dyntrace.Trace, error) {
+	t, side := pr.RealTrace, "real"
 	if clone {
-		return traceFor(ctx, pr.Clone.Program, pr.CloneTrace, n)
+		t, side = pr.CloneTrace, "clone"
 	}
-	return traceFor(ctx, pr.Real, pr.RealTrace, n)
+	if t == nil || !t.Covers(n) {
+		return nil, fmt.Errorf("experiments: %s %s trace does not cover the first %d instructions", pr.Name, side, n)
+	}
+	return t, nil
 }
 
 // timeBoth times pr's real program and its clone on every configuration
@@ -76,7 +82,7 @@ func (pr *Pair) timeBoth(ctx context.Context, c *cell, cfgs ...uarch.Config) (re
 // runTimedMulti times one side of pr on every configuration in cfgs.
 // Results already in the pair's memo are reused; the missing
 // configurations are replayed together in one fused trace walk
-// (uarch.ReplayMultiWorkers over traceFor's trace, striped across workers
+// (uarch.ReplayMultiWorkers over the pair's trace, striped across workers
 // goroutines) and memoized. Each configuration's result is independent of
 // which others share the walk and of the worker count, so a partly
 // memoized sweep is bit-identical to simulating all of cfgs.
@@ -103,7 +109,7 @@ func runTimedMulti(ctx context.Context, pr *Pair, clone bool, cfgs []uarch.Confi
 			testComputeHook(pr.Name, newStatsKey(clone, cfgs[i], lim))
 		}
 	}
-	t, err := pr.trace(ctx, clone, lim.MaxInsts)
+	t, err := pr.trace(clone, lim.MaxInsts)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +148,7 @@ func sweep28(ctx context.Context, pr *Pair, clone bool, budget uint64) ([]float6
 	if testComputeHook != nil {
 		testComputeHook(pr.Name, key)
 	}
-	t, err := pr.trace(ctx, clone, budget)
+	t, err := pr.trace(clone, budget)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -195,9 +196,9 @@ func TestComputeOnceCancelledTable3(t *testing.T) {
 	}
 }
 
-// TestComputeOnceTrainingTargets pins the ablation's trace-walked
-// training targets to baseline.MeasureTargets, which executes the
-// program, bit for bit on every bundled workload.
+// TestComputeOnceTrainingTargets pins the ablation's meter walk of the
+// real trace (trainingWalk) to baseline.MeasureTargets, which executes
+// the program, bit for bit on every bundled workload.
 func TestComputeOnceTrainingTargets(t *testing.T) {
 	train := baseline.TrainingConfig{
 		Cache:     cache.Config{Size: 16 << 10, Assoc: 2, LineSize: 32},
@@ -214,7 +215,7 @@ func TestComputeOnceTrainingTargets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := trainingTargets(context.Background(), &Pair{Name: name, Real: p, RealTrace: tr}, train)
+		_, got, err := trainingWalk(context.Background(), tr, train)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,44 +277,33 @@ func TestComputeOnceAblationStore(t *testing.T) {
 	}
 }
 
-// TestTraceForExtendsShortPairs pins traceFor's extend-by-capture
-// behaviour: pairs prepared at a small timing budget, then run at a larger
-// one, must render every timing and cache stage byte-identically to pairs
-// prepared at the larger budget. Their captured traces are too short, so
-// each consumer times a fresh, long-enough capture instead.
-func TestTraceForExtendsShortPairs(t *testing.T) {
-	ctx := context.Background()
+// TestTraceShortPairErrors: pairs prepared at a small timing budget, then
+// rendered at a larger one, hold traces too short for the window. Every
+// timing and cache stage must fail with an error that names the pair and
+// the window, rather than capture a longer trace behind the store's back.
+func TestTraceShortPairErrors(t *testing.T) {
 	short := computeOnceOpts()
 	short.TimingInsts = 100_000
 	long := computeOnceOpts()
 	long.TimingInsts = 250_000
-	shortPairs, err := Prepare(short)
+	pairs, err := Prepare(short)
 	if err != nil {
 		t.Fatal(err)
 	}
-	longPairs, err := Prepare(long)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pr := range shortPairs {
+	for _, pr := range pairs {
 		for _, tr := range []*dyntrace.Trace{pr.RealTrace, pr.CloneTrace} {
 			if tr.Halted() || tr.Insts() >= long.TimingInsts {
-				t.Fatalf("%s: trace of %d insts (halted %v) already covers the long budget; the test would not extend it",
+				t.Fatalf("%s: trace of %d insts (halted %v) already covers the long budget; the test would not reach the error",
 					pr.Name, tr.Insts(), tr.Halted())
 			}
 		}
 	}
-	for _, stage := range []string{"fig4", "fig6and7", "table3"} {
-		got, err := renderStage(ctx, stage, shortPairs, long)
-		if err != nil {
-			t.Fatalf("%s on short pairs: %v", stage, err)
-		}
-		want, err := renderStage(ctx, stage, longPairs, long)
-		if err != nil {
-			t.Fatalf("%s on long pairs: %v", stage, err)
-		}
-		if got != want {
-			t.Errorf("%s: short pairs render differently from long pairs\n--- short ---\n%s--- long ---\n%s", stage, got, want)
+	for _, stage := range []string{"fig4", "fig6and7", "table3", "ablation"} {
+		_, err := renderStage(context.Background(), stage, freshPairs(pairs), long)
+		msg := fmt.Sprint(err)
+		named := strings.Contains(msg, pairs[0].Name) || strings.Contains(msg, pairs[1].Name)
+		if !named || !strings.Contains(msg, "trace does not cover the first") {
+			t.Errorf("%s on short pairs: err = %v, want a short-trace error naming the pair", stage, err)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -195,34 +194,5 @@ func TestParallelGridRace(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sumsPar, sumsSer) {
 		t.Error("Table3 summaries depend on worker count")
-	}
-}
-
-// TestMissRateForCancelled requires the ablation's single-config miss
-// rate to stop on a cancelled context with the context's cause and no
-// result, whether it replays a covering trace or must capture one.
-func TestMissRateForCancelled(t *testing.T) {
-	w, err := workloads.ByName("crc32")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := w.Build()
-	const budget = 100_000
-	tr, err := dyntrace.CaptureContext(context.Background(), p, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cause := errors.New("cell abandoned")
-	ctx, cancel := context.WithCancelCause(context.Background())
-	cancel(cause)
-	cfg := cache.Config{Size: 16 << 10, Assoc: 2, LineSize: 32}
-	for _, c := range []struct {
-		name string
-		tr   *dyntrace.Trace
-	}{{"covering trace", tr}, {"no trace", nil}} {
-		got, err := missRateFor(ctx, p, c.tr, cfg, budget)
-		if !errors.Is(err, cause) || got != 0 {
-			t.Errorf("%s: got (%v, %v), want (0, %v)", c.name, got, err, cause)
-		}
 	}
 }

@@ -36,7 +36,7 @@ func StatsimComparisonContext(ctx context.Context, pairs []*Pair, opts Options) 
 		if err != nil {
 			return StatsimRow{}, err
 		}
-		t, err := pr.trace(ctx, false, n)
+		t, err := pr.trace(false, n)
 		if err != nil {
 			return StatsimRow{}, err
 		}

@@ -5,85 +5,38 @@ import (
 	"syscall"
 )
 
-// Class is the pipeline's error taxonomy. Every store failure falls into
-// one of three buckets, and each bucket has one policy:
-//
-//   - Transient: the operation may succeed if repeated (EIO under load,
-//     EINTR, EAGAIN, momentary ENOSPC). Policy: bounded retry with
-//     exponential backoff (Retry); exhausted retries degrade to
-//     recomputation where a recompute path exists.
-//   - Corrupt: the bytes are durable but wrong (CRC mismatch, torn
-//     artifact, structural check failure). Retrying cannot help. Policy:
-//     quarantine the artifact and recompute, or abort in strict mode.
-//   - Fatal: everything else (permission denied, bad configuration).
-//     Policy: fail the run.
-type Class int
+// transient marks an error as worth retrying. The pipeline's error
+// taxonomy is transient or not: a transient failure (EIO under load,
+// EINTR, momentary ENOSPC, a recovered panic, a killed stuck task) gets
+// bounded retry with backoff (Retry); any other error fails its
+// operation, and the caller's policy decides what follows — the store
+// quarantines an artifact that fails to load and recomputes it.
+type transient struct{ err error }
 
-const (
-	// ClassFatal is the default for unclassified errors.
-	ClassFatal Class = iota
-	ClassTransient
-	ClassCorrupt
-)
-
-func (c Class) String() string {
-	switch c {
-	case ClassTransient:
-		return "transient"
-	case ClassCorrupt:
-		return "corrupt"
-	default:
-		return "fatal"
-	}
-}
-
-// classified wraps an error with an explicit class; Classify finds it
-// anywhere in a wrap chain.
-type classified struct {
-	class Class
-	err   error
-}
-
-func (e *classified) Error() string { return e.err.Error() }
-func (e *classified) Unwrap() error { return e.err }
+func (e *transient) Error() string { return e.err.Error() }
+func (e *transient) Unwrap() error { return e.err }
 
 // MarkTransient tags err as transient (nil stays nil).
 func MarkTransient(err error) error {
 	if err == nil {
 		return nil
 	}
-	return &classified{class: ClassTransient, err: err}
+	return &transient{err: err}
 }
 
-// MarkCorrupt tags err as corruption (nil stays nil).
-func MarkCorrupt(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &classified{class: ClassCorrupt, err: err}
-}
-
-// Classify walks err's wrap chain: an explicit Mark* wins, then known
-// retryable errnos map to ClassTransient, and everything else is
-// ClassFatal. Note that corruption is usually classified by the caller
-// (a CRC or structural failure has no errno), not by this function.
-func Classify(err error) Class {
-	var ce *classified
-	if errors.As(err, &ce) {
-		return ce.class
+// IsTransient reports whether err is worth retrying: somewhere in its
+// wrap chain it was marked transient, or it carries a retryable errno.
+func IsTransient(err error) bool {
+	var te *transient
+	if errors.As(err, &te) {
+		return true
 	}
 	var errno syscall.Errno
 	if errors.As(err, &errno) {
 		switch errno {
 		case syscall.EIO, syscall.EINTR, syscall.EAGAIN, syscall.EBUSY, syscall.ENOSPC, syscall.ETIMEDOUT:
-			return ClassTransient
+			return true
 		}
 	}
-	return ClassFatal
+	return false
 }
-
-// IsTransient reports whether err is worth retrying.
-func IsTransient(err error) bool { return err != nil && Classify(err) == ClassTransient }
-
-// IsCorrupt reports whether err was explicitly classified as corruption.
-func IsCorrupt(err error) bool { return err != nil && Classify(err) == ClassCorrupt }

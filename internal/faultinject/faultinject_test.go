@@ -10,27 +10,27 @@ import (
 	"time"
 )
 
-func TestClassify(t *testing.T) {
+func TestIsTransient(t *testing.T) {
 	cases := []struct {
 		err  error
-		want Class
+		want bool
 	}{
-		{syscall.EIO, ClassTransient},
-		{syscall.ENOSPC, ClassTransient},
-		{syscall.EINTR, ClassTransient},
-		{&os.PathError{Op: "read", Path: "x", Err: syscall.EIO}, ClassTransient},
-		{fmt.Errorf("wrapped: %w", MarkTransient(errors.New("flaky"))), ClassTransient},
-		{fmt.Errorf("wrapped: %w", MarkCorrupt(errors.New("bad crc"))), ClassCorrupt},
-		{errors.New("unknown"), ClassFatal},
-		{syscall.ENOENT, ClassFatal},
+		{syscall.EIO, true},
+		{syscall.ENOSPC, true},
+		{syscall.EINTR, true},
+		{&os.PathError{Op: "read", Path: "x", Err: syscall.EIO}, true},
+		{fmt.Errorf("wrapped: %w", MarkTransient(errors.New("flaky"))), true},
+		{errors.New("unknown"), false},
+		{syscall.ENOENT, false},
+		{nil, false},
 	}
 	for _, c := range cases {
-		if got := Classify(c.err); got != c.want {
-			t.Errorf("Classify(%v) = %v, want %v", c.err, got, c.want)
+		if got := IsTransient(c.err); got != c.want {
+			t.Errorf("IsTransient(%v) = %v, want %v", c.err, got, c.want)
 		}
 	}
-	if IsTransient(nil) || IsCorrupt(nil) {
-		t.Error("nil must be neither transient nor corrupt")
+	if MarkTransient(nil) != nil {
+		t.Error("MarkTransient(nil) must stay nil")
 	}
 }
 

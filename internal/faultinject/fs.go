@@ -11,8 +11,8 @@
 // when the store is driven by a parallel worker pool whose global
 // operation interleaving varies run to run.
 //
-// The package also defines the pipeline's error taxonomy (transient /
-// corrupt / fatal — see Classify), the bounded-retry policy
+// The package also defines the pipeline's error taxonomy (transient or
+// not — see IsTransient), the bounded-retry policy
 // (exponential backoff with full jitter — see Retry) that the store
 // applies to transient failures, and the one crash-safe file commit
 // (CommitFile: temp file, fsync, rename, directory fsync; SyncDir) that

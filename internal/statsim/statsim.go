@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"sort"
 
-	"perfclone/internal/bpred"
 	"perfclone/internal/cache"
 	"perfclone/internal/dyntrace"
 	"perfclone/internal/isa"
@@ -35,102 +34,20 @@ type Rates struct {
 }
 
 // MeasureRates replays the first maxInsts instructions of a captured
-// trace (0 = the whole trace) against the configuration's data caches and
-// predictor, in one walk: each data reference goes through L1D, and on to
-// L2 on an L1D miss; the conditional branches' outcomes go through the
-// predictor. No functional execution is involved. The walk polls ctx
-// and ticks any supervision heartbeat it carries once per chunk.
+// trace (0 = the whole trace) through a Meter over the configuration's
+// data caches (L1D, then L2 on an L1D miss) and its predictor, in one
+// walk. No functional execution is involved. The walk polls ctx and
+// ticks any supervision heartbeat it carries once per chunk.
 func MeasureRates(ctx context.Context, t *dyntrace.Trace, cfg uarch.Config, maxInsts uint64) (Rates, error) {
-	l1, err := cache.New(cfg.L1D)
-	if err != nil {
+	m := NewMeter([]cache.Config{cfg.L1D, cfg.L2}, []string{string(cfg.Predictor)})
+	if err := m.Walk(ctx, t, maxInsts); err != nil {
 		return Rates{}, err
-	}
-	l2, err := cache.New(cfg.L2)
-	if err != nil {
-		return Rates{}, err
-	}
-	pred, err := bpred.ByName(string(cfg.Predictor))
-	if err != nil {
-		return Rates{}, err
-	}
-	m := mispredCounter{pred: pred}
-	for w := t.Walk(maxInsts); !w.Done(); {
-		c, err := w.Next(ctx)
-		if err != nil {
-			return Rates{}, err
-		}
-		m.count(t.Statics(), c)
-		for j, a := range c.Addrs {
-			store := c.Stores[j>>6]>>(uint(j)&63)&1 == 1
-			if !l1.Access(a, store) {
-				l2.Access(a, store)
-			}
-		}
 	}
 	return Rates{
-		L1DMiss: l1.Stats().MissRate(),
-		L2Miss:  l2.Stats().MissRate(),
-		Mispred: m.rate(),
+		L1DMiss: m.Cache(0).MissRate(),
+		L2Miss:  m.Cache(1).MissRate(),
+		Mispred: m.MispredRate(0),
 	}, nil
-}
-
-// MispredRates returns the conditional-branch misprediction rate of the
-// first maxInsts instructions of t (0 = the whole trace) under each named
-// predictor (see bpred.ByName), in order; a rate is 0 when no branch
-// executes. One walk feeds every predictor, so a predictor sweep decodes
-// the trace once. The walk polls ctx once per chunk.
-func MispredRates(ctx context.Context, t *dyntrace.Trace, preds []string, maxInsts uint64) ([]float64, error) {
-	ms := make([]mispredCounter, len(preds))
-	for i, name := range preds {
-		pred, err := bpred.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		ms[i].pred = pred
-	}
-	for w := t.Walk(maxInsts); !w.Done(); {
-		c, err := w.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		for i := range ms {
-			ms[i].count(t.Statics(), c)
-		}
-	}
-	out := make([]float64, len(ms))
-	for i := range ms {
-		out[i] = ms[i].rate()
-	}
-	return out, nil
-}
-
-// mispredCounter feeds a walk's conditional branches, in trace order,
-// to one predictor.
-type mispredCounter struct {
-	pred       bpred.Predictor
-	look, miss uint64
-}
-
-func (m *mispredCounter) count(statics []dyntrace.Static, c *dyntrace.Chunk) {
-	for k, sid := range c.SIDs {
-		st := &statics[sid]
-		if !st.Branch {
-			continue
-		}
-		taken := c.Taken[k>>6]>>(uint(k)&63)&1 == 1
-		m.look++
-		if m.pred.Predict(st.PC) != taken {
-			m.miss++
-		}
-		m.pred.Update(st.PC, taken)
-	}
-}
-
-func (m *mispredCounter) rate() float64 {
-	if m.look == 0 {
-		return 0
-	}
-	return float64(m.miss) / float64(m.look)
 }
 
 // Options configure an estimate.

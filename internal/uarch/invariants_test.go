@@ -11,9 +11,7 @@ import (
 	"perfclone/internal/cache"
 	"perfclone/internal/dyntrace"
 	"perfclone/internal/power"
-	"perfclone/internal/profile"
 	"perfclone/internal/prog"
-	"perfclone/internal/synth"
 	"perfclone/internal/uarch"
 	"perfclone/internal/workloads"
 )
@@ -79,19 +77,11 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	for _, w := range workloads.All() {
 		t.Run(w.Name, func(t *testing.T) {
-			real := w.Build()
-			prof, err := profile.CollectContext(context.Background(), real, profile.Options{MaxInsts: profile.DefaultMaxInsts})
-			if err != nil {
-				t.Fatal(err)
-			}
-			clone, err := synth.GenerateContext(context.Background(), prof, synth.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			ps := realAndClone(t, w)
 			for _, p := range []struct {
 				kind string
 				prog *prog.Program
-			}{{"real", real}, {"clone", clone.Program}} {
+			}{{"real", ps[0]}, {"clone", ps[1]}} {
 				tr, err := dyntrace.CaptureContext(context.Background(), p.prog, budget)
 				if err != nil {
 					t.Fatal(err)
@@ -209,7 +199,8 @@ func fuzzTrace(empties []*dyntrace.Trace, b []byte) (*dyntrace.Trace, uarch.Limi
 
 // FuzzReplay: for any configuration Validate accepts, replaying any
 // trace never panics and keeps the conservation laws of
-// TestStatsAccounting.
+// TestStatsAccounting. With no warmup, the pump's predictor and L1I
+// counts also equal the standalone components' (TestPumpMatchesComponents).
 func FuzzReplay(f *testing.F) {
 	var empties []*dyntrace.Trace
 	for _, w := range workloads.All() {
@@ -256,6 +247,10 @@ func FuzzReplay(f *testing.F) {
 			}
 			return
 		}
-		checkInvariants(t, fmt.Sprintf("%+v %+v", cfg, lim), st, lim.Warmup > 0)
+		label := fmt.Sprintf("%+v %+v", cfg, lim)
+		checkInvariants(t, label, st, lim.Warmup > 0)
+		if lim.Warmup == 0 {
+			checkComponents(t, label, tr, st, lim.MaxInsts)
+		}
 	})
 }
