@@ -33,8 +33,9 @@ func BenchmarkCapture(b *testing.B) {
 
 // BenchmarkWalk times the PCDT decode layer: one Walk over a
 // 1M-instruction trace of lame and of its default clone, in dynamic
-// instructions per second. The clone's static ids are nearly all two
-// bytes, the real program's one.
+// instructions per second. The walk rebuilds the static ids a basic
+// block at a time; the clone's blocks are shorter than the real
+// program's.
 func BenchmarkWalk(b *testing.B) {
 	ctx := context.Background()
 	for _, c := range lamePrograms(b) {
@@ -68,8 +69,8 @@ type namedProgram struct {
 // lamePrograms returns lame and its default clone. lame runs past a 1M
 // budget and has one of the densest address streams of the bundled
 // workloads (0.2 references, 0.58 encoded address bytes per
-// instruction); its clone has ~1400 static instructions, so most of its
-// ids take two bytes.
+// instruction); its clone has ~1400 static instructions in short
+// blocks.
 func lamePrograms(b *testing.B) []namedProgram {
 	b.Helper()
 	w, err := workloads.ByName("lame")
@@ -77,13 +78,20 @@ func lamePrograms(b *testing.B) []namedProgram {
 		b.Fatal(err)
 	}
 	real := w.Build()
-	prof, err := profile.CollectContext(context.Background(), real, profile.Options{MaxInsts: profile.DefaultMaxInsts})
+	return []namedProgram{{"real", real}, {"clone", defaultClone(b, real)}}
+}
+
+// defaultClone returns the default clone of p, synthesized from its
+// profile at profile.DefaultMaxInsts.
+func defaultClone(tb testing.TB, p *prog.Program) *prog.Program {
+	tb.Helper()
+	prof, err := profile.CollectContext(context.Background(), p, profile.Options{MaxInsts: profile.DefaultMaxInsts})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	clone, err := synth.GenerateContext(context.Background(), prof, synth.Config{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	return []namedProgram{{"real", real}, {"clone", clone.Program}}
+	return clone.Program
 }

@@ -14,61 +14,88 @@ import (
 // the same edges, and the cadence at which walks poll their context.
 const ChunkLen = 1 << 16
 
-// Cursor streams a trace's two encoded columns in order, varint-decoding
-// straight out of the encoded (possibly mmapped) bytes into the caller's
-// buffers. The columns advance independently: a reader pulls a run of
-// static ids, counts the memory references among them, and pulls exactly
-// that many addresses. A Cursor is single-goroutine; Walk is the reader
-// every consumer uses.
+// Cursor streams a trace's two columns in order, straight out of the
+// encoded (possibly mmapped) bytes into the caller's buffers. The static
+// ids are rebuilt one basic block at a time by following the program's
+// control flow (flow) and the taken bitset; the addresses are
+// varint-decoded. The columns advance independently: a reader pulls a
+// run of static ids, counts the memory references among them, and pulls
+// exactly that many addresses. A Cursor is single-goroutine; Walk is the
+// reader every consumer uses.
 type Cursor struct {
-	sidEnc []byte
+	f      *flow
+	taken  []uint64
 	memEnc []byte
 	prev   uint64 // delta accumulator for the address stream
 	i      uint64 // instructions consumed
 	mi     uint64 // references consumed
+	bi     int    // the block the next id is in
+	sid    uint32 // the next id; blocks[bi].end once the block is spent
 }
 
 // NewCursor returns a cursor positioned at the start of both columns.
 func (t *Trace) NewCursor() *Cursor {
-	return &Cursor{sidEnc: t.sidEnc, memEnc: t.memEnc}
+	c := &Cursor{f: t.flow, taken: t.taken, memEnc: t.memEnc, bi: t.flow.entry}
+	if uint(c.bi) < uint(len(c.f.blocks)) {
+		c.sid = c.f.blocks[c.bi].start
+	}
+	return c
 }
 
-// NextSIDs decodes the next len(buf) static ids into buf. It errors —
-// rather than panics — when the stream holds fewer entries than
-// requested, so a malformed or truncated trace surfaces as a validation
-// failure.
+// NextSIDs fills buf with the next len(buf) static ids. It errors —
+// rather than panics — when the path cannot be followed that far: it
+// halted, a branch's taken bit lies past the bitset, or control leaves
+// the program. An error consumes nothing.
 func (c *Cursor) NextSIDs(buf []uint32) ([]uint32, error) {
-	off := 0
-	enc := c.sidEnc
-	for k := range buf {
-		// Fast paths: ids below 2^7 take one byte (nearly every id of a
-		// real program) and ids below 2^14 two (nearly every id of a
-		// clone). Each decodes exactly as binary.Uvarint does.
-		if off < len(enc) {
-			b0 := enc[off]
-			if b0 < 0x80 {
-				buf[k] = uint32(b0)
-				off++
-				continue
-			}
-			if off+1 < len(enc) {
-				if b1 := enc[off+1]; b1 < 0x80 {
-					buf[k] = uint32(b0&0x7f) | uint32(b1)<<7
-					off += 2
-					continue
-				}
-			}
+	sids, _, err := c.nextSIDs(buf)
+	return sids, err
+}
+
+// nextSIDs is NextSIDs that also counts the memory references among the
+// ids, a block run at a time.
+func (c *Cursor) nextSIDs(buf []uint32) ([]uint32, uint64, error) {
+	blocks, ids, memBefore := c.f.blocks, c.f.ids, c.f.memBefore
+	bi, sid := c.bi, c.sid
+	var nmem uint64
+	for k := 0; k < len(buf); {
+		if uint(bi) >= uint(len(blocks)) {
+			return nil, 0, fmt.Errorf("control flow leaves the program (block %d) at instruction %d", bi, c.i+uint64(k))
 		}
-		v, w := binary.Uvarint(enc[off:])
-		if w <= 0 || v > maxColumn {
-			return nil, fmt.Errorf("static-id stream exhausted or malformed at instruction %d", c.i+uint64(k))
+		b := &blocks[bi]
+		if sid < b.end {
+			n := min(b.end-sid, uint32(len(buf)-k))
+			copy(buf[k:], ids[sid:sid+n])
+			nmem += uint64(memBefore[sid+n] - memBefore[sid])
+			sid += n
+			k += int(n)
+			continue
 		}
-		buf[k] = uint32(v)
-		off += w
+		// The block is spent: its terminator picks the successor.
+		switch b.kind {
+		case termHalt:
+			return nil, 0, fmt.Errorf("path halted before instruction %d", c.i+uint64(k))
+		case termJmp:
+			bi = b.target
+		case termBranch:
+			at := c.i + uint64(k) - 1 // the branch's dynamic index
+			if at>>6 >= uint64(len(c.taken)) {
+				return nil, 0, fmt.Errorf("taken bitset has %d words, branch at instruction %d needs %d", len(c.taken), at, at>>6+1)
+			}
+			if c.taken[at>>6]>>(at&63)&1 != 0 {
+				bi = b.target
+			} else {
+				bi++
+			}
+		default:
+			bi++
+		}
+		if uint(bi) < uint(len(blocks)) {
+			sid = blocks[bi].start
+		}
 	}
-	c.sidEnc = enc[off:]
+	c.bi, c.sid = bi, sid
 	c.i += uint64(len(buf))
-	return buf, nil
+	return buf, nmem, nil
 }
 
 // NextAddrs decodes the next len(buf) effective addresses into buf, with
@@ -129,8 +156,7 @@ type Chunk struct {
 type Walk struct {
 	t        *Trace
 	cur      Cursor
-	n        uint64  // instructions to yield
-	isMem    []uint8 // per static id: 1 for a memory instruction
+	n        uint64 // instructions to yield
 	c        Chunk
 	sidBuf   []uint32
 	addrBuf  []uint64
@@ -144,15 +170,9 @@ func (t *Trace) Walk(n uint64) *Walk {
 		n = t.insts
 	}
 	k := min(n, ChunkLen)
-	isMem := make([]uint8, len(t.static))
-	for i := range t.static {
-		if t.static[i].Mem {
-			isMem[i] = 1
-		}
-	}
 	return &Walk{
-		t: t, n: n, isMem: isMem,
-		cur:      Cursor{sidEnc: t.sidEnc, memEnc: t.memEnc},
+		t: t, n: n,
+		cur:      *t.NewCursor(),
 		sidBuf:   make([]uint32, k),
 		addrBuf:  make([]uint64, k),
 		storeBuf: make([]uint64, (k+63)/64),
@@ -166,8 +186,8 @@ func (w *Walk) Done() bool { return w.cur.i >= w.n }
 // context's cause (context.Cause, so a watchdog's supervise.ErrStuck or
 // a stage deadline survives) once ctx is done, and ticks any supervision
 // heartbeat ctx carries. A column shorter than the trace's header
-// claims, or a static id outside the program's table, is an error, not
-// a panic.
+// claims, or a path that halts or leaves the program before it, is an
+// error, not a panic.
 func (w *Walk) Next(ctx context.Context) (*Chunk, error) {
 	if err := supervise.Cause(ctx); err != nil {
 		return nil, err
@@ -180,17 +200,9 @@ func (w *Walk) Next(ctx context.Context) (*Chunk, error) {
 		return nil, fmt.Errorf("dyntrace: %s: taken bitset has %d words, need %d for %d instructions",
 			t.prog.Name, len(t.taken), need, base+k)
 	}
-	sids, err := w.cur.NextSIDs(w.sidBuf[:k])
+	sids, nmem, err := w.cur.nextSIDs(w.sidBuf[:k])
 	if err != nil {
 		return nil, fmt.Errorf("dyntrace: %s: %w", t.prog.Name, err)
-	}
-	nmem := uint64(0)
-	for _, sid := range sids {
-		if int(sid) >= len(w.isMem) {
-			return nil, fmt.Errorf("dyntrace: %s: static id %d out of range (table has %d entries)",
-				t.prog.Name, sid, len(w.isMem))
-		}
-		nmem += uint64(w.isMem[sid]) // branch-free: the Mem flag is data-dependent
 	}
 	mi := w.cur.mi
 	addrs, err := w.cur.NextAddrs(w.addrBuf[:nmem])

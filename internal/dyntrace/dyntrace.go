@@ -12,21 +12,25 @@
 //
 // Per-program static-instruction metadata is stored once in a Static
 // table. The dynamic stream has one form, in memory and on disk alike:
-// the PCDT v2 encoding (see Save). CaptureContext writes it as the
+// the PCDT v3 encoding (see Save). CaptureContext writes it as the
 // program runs, from the column batches the functional simulator
-// retires into (funcsim.RunColumns, passed through by Stream): a
-// uvarint static-instruction id per retired instruction, a taken bitset
-// indexed by dynamic position, and, per memory reference (not per
-// instruction), a zigzag-delta varint address and a store bit. A trace
-// loaded from the store holds the same bytes, often mmapped. Every
-// consumer reads them through one chunked Walk, so a result cannot
-// depend on whether its trace was captured or loaded. No per-event
-// structs are allocated and no observer closure runs during replay.
-// The encoded footprint is
+// retires into (funcsim.RunColumns, passed through by Stream): a taken
+// bitset indexed by dynamic position and, per memory reference (not per
+// instruction), a zigzag-delta varint address and a store bit. The
+// static ids are not stored. Every control transfer of the ISA is a
+// direct jump or branch to its Target, or a fall-through, and
+// prog.Validate rejects bad targets and falling off the program, so
+// the ids are a function of the program and the taken bits: a Cursor
+// rebuilds them one basic block at a time (see flow). A trace loaded
+// from the store holds the same bytes, often mmapped. Every consumer
+// reads them through one chunked Walk, so a result cannot depend on
+// whether its trace was captured or loaded. No per-event structs are
+// allocated and no observer closure runs during replay. The encoded
+// footprint is
 //
-//	~1 B/inst (id) + 1 bit/inst (taken) + ~1–3 B/memref (addr) + 1 bit/memref (store)
+//	1 bit/inst (taken) + ~1–3 B/memref (addr) + 1 bit/memref (store)
 //
-// which comes to 1.2–1.9 B/inst on the bundled workloads, versus
+// which comes to 0.17–0.89 B/inst on the bundled workloads, versus
 // 4 B/inst plus 8 B/memref for the simulator's raw columns and 64 B/inst
 // for a slice of funcsim.Event.
 package dyntrace
@@ -35,6 +39,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"perfclone/internal/funcsim"
 	"perfclone/internal/isa"
@@ -74,9 +79,9 @@ type Static struct {
 type Trace struct {
 	prog     *prog.Program
 	static   []Static
+	flow     *flow    // the control-flow table the ids are rebuilt from
 	taken    []uint64 // bitset over dynamic instructions
 	memStore []uint64 // bitset over memory references
-	sidEnc   []byte   // uvarint static id per dynamic instruction
 	memEnc   []byte   // zigzag-delta varint address per memory reference
 	insts    uint64
 	numMem   uint64 // memory references (== addresses in memEnc)
@@ -96,7 +101,7 @@ type Trace struct {
 func CaptureContext(ctx context.Context, p *prog.Program, maxInsts uint64) (*Trace, error) {
 	var e *Encoder
 	halted, err := Stream(ctx, p, maxInsts, func(static []Static) func(*Chunk) error {
-		e = NewEncoder(p, static, maxInsts)
+		e = NewEncoder(p, static)
 		return func(c *Chunk) error {
 			e.Add(c)
 			return nil
@@ -118,59 +123,29 @@ type Encoder struct {
 }
 
 // NewEncoder starts a trace of p, whose static table is static (the one
-// Stream hands its consumer), sized for a run of up to maxInsts
-// instructions (0 = to completion).
-func NewEncoder(p *prog.Program, static []Static, maxInsts uint64) *Encoder {
-	hint := maxInsts
-	if hint == 0 || hint > 1<<20 {
-		hint = 1 << 20
-	}
-	// An id takes at most as many uvarint bytes as the static count: one
-	// for a real workload, two for a clone of ~1400 instructions. The
-	// bundled workloads make 0.01–0.33 memory references and 0.04–0.8
-	// address bytes per instruction, so half the budget holds the
-	// address stream of nearly all of them without regrowing.
-	var idBuf [binary.MaxVarintLen64]byte
-	idBytes := uint64(binary.PutUvarint(idBuf[:], uint64(len(static))))
-	return &Encoder{t: &Trace{
-		prog:     p,
-		static:   static,
-		sidEnc:   make([]byte, 0, hint*idBytes),
-		taken:    make([]uint64, 0, (hint+63)/64),
-		memEnc:   make([]byte, 0, hint/2),
-		memStore: make([]uint64, 0, (hint/2+63)/64),
-	}}
+// Stream hands its consumer). Its streams grow as the run needs them.
+func NewEncoder(p *prog.Program, static []Static) *Encoder {
+	return &Encoder{t: newTrace(p, static)}
 }
 
 // Add encodes the next chunk of the stream. Chunks must arrive in
 // order, as Stream yields them.
 func (e *Encoder) Add(c *Chunk) {
 	t := e.t
-	// Encode into locals and store them back once per chunk: the Trace's
-	// fields live on the heap, its locals in registers.
-	sidEnc := t.sidEnc
-	for _, sid := range c.SIDs {
-		switch {
-		case sid < 1<<7: // one-byte uvarint: nearly every id of a real program
-			sidEnc = append(sidEnc, byte(sid))
-		case sid < 1<<14: // two bytes: nearly every id of a clone
-			sidEnc = append(sidEnc, byte(sid)|0x80, byte(sid>>7))
-		default:
-			sidEnc = binary.AppendUvarint(sidEnc, uint64(sid))
-		}
-	}
-	t.sidEnc = sidEnc
 	// Base is 64-aligned, so the chunk's taken words are the trace's.
-	t.taken = append(t.taken, c.Taken...)
+	t.taken = append(grow(t.taken, len(c.Taken)), c.Taken...)
 	t.insts += uint64(len(c.SIDs))
-	memEnc, last := t.memEnc, e.prev
+	// Encode into locals and store them back once per chunk: the Trace's
+	// fields live on the heap, its locals in registers. An address takes
+	// at most MaxVarintLen64 bytes, so the chunk's fit without regrowing.
+	memEnc, last := grow(t.memEnc, len(c.Addrs)*binary.MaxVarintLen64), e.prev
 	for _, a := range c.Addrs {
 		memEnc = appendAddr(memEnc, a, last)
 		last = a
 	}
 	t.memEnc, e.prev = memEnc, last
 	n := uint64(len(c.Addrs))
-	t.memStore = appendBits(t.memStore, t.numMem, c.Stores, n)
+	t.memStore = appendBits(grow(t.memStore, len(c.Stores)), t.numMem, c.Stores, n)
 	t.numMem += n
 }
 
@@ -181,11 +156,21 @@ func (e *Encoder) Finish(halted bool) *Trace {
 	e.t = nil
 	t.halted = halted
 	// A captured trace lives as long as its pair, so its streams keep no
-	// spare capacity: a budget hint is far above the need of a program
-	// that halts early or touches memory rarely.
-	t.sidEnc, t.taken = fit(t.sidEnc), fit(t.taken)
-	t.memEnc, t.memStore = fit(t.memEnc), fit(t.memStore)
+	// spare capacity from growing.
+	t.taken, t.memEnc, t.memStore = fit(t.taken), fit(t.memEnc), fit(t.memStore)
 	return t
+}
+
+// grow returns s with room for n more elements. It at least doubles the
+// capacity when it must grow: a capture's streams grow for as long as
+// the run lasts, and doubling allocates about twice a stream's final
+// size in all, where append's 1.25× steps for large slices allocate
+// five times it.
+func grow[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return slices.Grow(s, max(n, cap(s)))
 }
 
 // fit returns s, or a copy of it with no spare capacity when more than
@@ -238,20 +223,21 @@ func Stream(ctx context.Context, p *prog.Program, n uint64, open func(static []S
 // without functional execution and without validation. It exists for
 // tests that need malformed traces: a column that disagrees with the
 // header or the program surfaces as an error from Walk, not a panic.
-func FromColumns(p *prog.Program, sid []uint32, taken, memAddr, memStore []uint64, insts uint64, halted bool) *Trace {
-	t := &Trace{
-		prog: p, static: buildStatic(p), taken: taken, memStore: memStore,
-		insts: insts, numMem: uint64(len(memAddr)), halted: halted,
-	}
-	for _, v := range sid {
-		t.sidEnc = binary.AppendUvarint(t.sidEnc, uint64(v))
-	}
+func FromColumns(p *prog.Program, taken, memAddr, memStore []uint64, insts uint64, halted bool) *Trace {
+	t := newTrace(p, buildStatic(p))
+	t.taken, t.memStore = taken, memStore
+	t.insts, t.numMem, t.halted = insts, uint64(len(memAddr)), halted
 	var prev uint64
 	for _, a := range memAddr {
 		t.memEnc = appendAddr(t.memEnc, a, prev)
 		prev = a
 	}
 	return t
+}
+
+// newTrace returns an empty trace of p, whose static table is static.
+func newTrace(p *prog.Program, static []Static) *Trace {
+	return &Trace{prog: p, static: static, flow: buildFlow(p, static)}
 }
 
 // appendAddr appends the zigzag varint of a − prev. The delta wraps, so
@@ -295,6 +281,71 @@ func buildStatic(p *prog.Program) []Static {
 		}
 	}
 	return static
+}
+
+// Terminator kinds of a flow block: how the path leaves the block.
+const (
+	termFall   = iota // fall through to the next block
+	termJmp           // go to Target
+	termBranch        // go to Target if the branch's taken bit is set, else fall through
+	termHalt          // the path ends
+)
+
+// flowBlock is one basic block as a Cursor follows it.
+type flowBlock struct {
+	start, end uint32 // the block's block-major ids are [start, end)
+	target     int    // Target of a jmp or branch terminator
+	kind       uint8  // termFall, termJmp, termBranch or termHalt
+}
+
+// flow is the control-flow table a Cursor rebuilds static ids from. A
+// run is a path of basic blocks from the entry whose only dynamic choice
+// is each conditional branch's direction, so the path, and with it every
+// id, follows from the program and the taken bitset. It is built once
+// per trace and shared by its walks.
+type flow struct {
+	blocks []flowBlock
+	entry  int
+	// ids[i] == i: a block's run of ids is copied out of it.
+	ids []uint32
+	// memBefore[i] counts the memory instructions among ids below i, so
+	// a run [a, b) makes memBefore[b]-memBefore[a] references.
+	memBefore []uint32
+}
+
+// buildFlow derives p's control-flow table; static is p's static table.
+// It accepts any program: a target outside the program, or falling off
+// its end, is an error when a Cursor reaches it, not here.
+func buildFlow(p *prog.Program, static []Static) *flow {
+	starts := p.BlockStarts()
+	f := &flow{
+		blocks:    make([]flowBlock, len(p.Blocks)),
+		entry:     p.Entry,
+		ids:       make([]uint32, len(static)),
+		memBefore: make([]uint32, len(static)+1),
+	}
+	for bi := range p.Blocks {
+		fb := flowBlock{start: starts[bi], end: starts[bi+1]}
+		if in := p.Blocks[bi].Terminator(); in != nil {
+			switch {
+			case in.Op == isa.OpHalt:
+				fb.kind = termHalt
+			case in.Op == isa.OpJmp:
+				fb.kind, fb.target = termJmp, in.Target
+			case in.Op.IsBranch():
+				fb.kind, fb.target = termBranch, in.Target
+			}
+		}
+		f.blocks[bi] = fb
+	}
+	for i := range static {
+		f.ids[i] = uint32(i)
+		f.memBefore[i+1] = f.memBefore[i]
+		if static[i].Mem {
+			f.memBefore[i+1]++
+		}
+	}
+	return f
 }
 
 // appendBits appends the first k bits of src to the bitset dst, which

@@ -17,9 +17,10 @@ import (
 // rejected. Any image LoadBytes accepts must walk to its end without
 // error, yielding exactly Insts() static ids and NumMem() addresses,
 // and Mem(0) must return the same addresses.
-// The seed corpus contains a valid image, the same image under a
-// retired version-1 and an unknown version-3 header, and targeted
-// mutations (truncation, flipped CRC, oversized column counts).
+// The seed corpus contains a valid image, the same image under the
+// retired version-1 and version-2 headers and an unknown version-4
+// header, and targeted mutations (truncation, flipped CRC, oversized
+// column counts).
 func FuzzTraceLoad(f *testing.F) {
 	w, err := workloads.ByName("crc32")
 	if err != nil {
@@ -38,12 +39,14 @@ func FuzzTraceLoad(f *testing.F) {
 
 	v1 := bytes.Clone(valid)
 	binary.LittleEndian.PutUint32(v1[4:], 1)
-	v3 := bytes.Clone(valid)
-	binary.LittleEndian.PutUint32(v3[4:], 3)
+	v2 := bytes.Clone(valid)
+	binary.LittleEndian.PutUint32(v2[4:], 2)
+	v4 := bytes.Clone(valid)
+	binary.LittleEndian.PutUint32(v4[4:], 4)
 
 	f.Add(valid)
 	f.Add(v1)
-	f.Add(v3)
+	f.Add(v4)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:9])
 	f.Add([]byte("PCDT"))
@@ -56,6 +59,7 @@ func FuzzTraceLoad(f *testing.F) {
 		huge[i] = 0xff // absurd lengths in the header region
 	}
 	f.Add(huge)
+	f.Add(v2)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		verr := Verify(bytes.NewReader(data))

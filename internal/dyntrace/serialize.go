@@ -8,43 +8,44 @@ import (
 	"io"
 	"unsafe"
 
+	"perfclone/internal/isa"
 	"perfclone/internal/prog"
 )
 
-// On-disk trace format, PCDT v2 (all integers little-endian). The
-// static-id column is uvarint-encoded and the address column
-// zigzag-delta-uvarint-encoded, ~1-2 B per entry each. The two bitsets
-// stay raw and the header is padded so they land 8-byte-aligned in the
-// file: a zero-copy loader (LoadBytes, fed by the store's mmap path)
-// can alias them in place and replay straight out of the page cache.
-// Any other version is rejected as unsupported; the store quarantines
-// such an image and recomputes the trace.
+// On-disk trace format, PCDT v3 (all integers little-endian). There is
+// no static-id column: the ids are a function of the traced program and
+// the taken bitset (see flow), so LoadBytes rebuilds them. The address
+// column is zigzag-delta-uvarint-encoded, ~1-2 B per reference. The two
+// bitsets stay raw and the header is padded so they land
+// 8-byte-aligned in the file: a zero-copy loader (LoadBytes, fed by the
+// store's mmap path) can alias them in place and replay straight out of
+// the page cache. Any other version is rejected as unsupported; the
+// store quarantines such an image and recomputes the trace.
 //
 //	magic   [4]byte "PCDT"
-//	version uint32  (2)
+//	version uint32  (3)
 //	nameLen uint32, name []byte
 //	insts   uint64
 //	halted  uint8
 //	numMem  uint64  (memory references == decoded address count)
 //	nTaken, nMemStore uint64  (bitset words)
-//	sidEncLen, memEncLen uint64  (encoded stream bytes)
+//	memEncLen uint64  (encoded address stream bytes)
 //	pad     []byte  (zeros, to an 8-aligned file offset)
 //	taken    []uint64  (raw)
 //	memStore []uint64  (raw)
-//	sidEnc   []byte   (uvarint per static id)
 //	memEnc   []byte   (zigzag-delta uvarint per address)
 //	crc32    uint32   (IEEE, over everything after the version field)
 //
-// The static table is not serialized: it is a pure function of the
-// traced program, and the store keys trace files by a hash of that
-// program, so LoadBytes rebuilds it with buildStatic and then
-// cross-checks the dynamic columns against it (see Trace.check). That keeps the
-// format free of isa enum encodings and makes a program/trace mismatch
-// a load-time error instead of a silent misreplay.
+// The static table is not serialized either: it is a pure function of
+// the traced program, and the store keys trace files by a hash of that
+// program, so LoadBytes rebuilds it with buildStatic and then replays
+// the path against the header (see Trace.check). That keeps the format
+// free of isa enum encodings and makes a program/trace mismatch a
+// load-time error instead of a silent misreplay.
 
 const (
 	traceMagic   = "PCDT"
-	traceVersion = 2
+	traceVersion = 3
 )
 
 // hostLittleEndian gates the zero-copy bitset alias: on a big-endian
@@ -54,19 +55,18 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// v2HeaderLen is the byte length of the fixed v2 header fields after
-// the name: insts + halted + numMem + nTaken + nMemStore + sidEncLen +
-// memEncLen.
-const v2HeaderLen = 8 + 1 + 8 + 8 + 8 + 8 + 8
+// headerLen is the byte length of the fixed header fields after the
+// name: insts + halted + numMem + nTaken + nMemStore + memEncLen.
+const headerLen = 8 + 1 + 8 + 8 + 8 + 8
 
-// v2Pad returns the zero-padding length that 8-aligns the taken bitset
-// for a trace name of the given length.
-func v2Pad(nameLen int) int {
-	off := 8 + 4 + nameLen + v2HeaderLen // magic+version, nameLen, name, fixed fields
+// headerPad returns the zero-padding length that 8-aligns the taken
+// bitset for a trace name of the given length.
+func headerPad(nameLen int) int {
+	off := 8 + 4 + nameLen + headerLen // magic+version, nameLen, name, fixed fields
 	return (8 - off%8) % 8
 }
 
-// Save writes the trace in the current (v2) binary format. A trace
+// Save writes the trace in the current (v3) binary format. A trace
 // already holds its columns encoded, so Save only frames them.
 func (t *Trace) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -95,10 +95,9 @@ func (t *Trace) Save(w io.Writer) error {
 	err := write(
 		uint32(len(name)), name,
 		t.insts, halted, t.numMem,
-		uint64(len(t.taken)), uint64(len(t.memStore)),
-		uint64(len(t.sidEnc)), uint64(len(t.memEnc)),
-		pad[:v2Pad(len(name))],
-		t.taken, t.memStore, t.sidEnc, t.memEnc,
+		uint64(len(t.taken)), uint64(len(t.memStore)), uint64(len(t.memEnc)),
+		pad[:headerPad(len(name))],
+		t.taken, t.memStore, t.memEnc,
 	)
 	if err == nil {
 		err = binary.Write(bw, binary.LittleEndian, crc.Sum32())
@@ -113,20 +112,19 @@ func (t *Trace) Save(w io.Writer) error {
 }
 
 // maxColumn caps a single dynamic column at 2^31 entries (≈2G dynamic
-// instructions, ~8 GB of ids) — far beyond any capture budget, but small
-// enough that a forged header cannot demand an absurd allocation.
+// instructions) — far beyond any capture budget, but small enough that
+// a forged header cannot demand an absurd allocation.
 const maxColumn = 1 << 31
 
-// rawV2 is the parsed v2 payload: bitsets (aliased into the source
-// bytes when possible) plus the still-encoded column streams.
-type rawV2 struct {
+// image is a parsed trace image: the header, the bitsets (aliased into
+// the source bytes when possible) and the still-encoded address stream.
+type image struct {
 	name     string
 	insts    uint64
 	numMem   uint64
 	halted   bool
 	taken    []uint64
 	memStore []uint64
-	sidEnc   []byte
 	memEnc   []byte
 }
 
@@ -147,15 +145,15 @@ func aliasU64(b []byte, n uint64) []uint64 {
 	return out
 }
 
-// parseV2 parses one complete v2 image (starting at the magic),
-// CRC-checking everything and aliasing the bitsets and encoded streams
-// into data — the zero-copy path behind the store's mmap load.
-func parseV2(data []byte) (*rawV2, error) {
+// parseImage parses one complete image (starting at the magic),
+// CRC-checking everything and aliasing the bitsets and the address
+// stream into data — the zero-copy path behind the store's mmap load.
+func parseImage(data []byte) (*image, error) {
 	if err := checkHeader(data); err != nil {
 		return nil, err
 	}
-	if len(data) < 8+4+v2HeaderLen+4 {
-		return nil, fmt.Errorf("dyntrace: load: truncated v2 trace (%d bytes)", len(data))
+	if len(data) < 8+4+headerLen+4 {
+		return nil, fmt.Errorf("dyntrace: load: truncated trace (%d bytes)", len(data))
 	}
 	body, tail := data[8:len(data)-4], data[len(data)-4:]
 	if sum := crc32.ChecksumIEEE(body); sum != binary.LittleEndian.Uint32(tail) {
@@ -168,62 +166,40 @@ func parseV2(data []byte) (*rawV2, error) {
 	if nameLen > 1<<16 {
 		return nil, fmt.Errorf("dyntrace: load: implausible name length %d", nameLen)
 	}
-	if len(data)-off < int(nameLen)+v2HeaderLen+4 {
-		return nil, fmt.Errorf("dyntrace: load: truncated v2 header")
+	if len(data)-off < int(nameLen)+headerLen+4 {
+		return nil, fmt.Errorf("dyntrace: load: truncated header")
 	}
-	rt := &rawV2{name: string(data[off : off+int(nameLen)])}
+	im := &image{name: string(data[off : off+int(nameLen)])}
 	off += int(nameLen)
-	rt.insts = binary.LittleEndian.Uint64(data[off:])
-	rt.halted = data[off+8] != 0
-	rt.numMem = binary.LittleEndian.Uint64(data[off+9:])
+	im.insts = binary.LittleEndian.Uint64(data[off:])
+	im.halted = data[off+8] != 0
+	im.numMem = binary.LittleEndian.Uint64(data[off+9:])
 	nTaken := binary.LittleEndian.Uint64(data[off+17:])
 	nMemStore := binary.LittleEndian.Uint64(data[off+25:])
-	sidEncLen := binary.LittleEndian.Uint64(data[off+33:])
-	memEncLen := binary.LittleEndian.Uint64(data[off+41:])
-	off += v2HeaderLen
-	if rt.insts > maxColumn || rt.numMem > maxColumn || nTaken > maxColumn || nMemStore > maxColumn ||
-		sidEncLen > maxColumn || memEncLen > maxColumn {
-		return nil, fmt.Errorf("dyntrace: load %s: implausible column lengths %d/%d/%d/%d/%d/%d",
-			rt.name, rt.insts, rt.numMem, nTaken, nMemStore, sidEncLen, memEncLen)
+	memEncLen := binary.LittleEndian.Uint64(data[off+33:])
+	off += headerLen
+	if im.insts > maxColumn || im.numMem > maxColumn || nTaken > maxColumn || nMemStore > maxColumn || memEncLen > maxColumn {
+		return nil, fmt.Errorf("dyntrace: load %s: implausible column lengths %d/%d/%d/%d/%d",
+			im.name, im.insts, im.numMem, nTaken, nMemStore, memEncLen)
 	}
-	off += v2Pad(int(nameLen))
-	need := nTaken*8 + nMemStore*8 + sidEncLen + memEncLen
+	off += headerPad(int(nameLen))
+	need := nTaken*8 + nMemStore*8 + memEncLen
 	if uint64(len(data)-off-4) != need {
 		return nil, fmt.Errorf("dyntrace: load %s: payload is %d bytes, header claims %d",
-			rt.name, len(data)-off-4, need)
+			im.name, len(data)-off-4, need)
 	}
-	rt.taken = aliasU64(data[off:], nTaken)
+	im.taken = aliasU64(data[off:], nTaken)
 	off += int(nTaken) * 8
-	rt.memStore = aliasU64(data[off:], nMemStore)
+	im.memStore = aliasU64(data[off:], nMemStore)
 	off += int(nMemStore) * 8
-	rt.sidEnc = data[off : off+int(sidEncLen) : off+int(sidEncLen)]
-	off += int(sidEncLen)
-	rt.memEnc = data[off : off+int(memEncLen) : off+int(memEncLen)]
-	return rt, nil
+	im.memEnc = data[off : off+int(memEncLen) : off+int(memEncLen)]
+	return im, nil
 }
 
-// scanStreams decodes both encoded streams end to end with a Cursor,
-// requiring exactly insts static ids and numMem addresses and not a byte
-// more. onIDs, when non-nil, sees the ids one chunk at a time, with the
-// dynamic index of the chunk's first id.
-func scanStreams(sidEnc, memEnc []byte, insts, numMem uint64, onIDs func(base uint64, sids []uint32) error) error {
-	c := Cursor{sidEnc: sidEnc, memEnc: memEnc}
-	sids := make([]uint32, min(insts, ChunkLen))
-	for c.i < insts {
-		base := c.i
-		got, err := c.NextSIDs(sids[:min(insts-base, ChunkLen)])
-		if err != nil {
-			return err
-		}
-		if onIDs != nil {
-			if err := onIDs(base, got); err != nil {
-				return err
-			}
-		}
-	}
-	if len(c.sidEnc) != 0 {
-		return fmt.Errorf("static-id stream has %d trailing bytes", len(c.sidEnc))
-	}
+// checkAddrs decodes the address stream end to end, requiring exactly
+// numMem addresses and not a byte more.
+func checkAddrs(memEnc []byte, numMem uint64) error {
+	c := Cursor{memEnc: memEnc}
 	addrs := make([]uint64, min(numMem, ChunkLen))
 	for c.mi < numMem {
 		if _, err := c.NextAddrs(addrs[:min(numMem-c.mi, ChunkLen)]); err != nil {
@@ -237,13 +213,13 @@ func scanStreams(sidEnc, memEnc []byte, insts, numMem uint64, onIDs func(base ui
 }
 
 // checkShape validates the program-independent invariants that bind the
-// dynamic columns to each other. LoadBytes additionally cross-checks
-// against the program's static table (Trace.check).
-func checkShape(insts, numMem uint64, nTaken, nMemStore int) error {
-	if want := (insts + 63) / 64; uint64(nTaken) != want {
+// bitsets to the header. LoadBytes additionally replays the path against
+// the program (Trace.check).
+func checkShape(insts, numMem, nTaken, nMemStore uint64) error {
+	if want := (insts + 63) / 64; nTaken != want {
 		return fmt.Errorf("taken bitset has %d words, want %d for %d instructions", nTaken, want, insts)
 	}
-	if want := (numMem + 63) / 64; uint64(nMemStore) != want {
+	if want := (numMem + 63) / 64; nMemStore != want {
 		return fmt.Errorf("store bitset has %d words, want %d for %d references", nMemStore, want, numMem)
 	}
 	return nil
@@ -264,87 +240,81 @@ func checkHeader(data []byte) error {
 }
 
 // Verify reads a serialized trace and checks everything that does not
-// require the traced program: magic, version, CRC-32, and the
-// structural invariants binding the columns together. The store's
-// doctor pass uses it to audit artifacts it cannot attach to a program
-// (static-id bounds and the memory-reference cross-count are only
-// checkable by LoadBytes).
+// require the traced program: magic, version, CRC-32, the bitset shapes
+// and an address stream of exactly numMem addresses. The store's doctor
+// pass uses it to audit artifacts it cannot attach to a program (the
+// path replay is only possible in LoadBytes).
 func Verify(r io.Reader) error {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return fmt.Errorf("dyntrace: load: %w", err)
 	}
-	rt, err := parseV2(data)
+	im, err := parseImage(data)
 	if err != nil {
 		return err
 	}
-	if err := checkShape(rt.insts, rt.numMem, len(rt.taken), len(rt.memStore)); err != nil {
-		return fmt.Errorf("dyntrace: verify %s: %w", rt.name, err)
+	err = checkShape(im.insts, im.numMem, uint64(len(im.taken)), uint64(len(im.memStore)))
+	if err == nil {
+		err = checkAddrs(im.memEnc, im.numMem)
 	}
-	if err := scanStreams(rt.sidEnc, rt.memEnc, rt.insts, rt.numMem, nil); err != nil {
-		return fmt.Errorf("dyntrace: verify %s: %w", rt.name, err)
+	if err != nil {
+		return fmt.Errorf("dyntrace: verify %s: %w", im.name, err)
 	}
 	return nil
 }
 
 // LoadBytes loads a serialized trace from an in-memory image — usually
 // a read-only mmap of a store artifact. The bitsets are aliased in place
-// (when aligned, on little-endian hosts) and the encoded columns kept as
-// subslices, so nothing is copied at load time; release, when non-nil,
+// (when aligned, on little-endian hosts) and the address stream kept as
+// a subslice, so nothing is copied at load time; release, when non-nil,
 // is adopted by the returned Trace and invoked by Close to drop the
 // mapping. On error, ownership of release stays with the caller.
 func LoadBytes(data []byte, release func() error, p *prog.Program) (*Trace, error) {
-	rt, err := parseV2(data)
+	im, err := parseImage(data)
 	if err != nil {
 		return nil, err
 	}
-	if rt.name != p.Name {
-		return nil, fmt.Errorf("dyntrace: load: trace is for %q, not %q", rt.name, p.Name)
+	if im.name != p.Name {
+		return nil, fmt.Errorf("dyntrace: load: trace is for %q, not %q", im.name, p.Name)
 	}
-	static := buildStatic(p)
-	t := &Trace{
-		prog:     p,
-		static:   static,
-		taken:    rt.taken,
-		memStore: rt.memStore,
-		sidEnc:   rt.sidEnc,
-		memEnc:   rt.memEnc,
-		insts:    rt.insts,
-		numMem:   rt.numMem,
-		halted:   rt.halted,
-	}
+	t := newTrace(p, buildStatic(p))
+	t.taken, t.memStore, t.memEnc = im.taken, im.memStore, im.memEnc
+	t.insts, t.numMem, t.halted = im.insts, im.numMem, im.halted
 	if err := t.check(); err != nil {
-		return nil, fmt.Errorf("dyntrace: load %s: %w", rt.name, err)
+		return nil, fmt.Errorf("dyntrace: load %s: %w", im.name, err)
 	}
 	t.release = release
 	return t, nil
 }
 
-// check validates the dynamic columns against each other and against the
-// static table rebuilt from the program. LoadBytes runs it so corruption
-// or a program mismatch surfaces before any consumer replays garbage.
-// The encoded columns are validated by streaming them through a Cursor.
+// check validates the trace against its program, so corruption or a
+// program mismatch surfaces before any consumer replays garbage. It
+// replays the path over the first insts instructions: the path must not
+// halt before them, it must make exactly numMem memory references, and
+// halted must be set exactly when the last instruction is a halt. The
+// address stream must hold exactly numMem addresses, and the bitsets
+// the shapes the header implies.
 func (t *Trace) check() error {
-	if err := checkShape(t.insts, t.numMem, len(t.taken), len(t.memStore)); err != nil {
+	if err := checkShape(t.insts, t.numMem, uint64(len(t.taken)), uint64(len(t.memStore))); err != nil {
 		return err
 	}
+	c := t.NewCursor()
+	buf := make([]uint32, min(t.insts, ChunkLen))
 	var memRefs uint64
-	err := scanStreams(t.sidEnc, t.memEnc, t.insts, t.numMem, func(base uint64, sids []uint32) error {
-		for k, sid := range sids {
-			if int(sid) >= len(t.static) {
-				return fmt.Errorf("dynamic instruction %d has static id %d, table has %d entries", base+uint64(k), sid, len(t.static))
-			}
-			if t.static[sid].Mem {
-				memRefs++
-			}
+	halted := false // an empty trace has not halted
+	for c.i < t.insts {
+		sids, nmem, err := c.nextSIDs(buf[:min(t.insts-c.i, ChunkLen)])
+		if err != nil {
+			return fmt.Errorf("header claims %d instructions: %w", t.insts, err)
 		}
-		return nil
-	})
-	if err != nil {
-		return err
+		memRefs += nmem
+		halted = t.static[sids[len(sids)-1]].Op == isa.OpHalt
 	}
 	if memRefs != t.numMem {
-		return fmt.Errorf("static-id column implies %d memory references, address column has %d", memRefs, t.numMem)
+		return fmt.Errorf("path makes %d memory references, header claims %d", memRefs, t.numMem)
 	}
-	return nil
+	if halted != t.halted {
+		return fmt.Errorf("header says halted=%v, path's last instruction is a halt: %v", t.halted, halted)
+	}
+	return checkAddrs(t.memEnc, t.numMem)
 }

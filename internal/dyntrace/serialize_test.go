@@ -3,6 +3,8 @@ package dyntrace
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"reflect"
 	"strings"
 	"testing"
@@ -108,5 +110,57 @@ func TestLoadRejectsWrongProgram(t *testing.T) {
 	_, err = LoadBytes(buf.Bytes(), nil, w.Build())
 	if err == nil || !strings.Contains(err.Error(), "loop") {
 		t.Fatalf("wrong-program load: err=%v", err)
+	}
+}
+
+// TestLoadReplaysPath: LoadBytes replays the path the taken bits spell
+// out against the header, so each planted header corruption is caught
+// even under a valid CRC (re-stamped after each edit): halted flipped
+// either way, an instruction count past the halt, and a reference count
+// off by one either way.
+func TestLoadReplaysPath(t *testing.T) {
+	p := loopProgram(t)
+	ctx := context.Background()
+	halted, err := CaptureContext(ctx, p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut, err := CaptureContext(ctx, p, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !halted.Halted() || cut.Halted() || halted.Insts()%64 == 0 {
+		t.Fatalf("want a halted run that does not fill its last taken word and a cut one: %d/%v, %d/%v",
+			halted.Insts(), halted.Halted(), cut.Insts(), cut.Halted())
+	}
+	// Header fields follow magic, version, the name length and the name.
+	off := 8 + 4 + len(p.Name)
+	for _, tc := range []struct {
+		name string
+		tr   *Trace
+		edit func(img []byte)
+		want string
+	}{
+		{"halted cleared", halted, func(img []byte) { img[off+8] = 0 }, "halted"},
+		{"halted set", cut, func(img []byte) { img[off+8] = 1 }, "halted"},
+		{"insts past the halt", halted, func(img []byte) {
+			binary.LittleEndian.PutUint64(img[off:], halted.Insts()+1)
+		}, "path halted before instruction"},
+		{"numMem + 1", halted, func(img []byte) {
+			binary.LittleEndian.PutUint64(img[off+9:], halted.NumMem()+1)
+		}, "memory references"},
+		{"numMem - 1", halted, func(img []byte) {
+			binary.LittleEndian.PutUint64(img[off+9:], halted.NumMem()-1)
+		}, "memory references"},
+	} {
+		img := saveBytes(t, tc.tr)
+		if _, err := LoadBytes(img, nil, p); err != nil {
+			t.Fatalf("%s: unedited image: %v", tc.name, err)
+		}
+		tc.edit(img)
+		binary.LittleEndian.PutUint32(img[len(img)-4:], crc32.ChecksumIEEE(img[8:len(img)-4]))
+		if _, err := LoadBytes(img, nil, p); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: LoadBytes err=%v, want one naming %q", tc.name, err, tc.want)
+		}
 	}
 }

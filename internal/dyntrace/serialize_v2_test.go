@@ -71,7 +71,7 @@ func TestLoadBytesZeroCopy(t *testing.T) {
 func TestAddressDeltaEdges(t *testing.T) {
 	max := ^uint64(0)
 	addrs := []uint64{0, max, 0, 1 << 63, (1 << 63) - 1, 1, max - 1, max, 42}
-	tr := FromColumns(loopProgram(t), nil, nil, addrs, nil, 0, false)
+	tr := FromColumns(loopProgram(t), nil, addrs, nil, 0, false)
 	got, err := tr.NewCursor().NextAddrs(make([]uint64, len(addrs)))
 	if err != nil {
 		t.Fatal(err)

@@ -40,7 +40,7 @@ func TestWalkColdEqualsWarm(t *testing.T) {
 				t.Fatalf("%s: reference %d: walked store bit %v, captured %v", w.Name, j, st, want)
 			}
 		}
-		built := FromColumns(p, cols.sids, cold.taken, cols.addrs, cold.memStore, cold.Insts(), cold.Halted())
+		built := FromColumns(p, cold.taken, cols.addrs, cold.memStore, cold.Insts(), cold.Halted())
 		for _, tc := range []struct {
 			name string
 			tr   *Trace

@@ -304,10 +304,13 @@ func (m *Machine) RunColumns(lim Limits, obs ColumnObserver) (Result, error) {
 				case isa.OpCvtIF:
 					r[in.Rd] = math.Float64bits(float64(int64(r[in.Rs1])))
 				case isa.OpCvtFI:
-					if f := f64(r[in.Rs1]); math.IsNaN(f) || math.IsInf(f, 0) {
-						r[in.Rd] = 0
-					} else {
+					switch f := f64(r[in.Rs1]); {
+					case f >= -0x1p63 && f < 0x1p63:
 						r[in.Rd] = uint64(int64(f))
+					case math.IsNaN(f) || math.IsInf(f, 0):
+						r[in.Rd] = 0
+					default: // finite, |f| ≥ 2^63: Go leaves int64(f) to the target
+						r[in.Rd] = 1 << 63
 					}
 
 				case isa.OpLd, isa.OpFLd:

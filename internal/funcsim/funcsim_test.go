@@ -148,8 +148,13 @@ func TestFloatingPoint(t *testing.T) {
 	}
 }
 
+// TestCvtFIHandlesNaNAndInf: CvtFI of NaN or ±Inf is 0, and of a
+// finite value at or beyond ±2^63 MinInt64 (isa.OpCvtFI), in RunColumns
+// and RunReference alike.
 func TestCvtFIHandlesNaNAndInf(t *testing.T) {
-	m := buildAndRun(t, func(b *prog.Builder) {
+	big := []float64{0x1p63, -0x1p63, 1e300, -1e300, math.MaxFloat64, -math.MaxFloat64}
+	build := func(b *prog.Builder) {
+		base := b.Floats("big", big)
 		b.Label("e")
 		// 0/0 → NaN; 1/0 → +Inf.
 		b.Li(r(1), 1)
@@ -157,15 +162,39 @@ func TestCvtFIHandlesNaNAndInf(t *testing.T) {
 		b.CvtIF(f(1), r(1))
 		b.FDiv(f(2), f(0), f(0)) // NaN
 		b.FDiv(f(3), f(1), f(0)) // Inf
+		b.FNeg(f(4), f(3))       // -Inf
 		b.CvtFI(r(2), f(2))
 		b.CvtFI(r(3), f(3))
+		b.CvtFI(r(4), f(4))
+		b.Li(r(1), int64(base))
+		for i := range big {
+			b.FLd(f(5+i), r(1), int64(8*i))
+			b.CvtFI(r(5+i), f(5+i))
+		}
 		b.Halt()
-	})
-	if !math.IsNaN(m.FPReg(2)) || !math.IsInf(m.FPReg(3), 1) {
+	}
+	m := buildAndRun(t, build)
+	if !math.IsNaN(m.FPReg(2)) || !math.IsInf(m.FPReg(3), 1) || !math.IsInf(m.FPReg(4), -1) {
 		t.Fatal("FP special values not produced")
 	}
-	if m.IntReg(2) != 0 || m.IntReg(3) != 0 {
-		t.Fatal("CvtFI of NaN/Inf must be 0 (defined behaviour)")
+	bld := prog.NewBuilder("t")
+	build(bld)
+	ref, err := New(bld.MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.RunReference(Limits{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*Machine{"RunColumns": m, "RunReference": ref} {
+		if m.IntReg(2) != 0 || m.IntReg(3) != 0 || m.IntReg(4) != 0 {
+			t.Errorf("%s: CvtFI of NaN/±Inf gave %d %d %d, want 0 (defined behaviour)", name, m.IntReg(2), m.IntReg(3), m.IntReg(4))
+		}
+		for i, v := range big {
+			if got := m.IntReg(5 + i); got != math.MinInt64 {
+				t.Errorf("%s: CvtFI(%g) = %d, want MinInt64", name, v, got)
+			}
+		}
 	}
 }
 

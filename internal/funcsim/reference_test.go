@@ -197,10 +197,12 @@ func (m *Machine) exec(in *isa.Inst) (addr uint64, ref refKind, taken bool, next
 	case isa.OpCvtIF:
 		m.setF(in.Rd, float64(m.get(in.Rs1)))
 	case isa.OpCvtFI:
-		f := m.getF(in.Rs1)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
+		switch f := m.getF(in.Rs1); {
+		case math.IsNaN(f) || math.IsInf(f, 0):
 			m.set(in.Rd, 0)
-		} else {
+		case math.Abs(f) >= 0x1p63:
+			m.set(in.Rd, math.MinInt64)
+		default:
 			m.set(in.Rd, int64(f))
 		}
 

@@ -48,7 +48,11 @@ const (
 	OpFNeg  // fd = -fs1
 	OpFCmp  // rd = fs1 < fs2 ? 1 : 0 (int destination)
 	OpCvtIF // fd = float64(rs1)
-	OpCvtFI // rd = int64(fs1)
+	// OpCvtFI: rd = fs1 truncated toward zero. NaN and ±Inf give 0, and
+	// any other fs1 with |fs1| ≥ 2^63 gives MinInt64, the value amd64's
+	// conversion produces (Go's int64(f) leaves it to the target, and
+	// arm64 saturates).
+	OpCvtFI
 
 	// Memory. Effective address = rs1 + imm.
 	OpLd  // rd = mem64[rs1+imm]

@@ -46,7 +46,7 @@ func CaptureContext(ctx context.Context, p *prog.Program, budget uint64, opts Op
 	var e *dyntrace.Encoder
 	var c *collector
 	halted, err := dyntrace.Stream(ctx, p, budget, func(static []dyntrace.Static) func(*dyntrace.Chunk) error {
-		e = dyntrace.NewEncoder(p, static, budget)
+		e = dyntrace.NewEncoder(p, static)
 		c = newCollector(p, static, opts)
 		return func(ch *dyntrace.Chunk) error {
 			e.Add(ch)

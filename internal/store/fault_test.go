@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"io"
 	iofs "io/fs"
 	"os"
@@ -79,65 +80,78 @@ func TestCorruptTraceQuarantinedAndRecomputed(t *testing.T) {
 	}
 }
 
-// TestV1TraceQuarantinedAndRecomputed: PCDT v1 is no longer readable, so
-// a trace image under a version-1 header takes the ordinary corrupt-
-// artifact path: quarantined, reported as a miss, recomputed; Doctor
-// quarantines the same image.
+// TestV1TraceQuarantinedAndRecomputed: PCDT v1 and v2 are no longer
+// readable, so a trace image under a version-1 or version-2 header (a
+// store the previous format wrote) takes the ordinary corrupt-artifact
+// path: quarantined, reported as a miss, recomputed; Doctor quarantines
+// the same image.
 func TestV1TraceQuarantinedAndRecomputed(t *testing.T) {
-	st, tr := testProgramAndTrace(t)
-	if err := st.SaveTrace("crc32", tr, 20_000); err != nil {
-		t.Fatal(err)
-	}
-	path := st.tracePath("crc32", ProgramHash(tr.Program()), 20_000)
-	v2, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := bytes.Clone(v2)
-	binary.LittleEndian.PutUint32(v1[4:], 1)
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, version := range []uint32{1, 2} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			st, tr := testProgramAndTrace(t)
+			if err := st.SaveTrace("crc32", tr, 20_000); err != nil {
+				t.Fatal(err)
+			}
+			path := st.tracePath("crc32", ProgramHash(tr.Program()), 20_000)
+			current, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := bytes.Clone(current)
+			binary.LittleEndian.PutUint32(old[4:], version)
+			if err := os.WriteFile(path, old, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	var log bytes.Buffer
-	soft, err := Open(st.Dir(), WithLog(&log))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := soft.LoadTrace("crc32", tr.Program(), 20_000)
-	if err != nil || ok || got != nil {
-		t.Fatalf("v1 image must degrade to a miss: ok=%v err=%v", ok, err)
-	}
-	if !strings.Contains(log.String(), "store: QUARANTINED") || !strings.Contains(log.String(), "unsupported version 1") {
-		t.Fatalf("missing greppable quarantine warning, log: %q", log.String())
-	}
-	if c := soft.Counters(); c.Quarantined != 1 {
-		t.Fatalf("counters %+v, want 1 quarantined", c)
-	}
-	if err := soft.SaveTrace("crc32", tr, 20_000); err != nil {
-		t.Fatal(err)
-	}
-	back, ok, err := soft.LoadTrace("crc32", tr.Program(), 20_000)
-	if err != nil || !ok {
-		t.Fatalf("after recompute: ok=%v err=%v", ok, err)
-	}
-	var img bytes.Buffer
-	if err := back.Save(&img); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(img.Bytes(), v2) {
-		t.Fatal("recomputed trace does not round-trip to the original v2 image")
-	}
+			strict, err := Open(st.Dir(), WithStrict(true), WithLog(io.Discard))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := strict.LoadTrace("crc32", tr.Program(), 20_000); err == nil || !strings.Contains(err.Error(), "strict") {
+				t.Fatalf("a strict store must refuse a v%d image: err=%v", version, err)
+			}
 
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := soft.Doctor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Quarantined) != 1 || rep.Quarantined[0] != path {
-		t.Fatalf("doctor quarantined %v, want [%s]", rep.Quarantined, path)
+			var log bytes.Buffer
+			soft, err := Open(st.Dir(), WithLog(&log))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, ok, err := soft.LoadTrace("crc32", tr.Program(), 20_000)
+			if err != nil || ok || got != nil {
+				t.Fatalf("v%d image must degrade to a miss: ok=%v err=%v", version, ok, err)
+			}
+			if !strings.Contains(log.String(), "store: QUARANTINED") || !strings.Contains(log.String(), fmt.Sprintf("unsupported version %d", version)) {
+				t.Fatalf("missing greppable quarantine warning, log: %q", log.String())
+			}
+			if c := soft.Counters(); c.Quarantined != 1 {
+				t.Fatalf("counters %+v, want 1 quarantined", c)
+			}
+			if err := soft.SaveTrace("crc32", tr, 20_000); err != nil {
+				t.Fatal(err)
+			}
+			back, ok, err := soft.LoadTrace("crc32", tr.Program(), 20_000)
+			if err != nil || !ok {
+				t.Fatalf("after recompute: ok=%v err=%v", ok, err)
+			}
+			var img bytes.Buffer
+			if err := back.Save(&img); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(img.Bytes(), current) {
+				t.Fatal("recomputed trace does not round-trip to the original image")
+			}
+
+			if err := os.WriteFile(path, old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := soft.Doctor()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Quarantined) != 1 || rep.Quarantined[0] != path {
+				t.Fatalf("doctor quarantined %v, want [%s]", rep.Quarantined, path)
+			}
+		})
 	}
 }
 

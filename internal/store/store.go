@@ -205,11 +205,15 @@ func (s *Store) quarantine(path string, cause error) {
 // errors) is quarantined and degrades to a miss — the caller recomputes
 // — unless the store is strict, in which case it is an error.
 func (s *Store) LoadTrace(name string, p *prog.Program, budget uint64) (t *dyntrace.Trace, ok bool, err error) {
-	path := s.tracePath(name, ProgramHash(p), budget)
-	// Map the artifact and let the trace alias it (PCDT v2 replays
-	// straight out of the page cache where the FS mmaps). On success the
-	// trace adopts the mapping and releases it on Close; on any failure
-	// the mapping is dropped here and the error feeds the degrade and
+	return s.loadTrace(s.tracePath(name, ProgramHash(p), budget), p)
+}
+
+// loadTrace is LoadTrace from the artifact's path.
+func (s *Store) loadTrace(path string, p *prog.Program) (t *dyntrace.Trace, ok bool, err error) {
+	// Map the artifact and let the trace alias it (PCDT replays straight
+	// out of the page cache where the FS mmaps). On success the trace
+	// adopts the mapping and releases it on Close; on any failure the
+	// mapping is dropped here and the error feeds the degrade and
 	// quarantine policy.
 	var tr *dyntrace.Trace
 	lerr := faultinject.Retry(func() error {
@@ -243,8 +247,7 @@ func (s *Store) LoadTrace(name string, p *prog.Program, budget uint64) (t *dyntr
 // SaveTrace writes t under (name, hash of its program, budget) with an
 // fsynced, atomic temp-file rename.
 func (s *Store) SaveTrace(name string, t *dyntrace.Trace, budget uint64) error {
-	path := s.tracePath(name, ProgramHash(t.Program()), budget)
-	return s.saveArtifact(path, t.Save)
+	return s.saveArtifact(s.tracePath(name, ProgramHash(t.Program()), budget), t.Save)
 }
 
 // LoadProfile returns the cached profile for (name, hash, insts), or
@@ -301,17 +304,21 @@ func (s *Store) Profile(name string, p *prog.Program, insts uint64, compute func
 }
 
 // Trace is Profile for the dynamic trace of p under (name, budget). A
-// hit is attached to p; the caller closes the returned trace.
+// hit is attached to p; the caller closes the returned trace. compute
+// must return a trace of p: p is hashed once, and the load and the save
+// both use that key.
 func (s *Store) Trace(name string, p *prog.Program, budget uint64, compute func() (*dyntrace.Trace, error)) (t *dyntrace.Trace, hit bool, err error) {
+	var path string
 	if s != nil {
-		if t, hit, err = s.LoadTrace(name, p, budget); err != nil || hit {
+		path = s.tracePath(name, ProgramHash(p), budget)
+		if t, hit, err = s.loadTrace(path, p); err != nil || hit {
 			return t, hit, err
 		}
 	}
 	if t, err = compute(); err != nil || s == nil {
 		return t, false, err
 	}
-	return t, false, s.SaveTrace(name, t, budget)
+	return t, false, s.saveArtifact(path, t.Save)
 }
 
 // saveArtifact is atomicWrite plus the degradation policy for writes: a

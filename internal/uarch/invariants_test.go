@@ -10,6 +10,7 @@ import (
 
 	"perfclone/internal/cache"
 	"perfclone/internal/dyntrace"
+	"perfclone/internal/isa"
 	"perfclone/internal/power"
 	"perfclone/internal/prog"
 	"perfclone/internal/uarch"
@@ -151,61 +152,104 @@ func fuzzConfig(b []byte) uarch.Config {
 }
 
 // fuzzTrace decodes a trace of one of the programs of empties, empty
-// traces held for their programs and static tables. The first byte
-// picks the program and the next two the warmup and instruction budget
-// (0 = the whole trace). Then each instruction takes two bytes, its
-// static id (low 15 bits, modulo the static table) and branch direction
-// (top bit), and a memory instruction two more, its address, 8-byte
-// granular in a 512 KB window. The store bitset follows the static
-// table, so the columns are always consistent, up to 2048 instructions.
+// traces held for their programs. The first byte picks the program and
+// the next two the warmup and instruction budget (0 = the whole trace).
+// The trace then follows the program's control flow from its entry, as
+// a capture does: each conditional branch takes its direction from the
+// low bit of the next byte, and each memory instruction its address
+// from the next two, 8-byte granular in a 512 KB window. It ends at a
+// halt, where the bytes run out, or at 2048 instructions, so every
+// input is a trace a run of the program could leave.
 func fuzzTrace(empties []*dyntrace.Trace, b []byte) (*dyntrace.Trace, uarch.Limits) {
 	if len(b) < 3 {
 		return nil, uarch.Limits{}
 	}
-	empty := empties[int(b[0])%len(empties)]
+	p := empties[int(b[0])%len(empties)].Program()
 	lim := uarch.Limits{Warmup: uint64(b[1]), MaxInsts: uint64(b[2])}
 	b = b[3:]
-	static := empty.Statics()
-	var sids []uint32
 	var taken, addrs, stores []uint64
-	setBit := func(bits []uint64, i int, v bool) []uint64 {
-		if i%64 == 0 {
-			bits = append(bits, 0)
+	n, halted := 0, false
+	for bi := p.Entry; n < 2048 && !halted; {
+		next := bi + 1
+		for _, in := range p.Blocks[bi].Insts {
+			dir := false
+			switch {
+			case in.Op.IsBranch():
+				if len(b) < 1 {
+					return dyntrace.FromColumns(p, taken, addrs, stores, uint64(n), false), lim
+				}
+				if dir = b[0]&1 != 0; dir {
+					next = in.Target
+				}
+				b = b[1:]
+			case in.Op.IsMem():
+				if len(b) < 2 {
+					return dyntrace.FromColumns(p, taken, addrs, stores, uint64(n), false), lim
+				}
+				stores = setBit(stores, len(addrs), in.Op.IsStore())
+				addrs = append(addrs, uint64(binary.LittleEndian.Uint16(b))<<3)
+				b = b[2:]
+			case in.Op == isa.OpJmp:
+				next = in.Target
+			}
+			taken = setBit(taken, n, dir)
+			n++
+			if halted = in.Op == isa.OpHalt; halted || n == 2048 {
+				break
+			}
 		}
-		if v {
-			bits[i/64] |= 1 << (i % 64)
-		}
-		return bits
+		bi = next
 	}
-	for len(b) >= 2 && len(sids) < 2048 {
-		v := binary.LittleEndian.Uint16(b)
-		b = b[2:]
-		sid := uint32(v&0x7fff) % uint32(len(static))
-		taken = setBit(taken, len(sids), v&0x8000 != 0)
-		sids = append(sids, sid)
-		if !static[sid].Mem {
-			continue
-		}
-		var a uint16
-		if len(b) >= 2 {
-			a = binary.LittleEndian.Uint16(b)
-			b = b[2:]
-		}
-		stores = setBit(stores, len(addrs), static[sid].Store)
-		addrs = append(addrs, uint64(a)<<3)
-	}
-	return dyntrace.FromColumns(empty.Program(), sids, taken, addrs, stores, uint64(len(sids)), false), lim
+	return dyntrace.FromColumns(p, taken, addrs, stores, uint64(n), halted), lim
 }
 
-// FuzzReplay: for any configuration Validate accepts, replaying any
-// trace never panics and keeps the conservation laws of
-// TestStatsAccounting. With no warmup, the pump's predictor and L1I
-// counts also equal the standalone components' (TestPumpMatchesComponents).
-func FuzzReplay(f *testing.F) {
-	var empties []*dyntrace.Trace
-	for _, w := range workloads.All() {
-		empties = append(empties, dyntrace.FromColumns(w.Build(), nil, nil, nil, nil, 0, false))
+// setBit appends bit i, which is v, to a bitset that holds bits [0, i).
+func setBit(bits []uint64, i int, v bool) []uint64 {
+	if i%64 == 0 {
+		bits = append(bits, 0)
 	}
+	if v {
+		bits[i/64] |= 1 << (i % 64)
+	}
+	return bits
+}
+
+// fuzzStream decodes an instruction stream over the static table of one
+// of the programs of empties, in no program's order, as statistical
+// simulation generates one. The first three bytes are fuzzTrace's. Then
+// each instruction takes two bytes, its static id (low 15 bits, modulo
+// the static table) and branch direction (top bit), and a memory
+// instruction two more, its address, 8-byte granular in a 512 KB
+// window; up to 2048 instructions.
+func fuzzStream(empties []*dyntrace.Trace, b []byte) ([]uarch.TraceInst, uarch.Limits) {
+	if len(b) < 3 {
+		return nil, uarch.Limits{}
+	}
+	static := empties[int(b[0])%len(empties)].Statics()
+	lim := uarch.Limits{Warmup: uint64(b[1]), MaxInsts: uint64(b[2])}
+	b = b[3:]
+	var insts []uarch.TraceInst
+	for len(b) >= 2 && len(insts) < 2048 {
+		v := binary.LittleEndian.Uint16(b)
+		b = b[2:]
+		st := &static[int(v&0x7fff)%len(static)]
+		ti := uarch.TraceInst{
+			PC: st.PC, Class: st.Class, Dest: st.Dest, Src1: st.Src1, Src2: st.Src2,
+			Taken: v&0x8000 != 0, Branch: st.Branch, Jump: st.Jump,
+		}
+		if st.Mem && len(b) >= 2 {
+			ti.Addr = uint64(binary.LittleEndian.Uint16(b)) << 3
+			b = b[2:]
+		}
+		insts = append(insts, ti)
+	}
+	return insts, lim
+}
+
+// replaySeeds is the seed corpus FuzzReplay and FuzzRunTrace share: the
+// base, a wide and an in-order configuration, each with a 600-entry
+// stream, and a short stream on the base machine.
+func replaySeeds(f *testing.F) [][2][]byte {
 	base := []byte{
 		1, 16, 8, 0, 2, 1, 1, 1, 1, 0, 3, 0, // Table 2 core, GAp
 		14, 5, 2, 14, 5, 2, 16, 6, 3, // 16 KB 2-way L1s, 64 KB 4-way L2
@@ -227,10 +271,23 @@ func FuzzReplay(f *testing.F) {
 	for i := range 600 {
 		stream = binary.LittleEndian.AppendUint16(stream, uint16(i*7919))
 	}
-	f.Add(base, stream)
-	f.Add(wide, stream)
-	f.Add(inOrder, append([]byte{5, 40, 0}, stream[3:]...))
-	f.Add(base, []byte{9, 0, 100, 1, 0, 0x80, 0x80, 2, 0})
+	return [][2][]byte{
+		{base, stream},
+		{wide, stream},
+		{inOrder, append([]byte{5, 40, 0}, stream[3:]...)},
+		{base, []byte{9, 0, 100, 1, 0, 0x80, 0x80, 2, 0}},
+	}
+}
+
+// FuzzReplay: for any configuration Validate accepts, replaying any
+// trace never panics and keeps the conservation laws of
+// TestStatsAccounting. With no warmup, the pump's predictor and L1I
+// counts also equal the standalone components' (TestPumpMatchesComponents).
+func FuzzReplay(f *testing.F) {
+	empties := emptyTraces()
+	for _, seed := range replaySeeds(f) {
+		f.Add(seed[0], seed[1])
+	}
 	f.Fuzz(func(t *testing.T, cfgBytes, traceBytes []byte) {
 		cfg := fuzzConfig(cfgBytes)
 		if cfg.Validate() != nil {
@@ -253,4 +310,44 @@ func FuzzReplay(f *testing.F) {
 			checkComponents(t, label, tr, st, lim.MaxInsts)
 		}
 	})
+}
+
+// FuzzRunTrace: for any configuration Validate accepts, timing any
+// instruction stream through RunTrace, the entry point statistical
+// simulation feeds, never panics and keeps the conservation laws of
+// TestStatsAccounting. Unlike a trace replay, the stream follows no
+// program's control flow (fuzzStream).
+func FuzzRunTrace(f *testing.F) {
+	empties := emptyTraces()
+	for _, seed := range replaySeeds(f) {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, cfgBytes, streamBytes []byte) {
+		cfg := fuzzConfig(cfgBytes)
+		if cfg.Validate() != nil {
+			return
+		}
+		insts, lim := fuzzStream(empties, streamBytes)
+		if insts == nil {
+			return
+		}
+		st, err := uarch.RunTrace(context.Background(), cfg, lim, uint64(len(insts)), func(i uint64) uarch.TraceInst { return insts[i] })
+		if err != nil {
+			if cfg.Predictor != "unknown" {
+				t.Fatalf("timing a stream: %v", err)
+			}
+			return
+		}
+		checkInvariants(t, fmt.Sprintf("%+v %+v", cfg, lim), st, lim.Warmup > 0)
+	})
+}
+
+// emptyTraces returns an empty trace of each workload, held for its
+// program and static table.
+func emptyTraces() []*dyntrace.Trace {
+	var empties []*dyntrace.Trace
+	for _, w := range workloads.All() {
+		empties = append(empties, dyntrace.FromColumns(w.Build(), nil, nil, nil, 0, false))
+	}
+	return empties
 }

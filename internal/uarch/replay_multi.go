@@ -58,7 +58,7 @@ func expand(dst, tmpl []TraceInst, c *dyntrace.Chunk) []TraceInst {
 // streamChunk of TraceInst records is decoded once and fed to all
 // pipelines; each config keeps its own independent Sim, so the returned
 // Stats are bit-identical to len(cfgs) single-config ReplayContext calls
-// and the decode cost (static-id stream, address stream, taken bitset,
+// and the decode cost (static-id rebuild, address stream, taken bitset,
 // template expansion) is amortized N ways. This is what makes wide config
 // sweeps (Table 3's design changes, the predictor and L2 sweeps) cost one
 // trace walk instead of N.

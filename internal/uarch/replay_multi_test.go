@@ -210,27 +210,54 @@ func TestReplayMultiValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sids, taken, addrs, stores := c.SIDs, c.Taken, c.Addrs, c.Stores
+	taken, addrs, stores := c.Taken, c.Addrs, c.Stores
 	cfgs := []Config{BaseConfig()}
-	lim := Limits{MaxInsts: uint64(len(sids))}
+	lim := Limits{MaxInsts: good.Insts()}
 
 	// Taken bitset shorter than the instruction count.
-	short := dyntrace.FromColumns(p, sids, taken[:len(taken)/2], addrs, stores, good.Insts(), good.Halted())
+	short := dyntrace.FromColumns(p, taken[:len(taken)/2], addrs, stores, good.Insts(), good.Halted())
 	if _, err := ReplayMultiWorkers(context.Background(), short, cfgs, lim, 1); err == nil || !strings.Contains(err.Error(), "taken bitset") {
 		t.Errorf("short taken bitset: err=%v, want taken-bitset validation error", err)
 	}
 
-	// Static id beyond the program's static table.
-	bad := append([]uint32(nil), sids...)
-	bad[len(bad)/2] = 1 << 30
-	ragged := dyntrace.FromColumns(p, bad, taken, addrs, stores, good.Insts(), good.Halted())
-	if _, err := ReplayMultiWorkers(context.Background(), ragged, cfgs, lim, 1); err == nil || !strings.Contains(err.Error(), "static id") {
-		t.Errorf("out-of-range sid: err=%v, want static-id validation error", err)
+	// A header that claims more instructions than the path reaches
+	// before its halt: crc32's whole run, plus 64 instructions past it.
+	whole, err := dyntrace.CaptureContext(context.Background(), p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wTaken, wAddrs, wStores := flatColumns(t, whole)
+	overrun := dyntrace.FromColumns(p, append(wTaken, 0), wAddrs, wStores, whole.Insts()+64, true)
+	if _, err := ReplayMultiWorkers(context.Background(), overrun, cfgs, Limits{}, 1); err == nil || !strings.Contains(err.Error(), "halted") {
+		t.Errorf("instructions past the halt: err=%v, want a halted-path error", err)
 	}
 
 	// Fewer packed addresses than the sid stream's memory references.
-	starved := dyntrace.FromColumns(p, sids, taken, addrs[:len(addrs)/2], stores, good.Insts(), good.Halted())
+	starved := dyntrace.FromColumns(p, taken, addrs[:len(addrs)/2], stores, good.Insts(), good.Halted())
 	if _, err := ReplayMultiWorkers(context.Background(), starved, cfgs, lim, 1); err == nil {
 		t.Error("starved address column replayed without error")
 	}
+}
+
+// flatColumns walks the whole of tr and returns its taken words, its
+// addresses and its store bits packed from reference 0, as FromColumns
+// takes them.
+func flatColumns(t *testing.T, tr *dyntrace.Trace) (taken, addrs, stores []uint64) {
+	t.Helper()
+	for w := tr.Walk(0); !w.Done(); {
+		c, err := w.Next(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		taken = append(taken, c.Taken...)
+		for j, a := range c.Addrs {
+			n := len(addrs)
+			if n%64 == 0 {
+				stores = append(stores, 0)
+			}
+			stores[n/64] |= (c.Stores[j/64] >> (j % 64) & 1) << (n % 64)
+			addrs = append(addrs, a)
+		}
+	}
+	return taken, addrs, stores
 }
