@@ -34,8 +34,9 @@ func BenchmarkCapture(b *testing.B) {
 // BenchmarkWalk times the PCDT decode layer: one Walk over a
 // 1M-instruction trace of lame and of its default clone, in dynamic
 // instructions per second. The walk rebuilds the static ids a basic
-// block at a time; the clone's blocks are shorter than the real
-// program's.
+// block at a time and decodes each address with its static's stride
+// predictor; lame's references nearly all hit it, its clone's mostly
+// miss.
 func BenchmarkWalk(b *testing.B) {
 	ctx := context.Background()
 	for _, c := range lamePrograms(b) {
@@ -67,10 +68,9 @@ type namedProgram struct {
 }
 
 // lamePrograms returns lame and its default clone. lame runs past a 1M
-// budget and has one of the densest address streams of the bundled
-// workloads (0.2 references, 0.58 encoded address bytes per
-// instruction); its clone has ~1400 static instructions in short
-// blocks.
+// budget and makes 0.2 references per instruction; its clone has ~1400
+// static instructions, and two thirds of its references miss the
+// stride predictor.
 func lamePrograms(b *testing.B) []namedProgram {
 	b.Helper()
 	w, err := workloads.ByName("lame")

@@ -12,25 +12,26 @@
 //
 // Per-program static-instruction metadata is stored once in a Static
 // table. The dynamic stream has one form, in memory and on disk alike:
-// the PCDT v3 encoding (see Save). CaptureContext writes it as the
-// program runs, from the column batches the functional simulator
-// retires into (funcsim.RunColumns, passed through by Stream): a taken
-// bitset indexed by dynamic position and, per memory reference (not per
-// instruction), a zigzag-delta varint address and a store bit. The
-// static ids are not stored. Every control transfer of the ISA is a
-// direct jump or branch to its Target, or a fall-through, and
-// prog.Validate rejects bad targets and falling off the program, so
-// the ids are a function of the program and the taken bits: a Cursor
-// rebuilds them one basic block at a time (see flow). A trace loaded
+// the PCDT v4 encoding (see Save), which holds only the run's choices.
+// CaptureContext writes it as the program runs, from the column
+// batches the functional simulator retires into (funcsim.RunColumns,
+// passed through by Stream): a direction bit per conditional branch,
+// and per memory reference a hit bit against its static instruction's
+// stride predictor (the paper's attribute 4) plus a residual per miss.
+// Every control transfer of the ISA is a direct jump or branch to its
+// Target, or a fall-through, and prog.Validate rejects bad targets and
+// falling off the program, so the static ids, the taken bits and the
+// store bits are a function of the program and the branch directions:
+// a Walk rebuilds them one basic block at a time (see path). A trace loaded
 // from the store holds the same bytes, often mmapped. Every consumer
 // reads them through one chunked Walk, so a result cannot depend on
 // whether its trace was captured or loaded. No per-event structs are
 // allocated and no observer closure runs during replay. The encoded
 // footprint is
 //
-//	1 bit/inst (taken) + ~1–3 B/memref (addr) + 1 bit/memref (store)
+//	1 bit/cond. branch + 1 bit/memref (hit) + ~1–3 B/memref missed
 //
-// which comes to 0.17–0.89 B/inst on the bundled workloads, versus
+// which comes to 0.04–0.30 B/inst on the bundled workloads, versus
 // 4 B/inst plus 8 B/memref for the simulator's raw columns and 64 B/inst
 // for a slice of funcsim.Event.
 package dyntrace
@@ -39,7 +40,9 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
+	"unsafe"
 
 	"perfclone/internal/funcsim"
 	"perfclone/internal/isa"
@@ -75,17 +78,19 @@ type Static struct {
 // Trace is one captured dynamic instruction stream, held in its encoded
 // form (see Save for the layout). Consumers read it through Walk or a
 // Cursor. A Trace is immutable after CaptureContext or LoadBytes and
-// safe for concurrent walks from many goroutines.
+// safe for concurrent walks from many goroutines: each walk owns its
+// address predictor.
 type Trace struct {
-	prog     *prog.Program
-	static   []Static
-	flow     *flow    // the control-flow table the ids are rebuilt from
-	taken    []uint64 // bitset over dynamic instructions
-	memStore []uint64 // bitset over memory references
-	memEnc   []byte   // zigzag-delta varint address per memory reference
-	insts    uint64
-	numMem   uint64 // memory references (== addresses in memEnc)
-	halted   bool
+	prog    *prog.Program
+	static  []Static
+	flow    *flow    // the control-flow table the path is followed on
+	branch  []uint64 // direction of each dynamic conditional branch, in path order
+	hits    []uint64 // per memory reference: its address was predicted
+	resid   []byte   // zigzag varint of address − last per reference that missed
+	insts   uint64
+	nBranch uint64 // dynamic conditional branches (== bits in branch)
+	numMem  uint64 // memory references (== bits in hits)
+	halted  bool
 
 	// release unmaps or otherwise frees the backing storage of a
 	// zero-copy load (see LoadBytes and Close).
@@ -118,35 +123,62 @@ func CaptureContext(ctx context.Context, p *prog.Program, maxInsts uint64) (*Tra
 // one Stream to a trace and to a second consumer at once (see
 // profile.CaptureContext) and run the program only once.
 type Encoder struct {
-	t    *Trace
-	prev uint64 // last address: the address stream is delta-coded
+	t      *Trace
+	pred   []stride // the address predictor, per static memory instruction
+	branch blocks[uint64]
+	hits   blocks[uint64]
+	resid  blocks[byte]
+	bw, hw uint64 // the branch and hit words being filled
 }
 
 // NewEncoder starts a trace of p, whose static table is static (the one
 // Stream hands its consumer). Its streams grow as the run needs them.
 func NewEncoder(p *prog.Program, static []Static) *Encoder {
-	return &Encoder{t: newTrace(p, static)}
+	t := newTrace(p, static)
+	return &Encoder{t: t, pred: make([]stride, len(t.flow.memStore))}
 }
 
 // Add encodes the next chunk of the stream. Chunks must arrive in
-// order, as Stream yields them.
+// order, as Stream yields them. The chunk is read a block run at a
+// time: a run names its references' static instructions, and a run
+// that ends at a conditional branch adds that branch's direction.
 func (e *Encoder) Add(c *Chunk) {
-	t := e.t
-	// Base is 64-aligned, so the chunk's taken words are the trace's.
-	t.taken = append(grow(t.taken, len(c.Taken)), c.Taken...)
-	t.insts += uint64(len(c.SIDs))
-	// Encode into locals and store them back once per chunk: the Trace's
-	// fields live on the heap, its locals in registers. An address takes
-	// at most MaxVarintLen64 bytes, so the chunk's fit without regrowing.
-	memEnc, last := grow(t.memEnc, len(c.Addrs)*binary.MaxVarintLen64), e.prev
-	for _, a := range c.Addrs {
-		memEnc = appendAddr(memEnc, a, last)
-		last = a
+	t, f, pred := e.t, e.t.flow, e.pred
+	addrs := c.Addrs
+	// The streams live in locals for the chunk: a store to the Encoder's
+	// heap fields would cost a write barrier whenever the GC runs.
+	branch, hits, resid := e.branch.cur, e.hits.cur, e.resid.cur
+	nBranch, numMem, bw, hw := t.nBranch, t.numMem, e.bw, e.hw
+	for k := 0; k < len(c.SIDs); {
+		s := c.SIDs[k]
+		b := &f.blocks[f.block[s]]
+		end := min(b.end, s+uint32(len(c.SIDs)-k))
+		k += int(end - s)
+		lo, hi := f.memBefore[s], f.memBefore[end]
+		for i, a := range addrs[:hi-lo] {
+			p := &pred[lo+uint32(i)]
+			if d := a - p.last; d != p.stride {
+				p.stride = d
+				resid = binary.AppendVarint(e.resid.room(resid, binary.MaxVarintLen64), int64(d))
+			} else {
+				hw |= 1 << (numMem & 63)
+			}
+			p.last = a
+			if numMem++; numMem&63 == 0 {
+				hits, hw = append(e.hits.room(hits, 1), hw), 0
+			}
+		}
+		addrs = addrs[hi-lo:]
+		if end == b.end && b.kind == termBranch {
+			bw |= c.Taken[(k-1)>>6] >> ((k - 1) & 63) & 1 << (nBranch & 63)
+			if nBranch++; nBranch&63 == 0 {
+				branch, bw = append(e.branch.room(branch, 1), bw), 0
+			}
+		}
 	}
-	t.memEnc, e.prev = memEnc, last
-	n := uint64(len(c.Addrs))
-	t.memStore = appendBits(grow(t.memStore, len(c.Stores)), t.numMem, c.Stores, n)
-	t.numMem += n
+	e.branch.cur, e.hits.cur, e.resid.cur = branch, hits, resid
+	t.nBranch, t.numMem, e.bw, e.hw = nBranch, numMem, bw, hw
+	t.insts += uint64(len(c.SIDs))
 }
 
 // Finish returns the trace; halted is what Stream reported. The Encoder
@@ -155,32 +187,38 @@ func (e *Encoder) Finish(halted bool) *Trace {
 	t := e.t
 	e.t = nil
 	t.halted = halted
-	// A captured trace lives as long as its pair, so its streams keep no
-	// spare capacity from growing.
-	t.taken, t.memEnc, t.memStore = fit(t.taken), fit(t.memEnc), fit(t.memStore)
+	if t.nBranch&63 != 0 {
+		e.branch.cur = append(e.branch.room(e.branch.cur, 1), e.bw)
+	}
+	if t.numMem&63 != 0 {
+		e.hits.cur = append(e.hits.room(e.hits.cur, 1), e.hw)
+	}
+	t.branch, t.hits, t.resid = e.branch.join(), e.hits.join(), e.resid.join()
 	return t
 }
 
-// grow returns s with room for n more elements. It at least doubles the
-// capacity when it must grow: a capture's streams grow for as long as
-// the run lasts, and doubling allocates about twice a stream's final
-// size in all, where append's 1.25× steps for large slices allocate
-// five times it.
-func grow[T any](s []T, n int) []T {
-	if cap(s)-len(s) >= n {
-		return s
-	}
-	return slices.Grow(s, max(n, cap(s)))
+// blocks is one of an Encoder's streams. It grows in 16 KiB blocks, so
+// growing never copies what is already encoded, and join copies it
+// once, into a slice of exactly its length: a captured trace lives as
+// long as its pair and keeps no spare capacity. The current block is
+// cur; the Encoder works on it in a local and stores it back.
+type blocks[T any] struct {
+	full [][]T
+	cur  []T
 }
 
-// fit returns s, or a copy of it with no spare capacity when more than
-// an eighth of its backing array is unused.
-func fit[T any](s []T) []T {
-	if cap(s)-len(s) <= len(s)/8 {
-		return s
+// room returns cur, the current block, or a new one when cur has no
+// room for k more elements.
+func (b *blocks[T]) room(cur []T, k int) []T {
+	if cap(cur)-len(cur) >= k {
+		return cur
 	}
-	return append(make([]T, 0, len(s)), s...)
+	b.full = append(b.full, cur)
+	var zero T
+	return make([]T, 0, max(k, 16<<10/int(unsafe.Sizeof(zero))))
 }
+
+func (b *blocks[T]) join() []T { return slices.Concat(append(b.full, b.cur)...) }
 
 // Stream executes p functionally for up to n dynamic instructions (0 =
 // to completion) and hands its stream to fn one Chunk at a time, without
@@ -219,32 +257,28 @@ func Stream(ctx context.Context, p *prog.Program, n uint64, open func(static []S
 	return res.Halted, err
 }
 
-// FromColumns assembles a Trace from raw dynamic columns, encoding them,
-// without functional execution and without validation. It exists for
-// tests that need malformed traces: a column that disagrees with the
-// header or the program surfaces as an error from Walk, not a panic.
-func FromColumns(p *prog.Program, taken, memAddr, memStore []uint64, insts uint64, halted bool) *Trace {
-	t := newTrace(p, buildStatic(p))
-	t.taken, t.memStore = taken, memStore
-	t.insts, t.numMem, t.halted = insts, uint64(len(memAddr)), halted
-	var prev uint64
-	for _, a := range memAddr {
-		t.memEnc = appendAddr(t.memEnc, a, prev)
-		prev = a
-	}
+// FromColumns assembles a Trace of insts instructions from the branch
+// directions and the addresses, without functional execution or
+// validation, for tests that need malformed traces: it keeps what the
+// path passes as far as it can be followed, so a short column or an
+// early halt surfaces as an error from Walk, not a panic.
+func FromColumns(p *prog.Program, branches, addrs []uint64, insts uint64, halted bool) *Trace {
+	e := NewEncoder(p, buildStatic(p))
+	t := e.t
+	t.branch, t.nBranch = branches, 64*uint64(len(branches))
+	dirs, refs := t.start(), t.start()
+	dirs.follow(nil, nil, insts, math.MaxUint64, nil, nil)
+	ids, taken := make([]uint32, insts), make([]uint64, (insts+63)/64)
+	refs.follow(ids, taken, insts, uint64(len(addrs)), nil, nil)
+	e.Add(&Chunk{SIDs: ids[:refs.i], Taken: taken, Addrs: addrs})
+	e.Finish(halted)
+	t.branch, t.nBranch, t.insts = branches[:(dirs.bn+63)/64], dirs.bn, insts
 	return t
 }
 
 // newTrace returns an empty trace of p, whose static table is static.
 func newTrace(p *prog.Program, static []Static) *Trace {
 	return &Trace{prog: p, static: static, flow: buildFlow(p, static)}
-}
-
-// appendAddr appends the zigzag varint of a − prev. The delta wraps, so
-// ascending, descending and wildly alternating addresses all encode
-// without overflow and decode exactly.
-func appendAddr(dst []byte, a, prev uint64) []byte {
-	return binary.AppendVarint(dst, int64(a-prev))
 }
 
 // buildStatic flattens the program's blocks into the static table,
@@ -287,41 +321,51 @@ func buildStatic(p *prog.Program) []Static {
 const (
 	termFall   = iota // fall through to the next block
 	termJmp           // go to Target
-	termBranch        // go to Target if the branch's taken bit is set, else fall through
+	termBranch        // go to Target if the branch is taken, else fall through
 	termHalt          // the path ends
 )
 
-// flowBlock is one basic block as a Cursor follows it.
+// flowBlock is one basic block as a path follows it.
 type flowBlock struct {
 	start, end uint32 // the block's block-major ids are [start, end)
 	target     int    // Target of a jmp or branch terminator
 	kind       uint8  // termFall, termJmp, termBranch or termHalt
 }
 
-// flow is the control-flow table a Cursor rebuilds static ids from. A
-// run is a path of basic blocks from the entry whose only dynamic choice
-// is each conditional branch's direction, so the path, and with it every
-// id, follows from the program and the taken bitset. It is built once
-// per trace and shared by its walks.
+// flow is the control-flow table a path is followed on. A run is a path
+// of basic blocks from the entry whose only dynamic choice is each
+// conditional branch's direction, so the path, and with it every id,
+// taken bit and store bit, follows from the program and the branch
+// directions. It is built once per trace and shared by its walks.
 type flow struct {
 	blocks []flowBlock
 	entry  int
 	// ids[i] == i: a block's run of ids is copied out of it.
 	ids []uint32
+	// block[i] is the block id i is in.
+	block []uint32
 	// memBefore[i] counts the memory instructions among ids below i, so
-	// a run [a, b) makes memBefore[b]-memBefore[a] references.
+	// a run [a, b) makes the references of memory instructions
+	// memBefore[a] to memBefore[b]-1, numbered in id order.
 	memBefore []uint32
+	// memStore[j] is 1 when memory instruction j is a store.
+	memStore []uint8
 }
+
+// stride is one static memory instruction's address predictor: it
+// predicts last + stride.
+type stride struct{ last, stride uint64 }
 
 // buildFlow derives p's control-flow table; static is p's static table.
 // It accepts any program: a target outside the program, or falling off
-// its end, is an error when a Cursor reaches it, not here.
+// its end, is an error when a path reaches it, not here.
 func buildFlow(p *prog.Program, static []Static) *flow {
 	starts := p.BlockStarts()
 	f := &flow{
 		blocks:    make([]flowBlock, len(p.Blocks)),
 		entry:     p.Entry,
 		ids:       make([]uint32, len(static)),
+		block:     make([]uint32, len(static)),
 		memBefore: make([]uint32, len(static)+1),
 	}
 	for bi := range p.Blocks {
@@ -339,10 +383,13 @@ func buildFlow(p *prog.Program, static []Static) *flow {
 		f.blocks[bi] = fb
 	}
 	for i := range static {
-		f.ids[i] = uint32(i)
+		f.ids[i], f.block[i] = uint32(i), uint32(static[i].Block)
 		f.memBefore[i+1] = f.memBefore[i]
 		if static[i].Mem {
 			f.memBefore[i+1]++
+			if f.memStore = append(f.memStore, 0); static[i].Store {
+				f.memStore[len(f.memStore)-1] = 1
+			}
 		}
 	}
 	return f

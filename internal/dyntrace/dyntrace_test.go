@@ -137,9 +137,9 @@ func TestMemPrefix(t *testing.T) {
 
 // TestCaptureWorkload: capture works on a real workload and its saved
 // image, which is also its in-memory form, stays compact. The bundled
-// workloads encode at 0.17–0.89 B/inst (crc32 at 0.64), with no
-// per-instruction column but the taken bit, so anything above 1 B/inst
-// means the encoding regressed.
+// workloads encode at 0.02–0.65 B/inst (crc32 at 0.21), with no
+// per-instruction column, so anything above 1 B/inst means the encoding
+// regressed.
 func TestCaptureWorkload(t *testing.T) {
 	w, err := workloads.ByName("crc32")
 	if err != nil {

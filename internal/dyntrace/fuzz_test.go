@@ -18,9 +18,9 @@ import (
 // error, yielding exactly Insts() static ids and NumMem() addresses,
 // and Mem(0) must return the same addresses.
 // The seed corpus contains a valid image, the same image under the
-// retired version-1 and version-2 headers and an unknown version-4
-// header, and targeted mutations (truncation, flipped CRC, oversized
-// column counts).
+// retired version-1, version-2 and version-3 headers and an unknown
+// version-5 header, and targeted mutations (truncation, flipped CRC,
+// oversized column counts).
 func FuzzTraceLoad(f *testing.F) {
 	w, err := workloads.ByName("crc32")
 	if err != nil {
@@ -41,12 +41,14 @@ func FuzzTraceLoad(f *testing.F) {
 	binary.LittleEndian.PutUint32(v1[4:], 1)
 	v2 := bytes.Clone(valid)
 	binary.LittleEndian.PutUint32(v2[4:], 2)
-	v4 := bytes.Clone(valid)
-	binary.LittleEndian.PutUint32(v4[4:], 4)
+	v3 := bytes.Clone(valid)
+	binary.LittleEndian.PutUint32(v3[4:], 3)
+	v5 := bytes.Clone(valid)
+	binary.LittleEndian.PutUint32(v5[4:], 5)
 
 	f.Add(valid)
 	f.Add(v1)
-	f.Add(v4)
+	f.Add(v5)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:9])
 	f.Add([]byte("PCDT"))
@@ -60,6 +62,7 @@ func FuzzTraceLoad(f *testing.F) {
 	}
 	f.Add(huge)
 	f.Add(v2)
+	f.Add(v3)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		verr := Verify(bytes.NewReader(data))

@@ -60,12 +60,52 @@ func walked(tr *dyntrace.Trace) (*flat, error) {
 	return &f, nil
 }
 
-// TestTraceIsLossless: a trace stores no static ids, yet for every
-// workload, real and default clone, at a budget that cuts a block, one
-// that crosses a ChunkLen edge and 1M, a Walk over the captured trace
-// and over its Save→LoadBytes round trip yields exactly the ids, taken
-// words, addresses and store bits that dyntrace.Stream hands out for
-// the same run.
+// cursorOrders reads tr through a Cursor in two orders and compares
+// its ids and addresses with want's: every id and then every address,
+// as perfbench's walkCursor reads, and alternating NextSIDs and
+// NextAddrs requests of odd lengths.
+func cursorOrders(tr *dyntrace.Trace, want *flat) error {
+	c := tr.NewCursor()
+	sids, err := c.NextSIDs(make([]uint32, len(want.sids)))
+	if err != nil {
+		return fmt.Errorf("all ids: %w", err)
+	}
+	addrs, err := c.NextAddrs(make([]uint64, len(want.addrs)))
+	if err != nil {
+		return fmt.Errorf("all addresses: %w", err)
+	}
+	if !slices.Equal(sids, want.sids) || !slices.Equal(addrs, want.addrs) {
+		return fmt.Errorf("ids then addresses: columns differ")
+	}
+	c = tr.NewCursor()
+	sids, addrs = sids[:0], addrs[:0]
+	sbuf, abuf := make([]uint32, 65537), make([]uint64, 65539)
+	for k := 0; len(sids) < len(want.sids) || len(addrs) < len(want.addrs); k++ {
+		n := []int{1, 63, 65, 4099, 65537}[k%5]
+		s, err := c.NextSIDs(sbuf[:min(n, len(want.sids)-len(sids))])
+		if err != nil {
+			return fmt.Errorf("alternating, ids at %d: %w", len(sids), err)
+		}
+		a, err := c.NextAddrs(abuf[:min(n+2, len(want.addrs)-len(addrs))])
+		if err != nil {
+			return fmt.Errorf("alternating, addresses at %d: %w", len(addrs), err)
+		}
+		sids, addrs = append(sids, s...), append(addrs, a...)
+	}
+	if !slices.Equal(sids, want.sids) || !slices.Equal(addrs, want.addrs) {
+		return fmt.Errorf("alternating: columns differ")
+	}
+	return nil
+}
+
+// TestTraceIsLossless: a trace stores only the branch directions, hit
+// bits and residuals, yet for every workload, real and default clone,
+// at a budget that cuts a block, one that crosses a ChunkLen edge and
+// 1M, a Walk over the captured trace and over its Save→LoadBytes round
+// trip yields exactly the ids, taken words, addresses and store bits
+// that dyntrace.Stream hands out for the same run, and a Cursor over
+// the round trip yields the same ids and addresses in both of
+// cursorOrders' read orders.
 func TestTraceIsLossless(t *testing.T) {
 	budgets := []uint64{1_001, dyntrace.ChunkLen + 3, 1 << 20}
 	midBlock := 0
@@ -107,6 +147,9 @@ func TestTraceIsLossless(t *testing.T) {
 					if err != nil {
 						t.Errorf("%s/%d: %s trace: %v", p.Name, n, name, err)
 					}
+				}
+				if err := cursorOrders(loaded, &want); err != nil {
+					t.Errorf("%s/%d: cursor over the loaded trace: %v", p.Name, n, err)
 				}
 			}
 		}

@@ -113,8 +113,8 @@ func TestLoadRejectsWrongProgram(t *testing.T) {
 	}
 }
 
-// TestLoadReplaysPath: LoadBytes replays the path the taken bits spell
-// out against the header, so each planted header corruption is caught
+// TestLoadReplaysPath: LoadBytes replays the path the branch directions
+// spell out against the header, so each planted header corruption is caught
 // even under a valid CRC (re-stamped after each edit): halted flipped
 // either way, an instruction count past the halt, and a reference count
 // off by one either way.
@@ -161,6 +161,63 @@ func TestLoadReplaysPath(t *testing.T) {
 		binary.LittleEndian.PutUint32(img[len(img)-4:], crc32.ChecksumIEEE(img[8:len(img)-4]))
 		if _, err := LoadBytes(img, nil, p); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: LoadBytes err=%v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestLoadChecksColumns: each planted corruption of the v4 columns is
+// caught under a valid CRC (re-stamped after each edit) by the check
+// written for it: a flipped hit bit (one more miss than residuals), a
+// branch count off by one either way, a trailing residual byte, and a
+// set pad bit past the last reference. Verify, which has no program,
+// catches every one of them but the branch count.
+func TestLoadChecksColumns(t *testing.T) {
+	p := loopProgram(t)
+	tr, err := CaptureContext(context.Background(), p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.NumMem()%64 == 0 || tr.hits[0]>>5&1 != 1 {
+		t.Fatalf("want a trace whose hit bits leave a pad and whose reference 5 hits: %d references, hits %b", tr.NumMem(), tr.hits[0])
+	}
+	// Header fields follow magic, version, the name length and the name;
+	// the hit words follow the pad and the branch words.
+	off := 8 + 4 + len(p.Name)
+	hitsAt := off + headerLen + headerPad(len(p.Name)) + 8*len(tr.branch)
+	flipHit := func(bit uint) func([]byte) []byte {
+		return func(img []byte) []byte {
+			img[hitsAt+int(bit/8)] ^= 1 << (bit % 8)
+			return img
+		}
+	}
+	nBranch := func(d int) func([]byte) []byte {
+		return func(img []byte) []byte {
+			binary.LittleEndian.PutUint64(img[off+17:], uint64(int(tr.nBranch)+d))
+			return img
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		edit   func(img []byte) []byte
+		want   string
+		verify bool // Verify catches it too
+	}{
+		{"hit bit flipped", flipHit(5), "residual stream holds", true},
+		{"nBranch + 1", nBranch(1), "conditional branches", false},
+		{"nBranch - 1", nBranch(-1), "has no direction", false},
+		{"trailing residual byte", func(img []byte) []byte {
+			binary.LittleEndian.PutUint64(img[off+25:], uint64(len(tr.resid)+1))
+			return append(img[:len(img)-4:len(img)-4], 0, 0, 0, 0, 0)
+		}, "residual stream holds", true},
+		{"pad bit past numMem", flipHit(uint(tr.NumMem())), "bits set past", true},
+	} {
+		img := tc.edit(saveBytes(t, tr))
+		binary.LittleEndian.PutUint32(img[len(img)-4:], crc32.ChecksumIEEE(img[8:len(img)-4]))
+		if _, err := LoadBytes(img, nil, p); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: LoadBytes err=%v, want one naming %q", tc.name, err, tc.want)
+		}
+		if err := Verify(bytes.NewReader(img)); (err != nil) != tc.verify {
+			t.Errorf("%s: Verify err=%v, want an error: %v", tc.name, err, tc.verify)
 		}
 	}
 }

@@ -65,13 +65,20 @@ func TestLoadBytesZeroCopy(t *testing.T) {
 	}
 }
 
-// TestAddressDeltaEdges: the zigzag delta codec must round-trip address
-// sequences whose deltas underflow/overflow int64 (0 -> MaxUint64 is a
-// delta of 2^64-1; the codec relies on wrapping arithmetic).
+// TestAddressDeltaEdges: the predictor's residuals and strides must
+// round-trip address sequences whose differences underflow/overflow
+// int64 (0 -> MaxUint64 is a difference of 2^64-1; the codec relies on
+// wrapping arithmetic). loopProgram's loop makes a store and a load per
+// iteration, so each static instruction sees every other address.
 func TestAddressDeltaEdges(t *testing.T) {
 	max := ^uint64(0)
-	addrs := []uint64{0, max, 0, 1 << 63, (1 << 63) - 1, 1, max - 1, max, 42}
-	tr := FromColumns(loopProgram(t), nil, addrs, nil, 0, false)
+	addrs := []uint64{0, max, 0, 1 << 63, (1 << 63) - 1, 1, max - 1, max, 42, 42}
+	// Five iterations: four taken back edges, then the fall-through to
+	// the halt (2 + 5*4 + 1 instructions).
+	tr := FromColumns(loopProgram(t), []uint64{0b01111}, addrs, 23, true)
+	if err := tr.check(); err != nil {
+		t.Fatal(err)
+	}
 	got, err := tr.NewCursor().NextAddrs(make([]uint64, len(addrs)))
 	if err != nil {
 		t.Fatal(err)

@@ -29,18 +29,7 @@ func TestWalkColdEqualsWarm(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		cols := walkAll(t, cold, 0)
-		// Chunks re-base store bits to their first reference, which is
-		// rarely 64-aligned: flattened, they must be the capture's bitset.
-		if uint64(len(cols.stores)) != cold.NumMem() {
-			t.Fatalf("%s: walk yielded %d store bits for %d references", w.Name, len(cols.stores), cold.NumMem())
-		}
-		for j, st := range cols.stores {
-			if want := cold.memStore[j>>6]>>(j&63)&1 == 1; st != want {
-				t.Fatalf("%s: reference %d: walked store bit %v, captured %v", w.Name, j, st, want)
-			}
-		}
-		built := FromColumns(p, cold.taken, cols.addrs, cold.memStore, cold.Insts(), cold.Halted())
+		built := FromColumns(p, cold.branch, walkAll(t, cold, 0).addrs, cold.Insts(), cold.Halted())
 		for _, tc := range []struct {
 			name string
 			tr   *Trace

@@ -80,13 +80,13 @@ func TestCorruptTraceQuarantinedAndRecomputed(t *testing.T) {
 	}
 }
 
-// TestV1TraceQuarantinedAndRecomputed: PCDT v1 and v2 are no longer
-// readable, so a trace image under a version-1 or version-2 header (a
-// store the previous format wrote) takes the ordinary corrupt-artifact
+// TestV1TraceQuarantinedAndRecomputed: PCDT v1, v2 and v3 are no
+// longer readable, so a trace image under a retired version's header (a
+// store an earlier format wrote) takes the ordinary corrupt-artifact
 // path: quarantined, reported as a miss, recomputed; Doctor quarantines
 // the same image.
 func TestV1TraceQuarantinedAndRecomputed(t *testing.T) {
-	for _, version := range []uint32{1, 2} {
+	for _, version := range []uint32{1, 2, 3} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
 			st, tr := testProgramAndTrace(t)
 			if err := st.SaveTrace("crc32", tr, 20_000); err != nil {

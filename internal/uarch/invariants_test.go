@@ -167,32 +167,32 @@ func fuzzTrace(empties []*dyntrace.Trace, b []byte) (*dyntrace.Trace, uarch.Limi
 	p := empties[int(b[0])%len(empties)].Program()
 	lim := uarch.Limits{Warmup: uint64(b[1]), MaxInsts: uint64(b[2])}
 	b = b[3:]
-	var taken, addrs, stores []uint64
-	n, halted := 0, false
+	var branches, addrs []uint64
+	n, nb, halted := 0, 0, false
 	for bi := p.Entry; n < 2048 && !halted; {
 		next := bi + 1
 		for _, in := range p.Blocks[bi].Insts {
-			dir := false
 			switch {
 			case in.Op.IsBranch():
 				if len(b) < 1 {
-					return dyntrace.FromColumns(p, taken, addrs, stores, uint64(n), false), lim
+					return dyntrace.FromColumns(p, branches, addrs, uint64(n), false), lim
 				}
-				if dir = b[0]&1 != 0; dir {
+				dir := b[0]&1 != 0
+				if dir {
 					next = in.Target
 				}
+				branches = setBit(branches, nb, dir)
+				nb++
 				b = b[1:]
 			case in.Op.IsMem():
 				if len(b) < 2 {
-					return dyntrace.FromColumns(p, taken, addrs, stores, uint64(n), false), lim
+					return dyntrace.FromColumns(p, branches, addrs, uint64(n), false), lim
 				}
-				stores = setBit(stores, len(addrs), in.Op.IsStore())
 				addrs = append(addrs, uint64(binary.LittleEndian.Uint16(b))<<3)
 				b = b[2:]
 			case in.Op == isa.OpJmp:
 				next = in.Target
 			}
-			taken = setBit(taken, n, dir)
 			n++
 			if halted = in.Op == isa.OpHalt; halted || n == 2048 {
 				break
@@ -200,7 +200,7 @@ func fuzzTrace(empties []*dyntrace.Trace, b []byte) (*dyntrace.Trace, uarch.Limi
 		}
 		bi = next
 	}
-	return dyntrace.FromColumns(p, taken, addrs, stores, uint64(n), halted), lim
+	return dyntrace.FromColumns(p, branches, addrs, uint64(n), halted), lim
 }
 
 // setBit appends bit i, which is v, to a bitset that holds bits [0, i).
@@ -347,7 +347,7 @@ func FuzzRunTrace(f *testing.F) {
 func emptyTraces() []*dyntrace.Trace {
 	var empties []*dyntrace.Trace
 	for _, w := range workloads.All() {
-		empties = append(empties, dyntrace.FromColumns(w.Build(), nil, nil, nil, 0, false))
+		empties = append(empties, dyntrace.FromColumns(w.Build(), nil, nil, 0, false))
 	}
 	return empties
 }

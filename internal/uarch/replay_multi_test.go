@@ -203,21 +203,14 @@ func TestReplayMultiValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The whole 10k-instruction trace is one walk chunk, so that chunk
-	// holds every column; stores are re-based to the chunk's first
-	// reference, which is the trace's first.
-	c, err := good.Walk(0).Next(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	taken, addrs, stores := c.Taken, c.Addrs, c.Stores
+	branches, addrs := flatColumns(t, good)
 	cfgs := []Config{BaseConfig()}
 	lim := Limits{MaxInsts: good.Insts()}
 
-	// Taken bitset shorter than the instruction count.
-	short := dyntrace.FromColumns(p, taken[:len(taken)/2], addrs, stores, good.Insts(), good.Halted())
-	if _, err := ReplayMultiWorkers(context.Background(), short, cfgs, lim, 1); err == nil || !strings.Contains(err.Error(), "taken bitset") {
-		t.Errorf("short taken bitset: err=%v, want taken-bitset validation error", err)
+	// Branch bitset shorter than the path's conditional branches.
+	short := dyntrace.FromColumns(p, branches[:len(branches)/2], addrs, good.Insts(), good.Halted())
+	if _, err := ReplayMultiWorkers(context.Background(), short, cfgs, lim, 1); err == nil || !strings.Contains(err.Error(), "has no direction") {
+		t.Errorf("short branch bitset: err=%v, want a missing-direction error", err)
 	}
 
 	// A header that claims more instructions than the path reaches
@@ -226,38 +219,41 @@ func TestReplayMultiValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wTaken, wAddrs, wStores := flatColumns(t, whole)
-	overrun := dyntrace.FromColumns(p, append(wTaken, 0), wAddrs, wStores, whole.Insts()+64, true)
+	wBranches, wAddrs := flatColumns(t, whole)
+	overrun := dyntrace.FromColumns(p, append(wBranches, 0), wAddrs, whole.Insts()+64, true)
 	if _, err := ReplayMultiWorkers(context.Background(), overrun, cfgs, Limits{}, 1); err == nil || !strings.Contains(err.Error(), "halted") {
 		t.Errorf("instructions past the halt: err=%v, want a halted-path error", err)
 	}
 
 	// Fewer packed addresses than the sid stream's memory references.
-	starved := dyntrace.FromColumns(p, taken, addrs[:len(addrs)/2], stores, good.Insts(), good.Halted())
+	starved := dyntrace.FromColumns(p, branches, addrs[:len(addrs)/2], good.Insts(), good.Halted())
 	if _, err := ReplayMultiWorkers(context.Background(), starved, cfgs, lim, 1); err == nil {
 		t.Error("starved address column replayed without error")
 	}
 }
 
-// flatColumns walks the whole of tr and returns its taken words, its
-// addresses and its store bits packed from reference 0, as FromColumns
-// takes them.
-func flatColumns(t *testing.T, tr *dyntrace.Trace) (taken, addrs, stores []uint64) {
+// flatColumns walks the whole of tr and returns what FromColumns
+// takes: the direction of each conditional branch, packed in path
+// order, and the addresses.
+func flatColumns(t *testing.T, tr *dyntrace.Trace) (branches, addrs []uint64) {
 	t.Helper()
+	nb := 0
 	for w := tr.Walk(0); !w.Done(); {
 		c, err := w.Next(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		taken = append(taken, c.Taken...)
-		for j, a := range c.Addrs {
-			n := len(addrs)
-			if n%64 == 0 {
-				stores = append(stores, 0)
+		for k, sid := range c.SIDs {
+			if !tr.Statics()[sid].Branch {
+				continue
 			}
-			stores[n/64] |= (c.Stores[j/64] >> (j % 64) & 1) << (n % 64)
-			addrs = append(addrs, a)
+			if nb%64 == 0 {
+				branches = append(branches, 0)
+			}
+			branches[nb/64] |= (c.Taken[k/64] >> (k % 64) & 1) << (nb % 64)
+			nb++
 		}
+		addrs = append(addrs, c.Addrs...)
 	}
-	return taken, addrs, stores
+	return branches, addrs
 }
