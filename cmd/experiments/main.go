@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	experiments [-run NAME] [-workloads a,b,c] [-parallel] [-insts N]
+//	experiments [-run NAME] [-workloads a,b,c] [-workers N] [-insts N]
 //	            [-store DIR] [-resume] [-strict-store] [-doctor] [-progress]
 //	            [-fidelity] [-strict-fidelity] [-fidelity-tolerance F]
 //	            [-stage-timeout D] [-task-retries N] [-watchdog D]
@@ -15,6 +15,12 @@
 // perfcloned daemon serves the same names and its experiment artifacts
 // are byte-for-byte this command's stdout. An unknown name is a usage
 // error.
+//
+// -workers N sizes the run's one worker budget (0, the default, is
+// GOMAXPROCS; -workers 1 is the serial run). Each stage runs up to N of
+// its cells (workloads) at once; a cell left two workers by that split
+// times its real program and its clone concurrently. The output is
+// byte-identical at every worker count.
 //
 // With -fidelity, every generated clone passes through the closed-loop
 // fidelity gate (re-profile, compare against the target profile, bounded
@@ -70,8 +76,7 @@ import (
 func main() {
 	run := flag.String("run", "all", "experiment to run: "+strings.Join(experiments.RunNames(), ", "))
 	wl := flag.String("workloads", "", "comma-separated workload subset (default: all 23)")
-	parallel := flag.Bool("parallel", true, "run independent simulations concurrently")
-	workers := flag.Int("workers", 0, "worker goroutines for parallel runs (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 	insts := flag.Uint64("insts", 0, "timing-simulation instruction budget per run (default 500000)")
 	storeDir := flag.String("store", "", "directory for the durable trace/profile store and checkpoints")
 	resume := flag.Bool("resume", false, "skip grid cells checkpointed by a previous -store run (requires -store)")
@@ -164,7 +169,7 @@ func main() {
 	// first attempt to exercise the watchdog end to end.
 	super := supervise.New(supervise.Options{Log: os.Stderr, Wedge: os.Getenv("PERFCLONE_WEDGE")})
 	opts := experiments.Options{
-		Parallel: *parallel, Workers: *workers, TimingInsts: *insts, Resume: *resume,
+		Parallel: true, Workers: *workers, TimingInsts: *insts, Resume: *resume,
 		Fidelity: *fidelity, StrictFidelity: *strictFidelity, FidelityTolerance: *fidelityTol,
 		StageTimeout: *stageTimeout, TaskRetries: *taskRetries, Watchdog: *watchdog,
 		Supervisor: super,
@@ -209,9 +214,9 @@ func main() {
 	opts.Progress = tr.observe
 
 	// Greppable counters line: the worker budget every stage carves its
-	// outer×inner split from (see experiments.WorkerBudget).
-	fmt.Fprintf(os.Stderr, "experiments: workers %d effective (parallel %v, requested %d)\n",
-		opts.EffectiveWorkers(), opts.Parallel, *workers)
+	// cells×sides split from (see experiments.WorkerBudget).
+	fmt.Fprintf(os.Stderr, "experiments: workers %d effective (requested %d)\n",
+		opts.EffectiveWorkers(), *workers)
 
 	err := experiments.Run(ctx, *run, opts, os.Stdout)
 	if opts.Store != nil {

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -174,16 +175,15 @@ func TestChaosGridByteIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosMmapParallelReplay drives the parallel fused replay over a
-// trace whose columns alias a FaultFS.Map-served image — the zero-copy
-// load branch — while 4 config workers read the shared chunk buffers
-// concurrently. The fault plan is latency-only: injected delays shuffle
-// goroutine interleavings without corrupting the image, so every round
-// must be bit-identical to an in-memory replay. Closing the trace
-// immediately after ReplayMultiWorkers returns pins the drain
-// guarantee: no worker may still hold a subslice of the mapping once
-// the walk has returned (under -race a straggler reading after Close
-// races with the next round's load).
+// TestChaosMmapParallelReplay walks one trace whose columns alias a
+// FaultFS.Map-served image — the zero-copy load branch — on two
+// goroutines at once, as a cell's real and clone sides walk their
+// traces concurrently. The fault plan is latency-only: injected delays
+// shuffle goroutine interleavings without corrupting the image, so every
+// walk must be bit-identical to an in-memory replay. Closing the trace
+// right after the join pins the drain guarantee: no walk may still hold
+// a subslice of the mapping once it has returned (under -race a
+// straggler reading after Close races with the next round's load).
 func TestChaosMmapParallelReplay(t *testing.T) {
 	seed := chaosSeed(t)
 	t.Logf("chaos seed %d (re-run with PERFCLONE_CHAOS_SEED=%d to reproduce)", seed, seed)
@@ -199,8 +199,7 @@ func TestChaosMmapParallelReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A small grid spanning pipeline and cache dimensions, replayed on
-	// more configs than workers so each worker owns several pipelines.
+	// A small grid spanning pipeline and cache dimensions.
 	base := uarch.BaseConfig()
 	cfgs := []uarch.Config{base}
 	for _, mut := range []func(*uarch.Config){
@@ -244,15 +243,27 @@ func TestChaosMmapParallelReplay(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("seed %d round %d: mmap load: ok=%v err=%v\nlog:\n%s", seed, round, ok, err, log.String())
 		}
-		got, err := uarch.ReplayMultiWorkers(context.Background(), mapped, cfgs, lim, 4)
-		if err != nil {
-			t.Fatalf("seed %d round %d: parallel replay over mapped trace: %v", seed, round, err)
+		var got [2][]uarch.Stats
+		var errs [2]error
+		var wg sync.WaitGroup
+		for k := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[k], errs[k] = uarch.ReplayMultiWorkers(context.Background(), mapped, cfgs, lim, 1)
+			}()
 		}
+		wg.Wait()
 		if err := mapped.Close(); err != nil {
 			t.Fatalf("seed %d round %d: close mapped trace: %v", seed, round, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d round %d: mapped parallel replay diverges from in-memory replay", seed, round)
+		for k := range got {
+			if errs[k] != nil {
+				t.Fatalf("seed %d round %d walk %d: replay over mapped trace: %v", seed, round, k, errs[k])
+			}
+			if !reflect.DeepEqual(got[k], want) {
+				t.Fatalf("seed %d round %d walk %d: mapped replay diverges from in-memory replay", seed, round, k)
+			}
 		}
 	}
 }

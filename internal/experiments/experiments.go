@@ -329,9 +329,9 @@ func generateClone(ctx context.Context, prof *profile.Profile, opts Options) (*s
 
 // EffectiveWorkers reports the run's total worker budget: 1 unless
 // Parallel is set, else Options.Workers when positive, else
-// runtime.GOMAXPROCS(0). Every layer of parallelism in a run — the
-// pool over a stage's cells and the per-cell fused-replay workers — is
-// carved out of this one number.
+// runtime.GOMAXPROCS(0). Every goroutine a run's stages use — the pool
+// over a stage's cells and a cell's concurrent clone side — is carved
+// out of this one number.
 func (o Options) EffectiveWorkers() int {
 	if !o.Parallel {
 		return 1
@@ -342,29 +342,26 @@ func (o Options) EffectiveWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// WorkerBudget splits the run's total worker budget across a stage's two
-// levels of parallelism: outer goroutines iterate the stage's cells
-// (workloads) and each cell's fused replay stripes its configurations
-// over inner goroutines. Outer parallelism is preferred — whole cells
-// are perfectly independent — and inner workers only soak up budget the
-// cell count cannot use (e.g. 8 workers × 2 workloads → outer 2,
-// inner 4). outer×inner never exceeds the total, so a stage never
-// oversubscribes the requested worker count no matter how the grid is
-// shaped. Both results are ≥ 1.
-func WorkerBudget(opts Options, cells int) (outer, inner int) {
+// WorkerBudget splits the run's total worker budget over a stage: outer
+// goroutines iterate the stage's cells (workloads), and each cell times
+// its pair's real and clone sides concurrently (sides 2) when the budget
+// holds two workers per outer goroutine, else one after the other
+// (sides 1). Outer parallelism is preferred — whole cells are perfectly
+// independent — and the second side only soaks up budget the cell count
+// cannot use (8 workers × 2 cells → outer 2, sides 2; 3 × 2 → outer 2,
+// sides 1). outer×sides never exceeds the total, so a stage never
+// oversubscribes the requested worker count; budget beyond 2×cells goes
+// unused. Both results are ≥ 1.
+func WorkerBudget(opts Options, cells int) (outer, sides int) {
 	total := opts.EffectiveWorkers()
-	if total <= 1 {
-		return 1, 1
-	}
 	outer = total
 	if cells > 0 && outer > cells {
 		outer = cells
 	}
-	inner = total / outer
-	if inner < 1 {
-		inner = 1
+	if total >= 2*outer {
+		return outer, 2
 	}
-	return outer, inner
+	return outer, 1
 }
 
 // --- Figure 3 ---

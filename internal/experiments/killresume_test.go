@@ -55,7 +55,7 @@ func killArgs(storeDir string, resume bool) []string {
 		"-run", "fig4",
 		"-workloads", "crc32,qsort",
 		"-insts", "100000",
-		"-parallel=false",
+		"-workers", "1",
 		"-store", storeDir,
 	}
 	if resume {
@@ -148,7 +148,7 @@ func TestWedgedWorkerSubprocessRecovers(t *testing.T) {
 		t.Skip("subprocess test skipped in -short")
 	}
 	bin := buildExperimentsCLI(t)
-	args := []string{"-run", "fig4", "-workloads", "crc32,qsort", "-insts", "100000", "-parallel=false"}
+	args := []string{"-run", "fig4", "-workloads", "crc32,qsort", "-insts", "100000", "-workers", "1"}
 
 	ref, err := exec.Command(bin, args...).Output()
 	if err != nil {
@@ -183,7 +183,7 @@ func TestStageTimeoutSubprocessExits124(t *testing.T) {
 		t.Skip("subprocess test skipped in -short")
 	}
 	bin := buildExperimentsCLI(t)
-	cmd := exec.Command(bin, "-run", "fig4", "-workloads", "crc32", "-parallel=false", "-stage-timeout", "1ms")
+	cmd := exec.Command(bin, "-run", "fig4", "-workloads", "crc32", "-workers", "1", "-stage-timeout", "1ms")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	err := cmd.Run()

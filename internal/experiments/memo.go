@@ -67,26 +67,59 @@ func (pr *Pair) trace(clone bool, n uint64) (*dyntrace.Trace, error) {
 
 // timeBoth times pr's real program and its clone on every configuration
 // in cfgs over the run's timing window (see runTimedMulti), each side's
-// missing configurations in one fused walk over c.inner goroutines.
+// missing configurations in one fused walk. When the cell has two sides'
+// worth of workers (c.sides == 2) the clone side runs alongside the real
+// one; otherwise the sides run one after the other. Either way the
+// result does not depend on which, and when both sides fail the real
+// side's error is the one returned.
 func (pr *Pair) timeBoth(ctx context.Context, c *cell, cfgs ...uarch.Config) (real, clone []uarch.Stats, err error) {
 	lim := c.opts.timingLimits()
-	if real, err = runTimedMulti(ctx, pr, false, cfgs, lim, c.inner); err != nil {
-		return nil, nil, err
+	var cloneErr error
+	timeReal := func() { real, err = runTimedMulti(ctx, pr, false, cfgs, lim) }
+	timeClone := func() { clone, cloneErr = runTimedMulti(ctx, pr, true, cfgs, lim) }
+	if c.sides == 2 {
+		alongside(timeClone, timeReal)
+	} else if timeReal(); err == nil {
+		timeClone()
 	}
-	if clone, err = runTimedMulti(ctx, pr, true, cfgs, lim, c.inner); err != nil {
+	if err == nil {
+		err = cloneErr
+	}
+	if err != nil {
 		return nil, nil, err
 	}
 	return real, clone, nil
 }
 
+// alongside runs side on a second goroutine while main runs on this one,
+// and joins side before it returns, even when main panics: no goroutine
+// of a cell outlives the cell, which checkpointing and Trace.Close rely
+// on. A panic on side is recovered there and raised again here after the
+// join, so the cell's supervisor contains it like any panic of the cell;
+// when both panic, main's panic is the one that propagates.
+func alongside(side, main func()) {
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		side()
+	}()
+	returned := false
+	defer func() {
+		if p := <-done; p != nil && returned {
+			panic(p)
+		}
+	}()
+	main()
+	returned = true
+}
+
 // runTimedMulti times one side of pr on every configuration in cfgs.
 // Results already in the pair's memo are reused; the missing
 // configurations are replayed together in one fused trace walk
-// (uarch.ReplayMultiWorkers over the pair's trace, striped across workers
-// goroutines) and memoized. Each configuration's result is independent of
-// which others share the walk and of the worker count, so a partly
-// memoized sweep is bit-identical to simulating all of cfgs.
-func runTimedMulti(ctx context.Context, pr *Pair, clone bool, cfgs []uarch.Config, lim uarch.Limits, workers int) ([]uarch.Stats, error) {
+// (uarch.ReplayMultiWorkers over the pair's trace) and memoized. Each
+// configuration's result is independent of which others share the walk,
+// so a partly memoized sweep is bit-identical to simulating all of cfgs.
+func runTimedMulti(ctx context.Context, pr *Pair, clone bool, cfgs []uarch.Config, lim uarch.Limits) ([]uarch.Stats, error) {
 	out := make([]uarch.Stats, len(cfgs))
 	var missing []int
 	pr.memo.mu.Lock()
@@ -113,7 +146,7 @@ func runTimedMulti(ctx context.Context, pr *Pair, clone bool, cfgs []uarch.Confi
 	if err != nil {
 		return nil, err
 	}
-	got, err := uarch.ReplayMultiWorkers(ctx, t, todo, lim, workers)
+	got, err := uarch.ReplayMultiWorkers(ctx, t, todo, lim, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,9 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"os"
@@ -144,14 +146,14 @@ func renderTable3(ctx context.Context, opts Options) (string, error) {
 	return buf.String(), nil
 }
 
-// TestResumeParallelTable3ByteIdentical interrupts a fully parallel
-// Table 3 run mid-stage — outer forEach workers iterating workloads,
-// inner fused-replay workers striping the configs — and resumes it with
-// a different worker split. Both the interrupted run's checkpoints and
-// the resumed run's fresh cells must compose to output byte-identical
-// to a serial uninterrupted reference: the parallel walk never
-// checkpoints a torn cell (workers drain before stageCell records), and
-// the worker split never leaks into results.
+// TestResumeParallelTable3ByteIdentical interrupts a parallel Table 3
+// run mid-stage — forEach workers iterating workloads, each cell timing
+// its real and clone sides concurrently (4 workers × 2 cells: sides 2) —
+// and resumes it with the sides run one after the other (3 workers:
+// sides 1). Both the interrupted run's checkpoints and the resumed run's
+// fresh cells must compose to output byte-identical to a serial
+// uninterrupted reference: a cell joins its clone side before stageCell
+// records it, and the worker split never leaks into results.
 func TestResumeParallelTable3ByteIdentical(t *testing.T) {
 	// Reference: serial, uninterrupted.
 	stA, err := store.Open(t.TempDir())
@@ -164,7 +166,7 @@ func TestResumeParallelTable3ByteIdentical(t *testing.T) {
 	}
 
 	// Interrupted parallel run: cancel as soon as the first table3 cell
-	// lands, with 4 workers split across 2 workloads × 6 configs.
+	// lands, with 4 workers split across 2 workloads × 2 sides.
 	stB, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -184,8 +186,9 @@ func TestResumeParallelTable3ByteIdentical(t *testing.T) {
 		t.Fatalf("interrupted run: want context.Canceled, got %v", err)
 	}
 
-	// Resume with a different split (3 workers) — checkpointed cells from
-	// the 4-worker run must splice seamlessly with recomputed ones.
+	// Resume with a different split (3 workers, sides 1) — checkpointed
+	// cells from the 4-worker run must splice seamlessly with recomputed
+	// ones.
 	opts = resumeOpts(stB)
 	opts.Parallel = true
 	opts.Workers = 3
@@ -209,25 +212,30 @@ func TestResumeParallelTable3ByteIdentical(t *testing.T) {
 }
 
 // runOpts keeps the per-run resume tests fast: two workloads, about
-// 100k instructions per timing run.
+// 100k instructions per timing run. Four workers over two workloads
+// take the concurrent-sides path (outer 2, sides 2) on any host.
 func runOpts(st *store.Store) Options {
 	return Options{
 		Workloads:    []string{"crc32", "qsort"},
 		ProfileInsts: 100_000,
 		TimingInsts:  100_000,
 		Parallel:     true,
+		Workers:      4,
 		Store:        st,
 		Log:          io.Discard,
 	}
 }
 
 // TestResumeEveryRun runs each distinct registry run cold against a
-// store and then again with Resume: the resumed run must print
-// byte-identical output and report every cell — Prepare's and every
-// grid cell — as cached, none recomputed. Runs that print the same
+// store and then again with Resume: the cold output must hash to the
+// run's line in testdata/runs_small.sha256, and the resumed run must
+// print byte-identical output and report every cell — Prepare's and
+// every grid cell — as cached, none recomputed. Runs that print the same
 // blocks as an earlier run (fig6/fig7/fig6and7, fig8/fig9) are skipped
-// after their cold run.
+// after their cold run. The digests move only in a change whose point is
+// to move figures, and that change commits the new lines.
 func TestResumeEveryRun(t *testing.T) {
+	digests := runDigests(t)
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -244,6 +252,9 @@ func TestResumeEveryRun(t *testing.T) {
 				t.Skipf("prints the same blocks as %s", first)
 			}
 			seen[cold.String()] = name
+			if got := fmt.Sprintf("%x", sha256.Sum256(cold.Bytes())); got != digests[name] {
+				t.Errorf("cold output digest %s, want %q from testdata/runs_small.sha256", got, digests[name])
+			}
 
 			opts := runOpts(st)
 			opts.Resume = true
@@ -271,15 +282,35 @@ func TestResumeEveryRun(t *testing.T) {
 	}
 }
 
+// runDigests reads testdata/runs_small.sha256: one "digest  run" line
+// per distinct registry run that TestResumeEveryRun prints.
+func runDigests(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/runs_small.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	digests := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		sum, name, ok := strings.Cut(line, "  ")
+		if !ok {
+			t.Fatalf("runs_small.sha256: malformed line %q", line)
+		}
+		digests[name] = sum
+	}
+	return digests
+}
+
 // TestExtWorkerCountsByteIdentical: the extension studies print the
-// same bytes at 1 and 3 workers, whatever the outer×inner split.
+// same bytes serially (1 worker) and with each cell timing its real and
+// clone sides concurrently (4 workers over 2 workloads: sides 2).
 func TestExtWorkerCountsByteIdentical(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var outs [2]bytes.Buffer
-	for k, workers := range []int{1, 3} {
+	for k, workers := range []int{1, 4} {
 		opts := runOpts(st)
 		opts.Workers = workers
 		if err := Run(context.Background(), "ext", opts, &outs[k]); err != nil {
@@ -287,7 +318,7 @@ func TestExtWorkerCountsByteIdentical(t *testing.T) {
 		}
 	}
 	if outs[0].String() != outs[1].String() {
-		t.Fatalf("ext output differs between 1 and 3 workers:\n--- 1 ---\n%s\n--- 3 ---\n%s", outs[0].String(), outs[1].String())
+		t.Fatalf("ext output differs between 1 and 4 workers:\n--- 1 ---\n%s\n--- 4 ---\n%s", outs[0].String(), outs[1].String())
 	}
 }
 

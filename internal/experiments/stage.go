@@ -17,9 +17,9 @@ import (
 type cell struct {
 	// opts are the run's options with defaults applied.
 	opts Options
-	// inner is how many goroutines the cell's own fused replays may use
-	// (see WorkerBudget).
-	inner int
+	// sides is 2 when the cell may time its pair's real and clone sides
+	// concurrently, else 1 (see WorkerBudget).
+	sides int
 	// cached, set by the compute function, reports that everything the
 	// cell produced came from the store; its progress event says so.
 	// Prepare sets it. A cell restored from its checkpoint is reported
@@ -41,7 +41,7 @@ const prepareStage = "prepare"
 //   - the stage deadline (Options.StageTimeout);
 //   - the task supervisor (newStage);
 //   - the worker split: WorkerBudget's outer count sizes the pool over
-//     cells (forEach) and its inner count is each cell's cell.inner;
+//     cells (forEach) and its sides count is each cell's cell.sides;
 //   - checkpoint reuse and recording, with the deadline fence, and the
 //     progress events (stageCell).
 //
@@ -56,10 +56,10 @@ func runStage[T any](ctx context.Context, opts Options, name string, keys []stri
 		return nil, err
 	}
 	defer sr.close()
-	outer, inner := WorkerBudget(opts, len(keys))
+	outer, sides := WorkerBudget(opts, len(keys))
 	out := make([]T, len(keys))
 	err = forEach(ctx, outer, len(keys), func(i int) error {
-		c := &cell{opts: opts, inner: inner}
+		c := &cell{opts: opts, sides: sides}
 		return stageCell(ctx, sr, keys[i], &out[i], c, func(tctx context.Context) (T, error) {
 			return compute(tctx, c, i)
 		})

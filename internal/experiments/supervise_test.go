@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"io"
+	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -144,6 +146,53 @@ func TestPanickedCellRecoversByteIdentical(t *testing.T) {
 	}
 	if !strings.Contains(log.String(), "supervise: RECOVERED panic") {
 		t.Errorf("log missing panic-recovery line:\n%s", log.String())
+	}
+}
+
+// TestPanickedCloneSideRecoversByteIdentical: with 4 workers over 2
+// workloads each cell times its clone side on a second goroutine, which
+// the supervisor does not run. A panic there must be carried back to the
+// cell's goroutine after the join and contained like any panic of the
+// cell — the same RECOVERED line, one retry — and the output must match
+// a clean run.
+func TestPanickedCloneSideRecoversByteIdentical(t *testing.T) {
+	opts := superOpts()
+	opts.Parallel = true
+	opts.Workers = 4
+	var clean bytes.Buffer
+	if err := Run(context.Background(), "table3", opts, &clean); err != nil {
+		t.Fatal(err)
+	}
+
+	const poison = "poisoned clone side [injected]"
+	var fired atomic.Bool
+	testComputeHook = func(_ string, key any) {
+		if k, ok := key.(statsKey); ok && k.clone && fired.CompareAndSwap(false, true) {
+			panic(poison)
+		}
+	}
+	defer func() { testComputeHook = nil }()
+
+	var log bytes.Buffer
+	opts.Log = &log
+	opts.TaskRetries = 1
+	opts.Supervisor = supervise.New(supervise.Options{Log: &log})
+	var got bytes.Buffer
+	if err := Run(context.Background(), "table3", opts, &got); err != nil {
+		t.Fatalf("panicked run failed instead of recovering: %v\nlog:\n%s", err, log.String())
+	}
+	if !fired.Load() {
+		t.Fatal("no clone side was timed")
+	}
+	if got.String() != clean.String() {
+		t.Error("panic-recovered run output differs from the clean run")
+	}
+	recovered := regexp.MustCompile(`(?m)^supervise: RECOVERED panic in task "table3/(crc32|qsort)" \(attempt 1, class transient\): ` + regexp.QuoteMeta(poison) + `$`)
+	if !recovered.MatchString(log.String()) {
+		t.Errorf("log missing the clone side's panic-recovery line:\n%s", log.String())
+	}
+	if c := opts.Supervisor.Counts(); c.Recovered != 1 {
+		t.Errorf("counts = %+v, want exactly 1 recovered", c)
 	}
 }
 

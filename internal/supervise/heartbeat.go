@@ -7,9 +7,9 @@ import (
 )
 
 // heartbeat is one attempt's liveness signal: a single atomic timestamp
-// the workers tick and the watchdog reads. Producer and workers in a
-// fused replay all tick the same heartbeat — the task is live as long as
-// anyone is making progress.
+// the task ticks and the watchdog reads. A cell timing its real and
+// clone sides concurrently ticks it from both — the task is live as long
+// as either side is making progress.
 type heartbeat struct {
 	last atomic.Int64 // UnixNano of the most recent tick
 }
@@ -34,7 +34,7 @@ type tickerKey struct{}
 
 // WithTicker attaches a heartbeat tick function to ctx. The pipeline's
 // hot loops retrieve it with TickerFrom (or call Beat) so any code
-// running under a supervised attempt — trace replay workers, the
+// running under a supervised attempt — trace replay walks, the
 // functional simulator, clone synthesis — feeds the same watchdog
 // without threading a parameter through every layer.
 func WithTicker(ctx context.Context, tick func()) context.Context {

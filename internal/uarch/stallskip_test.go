@@ -12,8 +12,8 @@ import (
 	"perfclone/internal/workloads"
 )
 
-// replayStepped replays tr on every cfg like ReplayMultiWorkers with one
-// worker, but with every pipeline stepping each stall cycle instead of
+// replayStepped replays tr on every cfg like ReplayMultiWorkers, but
+// with every pipeline stepping each stall cycle instead of
 // fast-forwarding over it.
 func replayStepped(t *testing.T, tr *dyntrace.Trace, cfgs []Config, lim Limits) []Stats {
 	t.Helper()
@@ -27,7 +27,7 @@ func replayStepped(t *testing.T, tr *dyntrace.Trace, cfgs []Config, lim Limits) 
 		s.stepEveryCycle = true
 		sims[i] = s
 	}
-	if err := replayWalkSerial(context.Background(), tr.Walk(lim.MaxInsts), templatesFor(tr), sims); err != nil {
+	if err := replayWalk(context.Background(), tr.Walk(lim.MaxInsts), templatesFor(tr), sims); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]Stats, len(sims))
